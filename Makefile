@@ -1,103 +1,22 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-baseline workload-smoke shard-smoke proc-smoke columnar-smoke affinity-smoke service-smoke delta-smoke skew-smoke
+.PHONY: test differential bench bench-baseline
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# One-seed smoke of the scenario generator + differential conformance
-# harness: every registered strategy vs the naive solver on a small fresh
-# workload.  Override the seed with WORKLOAD_SEEDS=n.  The two smoke targets
-# partition the harness on the "shard" keyword — run both for full coverage
-# without duplicating the slowest tests.
-workload-smoke:
+# The differential matrix on one seed (override with WORKLOAD_SEEDS=n): every
+# strategy, forced plan, shard count, runtime, regime and database flavour,
+# the append replay and the skewed regime against the naive solver, plus the
+# cost-vs-static join-ordering guard — the two WORKLOAD_SEEDS-parametrised
+# modules.  Then the service load run in --quick mode, which fails on any
+# request error and leaves benchmarks/BENCH_service.json untouched.
+differential:
 	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/workloads tests/engine/test_differential.py \
-		tests/engine/test_session.py -k "not shard"
-
-# One-seed smoke of the sharded execution path: the sharding unit tests plus
-# the sharded differential checks (shards 1/2/4/8, co-partitioned and
-# broadcast rungs) vs the naive solver.  Override the seed with
-# WORKLOAD_SEEDS=n.
-shard-smoke:
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_sharding.py tests/workloads \
-		tests/engine/test_differential.py tests/engine/test_session.py -k shard
-
-# One-seed smoke of the execution-runtime layer: the runtime unit tests and
-# serialization round-trips, then the differential runtime pass (every
-# registered runtime — inline/thread/process — across every regime and
-# database flavour at shards 1/2/4) vs the naive solver.  Override the seed
-# with WORKLOAD_SEEDS=n.
-proc-smoke:
-	$(PYTHON) -m pytest -q tests/engine/test_runtime.py tests/engine/test_pickling.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_differential.py -k "runtime"
-
-# One-seed smoke of the columnar kernel: the columnar unit/property suites,
-# then the differential columnar pass — every regime and database flavour
-# with the columnar backend forced per decomposition strategy, plus the
-# sharded (1/2/4) and process-runtime rungs, all against the naive solver
-# with coverage guards asserting the columnar kernel actually executed.
-# Override the seed with WORKLOAD_SEEDS=n.
-columnar-smoke:
-	$(PYTHON) -m pytest -q tests/cq/test_columnar.py \
-		tests/property/test_columnar_roundtrip.py \
-		tests/engine/test_columnar_backend.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_differential.py -k "columnar"
-
-# One-seed smoke of worker-affinity routing: the assignment property tests,
-# then the differential affinity pass (owner-routed process runtime across
-# every regime and database flavour at shards 1/2/4) vs the naive solver,
-# with the coverage guard asserting every shard task executed on its owning
-# worker and no recovery traffic occurred.  Override the seed with
-# WORKLOAD_SEEDS=n.
-affinity-smoke:
-	$(PYTHON) -m pytest -q tests/property/test_affinity_assignment.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_differential.py -k "affinity"
-
-# One-seed smoke of the versioned write path: the storage version seam and
-# incremental-evaluation unit tests, the service append/subscription
-# endpoints, then the differential incremental pass — append-heavy replay
-# where a standing IncrementalView's semi-naive refresh must equal a
-# from-scratch evaluation after every append batch, across shards 1/2/4
-# and through process-runtime delta shipping (with the coverage guard that
-# deltas actually shipped).  Override the seed with WORKLOAD_SEEDS=n.
-delta-smoke:
-	$(PYTHON) -m pytest -q tests/cq/test_versioning.py \
-		tests/engine/test_incremental.py tests/service/test_subscriptions.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_differential.py -k "incremental or delta"
-
-# One-seed smoke of the skew-aware adaptive layer: the statistics sketch
-# unit + property suites, the join-ordering regression guard (cost-based
-# never blows up vs the historical static-greedy order, and wins in
-# aggregate), the hot-key spilling/sharding tests and the bounded columnar
-# memos, then the skewed-regime differential pass — Zipfian and hub-heavy
-# databases vs the naive solver with the coverage guard that cost-based
-# ordering actually ran.  Override the seed with WORKLOAD_SEEDS=n.
-skew-smoke:
-	$(PYTHON) -m pytest -q tests/cq/test_statistics.py \
-		tests/property/test_statistics_sketches.py \
-		tests/cq/test_columnar_memo.py tests/engine/test_skew_sharding.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
+		tests/engine/test_differential.py \
 		tests/engine/test_join_ordering_regression.py
-	WORKLOAD_SEEDS=$(or $(WORKLOAD_SEEDS),0) $(PYTHON) -m pytest -q \
-		tests/engine/test_differential.py -k "skew"
-
-# Smoke of the query service front door: the service unit + end-to-end
-# suites (a real server on a real socket — concurrent-client differential
-# exactness vs a direct EngineSession, 503 shedding under a saturated
-# admission queue, 50ms deadlines cancelling in-flight sharded calls with
-# no orphaned futures, per-tenant isolation), the concurrency/lifetime
-# regression tests the service exposed, then the load benchmark, which
-# writes benchmarks/BENCH_service.json (p50/p99 latency + throughput).
-service-smoke:
-	$(PYTHON) -m pytest -q tests/service tests/engine/test_concurrency_fixes.py
-	$(PYTHON) benchmarks/bench_service.py
+	$(PYTHON) benchmarks/bench_service.py --quick
 
 # Perf-regression gate: re-run the engine benchmarks and fail on >2x slowdown
 # against benchmarks/BENCH_engine.json.

@@ -20,9 +20,10 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   (:mod:`repro.cq.columnar`, the default backend for the decomposition
   strategies) on the ``engine_answer`` workloads: projected enumeration and
   the factorized counting DP.  Each point records the columnar time (the
-  gated number) plus ``tupleset_seconds``, the same plan through the
-  tuple-set :class:`DecompositionBackend`, and the resulting ``speedup`` —
-  the acceptance number for the columnar kernel.
+  gated number) plus ``tupleset_seconds``, the same decomposition through
+  the tuple-set reference evaluator (:mod:`repro.cq.decomposition_eval`),
+  and the resulting ``speedup`` — the acceptance number for the columnar
+  kernel.
 * ``batch_answer_many`` — the session batch path
   (``EngineSession.answer_many``) on seeded mixed workloads
   (``repro.cq.workloads.mixed_batch``: all four regimes, repeated and
@@ -107,16 +108,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cq import generators as cqgen  # noqa: E402
 from repro.cq import workloads  # noqa: E402
-from repro.cq.decomposition_eval import decomposition_boolean_answer  # noqa: E402
+from repro.cq.decomposition_eval import (  # noqa: E402
+    decomposition_boolean_answer,
+    decomposition_count_answers,
+    decomposition_enumerate_answers,
+)
 from repro.cq.homomorphism import _solve, _solve_naive  # noqa: E402
 from repro.cq.relational import NamedRelation  # noqa: E402
 from repro.cq.yannakakis import JoinTree, semijoin_reduce  # noqa: E402
-from repro.engine import (  # noqa: E402
-    DecompositionBackend,
-    Engine,
-    EngineSession,
-    ProcessRuntime,
-)
+from repro.engine import Engine, EngineSession, ProcessRuntime  # noqa: E402
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -338,9 +338,9 @@ def bench_columnar_answer(include_tupleset: bool = True) -> list[dict]:
     ``indexed_seconds`` (the gated number) is the engine's default dispatch,
     which now evaluates the decomposition strategies columnar-side:
     interned-id hash joins plus the memoized columnar atom views — the
-    steady-state serving cost.  ``tupleset_seconds`` runs the same plan
-    through the tuple-set :class:`DecompositionBackend` for the recorded
-    speedup (historical context, like the naive solver elsewhere).
+    steady-state serving cost.  ``tupleset_seconds`` runs the same
+    decomposition through the tuple-set reference evaluator for the
+    recorded speedup (historical context, like the naive solver elsewhere).
     """
     points = []
     for label, length, domain, tuples in ENGINE_SCALES:
@@ -357,9 +357,10 @@ def bench_columnar_answer(include_tupleset: bool = True) -> list[dict]:
             "indexed_seconds": columnar,
         }
         if include_tupleset:
-            tupleset_backend = DecompositionBackend(plan.strategy)
             tupleset = _timed(
-                lambda: tupleset_backend.answers(plan.query, database, plan)
+                lambda: decomposition_enumerate_answers(
+                    plan.query, database, plan.decomposition
+                )
             )
             point["tupleset_seconds"] = tupleset
             point["speedup"] = tupleset / columnar if columnar else float("inf")
@@ -390,9 +391,10 @@ def bench_columnar_count(include_tupleset: bool = True) -> list[dict]:
             "indexed_seconds": columnar,
         }
         if include_tupleset:
-            tupleset_backend = DecompositionBackend(plan.strategy)
             tupleset = _timed(
-                lambda: tupleset_backend.count(plan.query, database, plan)
+                lambda: decomposition_count_answers(
+                    plan.query, database, plan.decomposition
+                )
             )
             point["tupleset_seconds"] = tupleset
             point["speedup"] = tupleset / columnar if columnar else float("inf")

@@ -1,13 +1,13 @@
 """The columnar kernel side by side with the tuple-set kernel.
 
 The decomposition strategies (direct-yannakakis, ghd-guided) dispatch to a
-`ColumnarBackend` by default: relations become parallel arrays of interned
-integer ids, joins run as vectorized hash probes in id space, and values
-decode back exactly once at the result boundary.  This demo evaluates the
-same queries through both kernels — the engine's default columnar path and
-the tuple-set `DecompositionBackend` it wraps as a fallback — verifies the
-answers are identical, and prints per-strategy timings plus the session's
-columnar view-cache counters.
+`ColumnarBackend`: relations become parallel arrays of interned integer ids,
+joins run as vectorized hash probes in id space, and values decode back
+exactly once at the result boundary.  This demo evaluates the same queries
+through both kernels — the engine's columnar path and the tuple-set
+reference evaluator of `repro.cq.decomposition_eval`, on the same
+decomposition — verifies the answers are identical, and prints
+per-strategy timings plus the session's columnar view-cache counters.
 
 Run:  PYTHONPATH=src python examples/columnar_kernel.py
 """
@@ -19,7 +19,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cq import generators as cqgen
-from repro.engine import EngineSession, backend_for
+from repro.cq.decomposition_eval import decomposition_enumerate_answers
+from repro.engine import EngineSession
 
 
 def timed(fn):
@@ -38,10 +39,11 @@ def main() -> None:
     for label, query, seed in workloads:
         database = cqgen.random_database(query, 20, 2500, seed=seed)
         plan = session.plan(query)
-        backend = backend_for(plan.strategy)
 
         columnar, columnar_s = timed(lambda: session.answer(query, database, plan=plan))
-        tupleset, tupleset_s = timed(lambda: backend.fallback.answers(plan.query, database, plan))
+        tupleset, tupleset_s = timed(
+            lambda: decomposition_enumerate_answers(plan.query, database, plan.decomposition)
+        )
 
         assert columnar.rows == tupleset, "kernels disagree!"
         print(f"{label}  [{plan.strategy}]")

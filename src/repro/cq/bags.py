@@ -64,13 +64,32 @@ def assign_atoms_to_nodes(
     return assignment
 
 
-def root_tree(ghd: GeneralizedHypertreeDecomposition) -> dict:
-    """Orient the decomposition tree from an arbitrary (deterministic) root."""
+def root_tree(
+    ghd: GeneralizedHypertreeDecomposition, query: ConjunctiveQuery
+) -> dict:
+    """Orient the decomposition tree from the bag covering the most free
+    variables of ``query``.
+
+    The Yannakakis join pass carries every free variable up to the root,
+    so a free variable in a bag far from the root widens each intermediate
+    result on its way; a root holding the free variables keeps those
+    results narrow.  Ties break on the bag's sorted variable reprs — never
+    on the repr of the node itself, which for a frozenset node lists its
+    members in string-hash order and would make the root depend on
+    ``PYTHONHASHSEED``.
+    """
     nodes = sorted(ghd.bags, key=repr)
     if not nodes:
         raise DecompositionMismatchError("the decomposition has no nodes")
+    free = set(query.free_variables)
     parent: dict[Node, Node | None] = {}
-    root = nodes[0]
+    root = min(
+        nodes,
+        key=lambda node: (
+            -len(free & ghd.bags[node]),
+            sorted(map(repr, ghd.bags[node])),
+        ),
+    )
     parent[root] = None
     seen = {root}
     frontier = [root]
@@ -128,5 +147,4 @@ def build_bag_join_tree(
         joined = natural_join_all([relation_for(atom) for atom in atoms])
         keep = [c for c in joined.columns if c in bag]
         bag_relations[node] = joined.project(keep)
-    parent = root_tree(ghd)
-    return JoinTree(bag_relations, parent)
+    return JoinTree(bag_relations, root_tree(ghd, query))

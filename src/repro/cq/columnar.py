@@ -39,8 +39,8 @@ unchanged — they are duck-typed over the relation interface (``columns``,
 (:func:`columnar_count_join_tree`), because the tuple-set DP iterates
 ``relation.rows`` directly.
 
-The engine dispatches here by default for the decomposition strategies
-through :class:`repro.engine.backends.ColumnarBackend`; conversion and
+The engine dispatches the decomposition strategies here through
+:class:`repro.engine.backends.ColumnarBackend`; conversion and
 caching live at the :class:`~repro.cq.database.Database` layer
 (``Database.columnar_view``), versioned like the atom-view cache: appends
 through the storage API *extend* cached views in place instead of
@@ -1047,7 +1047,7 @@ def build_columnar_bag_tree(
         joined = natural_join_all(pool)
         keep = [c for c in joined.columns if c in bag]
         bag_relations[node] = joined.project(keep)
-    return JoinTree(bag_relations, root_tree(ghd))
+    return JoinTree(bag_relations, root_tree(ghd, query))
 
 
 def columnar_count_join_tree(tree: JoinTree) -> int:

@@ -15,10 +15,12 @@ This is what makes BCQ tractable for classes of bounded ghw, and (for full
 CQs) what makes #CQ polynomial via the counting DP in
 :mod:`repro.cq.counting`.
 
-These functions are the *GHD strategy backend* of the unified engine
-(:mod:`repro.engine`), which computes and caches the witnessing
-decomposition through its analysis pass; they remain directly callable with
-an explicitly supplied (or freshly computed) GHD.
+This is the tuple-set, paper-reference implementation of the scheme.  The
+engine (:mod:`repro.engine`) evaluates the same stages on the columnar
+kernel of :mod:`repro.cq.columnar`; these functions stay directly callable
+with an explicitly supplied (or freshly computed) GHD, and tests and
+benchmarks use them as the readable reference the kernel is checked and
+timed against.
 """
 
 from __future__ import annotations

@@ -482,12 +482,6 @@ def _sip_prefilter(target, source, target_stats=None, source_stats=None):
     return filtered
 
 
-def intersect_all(relations: Sequence[NamedRelation]) -> NamedRelation:
-    """Natural join of a sequence of relations (greedy smallest-first on the
-    current intermediate result)."""
-    return natural_join_all(relations)
-
-
 def atom_shape(atom) -> tuple:
     """The selection/projection recipe an atom induces on its relation:
     ``(columns, keep_indexes, constant_checks, equality_checks)``.

@@ -55,7 +55,6 @@ from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
 from repro.engine.backends import (
     BacktrackingBackend,
     ColumnarBackend,
-    DecompositionBackend,
     EvaluationBackend,
     TrivialBackend,
     backend_for,
@@ -180,7 +179,6 @@ __all__ = [
     "sharding_spec",
     "EvaluationBackend",
     "TrivialBackend",
-    "DecompositionBackend",
     "ColumnarBackend",
     "BacktrackingBackend",
     "backend_for",

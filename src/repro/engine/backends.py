@@ -2,10 +2,10 @@
 
 A backend answers the three query tasks — Boolean satisfiability, answer
 enumeration, answer counting — for plans of one strategy.  The built-in
-backends wrap the existing evaluators (:mod:`repro.cq.bags` +
-:mod:`repro.cq.yannakakis` + :mod:`repro.cq.counting` for the decomposition
-strategies, :mod:`repro.cq.homomorphism` for the generic fallback); new
-strategies — a sharded evaluator, an async or multi-backend executor —
+backends wrap the existing evaluators (the columnar kernel of
+:mod:`repro.cq.columnar` + :mod:`repro.cq.yannakakis` for the decomposition
+strategies, :mod:`repro.cq.homomorphism` for the structure-blind fallback);
+new strategies — a sharded evaluator, an async or multi-backend executor —
 register through :func:`register_backend` and become dispatchable without
 touching the executor.
 """
@@ -13,11 +13,6 @@ touching the executor.
 from __future__ import annotations
 
 from repro.cq.database import Database
-from repro.cq.decomposition_eval import (
-    decomposition_boolean_answer,
-    decomposition_count_answers,
-    decomposition_enumerate_answers,
-)
 from repro.cq.homomorphism import boolean_answer, count_answers, enumerate_answers
 from repro.cq.query import ConjunctiveQuery
 from repro.engine.planner import (
@@ -62,13 +57,19 @@ class TrivialBackend(EvaluationBackend):
         return 1
 
 
-class DecompositionBackend(EvaluationBackend):
-    """Bag materialisation along the plan's decomposition, then Yannakakis
-    (or the join-tree counting DP).  Serves both the direct-Yannakakis
-    strategy (width-1 join tree) and the GHD-guided strategy — the only
-    difference is where the decomposition came from.  Evaluation delegates
-    to :mod:`repro.cq.decomposition_eval` so there is exactly one copy of
-    the build-tree → Yannakakis → projection logic."""
+class ColumnarBackend(EvaluationBackend):
+    """The decomposition strategies: bag materialisation along the plan's
+    decomposition, then Yannakakis (or the join-tree counting DP).  Serves
+    both the direct-Yannakakis strategy (width-1 join tree) and the
+    GHD-guided strategy — the only difference is where the decomposition
+    came from.
+
+    Every relation is a :class:`~repro.cq.columnar.ColumnarRelation` of
+    interned value ids: int-keyed hash joins and semijoins, column-wise
+    gathers, and a single id→value decode at the answer boundary (see
+    :mod:`repro.cq.columnar`).  The database interns itself on first use
+    through ``Database.columnar_view``, memoized beside the atom-view cache.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -81,82 +82,22 @@ class DecompositionBackend(EvaluationBackend):
         return plan.decomposition
 
     def boolean(self, query, database, plan) -> bool:
-        return decomposition_boolean_answer(query, database, self._ghd(plan))
-
-    def answers(self, query, database, plan) -> set[tuple]:
-        return decomposition_enumerate_answers(query, database, self._ghd(plan))
-
-    def count(self, query, database, plan) -> int:
-        if query.is_full():
-            # Proposition 4.14: the DP counts |q(D)| without materialising it.
-            return decomposition_count_answers(query, database, self._ghd(plan))
-        # Non-full queries count distinct projections; enumerate and count
-        # (the DP would count assignments to the existential variables too).
-        return len(self.answers(query, database, plan))
-
-
-class ColumnarBackend(EvaluationBackend):
-    """The decomposition strategies over the columnar kernel.
-
-    Same contract as :class:`DecompositionBackend` — bag materialisation
-    along the plan's decomposition, Yannakakis passes, factorized counting —
-    but every relation is a :class:`~repro.cq.columnar.ColumnarRelation` of
-    interned value ids: int-keyed hash joins and semijoins, column-wise
-    gathers, and a single id→value decode at the answer boundary (see
-    :mod:`repro.cq.columnar`).  The database interns itself on first use
-    through ``Database.columnar_view``, memoized beside the atom-view cache.
-
-    A tuple-set :class:`DecompositionBackend` is kept as ``fallback`` and
-    the ``use_columnar`` toggle routes to it — benchmarks and differential
-    tests flip it to compare kernels on identical plans.  ``columnar_runs``
-    / ``fallback_runs`` count evaluations per kernel so coverage guards can
-    assert the columnar path actually executed (counters are per-process:
-    runtime workers tally in their own registry instances).
-    """
-
-    def __init__(self, name: str, fallback: EvaluationBackend | None = None) -> None:
-        self.name = name
-        self.fallback = fallback if fallback is not None else DecompositionBackend(name)
-        self.use_columnar = True
-        self.columnar_runs = 0
-        self.fallback_runs = 0
-
-    def _ghd(self, plan: Plan):
-        if plan.decomposition is None:
-            raise ValueError(
-                f"plan for strategy {plan.strategy!r} carries no decomposition"
-            )
-        return plan.decomposition
-
-    def boolean(self, query, database, plan) -> bool:
-        if not self.use_columnar:
-            self.fallback_runs += 1
-            return self.fallback.boolean(query, database, plan)
         from repro.cq.columnar import columnar_boolean_answer
 
-        self.columnar_runs += 1
         return columnar_boolean_answer(query, database, self._ghd(plan))
 
     def answers(self, query, database, plan) -> set[tuple]:
-        if not self.use_columnar:
-            self.fallback_runs += 1
-            return self.fallback.answers(query, database, plan)
         from repro.cq.columnar import columnar_enumerate_answers
 
-        self.columnar_runs += 1
         return columnar_enumerate_answers(query, database, self._ghd(plan))
 
     def count(self, query, database, plan) -> int:
-        if not self.use_columnar:
-            self.fallback_runs += 1
-            return self.fallback.count(query, database, plan)
         from repro.cq.columnar import (
             build_columnar_bag_tree,
             columnar_count_answers,
         )
         from repro.cq.yannakakis import yannakakis_boolean, yannakakis_full
 
-        self.columnar_runs += 1
         if query.is_full():
             # Proposition 4.14: the factorized DP counts |q(D)| over per-row
             # weight vectors — no result row is ever materialised.
@@ -224,10 +165,9 @@ def registered_strategies() -> tuple:
 
 
 register_backend(STRATEGY_TRIVIAL, TrivialBackend())
-# The decomposition strategies default to the columnar kernel (the database
-# interns itself on first evaluation); each carries a tuple-set
-# DecompositionBackend as its fallback, and register_backend(replace=True)
-# still swaps either strategy wholesale.
+# The decomposition strategies run on the columnar kernel (the database
+# interns itself on first evaluation); register_backend(replace=True) still
+# swaps either strategy wholesale.
 register_backend(STRATEGY_YANNAKAKIS, ColumnarBackend(STRATEGY_YANNAKAKIS))
 register_backend(STRATEGY_GHD, ColumnarBackend(STRATEGY_GHD))
 register_backend(STRATEGY_BACKTRACKING, BacktrackingBackend())

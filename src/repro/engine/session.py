@@ -57,22 +57,13 @@ from repro.engine.executor import (
     TASK_SATISFIABLE,
 )
 from repro.engine.planner import DEFAULT_MAX_GHD_WIDTH, Plan
-from repro.engine.runtime import (
-    DEFAULT_THREAD_WORKERS,
-    RuntimeTask,
-    runtime_for,
-)
+from repro.engine.runtime import RuntimeTask, runtime_for
 from repro.engine.sharding import (
     SHARD_MODE_SINGLE,
     ShardedDatabase,
     ShardingSpec,
     sharding_spec,
 )
-
-#: Upper bound on the threads one sharded call fans out to (the default
-#: thread runtime's worker cap): shard counts are a data-layout choice, not
-#: a parallelism dial, so a 64-shard call must not spawn 64 threads.
-MAX_SHARD_WORKERS = DEFAULT_THREAD_WORKERS
 
 
 def canonical_query_key(query: ConjunctiveQuery):

@@ -252,7 +252,7 @@ class QueryService:
     async def _handle_single(self, task: str, request: Request) -> Response:
         payload = self._payload(request)
         query = query_from_json(self._field(payload, "query"))
-        session, database = self._context(payload)
+        session, database = self._context(payload, request)
         options = self._options(payload)
         method = getattr(session, _TASK_METHODS[task][0])
         call = partial(
@@ -284,7 +284,7 @@ class QueryService:
                 f"max_batch_queries={self.config.max_batch_queries}",
             )
         queries = [query_from_json(q) for q in queries_json]
-        session, database = self._context(payload)
+        session, database = self._context(payload, request)
         options = self._options(payload)
         parallel = options["parallel"]
         if parallel is None:
@@ -425,11 +425,9 @@ class QueryService:
         except KeyError:
             raise HttpError(400, f"missing required field {name!r}") from None
 
-    def _context(self, payload: dict):
+    def _context(self, payload: dict, request: Request):
         """The tenant's session and the request's database."""
-        tenant = payload.get("tenant", DEFAULT_TENANT)
-        if not isinstance(tenant, str) or not tenant:
-            raise HttpError(400, f"tenant must be a non-empty string, got {tenant!r}")
+        tenant = self._tenant_of(payload, request)
         session = self.sessions.get(tenant)
         inline = payload.get("database")
         dataset = payload.get("dataset")

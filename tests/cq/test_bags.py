@@ -6,6 +6,11 @@ uses that scope — a single repr-min representative would leave the bag
 relation looser than the query at that node.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cq import Atom, ConjunctiveQuery, Database, Relation
@@ -92,3 +97,39 @@ def test_same_scope_different_variable_order():
     assert decomposition_enumerate_answers(query, database) == enumerate_answers(
         query, database
     ) == {(1, 2)}
+
+
+_ROOT_SCRIPT = """
+from repro.cq import generators as cqgen
+from repro.cq.bags import build_bag_join_tree
+from repro.cq.columnar import build_columnar_bag_tree
+from repro.engine import EngineSession
+
+query = cqgen.star_query(3).project(["c", "x0"])
+database = cqgen.hub_database(query, 20, 30, seed=97, hot_values=2)
+ghd = EngineSession().plan(query).decomposition
+for build in (build_bag_join_tree, build_columnar_bag_tree):
+    tree = build(query, database, ghd)
+    print(" ".join(sorted(tree.relations[tree.root].columns)))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4"])
+def test_join_tree_root_holds_the_free_variables_under_any_hash_seed(hash_seed):
+    """Regression: the root was the repr-min bag, and a frozenset's repr
+    lists its members in string-hash order — under these hash seeds a star
+    query projected onto (c, x0) was rooted at a bag without x0, and the
+    join pass dragged x0 through every intermediate result."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(src), env.get("PYTHONPATH")) if part
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _ROOT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    roots = completed.stdout.splitlines()
+    assert len(roots) == 2
+    for root_columns in roots:
+        assert "x0" in root_columns.split(), root_columns

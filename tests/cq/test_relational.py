@@ -4,7 +4,7 @@ import pytest
 
 from repro.cq import Database
 from repro.cq.query import Atom, Constant
-from repro.cq.relational import NamedRelation, from_atom, intersect_all
+from repro.cq.relational import NamedRelation, from_atom, natural_join_all
 
 
 @pytest.fixture
@@ -71,8 +71,8 @@ class TestNamedRelation:
         b = NamedRelation(("y", "x"), {(2, 1)})
         assert a == b
 
-    def test_intersect_all(self, left, right):
-        result = intersect_all([left, right])
+    def test_natural_join_all(self, left, right):
+        result = natural_join_all([left, right])
         assert len(result) == 3
 
 

@@ -4,7 +4,7 @@ permutation-based equality."""
 
 import pytest
 
-from repro.cq.relational import NamedRelation, intersect_all, natural_join_all
+from repro.cq.relational import NamedRelation, natural_join_all
 
 
 @pytest.fixture
@@ -113,9 +113,6 @@ class TestJoinPlanner:
         planned = natural_join_all([tail, left, right])
         pairwise = left.natural_join(right).natural_join(tail)
         assert planned == pairwise
-
-    def test_intersect_all_is_natural_join_all(self, left, right):
-        assert intersect_all([left, right]) == left.natural_join(right)
 
     def test_planner_prefers_shared_columns_over_cross_product(self):
         a = NamedRelation(("x",), {(i,) for i in range(3)})

@@ -1,17 +1,17 @@
-"""The columnar backend through the engine: default dispatch for the
-decomposition strategies, the tuple-set fallback toggle, per-kernel run
-counters (the coverage guard's instrument), session stats / clear_cache
-integration, and the sharded + worker execution paths evaluating
-columnar-side.
+"""The columnar backend through the engine: dispatch for the decomposition
+strategies, session stats / clear_cache integration, and the sharded +
+worker execution paths evaluating columnar-side.  The evidence that the
+kernel ran is each database's own columnar store: every columnar
+evaluation looks up the view of each of the query's atoms there once.
 """
 
 import pytest
 
 from repro.cq import generators as cqgen
+from repro.cq.decomposition_eval import decomposition_enumerate_answers
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.engine import (
     ColumnarBackend,
-    DecompositionBackend,
     EngineSession,
     LRUCache,
     STRATEGY_GHD,
@@ -19,7 +19,12 @@ from repro.engine import (
     TASK_ANSWER,
     backend_for,
 )
-from repro.engine.runtime import _REPLY_OK, _worker_execute
+from repro.engine.runtime import (
+    _REPLY_OK,
+    _SHIP_FULL,
+    _WORKER_RESIDENT,
+    _worker_execute,
+)
 
 
 @pytest.fixture
@@ -39,57 +44,46 @@ def cyclic():
     return query, cqgen.random_database(query, 7, 60, seed=32)
 
 
+def _columnar_lookups(database) -> int:
+    store = database.columnar_cache
+    if store is None:
+        return 0
+    info = store.info()
+    return info["hits"] + info["misses"]
+
+
 def test_decomposition_strategies_default_to_columnar():
     for strategy in (STRATEGY_YANNAKAKIS, STRATEGY_GHD):
         backend = backend_for(strategy)
         assert isinstance(backend, ColumnarBackend)
-        assert backend.use_columnar
-        assert isinstance(backend.fallback, DecompositionBackend)
-        assert backend.fallback.name == strategy
+        assert backend.name == strategy
 
 
 def test_default_dispatch_executes_columnar(session, acyclic, cyclic):
     # The coverage-guard mechanism itself: every evaluation through a
-    # decomposition strategy must tick the columnar run counter.
+    # decomposition strategy looks up each atom's view in the database's
+    # columnar store once.
     for (query, database), strategy in ((acyclic, STRATEGY_YANNAKAKIS), (cyclic, STRATEGY_GHD)):
-        backend = backend_for(strategy)
-        before = backend.columnar_runs
+        assert database.columnar_cache is None
         result = session.answer(query, database)
         assert result.plan.strategy == strategy
         assert result.rows == naive_enumerate_answers(query, database)
         session.count(query, database)
         session.is_satisfiable(query, database)
-        assert backend.columnar_runs == before + 3
-        assert database.columnar_cache is not None
-
-
-def test_fallback_toggle_routes_to_tuple_set_kernel(session, acyclic):
-    query, database = acyclic
-    backend = backend_for(STRATEGY_YANNAKAKIS)
-    expected = naive_enumerate_answers(query, database)
-    assert session.answer(query, database).rows == expected
-    columnar_before, fallback_before = backend.columnar_runs, backend.fallback_runs
-    backend.use_columnar = False
-    try:
-        assert session.answer(query, database).rows == expected
-        assert session.count(query, database).count == len(expected)
-        assert session.is_satisfiable(query, database).satisfiable == bool(expected)
-        assert backend.columnar_runs == columnar_before
-        assert backend.fallback_runs == fallback_before + 3
-    finally:
-        backend.use_columnar = True
+        assert _columnar_lookups(database) == 3 * len(query.atoms)
 
 
 def test_counts_match_tuple_set_kernel_on_projections(session):
     # Non-full counting stays in id space (length of the projected columnar
-    # result, no decode); it must agree with the fallback's enumerate+len.
+    # result, no decode); it must agree with the tuple-set reference
+    # evaluator's enumerate+len on the same plan.
     query = cqgen.cycle_query(4).project(["x0", "x1"])
     database = cqgen.random_database(query, 6, 60, seed=33)
     counted = session.count(query, database).count
     assert counted == naive_count_answers(query, database)
-    backend = backend_for(session.plan(query).strategy)
-    assert counted == backend.fallback.count(
-        session.plan(query).query, database, session.plan(query)
+    plan = session.plan(query)
+    assert counted == len(
+        decomposition_enumerate_answers(plan.query, database, plan.decomposition)
     )
 
 
@@ -143,17 +137,15 @@ def test_lru_cache_stats_alias():
 
 def test_sharded_execution_is_columnar_per_shard(session, acyclic):
     query, database = acyclic
-    backend = backend_for(STRATEGY_YANNAKAKIS)
-    before = backend.columnar_runs
     expected = naive_enumerate_answers(query, database)
     for shards in (1, 2, 4):
         result = session.answer(query, database, shards=shards, shard_variable="x0")
         assert result.rows == expected
-    # Inline/thread shard tasks tick the same in-process counters; every
-    # shard of every call evaluated columnar-side (1 + 2 + 4 pieces).
-    assert backend.columnar_runs == before + 7
-    # The resident pieces interned themselves and are tracked by stats.
-    assert session.stats()["columnar_view_cache"]["interned"] >= 2
+    # Every shard of every call evaluated columnar-side on its own piece
+    # (1 + 2 + 4 databases), and the resident pieces are tracked by stats.
+    report = session.stats()["columnar_view_cache"]
+    assert report["interned"] == 7
+    assert report["hits"] + report["misses"] == 7 * len(query.atoms)
 
 
 def test_worker_execution_path_is_columnar(acyclic):
@@ -164,11 +156,7 @@ def test_worker_execution_path_is_columnar(acyclic):
     # a warm columnar store.
     import pickle
 
-    from repro.engine.runtime import _SHIP_FULL
-
     query, database = acyclic
-    backend = backend_for(STRATEGY_YANNAKAKIS)
-    before = backend.columnar_runs
     payload = (
         _SHIP_FULL,
         pickle.dumps(database.to_wire(), protocol=pickle.HIGHEST_PROTOCOL),
@@ -179,4 +167,5 @@ def test_worker_execution_path_is_columnar(acyclic):
     )
     assert reply[0] == _REPLY_OK
     assert reply[1] == naive_enumerate_answers(query, database)
-    assert backend.columnar_runs == before + 1
+    resident = _WORKER_RESIDENT.pop("token-columnar-test")
+    assert _columnar_lookups(resident) == len(query.atoms)

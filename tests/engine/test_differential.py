@@ -19,14 +19,19 @@ every scenario this harness runs:
   fresh-seed results are invariant in the shard count,
 * and **every registered execution runtime** (inline / thread / process) at
   shard counts {1, 2, 4} over a per-regime representative slice of the
-  scenarios — all three answer tasks, every regime, every database
-  flavour, with the process pass running on real worker processes,
+  scenarios — default dispatch and every forced decomposition plan, all
+  three answer tasks, every regime, every database flavour, with the
+  process pass running on real worker processes,
 
-and asserts bit-for-bit agreement with the naive linear-scan solver.
+and asserts bit-for-bit agreement with the naive linear-scan solver.  The
+later passes replay the same slice through owner-routed process workers,
+append batches (incremental refresh and delta shipping) and the skewed
+regime's cost-based join ordering.
 
 Seeds are parametrized: set ``WORKLOAD_SEEDS=3,4,5`` to point CI at fresh
 scenarios — any failure reproduces locally from the seed in the test id.
-``make workload-smoke`` runs the single-seed variant.
+``make differential`` runs this file and the join-ordering regression guard
+on one seed (``WORKLOAD_SEEDS=n``, default 0).
 """
 
 import functools
@@ -38,7 +43,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cq import workloads
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.engine import (
-    ColumnarBackend,
     EngineSession,
     ProcessRuntime,
     RUNTIME_PROCESS,
@@ -47,7 +51,6 @@ from repro.engine import (
     STRATEGY_GHD,
     STRATEGY_TRIVIAL,
     STRATEGY_YANNAKAKIS,
-    backend_for,
     registered_runtimes,
     registered_strategies,
     runtime_for,
@@ -89,34 +92,65 @@ def _forceable_strategies(session, query):
     return strategies
 
 
+# The matrix: one cell per (route, scenario), where the route is the
+# planner's default dispatch or one strategy forced on the scenario's
+# structure, so a disagreement names its route in the test id.
+ROUTE_DEFAULT = "default"
+
+
+def _strategy_cases():
+    planning = EngineSession()
+    cases = []
+    for seed, scenario in SCENARIOS:
+        routes = [ROUTE_DEFAULT, *_forceable_strategies(planning, scenario.query)]
+        cases.extend((route, seed, scenario) for route in routes)
+    return cases
+
+
+STRATEGY_CASES = _strategy_cases()
+
+_EXPECTED = {}
+
+
+def _expected(scenario):
+    """The naive solver's rows and count, computed once per scenario."""
+    if scenario.name not in _EXPECTED:
+        rows = naive_enumerate_answers(scenario.query, scenario.database)
+        count = naive_count_answers(scenario.query, scenario.database)
+        assert count == len(rows)
+        _EXPECTED[scenario.name] = rows, count
+    return _EXPECTED[scenario.name]
+
+
 @pytest.mark.parametrize(
-    "seed,scenario", SCENARIOS, ids=[s.name for _, s in SCENARIOS]
+    "route,seed,scenario",
+    STRATEGY_CASES,
+    ids=[f"{route}/{s.name}" for route, _, s in STRATEGY_CASES],
 )
-def test_all_strategies_agree_with_naive(session, seed, scenario):
+def test_all_strategies_agree_with_naive(session, route, seed, scenario):
     query, database = scenario.query, scenario.database
-    expected_rows = naive_enumerate_answers(query, database)
-    expected_count = naive_count_answers(query, database)
-    assert expected_count == len(expected_rows)
+    expected_rows, expected_count = _expected(scenario)
 
-    # Default dispatch.
-    assert session.answer(query, database).rows == expected_rows, scenario.name
-    assert session.count(query, database).count == expected_count
-    assert session.is_satisfiable(query, database).satisfiable == bool(expected_rows)
+    if route == ROUTE_DEFAULT:
+        assert _forceable_strategies(session, query), (
+            f"no strategy applies to {scenario.name}"
+        )
+        assert session.answer(query, database).rows == expected_rows, scenario.name
+        assert session.count(query, database).count == expected_count
+        assert session.is_satisfiable(query, database).satisfiable == bool(
+            expected_rows
+        )
+        # The semantic route (plans for the core; must be answer-invariant).
+        assert session.answer(query, database, use_core=True).rows == expected_rows
+        return
 
-    # Every forceable registered strategy.
-    forced = _forceable_strategies(session, query)
-    assert forced, f"no strategy applies to {scenario.name}"
-    for strategy in forced:
-        plan = session.plan(query, force_strategy=strategy)
-        rows = session.answer(query, database, plan=plan).rows
-        assert rows == expected_rows, f"{scenario.name}: {strategy} disagrees on rows"
-        count = session.count(query, database, plan=plan).count
-        assert count == expected_count, f"{scenario.name}: {strategy} disagrees on count"
-        sat = session.is_satisfiable(query, database, plan=plan).satisfiable
-        assert sat == bool(expected_rows), f"{scenario.name}: {strategy} disagrees on BCQ"
-
-    # The semantic route (plans for the core; must be answer-invariant).
-    assert session.answer(query, database, use_core=True).rows == expected_rows
+    plan = session.plan(query, force_strategy=route)
+    rows = session.answer(query, database, plan=plan).rows
+    assert rows == expected_rows, f"{scenario.name}: {route} disagrees on rows"
+    count = session.count(query, database, plan=plan).count
+    assert count == expected_count, f"{scenario.name}: {route} disagrees on count"
+    sat = session.is_satisfiable(query, database, plan=plan).satisfiable
+    assert sat == bool(expected_rows), f"{scenario.name}: {route} disagrees on BCQ"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,12 +220,14 @@ def test_sharded_regime_covers_both_ladder_rungs(seed):
 
 # ----------------------------------------------------------------------
 # The runtime pass: every registered execution runtime must agree with the
-# naive solver across every regime at shard counts 1/2/4.  One query shape
+# naive solver across every regime at shard counts 1/2/4, on the planner's
+# default dispatch and on every forced decomposition plan.  One query shape
 # per (regime, database flavour) keeps the process pass's IPC volume sane
 # while still covering every dispatch route, every sharding-ladder rung,
 # and every database flavour per runtime.
 # ----------------------------------------------------------------------
 RUNTIME_SHARD_COUNTS = (1, 2, 4)
+DECOMPOSITION_STRATEGIES = (STRATEGY_YANNAKAKIS, STRATEGY_GHD)
 
 
 def _runtime_slice(seed):
@@ -204,6 +240,28 @@ def _runtime_slice(seed):
         covered.add((scenario.regime, database_flavour))
         chosen.append(scenario)
     return chosen
+
+
+def _decomposition_plans(session, query):
+    """A forced plan for each decomposition strategy the planner accepts
+    for this query (each runs on the columnar kernel)."""
+    plans = []
+    for strategy in DECOMPOSITION_STRATEGIES:
+        try:
+            plans.append(session.plan(query, force_strategy=strategy))
+        except ValueError:
+            continue
+    return plans
+
+
+def _columnar_lookups(database) -> int:
+    """View lookups served by the database's columnar store: a columnar
+    evaluation on the database looks up each atom's view there."""
+    store = database.columnar_cache
+    if store is None:
+        return 0
+    info = store.info()
+    return info["hits"] + info["misses"]
 
 
 RUNTIME_CASES = [
@@ -236,190 +294,67 @@ def runtimes():
 def test_every_runtime_agrees_with_naive(session, runtimes, runtime_name, seed, scenario):
     query, database = scenario.query, scenario.database
     runtime = runtimes[runtime_name]
+    in_process = runtime_name != RUNTIME_PROCESS
     expected_rows = naive_enumerate_answers(query, database)
     expected_count = naive_count_answers(query, database)
-    for shards in RUNTIME_SHARD_COUNTS:
-        answered = session.answer(
-            query, database, shards=shards,
-            shard_variable=scenario.shard_variable, runtime=runtime,
-        )
-        assert answered.rows == expected_rows, (
-            f"{scenario.name}: {runtime_name} answer disagrees at shards={shards}"
-        )
-        assert answered.runtime["name"] == runtime_name
-        counted = session.count(
-            query, database, shards=shards,
-            shard_variable=scenario.shard_variable, runtime=runtime,
-        )
-        assert counted.count == expected_count, (
-            f"{scenario.name}: {runtime_name} count disagrees at shards={shards}"
-        )
-        boolean = session.is_satisfiable(
-            query, database, shards=shards,
-            shard_variable=scenario.shard_variable, runtime=runtime,
-        )
-        assert boolean.satisfiable == bool(expected_rows), (
-            f"{scenario.name}: {runtime_name} BCQ disagrees at shards={shards}"
-        )
+    forced = _decomposition_plans(session, query)
+    if not in_process:
+        forced = forced[:1]  # one strategy per scenario bounds IPC
+    for plan in [None, *forced]:
+        route = "default" if plan is None else plan.strategy
+        lookups = _columnar_lookups(database)
+        for shards in RUNTIME_SHARD_COUNTS:
+            options = dict(
+                plan=plan, shards=shards,
+                shard_variable=scenario.shard_variable, runtime=runtime,
+            )
+            answered = session.answer(query, database, **options)
+            assert answered.rows == expected_rows, (
+                f"{scenario.name}: {runtime_name} {route} answer disagrees "
+                f"at shards={shards}"
+            )
+            assert answered.runtime["name"] == runtime_name
+            if plan is not None and not in_process:
+                continue  # forced plans on worker processes: answers only
+            counted = session.count(query, database, **options)
+            assert counted.count == expected_count, (
+                f"{scenario.name}: {runtime_name} {route} count disagrees "
+                f"at shards={shards}"
+            )
+            boolean = session.is_satisfiable(query, database, **options)
+            assert boolean.satisfiable == bool(expected_rows), (
+                f"{scenario.name}: {runtime_name} {route} BCQ disagrees "
+                f"at shards={shards}"
+            )
+        if plan is not None and in_process:
+            # Coverage guard: at shards=1 the forced plan evaluated on the
+            # database itself, in this process, so its columnar store must
+            # have served each of the three tasks.
+            assert _columnar_lookups(database) >= lookups + 3, (
+                f"{scenario.name}: {runtime_name} {route} did not execute "
+                "columnar-side"
+            )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_runtime_slice_covers_every_regime_and_flavour(seed):
+def test_runtime_slice_covers_every_regime_and_flavour(session, seed):
     # The guard that keeps the runtime pass honest: if the slice ever loses
-    # a regime or a database flavour, the runtime coverage silently shrinks.
+    # a regime or a database flavour, or one stops admitting a decomposition
+    # plan, the runtime coverage silently shrinks.
     chosen = _runtime_slice(seed)
     assert {s.regime for s in chosen} == set(workloads.ALL_REGIMES)
     flavours = {s.name.split("/")[2] for s in chosen}
     assert flavours == {"random", "planted", "unsat", "colour", "zipf", "hub"}
-
-
-# ----------------------------------------------------------------------
-# The columnar pass: the decomposition strategies dispatch to the columnar
-# kernel — force them on every scenario (and across shards and the process
-# runtime on the representative slice) and hold the per-kernel run counters
-# up as proof that the columnar path, not a fallback, produced the answers.
-# ----------------------------------------------------------------------
-DECOMPOSITION_STRATEGIES = (STRATEGY_YANNAKAKIS, STRATEGY_GHD)
-
-
-def _columnar_strategies(session, query):
-    """The decomposition strategies the planner accepts for this query —
-    each dispatches to the registered :class:`ColumnarBackend`."""
-    strategies = []
-    for strategy in DECOMPOSITION_STRATEGIES:
-        try:
-            session.plan(query, force_strategy=strategy)
-        except ValueError:
-            continue
-        strategies.append(strategy)
-    return strategies
-
-
-def test_columnar_backend_is_the_registered_default():
-    for strategy in DECOMPOSITION_STRATEGIES:
-        backend = backend_for(strategy)
-        assert isinstance(backend, ColumnarBackend), strategy
-        assert backend.use_columnar, strategy
-
-
-@pytest.mark.parametrize(
-    "seed,scenario", SCENARIOS, ids=[f"columnar/{s.name}" for _, s in SCENARIOS]
-)
-def test_columnar_forced_agrees_with_naive(session, seed, scenario):
-    query, database = scenario.query, scenario.database
-    expected_rows = naive_enumerate_answers(query, database)
-    strategies = _columnar_strategies(session, query)
-    assert strategies, f"no decomposition strategy applies to {scenario.name}"
-    for strategy in strategies:
-        backend = backend_for(strategy)
-        before = backend.columnar_runs
-        plan = session.plan(query, force_strategy=strategy)
-        rows = session.answer(query, database, plan=plan).rows
-        assert rows == expected_rows, f"{scenario.name}: columnar {strategy} rows"
-        count = session.count(query, database, plan=plan).count
-        assert count == len(expected_rows), f"{scenario.name}: columnar {strategy} count"
-        sat = session.is_satisfiable(query, database, plan=plan).satisfiable
-        assert sat == bool(expected_rows), f"{scenario.name}: columnar {strategy} BCQ"
-        # Coverage guard: the columnar kernel itself ran all three tasks —
-        # a silent fallback would leave the counter behind.
-        assert backend.columnar_runs == before + 3, (
-            f"{scenario.name}: {strategy} did not execute columnar-side"
-        )
-
-
-COLUMNAR_SLICE = [
-    (seed, scenario) for seed in SEEDS for scenario in _runtime_slice(seed)
-]
-
-
-@pytest.mark.parametrize(
-    "seed,scenario",
-    COLUMNAR_SLICE,
-    ids=[f"columnar-shards/{s.name}" for _, s in COLUMNAR_SLICE],
-)
-def test_columnar_forced_sharded_agrees_with_naive(session, seed, scenario):
-    query, database = scenario.query, scenario.database
-    expected_rows = naive_enumerate_answers(query, database)
-    for strategy in _columnar_strategies(session, query):
-        backend = backend_for(strategy)
-        before = backend.columnar_runs
-        plan = session.plan(query, force_strategy=strategy)
-        for shards in (1, 2, 4):
-            answered = session.answer(
-                query, database, plan=plan, shards=shards,
-                shard_variable=scenario.shard_variable,
-            )
-            assert answered.rows == expected_rows, (
-                f"{scenario.name}: columnar {strategy} sharded answer "
-                f"disagrees at shards={shards}"
-            )
-            counted = session.count(
-                query, database, plan=plan, shards=shards,
-                shard_variable=scenario.shard_variable,
-            )
-            assert counted.count == len(expected_rows), (
-                f"{scenario.name}: columnar {strategy} sharded count "
-                f"disagrees at shards={shards}"
-            )
-        # The default fan-out runtime is in-process (threads), so every
-        # shard piece of every call ticked this process's counters: at
-        # least one piece per call, six calls.
-        assert backend.columnar_runs >= before + 6, (
-            f"{scenario.name}: {strategy} shards did not execute columnar-side"
-        )
-
-
-@pytest.mark.parametrize(
-    "seed,scenario",
-    COLUMNAR_SLICE,
-    ids=[f"columnar-process/{s.name}" for _, s in COLUMNAR_SLICE],
-)
-def test_columnar_forced_on_process_runtime(session, runtimes, seed, scenario):
-    # Workers resolve plan.strategy through their own registry, which
-    # defaults to the same ColumnarBackend — shards evaluate columnar-side
-    # in the worker process and only decoded values cross the IPC fence.
-    # (tests/engine/test_columnar_backend.py pins the worker-side counter
-    # through _worker_execute; here we pin cross-process agreement.)
-    query, database = scenario.query, scenario.database
-    runtime = runtimes[RUNTIME_PROCESS]
-    expected_rows = naive_enumerate_answers(query, database)
-    strategies = _columnar_strategies(session, query)
-    assert strategies, f"no decomposition strategy applies to {scenario.name}"
-    for strategy in strategies[:1]:  # one strategy per scenario bounds IPC
-        plan = session.plan(query, force_strategy=strategy)
-        for shards in (1, 2, 4):
-            answered = session.answer(
-                query, database, plan=plan, shards=shards,
-                shard_variable=scenario.shard_variable, runtime=runtime,
-            )
-            assert answered.rows == expected_rows, (
-                f"{scenario.name}: columnar {strategy} process answer "
-                f"disagrees at shards={shards}"
-            )
-            assert answered.runtime["name"] == RUNTIME_PROCESS
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_columnar_pass_covers_every_regime_and_flavour(session, seed):
-    # The guard that keeps the columnar pass honest: every regime and every
-    # database flavour of the representative slice must admit at least one
-    # decomposition strategy, or the forced-columnar coverage above would
-    # silently shrink.
-    regimes = set()
-    flavours = set()
-    for scenario in _runtime_slice(seed):
-        if _columnar_strategies(session, scenario.query):
-            regimes.add(scenario.regime)
-            flavours.add(scenario.name.split("/")[2])
-    assert regimes == set(workloads.ALL_REGIMES)
-    assert flavours == {"random", "planted", "unsat", "colour", "zipf", "hub"}
+    decomposable = [s for s in chosen if _decomposition_plans(session, s.query)]
+    assert {s.regime for s in decomposable} == set(workloads.ALL_REGIMES)
+    assert {s.name.split("/")[2] for s in decomposable} == flavours
 
 
 # ----------------------------------------------------------------------
 # The affinity pass: owner-routed process execution must stay exact across
 # every regime and shard count, AND honour the routing invariant — every
 # shard task executes on the worker that owns its piece, with zero recovery
-# traffic in a healthy run.  Wired as `make affinity-smoke` in CI.
+# traffic in a healthy run.
 # ----------------------------------------------------------------------
 AFFINITY_CASES = [
     (seed, scenario) for seed in SEEDS for scenario in _runtime_slice(seed)
@@ -507,8 +442,7 @@ def test_affinity_coverage_guard(affinity_runtime):
 # refreshes after every append batch and must equal a from-scratch
 # evaluation each time — per regime x database flavour, plus a sharded
 # variant (shards 1/2/4) whose process-runtime leg proves the appends
-# travelled as delta shipments, not full re-ships.  Wired as
-# `make delta-smoke` in CI.
+# travelled as delta shipments, not full re-ships.
 # ----------------------------------------------------------------------
 APPEND_BATCHES = 3
 INCREMENTAL_CASES = [
@@ -616,7 +550,6 @@ def test_delta_shipping_coverage_guard(runtimes):
 # ----------------------------------------------------------------------
 # The skewed pass: the scenarios exist to exercise the cost-based ordering
 # machinery — hold the statistics ledger up as proof that it actually ran.
-# Wired as `make skew-smoke` in CI.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_skewed_pass_exercises_cost_based_ordering(session, seed):

@@ -1,7 +1,5 @@
 """End-to-end service tests: a real server on a real socket, driven by
-concurrent ``http.client`` connections.
-
-This file is the core of ``make service-smoke``:
+concurrent ``http.client`` connections:
 
 * **differential exactness** — 8 concurrent clients replay a mixed
   workload through HTTP and every response must equal the direct
@@ -12,7 +10,8 @@ This file is the core of ``make service-smoke``:
   returns 504, fires the engine's cancellation token, and leaves no
   orphaned work (in-flight drains back to 0);
 * **tenant isolation** — tenants get private sessions and private dataset
-  namespaces.
+  namespaces, whether the tenant arrives in the body or the ``X-Tenant``
+  header.
 """
 
 import threading
@@ -345,6 +344,36 @@ class TestTenantIsolation:
             cache_a = stats["cache-a"]["plan_cache"]
             assert cache_a["hits"] >= 1
             assert "cache-b" not in stats
+
+    def test_query_endpoints_honour_the_tenant_header(self):
+        # Regression: POST /answer and /batch read only the body's tenant,
+        # so a request carrying X-Tenant (which POST /facts honours) read
+        # the public tenant's dataset of the same name.
+        query = ConjunctiveQuery([Atom("R", ("x",))])
+        public, private = Database(), Database()
+        public.add_fact("R", (1,))
+        private.add_fact("R", (2,))
+        service = QueryService(ServiceConfig())
+        service.register_dataset("d", public)
+        service.register_dataset("d", private, tenant="acme")
+        acme = {"X-Tenant": "acme"}
+        with serve_in_thread(service) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client.request(
+                    "POST", "/facts",
+                    {"dataset": "d", "facts": {"R": [[3]]}}, headers=acme,
+                )
+                body = ServiceClient._payload(query, dataset="d")
+                answered = client.request("POST", "/answer", body, headers=acme)
+                assert sorted(answered["rows"]) == [[2], [3]]
+                batch = {"dataset": "d", "task": "count", "queries": [body["query"]]}
+                counted = client.request("POST", "/batch", batch, headers=acme)
+                assert [r["value"] for r in counted["results"]] == [2]
+                # The body field still wins over the header.
+                public_rows = client.request(
+                    "POST", "/answer", dict(body, tenant="public"), headers=acme
+                )
+                assert public_rows["rows"] == [[1]]
 
     def test_debug_hook_gated(self, workload):
         _, database = workload

@@ -7,23 +7,36 @@ set.  This module removes that price structurally:
 
 * **value interning** — every distinct database value is mapped once to a
   small integer id through a per-database :class:`ValueInterner`.  After
-  that, every relational operation works on ints: hashing is trivial,
-  equality is pointer-free, and multi-column join keys *pack* into a single
-  int (``k = k * base + id``, a bijection for ``base = |dictionary|``), so
-  hash joins and semijoins probe ``dict``/``set`` objects keyed by plain
-  integers instead of tuples of values;
+  that, every relational operation works on ints, and multi-column join
+  keys *pack* into a single int (``k = k * base + id``, a bijection for
+  ``base = |dictionary|``);
 * **columnar storage** — a :class:`ColumnarRelation` stores a relation as
-  parallel arrays of ids (one ``array('q')``/list per column).  Operations
-  produce *row index lists* and gather output columns with one list
-  comprehension per column — O(width) tight loops per operation instead of
-  O(rows) tuple constructions;
-* **memoized key vectors** — packed key vectors, hash buckets
-  (``key -> row indexes``), and key sets are cached per (column set, pack
-  base) on the relation, so the Yannakakis passes touch each side of an
-  edge once, exactly like the tuple-set kernel's memoized key indexes;
+  parallel columns of ids, one per variable;
+* **two execution paths, chosen by size** — an operator whose own (probe)
+  side holds at least :data:`_VECTOR_MIN_ROWS` rows (for a cross product:
+  whose two sides make that many pairs) runs on NumPy int64
+  arrays: keys pack with whole-array arithmetic, a semijoin is one
+  ``np.isin``, a join sorts both key vectors and matches them with
+  ``searchsorted`` (offsets by ``repeat``/``cumsum``, one fancy-index
+  gather per column), and dedup projection keeps the first row of each run
+  of equal sorted keys.  Smaller operators keep the dict/list code: packed
+  keys probe ``dict``/``set`` objects keyed by plain ints, and columns
+  gather with one list comprehension each.  That path is faster on small
+  relations (per-call NumPy overhead dominates there) and is the exact
+  fallback whenever a packed key or a count weight could leave int64;
+* **column representations** — results of the NumPy path with at least
+  :data:`_VECTOR_MIN_ROWS` rows keep int64 ``ndarray`` columns; smaller
+  results, dict-path results and resident atom views hold
+  ``array('q')``/list columns, copied to int64 (and memoized) when a
+  vectorised operator first reads them.  Everything that leaves the kernel
+  (statistics sketches, decoded rows) sees Python ints;
+* **memoized key structures** — packed key vectors, hash buckets and key
+  sets (dict path), and int64 key vectors and their sort orders (NumPy
+  path) are cached per (column set, pack base) on the relation in bounded
+  LRU memos, so the Yannakakis passes touch each side of an edge once;
 * **factorized counting** — the counting DP runs over per-row weight
-  vectors and packed keys, so ``count()`` on full acyclic/GHD plans never
-  materializes a result row;
+  vectors and packed keys (sorted segment sums on the NumPy path), so
+  ``count()`` on full acyclic/GHD plans never materializes a result row;
 * **decode once at the boundary** — ids are decoded back to values only
   when an answer set leaves the kernel (:meth:`ColumnarRelation
   .decode_rows`), one list comprehension per output column.
@@ -50,8 +63,11 @@ to workers that already hold a piece resident.
 
 from __future__ import annotations
 
+import threading
 from array import array
 from collections.abc import Hashable, Sequence
+
+import numpy as np
 
 from repro.cq.bags import (
     DecompositionMismatchError,
@@ -59,17 +75,29 @@ from repro.cq.bags import (
     atoms_by_scope,
     root_tree,
 )
-from repro.cq.query import ConjunctiveQuery, Constant
-from repro.cq.relational import NamedRelation, natural_join_all
+from repro.cq.query import ConjunctiveQuery
+from repro.cq.relational import NamedRelation, atom_shape, natural_join_all
 from repro.cq.statistics import RelationStatistics
 from repro.cq.yannakakis import JoinTree, yannakakis_boolean, yannakakis_full
 
 #: Entries kept per relation per derived-key memo (packed key vectors, hash
-#: buckets, key sets).  A relation participates in a handful of key-column
-#: sets over its lifetime; the cap only matters for long-lived resident
-#: views probed under many distinct patterns, where unbounded memos were a
-#: slow leak.
+#: buckets, key sets; int64 columns, keys and sort orders).  A relation
+#: participates in a handful of key-column sets over its lifetime; the cap
+#: only matters for long-lived resident views probed under many distinct
+#: patterns, where unbounded memos were a slow leak.
 _MEMO_CAP = 16
+
+#: Operators whose own (probe) side holds at least this many rows run on
+#: NumPy int64 arrays; smaller ones keep the dict/list code.  The measured
+#: crossover (docs/PERFORMANCE.md): from 512 rows the NumPy path wins every
+#: operator, with cold or warm memos; at 256 rows a dict-path semijoin
+#: against a memoized key set still wins, because a dozen NumPy calls cost
+#: more than the per-row loop they replace.  Cross products compare their
+#: pair count with the same bound; NumPy wins those from 80 pairs up.
+_VECTOR_MIN_ROWS = 512
+
+#: The largest int64; packed keys and count weights above it would wrap.
+_INT64_MAX = (1 << 63) - 1
 
 _MEMO_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -98,12 +126,13 @@ class _BoundedMemo(dict):
     __slots__ = ()
 
     def lookup(self, key):
-        value = self.get(key)
+        # pop + reinsert rather than get + del: two threads hitting the
+        # same entry of a shared relation must not both try to delete it.
+        value = self.pop(key, None)
         if value is None:
             _MEMO_COUNTERS["misses"] += 1
             return None
         _MEMO_COUNTERS["hits"] += 1
-        del self[key]
         self[key] = value
         return value
 
@@ -162,6 +191,34 @@ class ValueInterner:
         return f"ValueInterner(size={len(self.values)})"
 
 
+def _ints(vector) -> Sequence[int]:
+    """A column as a sequence of Python ints (what the dict path, the
+    statistics sketches and the decoder consume): int64 arrays convert,
+    ``array``/list columns pass through."""
+    return vector.tolist() if isinstance(vector, np.ndarray) else vector
+
+
+def _take_list(vector, indexes: list) -> list:
+    """``[vector[i] for i in indexes]`` as Python ints, for any column."""
+    if isinstance(vector, np.ndarray):
+        return vector[indexes].tolist()
+    return [vector[i] for i in indexes]
+
+
+def _stored(data: tuple, length: int) -> tuple:
+    """A vectorised operator's int64 result columns as the relation stores
+    them: kept at or above :data:`_VECTOR_MIN_ROWS` rows, lists below."""
+    if length >= _VECTOR_MIN_ROWS:
+        return data
+    return tuple(vector.tolist() for vector in data)
+
+
+def _packs(base: int, width: int) -> bool:
+    """Whether ``width`` ids below ``base`` pack into one int64 key (the
+    largest packed key is ``base ** width - 1``)."""
+    return base ** width <= _INT64_MAX + 1
+
+
 class ColumnarRelation:
     """A relation stored as parallel columns of interned value ids.
 
@@ -170,13 +227,15 @@ class ColumnarRelation:
     tuple *sets*, joins of distinct inputs are distinct, and projection
     deduplicates — so no operation needs an output set.  ``length`` is
     explicit so zero-column relations (the relational units ``{}`` and
-    ``{()}``) keep their cardinality.
+    ``{()}``) keep their cardinality.  Columns are ``array('q')``/lists, or
+    int64 ``ndarray``s on relations of at least :data:`_VECTOR_MIN_ROWS`
+    rows produced by a vectorised operator.
     """
 
     __slots__ = (
         "columns", "interner", "_data", "_length", "_positions",
         "_key_cache", "_bucket_cache", "_keyset_cache", "_stats",
-        "_project_cache",
+        "_project_cache", "_vector_cache",
     )
 
     def __init__(
@@ -210,6 +269,7 @@ class ColumnarRelation:
         self._bucket_cache = _BoundedMemo()
         self._keyset_cache = _BoundedMemo()
         self._project_cache = _BoundedMemo()
+        self._vector_cache = _BoundedMemo()
         self._stats = None
 
     @classmethod
@@ -244,7 +304,9 @@ class ColumnarRelation:
 
     def id_rows(self):
         """Iterate the rows as tuples of ids (tests and debugging)."""
-        return zip(*self._data) if self.columns else iter([()] * self._length)
+        if not self.columns:
+            return iter([()] * self._length)
+        return zip(*(_ints(vector) for vector in self._data))
 
     # ------------------------------------------------------------------
     # Conversion boundary
@@ -277,27 +339,31 @@ class ColumnarRelation:
         if not self.columns:
             return {()} if self._length else set()
         values = self.interner.values
-        decoded = [[values[ident] for ident in column] for column in self._data]
+        decoded = [
+            [values[ident] for ident in _ints(column)] for column in self._data
+        ]
         return set(zip(*decoded))
 
     # ------------------------------------------------------------------
-    # Packed key vectors (memoized per column set x pack base)
+    # Packed key vectors, dict path (memoized per column set x pack base)
     # ------------------------------------------------------------------
     def _keys(self, columns: Sequence[Hashable]) -> Sequence[int]:
-        """One int key per row over the given columns: the column itself for
-        a single key column, ids packed into one int otherwise (``base =
-        |dictionary|`` makes packing a bijection; the base is part of the
-        memo key because the dictionary can grow between operations)."""
+        """One Python int key per row over the given columns: the column
+        itself for a single key column, ids packed into one int otherwise
+        (``base = |dictionary|`` makes packing a bijection; the base is part
+        of the memo key because the dictionary can grow between
+        operations).  Python ints never overflow, so this path is exact for
+        any key width."""
         positions = tuple(self._positions[c] for c in columns)
         if len(positions) == 1:
-            return self._data[positions[0]]
+            return _ints(self._data[positions[0]])
         if not positions:
             return [0] * self._length
         base = len(self.interner)
         cache_key = (positions, base)
         keys = self._key_cache.lookup(cache_key)
         if keys is None:
-            vectors = [self._data[p] for p in positions]
+            vectors = [_ints(self._data[p]) for p in positions]
             keys = list(vectors[0])
             for vector in vectors[1:]:
                 keys = [k * base + i for k, i in zip(keys, vector)]
@@ -338,11 +404,84 @@ class ColumnarRelation:
             self._keyset_cache.store(cache_key, keyset)
         return keyset
 
+    # ------------------------------------------------------------------
+    # Packed key vectors, NumPy path (memoized like the dict path's)
+    # ------------------------------------------------------------------
+    def _vector_memo(self, cache_key):
+        """A NumPy-path memo entry (an int64 array, or a tuple of them),
+        or ``None``.  Entries whose row count differs from the relation's
+        are misses: another thread can extend a resident view between an
+        entry's computation and its store, after the extension cleared the
+        memo."""
+        entry = self._vector_cache.lookup(cache_key)
+        if entry is None:
+            return None
+        rows = entry[0] if isinstance(entry, tuple) else entry
+        return entry if len(rows) == self._length else None
+
+    def _column_array(self, position: int) -> np.ndarray:
+        """One column as an int64 array; ``array``/list columns are
+        copied and memoized.  An ``array`` copies through ``tobytes``,
+        which holds the GIL for the whole copy.  ``np.array`` or
+        ``np.frombuffer`` on the column would export its buffer instead,
+        and while an export is live (during a copy that releases the GIL,
+        or for as long as a view is kept) the store's in-place ``extend``
+        of a resident view raises ``BufferError`` halfway through an
+        append."""
+        vector = self._data[position]
+        if isinstance(vector, np.ndarray):
+            return vector
+        cache_key = ((position,), 0)
+        column = self._vector_memo(cache_key)
+        if column is None:
+            if isinstance(vector, array):
+                column = np.frombuffer(
+                    vector.tobytes(), dtype=vector.typecode
+                ).astype(np.int64, copy=False)
+            else:
+                column = np.array(vector, dtype=np.int64)
+            self._vector_cache.store(cache_key, column)
+        return column
+
+    def _vector_keys(self, columns: Sequence[Hashable]) -> np.ndarray | None:
+        """The packed keys as one int64 array, or ``None`` when
+        ``|dictionary| ** width`` could exceed int64 — packing would wrap
+        silently, so the caller takes the exact dict path instead."""
+        positions, base = cache_key = self._cache_key(columns)
+        if len(positions) == 1:
+            return self._column_array(positions[0])
+        if not _packs(base, len(positions)):
+            return None
+        keys = self._vector_memo(cache_key)
+        if keys is None:
+            keys = self._column_array(positions[0])
+            for position in positions[1:]:
+                keys = keys * base + self._column_array(position)
+            self._vector_cache.store(cache_key, keys)
+        return keys
+
+    def _sorted_keys(self, columns: Sequence[Hashable]) -> tuple | None:
+        """``(order, keys[order])`` for the packed keys, or ``None`` when
+        they do not fit int64.  The default (unstable) ``argsort`` is about
+        five times faster than a stable one, and no caller needs the order
+        of equal keys."""
+        cache_key = ("sorted",) + self._cache_key(columns)
+        entry = self._vector_memo(cache_key)
+        if entry is None:
+            keys = self._vector_keys(columns)
+            if keys is None:
+                return None
+            order = np.argsort(keys)
+            entry = (order, keys[order])
+            self._vector_cache.store(cache_key, entry)
+        return entry
+
     def _invalidate(self) -> None:
         self._key_cache.clear()
         self._bucket_cache.clear()
         self._keyset_cache.clear()
         self._project_cache.clear()
+        self._vector_cache.clear()
         self._stats = None
 
     def statistics(self) -> RelationStatistics:
@@ -353,7 +492,9 @@ class ColumnarRelation:
         stats = self._stats
         if stats is None:
             stats = RelationStatistics.from_columns(
-                self.columns, self._data, self._length
+                self.columns,
+                [_ints(vector) for vector in self._data],
+                self._length,
             )
             self._stats = stats
         return stats
@@ -364,20 +505,28 @@ class ColumnarRelation:
         arrays.  Any later mutation invalidates them like a built sketch."""
         self._stats = stats
 
-    def _gather(self, indexes: Sequence[int]) -> "ColumnarRelation":
-        data = tuple(
-            [column[i] for i in indexes] for column in self._data
-        )
-        return ColumnarRelation._trusted(
-            self.columns, self.interner, data, len(indexes)
-        )
+    def _taken(self, indexes) -> tuple:
+        """The columns gathered at ``indexes``: an int64 index array takes
+        the NumPy gather (results below :data:`_VECTOR_MIN_ROWS` rows go
+        back to lists), a list the per-column comprehension."""
+        if isinstance(indexes, np.ndarray):
+            return _stored(
+                tuple(
+                    self._column_array(p)[indexes]
+                    for p in range(len(self._data))
+                ),
+                len(indexes),
+            )
+        return tuple(_take_list(vector, indexes) for vector in self._data)
 
     # ------------------------------------------------------------------
     # Relational algebra
     # ------------------------------------------------------------------
     def project(self, columns: Sequence[Hashable]) -> "ColumnarRelation":
-        """Projection with dedup over the id arrays (single-column
-        projections ride ``dict.fromkeys``'s C path).
+        """Projection with dedup over the id arrays: sorted keys keep the
+        first row of each run of equal keys on the NumPy path; the dict
+        path dedups with a seen-set (single-column projections ride
+        ``dict.fromkeys``'s C path).
 
         Memoized per column tuple (bounded, LRU like the key memos): the
         bag-materialisation pool projects the same resident atom views with
@@ -399,60 +548,138 @@ class ColumnarRelation:
             projected = ColumnarRelation._trusted(
                 (), self.interner, (), 1 if self._length else 0
             )
-        elif len(positions) == 1:
-            unique = list(dict.fromkeys(self._data[positions[0]]))
-            projected = ColumnarRelation._trusted(
-                columns, self.interner, (unique,), len(unique)
-            )
         else:
-            keys = self._keys(columns)
-            seen: set = set()
-            add = seen.add
-            survivors = [
-                i for i, k in enumerate(keys) if not (k in seen or add(k))
-            ]
-            data = tuple(
-                [self._data[p][i] for i in survivors] for p in positions
-            )
-            projected = ColumnarRelation._trusted(
-                columns, self.interner, data, len(survivors)
-            )
+            projected = self._vector_project(columns, positions)
+            if projected is None:
+                projected = self._dict_project(columns, positions)
         self._project_cache.store(columns, projected)
         return projected
 
+    def _vector_project(self, columns, positions) -> "ColumnarRelation | None":
+        if self._length < _VECTOR_MIN_ROWS:
+            return None
+        entry = self._sorted_keys(columns)
+        if entry is None:
+            return None
+        order, keys = entry
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        survivors = order[first]
+        data = tuple(self._column_array(p)[survivors] for p in positions)
+        return ColumnarRelation._trusted(
+            columns, self.interner, _stored(data, len(survivors)), len(survivors)
+        )
+
+    def _dict_project(self, columns, positions) -> "ColumnarRelation":
+        if len(positions) == 1:
+            unique = list(dict.fromkeys(_ints(self._data[positions[0]])))
+            return ColumnarRelation._trusted(
+                columns, self.interner, (unique,), len(unique)
+            )
+        keys = self._keys(columns)
+        seen: set = set()
+        add = seen.add
+        survivors = [
+            i for i, k in enumerate(keys) if not (k in seen or add(k))
+        ]
+        data = tuple(_take_list(self._data[p], survivors) for p in positions)
+        return ColumnarRelation._trusted(
+            columns, self.interner, data, len(survivors)
+        )
+
     def natural_join(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """Vectorized hash join: build int-keyed buckets over the smaller
-        probe pattern, emit matched row-index lists, gather columns."""
+        """Join on the shared columns; ``self`` is the probe side.  A probe
+        side of at least :data:`_VECTOR_MIN_ROWS` rows matches sorted key
+        vectors, a smaller one probes int-keyed hash buckets built over
+        ``other``.  A cross product (no shared column) has no key to probe:
+        its cost is the ``len(self) * len(other)`` pairs it gathers, so
+        that product, not the probe side alone, selects the NumPy path
+        (both crossovers are measured in docs/PERFORMANCE.md)."""
         if self.interner is not other.interner:
             raise ValueError("cannot join relations over different interners")
         shared = [c for c in self.columns if c in other._positions]
         other_only = [c for c in other.columns if c not in self._positions]
         result_columns = self.columns + tuple(other_only)
+        matches = None
+        if self._length >= _VECTOR_MIN_ROWS or (
+            not shared and self._length * other._length >= _VECTOR_MIN_ROWS
+        ):
+            matches = self._vector_matches(other, shared)
+        if matches is not None:
+            left, right = matches
+            data = tuple(
+                self._column_array(p)[left] for p in range(len(self._data))
+            ) + tuple(
+                other._column_array(other._positions[c])[right]
+                for c in other_only
+            )
+            return ColumnarRelation._trusted(
+                result_columns, self.interner, _stored(data, len(left)), len(left)
+            )
         if not shared:
             m = len(other)
-            left_indexes = [i for i in range(self._length) for _ in range(m)]
-            right_indexes = list(range(m)) * self._length
+            left = [i for i in range(self._length) for _ in range(m)]
+            right = list(range(m)) * self._length
         else:
             buckets = other._buckets(shared)
             get = buckets.get
-            left_indexes: list[int] = []
-            right_indexes: list[int] = []
-            extend_left = left_indexes.extend
-            extend_right = right_indexes.extend
+            left: list[int] = []
+            right: list[int] = []
+            extend_left = left.extend
+            extend_right = right.extend
             for index, key in enumerate(self._keys(shared)):
                 rows = get(key)
                 if rows is not None:
                     extend_left([index] * len(rows))
                     extend_right(rows)
         data = tuple(
-            [column[i] for i in left_indexes] for column in self._data
+            _take_list(vector, left) for vector in self._data
         ) + tuple(
-            [other._data[other._positions[c]][j] for j in right_indexes]
+            _take_list(other._data[other._positions[c]], right)
             for c in other_only
         )
         return ColumnarRelation._trusted(
-            result_columns, self.interner, data, len(left_indexes)
+            result_columns, self.interner, data, len(left)
         )
+
+    def _vector_matches(self, other, shared) -> tuple | None:
+        """Row index arrays ``(left, right)`` of every matching pair, or
+        ``None`` when the keys do not pack into int64.
+
+        Both key vectors are sorted (memoized — the build side's sort is
+        reused by every probe against it), so ``searchsorted`` runs on
+        sorted needles, several times faster than on unsorted ones.  Probe
+        row ``j`` matches the build run ``[lo_j, hi_j)``; ``repeat`` expands
+        the probe rows and a ``cumsum`` offset walks each run."""
+        if not shared:
+            n, m = self._length, other._length
+            return (
+                np.repeat(np.arange(n, dtype=np.int64), m),
+                np.tile(np.arange(m, dtype=np.int64), n),
+            )
+        probe = self._sorted_keys(shared)
+        build = other._sorted_keys(shared)
+        if probe is None or build is None:
+            return None
+        probe_order, probe_keys = probe
+        build_order, build_keys = build
+        lo = np.searchsorted(build_keys, probe_keys, side="left")
+        counts = np.searchsorted(build_keys, probe_keys, side="right") - lo
+        left = np.repeat(probe_order, counts)
+        ends = np.cumsum(counts)
+        runs = np.repeat(lo - (ends - counts), counts)
+        right = build_order[np.arange(len(left), dtype=np.int64) + runs]
+        return left, right
+
+    def _vector_survivors(self, other, shared) -> np.ndarray | None:
+        """Indexes of the rows whose packed key occurs in ``other``
+        (``np.isin``), or ``None`` when the keys do not pack into int64."""
+        keys = self._vector_keys(shared)
+        build = other._vector_keys(shared)
+        if keys is None or build is None:
+            return None
+        return np.flatnonzero(np.isin(keys, build))
 
     def semijoin(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Grouped semijoin filtering: keep rows whose packed key occurs in
@@ -460,27 +687,32 @@ class ColumnarRelation:
         survivors = self._semijoin_survivors(other)
         if survivors is None:
             return self
-        return self._gather(survivors)
+        return ColumnarRelation._trusted(
+            self.columns, self.interner, self._taken(survivors), len(survivors)
+        )
 
     def semijoin_inplace(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Like :meth:`semijoin` but rebinds this relation's columns,
         invalidating its memoized keys only when rows were removed."""
         survivors = self._semijoin_survivors(other)
         if survivors is not None:
-            self._data = tuple(
-                [column[i] for i in survivors] for column in self._data
-            )
+            self._data = self._taken(survivors)
             self._length = len(survivors)
             self._invalidate()
         return self
 
     def _semijoin_survivors(self, other: "ColumnarRelation"):
-        """Surviving row indexes, or ``None`` when every row survives."""
+        """Surviving row indexes (an int64 array on the NumPy path, a list
+        on the dict path), or ``None`` when every row survives."""
         if self.interner is not other.interner:
             raise ValueError("cannot semijoin relations over different interners")
         shared = [c for c in self.columns if c in other._positions]
         if not shared:
             return None if other._length else []
+        if self._length >= _VECTOR_MIN_ROWS:
+            survivors = self._vector_survivors(other, shared)
+            if survivors is not None:
+                return None if len(survivors) == self._length else survivors
         keyset = other._keyset(shared)
         keys = self._keys(shared)
         survivors = [i for i, k in enumerate(keys) if k in keyset]
@@ -501,11 +733,16 @@ class ColumnarStore:
     storage API (``add_fact`` / ``Relation.add``) *extends* the cached view
     in place — the ``delta_since`` rows run through the atom's selection
     recipe, surviving rows intern and append onto the existing id columns,
-    and the memoized packed-key vectors, hash buckets and key sets are
-    patched rather than dropped.  The store is derived data and is dropped
-    by ``Database.__getstate__`` before shipping to runtime workers.  The
-    view cache is a bounded :class:`~repro.engine.analysis.LRUCache`, so its
-    hit/miss counters feed ``EngineSession.stats()``.
+    and the dict path's memoized packed-key vectors, hash buckets and key
+    sets are patched rather than dropped.  The store is derived data and is
+    dropped by ``Database.__getstate__`` before shipping to runtime
+    workers.  The view cache is a bounded
+    :class:`~repro.engine.analysis.LRUCache`, so its hit/miss counters feed
+    ``EngineSession.stats()``.
+
+    :meth:`view` holds the store's lock across its whole check / extend /
+    store step, so concurrent readers of a stale view fold each appended
+    row in exactly once (the kernel relies on distinct rows).
     """
 
     def __init__(self, maxsize: int = 256, interner: ValueInterner | None = None) -> None:
@@ -515,6 +752,7 @@ class ColumnarStore:
 
         self.interner = interner if interner is not None else ValueInterner()
         self.views = LRUCache(maxsize)
+        self._lock = threading.Lock()
         #: Number of times a cached view was extended in place instead of
         #: rebuilt (coverage guard for the incremental differential pass).
         self.extensions = 0
@@ -533,19 +771,23 @@ class ColumnarStore:
 
     def view(self, atom, relation) -> ColumnarRelation:
         key = (atom.relation, atom.terms)
-        version = relation.version
-        entry = self.views.get(key)
-        if entry is not None:
-            seen, view, shape, owned = entry
-            if seen != version:
-                self._extend(view, shape, relation.delta_since(seen), owned)
-                self.extensions += 1
-                self.views.put(key, (version, view, shape, True))
-            return view
-        shape = self._atom_shape(atom)
-        built, owned = self._build(atom, relation, shape)
-        self.views.put(key, (version, built, shape, owned))
-        return built
+        with self._lock:
+            version = relation.version
+            entry = self.views.get(key)
+            if entry is not None:
+                seen, view, shape, owned = entry
+                if seen != version:
+                    # Only the rows in [seen, version): a row appended
+                    # after ``version`` was read belongs to the next call.
+                    delta = relation.delta_since(seen)[: version - seen]
+                    self._extend(view, shape, delta, owned)
+                    self.extensions += 1
+                    self.views.put(key, (version, view, shape, True))
+                return view
+            shape = atom_shape(atom)
+            built, owned = self._build(atom, relation, shape)
+            self.views.put(key, (version, built, shape, owned))
+            return built
 
     def _extend(self, view, shape, delta_rows, owned: bool) -> None:
         """Fold appended stored rows into a cached view in place.
@@ -556,11 +798,13 @@ class ColumnarStore:
         is still current are *patched* with the new rows (single-column key
         vectors are the live column arrays and extend automatically);
         entries packed under an outgrown dictionary base are purged — they
-        would miss anyway, this just frees them.  A view that still shares
-        its columns with an adopted wire base (``owned=False``) first
-        promotes them to private ``array('q')`` copies: base columns use the
-        narrowest wire typecode and may be shared with other views, so they
-        must be neither widened nor mutated in place.
+        would miss anyway, this just frees them.  The NumPy path's int64
+        key arrays and sort orders are copies of the old rows and are
+        dropped; the next vectorised operator rebuilds them.  A view that
+        still shares its columns with an adopted wire base (``owned=False``)
+        first promotes them to private ``array('q')`` copies: base columns
+        use the narrowest wire typecode and may be shared with other views,
+        so they must be neither widened nor mutated in place.
         """
         columns, keep, constant_checks, equality_checks = shape
         survivors = [
@@ -625,34 +869,15 @@ class ColumnarStore:
         for vector, fresh in zip(view._data, new_columns):
             vector.extend(fresh)
         view._length += added
-        # Derived projections hold copies of the pre-append rows; they are
-        # cheap to rebuild, so an append just drops them (unlike the key
-        # caches above, which patch in place).
+        # Derived projections and the NumPy memo hold copies of the
+        # pre-append rows; they are cheap to rebuild, so an append just
+        # drops them (unlike the dict-path key caches above).
         view._project_cache.clear()
+        view._vector_cache.clear()
         if view._stats is not None:
             # Keep the per-column sketches warm across appends too: fold the
             # new id rows in instead of dropping the statistics.
             view._stats.extend_columns(new_columns, added)
-
-    @staticmethod
-    def _atom_shape(atom):
-        """The selection/projection structure of one atom's term pattern:
-        (output columns, kept positions, constant checks, equality checks)."""
-        columns: list = []
-        keep: list[int] = []
-        constant_checks: list[tuple[int, object]] = []
-        equality_checks: list[tuple[int, int]] = []
-        first_position: dict = {}
-        for index, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                constant_checks.append((index, term.value))
-            elif term in first_position:
-                equality_checks.append((index, first_position[term]))
-            else:
-                first_position[term] = index
-                keep.append(index)
-                columns.append(term)
-        return columns, keep, constant_checks, equality_checks
 
     def _build(self, atom, relation, shape) -> tuple:
         """Build a fresh view; returns ``(view, owned)`` where ``owned``
@@ -662,7 +887,7 @@ class ColumnarStore:
         base = self._bases.get(atom.relation)
         if base is not None and base[1] == len(relation.tuples):
             return self._build_from_base(shape, *base)
-        return self._build_from_tuples(relation, shape), True
+        return self._build_from_rows(relation.tuples, shape), True
 
     def _build_from_base(self, shape, data, length) -> tuple:
         """Build a view from adopted id columns: constants resolve through
@@ -711,21 +936,28 @@ class ColumnarStore:
             len(survivors),
         ), True
 
-    def _build_from_tuples(self, relation, shape) -> ColumnarRelation:
+    def delta_view(self, atom, rows) -> ColumnarRelation:
+        """The stored rows ``rows`` of ``atom``'s relation (distinct, e.g.
+        a ``delta_since`` slice) that match the atom's pattern, as a
+        relation over this store's interner: the delta side the semi-naive
+        refresh joins against the resident views.  Interns under the store
+        lock, like :meth:`view`."""
+        with self._lock:
+            return self._build_from_rows(rows, atom_shape(atom))
+
+    def _build_from_rows(self, rows, shape) -> ColumnarRelation:
         """The columnar analogue of :func:`repro.cq.relational.from_atom`:
         constants and repeated variables resolve to selections in one pass
-        over the stored tuples, then surviving rows intern column-wise."""
+        over the stored rows, then surviving rows intern column-wise."""
         columns, keep, constant_checks, equality_checks = shape
         intern = self.interner.intern
         if constant_checks or equality_checks:
             rows = [
                 row
-                for row in relation.tuples
+                for row in rows
                 if not any(row[i] != value for i, value in constant_checks)
                 and not any(row[i] != row[a] for i, a in equality_checks)
             ]
-        else:
-            rows = relation.tuples
         if not columns:
             # All-constant atom: the relational unit {()} or the zero {}.
             return ColumnarRelation._trusted(
@@ -1050,6 +1282,98 @@ def build_columnar_bag_tree(
     return JoinTree(bag_relations, root_tree(ghd, query))
 
 
+class _Int64Overflow(ArithmeticError):
+    """A count-DP weight could leave int64 on the NumPy path."""
+
+
+def _weights_array(weights) -> np.ndarray:
+    """A node's weights as int64: a list of Python ints (checked to fit)
+    or an int64 array."""
+    if isinstance(weights, np.ndarray):
+        return weights
+    if weights and max(weights) > _INT64_MAX:
+        raise _Int64Overflow
+    return np.array(weights, dtype=np.int64)
+
+
+def _fits(weights: np.ndarray, factor: int) -> bool:
+    """Whether ``max(weights) * factor`` fits int64 — the bound on any sum
+    of ``factor`` of these (non-negative) weights, or on any product of
+    one of them with a value at most ``factor``."""
+    return not len(weights) or int(weights.max()) * factor <= _INT64_MAX
+
+
+def _vector_child_sums(relation, child_relation, shared, child_weights):
+    """For each row of ``relation``, the summed weight of the compatible
+    rows of ``child_relation``: sorted segment sums over the child's keys
+    (``np.add.reduceat``), mapped onto the parent's sorted keys with
+    ``searchsorted``."""
+    weights = _weights_array(child_weights)
+    if not _fits(weights, len(weights)):
+        raise _Int64Overflow
+    if not shared:
+        return np.full(len(relation), int(weights.sum()), dtype=np.int64)
+    parent = relation._sorted_keys(shared)
+    child = child_relation._sorted_keys(shared)
+    if parent is None or child is None:
+        raise _Int64Overflow
+    sums = np.zeros(len(relation), dtype=np.int64)
+    child_order, child_keys = child
+    if not len(child_keys):
+        return sums
+    starts = np.flatnonzero(
+        np.concatenate(([True], child_keys[1:] != child_keys[:-1]))
+    )
+    unique = child_keys[starts]
+    grouped = np.add.reduceat(weights[child_order], starts)
+    parent_order, parent_keys = parent
+    slots = np.minimum(np.searchsorted(unique, parent_keys), len(unique) - 1)
+    sums[parent_order] = np.where(unique[slots] == parent_keys, grouped[slots], 0)
+    return sums
+
+
+def _count_join_tree(tree: JoinTree, vectorise: bool) -> int:
+    weights: dict = {}
+    order = tree.topological_order()
+    for node in reversed(order):
+        relation = tree.relations[node]
+        vector = vectorise and len(relation) >= _VECTOR_MIN_ROWS
+        if vector:
+            node_weights = np.ones(len(relation), dtype=np.int64)
+        else:
+            node_weights = [1] * len(relation)
+        for child in tree.children[node]:
+            child_relation = tree.relations[child]
+            shared = [
+                c for c in relation.columns if c in child_relation._positions
+            ]
+            if vector:
+                sums = _vector_child_sums(
+                    relation, child_relation, shared, weights[child]
+                )
+                if not _fits(node_weights, int(sums.max())):
+                    raise _Int64Overflow
+                node_weights = node_weights * sums
+                continue
+            grouped: dict = {}
+            get = grouped.get
+            for key, weight in zip(
+                child_relation._keys(shared), _ints(weights[child])
+            ):
+                grouped[key] = get(key, 0) + weight
+            node_weights = [
+                w * grouped.get(k, 0)
+                for w, k in zip(node_weights, relation._keys(shared))
+            ]
+        weights[node] = node_weights
+    root = weights[tree.root]
+    if isinstance(root, np.ndarray):
+        if _fits(root, len(root)):
+            return int(root.sum())
+        root = root.tolist()
+    return sum(root)
+
+
 def columnar_count_join_tree(tree: JoinTree) -> int:
     """The join-tree counting DP over columnar relations — fully
     factorized: weights are per-row int vectors, child weights group by
@@ -1058,30 +1382,15 @@ def columnar_count_join_tree(tree: JoinTree) -> int:
     Same recurrence as :func:`repro.cq.counting.count_answers_via_join_tree`
     (Proposition 4.14): a row's weight is the product over children of the
     summed weights of compatible child rows; the answer count is the summed
-    weight at the root.
+    weight at the root.  A node of at least :data:`_VECTOR_MIN_ROWS` rows
+    runs on int64 arrays; if a packed key or a weight could leave int64
+    (checked from the observed maxima before every sum and product), the
+    whole DP reruns on exact Python ints.
     """
-    weights: dict = {}
-    order = tree.topological_order()
-    for node in reversed(order):
-        relation = tree.relations[node]
-        node_weights = [1] * len(relation)
-        for child in tree.children[node]:
-            child_relation = tree.relations[child]
-            shared = [
-                c for c in relation.columns if c in child_relation._positions
-            ]
-            grouped: dict = {}
-            get = grouped.get
-            for key, weight in zip(
-                child_relation._keys(shared), weights[child]
-            ):
-                grouped[key] = get(key, 0) + weight
-            node_weights = [
-                w * grouped.get(k, 0)
-                for w, k in zip(node_weights, relation._keys(shared))
-            ]
-        weights[node] = node_weights
-    return sum(weights[tree.root])
+    try:
+        return _count_join_tree(tree, vectorise=True)
+    except _Int64Overflow:
+        return _count_join_tree(tree, vectorise=False)
 
 
 def _checked_tree(query: ConjunctiveQuery, database, ghd) -> JoinTree:

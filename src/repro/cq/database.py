@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import decimal
 import numbers
+import threading
 import zlib
 from collections.abc import Hashable, Iterable, Mapping
 
 Value = Hashable
+
+#: Guards the lazy creation of a database's columnar store (rare: once per
+#: database), so concurrent first callers cannot each install a store.
+_COLUMNAR_STORE_LOCK = threading.Lock()
 
 
 def _shard_key(value: Hashable):
@@ -312,12 +317,18 @@ class Database:
 
     def columnar_store(self):
         """This database's columnar store, created on first use: one value
-        interner plus the memoized columnar atom views."""
-        if self._columnar is None:
-            from repro.cq.columnar import ColumnarStore
+        interner plus the memoized columnar atom views.  Creation is
+        locked, so concurrent first callers share one store (and one
+        interner) instead of each installing their own."""
+        store = self._columnar
+        if store is None:
+            with _COLUMNAR_STORE_LOCK:
+                store = self._columnar
+                if store is None:
+                    from repro.cq.columnar import ColumnarStore
 
-            self._columnar = ColumnarStore()
-        return self._columnar
+                    store = self._columnar = ColumnarStore()
+        return store
 
     def columnar_view(self, atom):
         """The memoized :class:`~repro.cq.columnar.ColumnarRelation` view of

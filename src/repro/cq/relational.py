@@ -486,9 +486,9 @@ def atom_shape(atom) -> tuple:
     """The selection/projection recipe an atom induces on its relation:
     ``(columns, keep_indexes, constant_checks, equality_checks)``.
 
-    Shared by the full build, the incremental extension path, and the
-    semi-naive delta evaluator, so every consumer filters appended rows
-    through exactly the same recipe.
+    Shared by the tuple-set and columnar atom views (full build and
+    extend-in-place paths) and the semi-naive refresh's delta views, so
+    every consumer filters appended rows through exactly the same recipe.
     """
     from repro.cq.query import Constant
 

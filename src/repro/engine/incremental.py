@@ -12,20 +12,22 @@ re-running the query from scratch:
 
 one union term per atom ``i`` whose relation grew, where ``Δview_i`` is the
 appended rows of atom ``i``'s relation run through the atom's selection
-recipe (:func:`repro.cq.relational.atom_shape` — the same recipe the full
-build uses) and every *other* atom contributes its full current view.  The
-rule is exact for monotone queries: every genuinely new answer embeds at
-least one appended tuple in at least one atom position, and the term for
-that position covers it (the other positions use the full post-append
-views, which contain both old and new rows, so Δ⋈old, old⋈Δ, and Δ⋈Δ
-combinations are all swept up; the union dedups the overlap).
+recipe (:meth:`~repro.cq.columnar.ColumnarStore.delta_view` — the same
+recipe the full build uses) and every *other* atom contributes its full
+current view.  The rule is exact for monotone queries: every genuinely new
+answer embeds at least one appended tuple in at least one atom position,
+and the term for that position covers it (the other positions use the
+full post-append views, which contain both old and new rows, so Δ⋈old,
+old⋈Δ, and Δ⋈Δ combinations are all swept up; the union dedups the
+overlap).
 
-The full views come from the database's **atom-view cache**
-(:meth:`~repro.cq.database.Database.enable_atom_cache`), which the view
-enables on construction — so across refreshes the full-view side is
-extended in place from the same delta log and its memoized join-key
-indexes stay warm.  Refresh cost therefore scales with the delta, not the
-database.
+The terms run on the columnar kernel (:mod:`repro.cq.columnar`): the full
+views are the database's resident columnar atom views
+(:meth:`~repro.cq.database.Database.columnar_view`), which extend in place
+from the same delta log across refreshes, so their memoized join-key
+indexes stay warm; the delta interns into the same dictionary, and only
+the new answers are decoded.  Refresh cost therefore scales with the
+delta, not the database.
 
 When the delta is a large fraction of the stored data (``threshold``,
 default :data:`DEFAULT_REFRESH_THRESHOLD`), re-joining delta against full
@@ -42,12 +44,6 @@ import time
 
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.relational import (
-    NamedRelation,
-    atom_shape,
-    filter_atom_rows,
-    from_atom,
-)
 from repro.engine.executor import TASK_ANSWER, EvalResult
 
 #: Delta fraction (appended rows / total stored rows over the query's
@@ -111,9 +107,6 @@ class IncrementalView:
         self._plan = None
         self._initialized = False
         self._lock = threading.Lock()
-        # Full views are served (and extended in place) by the atom-view
-        # cache, so repeated refreshes keep their memoized join keys warm.
-        database.enable_atom_cache()
 
     # ------------------------------------------------------------------
     @property
@@ -271,9 +264,9 @@ class IncrementalView:
         query = self.query
         database = self.database
         atoms = query.atoms
-        # Per-relation filtered deltas are computed once and shared by every
-        # atom over that relation *pattern*; the full views come from the
-        # atom cache, already extended to the current version by from_atom.
+        # Raw deltas are read once per relation and shared by every atom
+        # over it; the full views are the resident columnar views, extended
+        # to the current version by ``columnar_view``.
         raw_delta: dict = {}
         for name, seen in self.versions.items():
             if database.has_relation(name):
@@ -285,25 +278,24 @@ class IncrementalView:
             # now and stays empty until it appears — at which point its
             # tracked version 0 makes its entire contents the delta.
             return set()
-        full_views = [from_atom(atom, database) for atom in atoms]
+        full_views = [database.columnar_view(atom) for atom in atoms]
+        store = database.columnar_store()
         new: set = set()
         free = query.free_variables
         for index, atom in enumerate(atoms):
             delta_source = raw_delta.get(atom.relation)
             if not delta_source:
                 continue
-            shape = atom_shape(atom)
-            delta_rows = filter_atom_rows(delta_source, shape)
-            if not delta_rows:
+            delta_view = store.delta_view(atom, delta_source)
+            if not delta_view:
                 continue
-            delta_view = NamedRelation._trusted(shape[0], delta_rows)
             others = [view for j, view in enumerate(full_views) if j != index]
             joined = _join_chain(delta_view, others, free)
-            new |= joined.project(free).rows
+            new |= joined.project(free).decode_rows()
         return new
 
 
-def _join_chain(start: NamedRelation, others: list, keep) -> NamedRelation:
+def _join_chain(start, others: list, keep):
     """Join ``start`` against every relation in ``others``, delta-first.
 
     Greedy order: always join next the relation sharing the most columns

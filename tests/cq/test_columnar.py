@@ -8,11 +8,15 @@ operation here must coincide with the tuple-set kernel after decoding.
 """
 
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cq import generators as cqgen
 from repro.cq.columnar import (
+    _VECTOR_MIN_ROWS,
     ColumnarRelation,
     ColumnarStore,
     ValueInterner,
@@ -436,3 +440,136 @@ class TestColumnarEvaluation:
         # only decode at the boundary.
         assert isinstance(result, ColumnarRelation)
         assert result.decode_rows() == naive_enumerate_answers(query, database)
+
+
+class TestConcurrentViews:
+    """Readers racing on one database's columnar store (the service answers
+    from a thread pool): a stale view is extended exactly once, appends
+    landing mid-read are folded in by the next read, and concurrent first
+    callers share one store.  A 1 µs switch interval makes the races
+    likely; every thread is joined with a timeout."""
+
+    READERS = 4
+
+    def _race(self, target, *args):
+        barrier = threading.Barrier(len(args) or self.READERS)
+        threads = [
+            threading.Thread(target=target, args=(barrier, arg))
+            for arg in (args or range(self.READERS))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _assert_view_matches(database, atom):
+        view = database.columnar_view(atom)
+        assert len(view) == len(database.relation(atom.relation))
+        assert len(set(view.id_rows())) == len(view)
+        assert view.decode_rows() == database.relation(atom.relation).tuples
+
+    def test_stale_view_extends_once_under_concurrent_readers(self):
+        atom = Atom("R", ["x", "y"])
+        for trial in range(20):
+            database = Database()
+            for i in range(50):
+                database.add_fact("R", (i, i + 1))
+            database.columnar_view(atom)
+            for i in range(600):
+                database.add_fact("R", (1000 + i, trial))
+
+            def read(barrier, _index):
+                barrier.wait(timeout=10)
+                database.columnar_view(atom)
+
+            self._race(read)
+            self._assert_view_matches(database, atom)
+
+    def test_appends_racing_readers_are_folded_in_once(self):
+        atom = Atom("R", ["x", "y"])
+        for trial in range(10):
+            database = Database()
+            database.add_fact("R", (0, 0))
+            database.columnar_view(atom)
+
+            def work(barrier, role):
+                barrier.wait(timeout=10)
+                if role == "append":
+                    for i in range(1, 400):
+                        database.add_fact("R", (i, trial))
+                else:
+                    for _ in range(200):
+                        database.columnar_view(atom)
+
+            self._race(work, "append", "read", "read", "read")
+            self._assert_view_matches(database, atom)
+
+    def test_vectorised_readers_racing_appends_keep_the_view_exact(self):
+        # Vectorised operators copy a resident view's array('q') column
+        # while appends extend it in place.  The copy must not export the
+        # column's buffer (``extend`` would raise BufferError halfway
+        # through an append, and the next read would fold the rows in
+        # again), and a copy of the pre-append rows must not stay memoized.
+        # One column, so every reader's gather matches the keys it probed.
+        atom = Atom("U", ["x"])
+        rows = 16 * _VECTOR_MIN_ROWS
+        for trial in range(5):
+            database = Database()
+            for i in range(rows):
+                database.add_fact("U", (i,))
+            view = database.columnar_view(atom)
+            interner = database.columnar_store().interner
+            evens = columnar(("x",), [(i,) for i in range(0, rows, 2)], interner)
+            errors = []
+
+            def work(barrier, role):
+                barrier.wait(timeout=10)
+                try:
+                    if role == "append":
+                        for i in range(rows, rows + 300):
+                            database.add_fact("U", (i,))
+                            database.columnar_view(atom)
+                    else:
+                        for _ in range(60):
+                            view.semijoin(evens)
+                except Exception as error:  # surfaced by the assert below
+                    errors.append(error)
+
+            self._race(work, "append", "read", "read")
+            assert errors == []
+            self._assert_view_matches(database, atom)
+            everything = columnar(("x",), database.relation("U").tuples, interner)
+            assert view.semijoin(everything) is view
+            assert len(view.natural_join(everything)) == len(view)
+
+    def test_concurrent_first_callers_share_one_store(self, monkeypatch):
+        # A slow store construction widens the check-then-create window.
+        build = ColumnarStore.__init__
+
+        def slow_build(store, *args, **kwargs):
+            time.sleep(0.002)
+            build(store, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnarStore, "__init__", slow_build)
+        for _ in range(5):
+            database = Database()
+            stores = []
+
+            def create(barrier, _index):
+                barrier.wait(timeout=10)
+                stores.append(database.columnar_store())
+
+            self._race(create)
+            assert len({id(store) for store in stores}) == 1
+            assert stores[0] is database.columnar_store()

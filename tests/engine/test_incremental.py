@@ -214,11 +214,15 @@ class TestFourLayerExtension:
         session = EngineSession()
         view = session.incremental_view(query, database)
         view.refresh()
-        cached = {
-            key: entry[1] for key, entry in database.atom_cache.items()
-        }
-        database.add_fact("E", (0, 1))
-        view.refresh()
-        for key, entry in database.atom_cache.items():
-            if key in cached:
-                assert entry[1] is cached[key]
+        resident = [database.columnar_view(atom) for atom in query.atoms]
+        store = database.columnar_store()
+        extensions = store.extensions
+        database.add_fact("E", (100, 0))
+        result = view.refresh()
+        assert result.incremental["mode"] == MODE_INCREMENTAL
+        # The semi-naive terms joined the resident columnar views, which
+        # the refresh extended in place instead of rebuilding.
+        assert store.extensions > extensions
+        for atom, before in zip(query.atoms, resident):
+            assert database.columnar_view(atom) is before
+        assert result.rows == _fresh_answer(query, database)

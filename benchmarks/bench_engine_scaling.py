@@ -635,10 +635,11 @@ def bench_incremental_refresh() -> list[dict]:
         mode = None
         delta_rows = 0
         for repeat in range(REPEATS):
-            # Free the previous repeat's result before timing: it holds the
-            # last references to a ~184k-row answer set, and rebinding
-            # ``result`` in the timed window would charge its deallocation
-            # to this refresh.
+            # Free the previous repeat's result before timing: its rows are
+            # a snapshot over the previous view's answer log, which keeps
+            # the ~184k answer tuples alive after that view is dropped, and
+            # rebinding ``result`` in the timed window would charge their
+            # deallocation to this refresh.
             result = None
             database = _sparse_graph(domain, edges)
             stored = sum(len(r) for r in database.relations.values())

@@ -785,7 +785,7 @@ class ColumnarStore:
                     self.views.put(key, (version, view, shape, True))
                 return view
             shape = atom_shape(atom)
-            built, owned = self._build(atom, relation, shape)
+            built, owned = self._build(atom, relation, version, shape)
             self.views.put(key, (version, built, shape, owned))
             return built
 
@@ -879,15 +879,18 @@ class ColumnarStore:
             # new id rows in instead of dropping the statistics.
             view._stats.extend_columns(new_columns, added)
 
-    def _build(self, atom, relation, shape) -> tuple:
-        """Build a fresh view; returns ``(view, owned)`` where ``owned``
-        says the view's columns are private (safe to extend in place).  The
-        identity pattern over an adopted wire base shares the base arrays —
-        those are promoted to private copies on first extension."""
+    def _build(self, atom, relation, version, shape) -> tuple:
+        """Build a fresh view of ``relation`` as of ``version``; returns
+        ``(view, owned)`` where ``owned`` says the view's columns are
+        private (safe to extend in place).  The identity pattern over an
+        adopted wire base shares the base arrays — those are promoted to
+        private copies on first extension.  Rows come from the log prefix,
+        not the live tuple set: a row appended after ``version`` was read
+        belongs to the next extension, which would otherwise add it twice."""
         base = self._bases.get(atom.relation)
-        if base is not None and base[1] == len(relation.tuples):
+        if base is not None and base[1] == version:
             return self._build_from_base(shape, *base)
-        return self._build_from_rows(relation.tuples, shape), True
+        return self._build_from_rows(relation.rows_at(version), shape), True
 
     def _build_from_base(self, shape, data, length) -> tuple:
         """Build a view from adopted id columns: constants resolve through

@@ -170,6 +170,12 @@ class Relation:
             )
         return tuple(self._log[version:])
 
+    def rows_at(self, version: int) -> list:
+        """The rows the relation held at ``version``: the first ``version``
+        log entries, in insertion order.  One list slice, so the prefix is
+        consistent even while another thread appends."""
+        return self._log[:version]
+
     @classmethod
     def _trusted(cls, name: str, arity: int, rows: Iterable[tuple]) -> "Relation":
         """Bulk-load pre-validated, distinct tuples without per-row checks

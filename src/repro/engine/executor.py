@@ -11,6 +11,7 @@ decomposition, so re-execution skips analysis and planning entirely).
 from __future__ import annotations
 
 import time
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.cq.database import Database
@@ -31,7 +32,12 @@ class EvalResult:
     """The uniform result of one engine call.
 
     Exactly one of ``rows`` / ``satisfiable`` / ``count`` is populated,
-    matching ``task``; :attr:`value` returns it.  ``timings`` holds
+    matching ``task``; :attr:`value` returns it.  ``rows`` is a ``set``,
+    except on :meth:`~repro.engine.incremental.IncrementalView.refresh`
+    results, where it is a read-only
+    :class:`~repro.engine.incremental.AnswerSnapshot` of the view's
+    answers at that refresh (the view's live set is ``view.rows``).
+    ``timings`` holds
     ``planning_seconds`` (the planning work done by *this call*: the cold
     analysis + planning cost on first sight of a query, near-zero on a
     session plan-cache hit, ``0.0`` when a pre-built plan was passed in),
@@ -49,7 +55,7 @@ class EvalResult:
 
     task: str
     plan: Plan
-    rows: set | None = None
+    rows: AbstractSet | None = None
     satisfiable: bool | None = None
     count: int | None = None
     timings: dict = field(default_factory=dict)
@@ -112,7 +118,10 @@ class EvalResult:
         Filled by :class:`repro.engine.incremental.IncrementalView`:
         ``mode`` (``initial`` / ``noop`` / ``incremental`` / ``full``),
         ``delta_rows`` (stored rows folded in), ``delta_fraction``,
-        ``new_answers``, and ``refresh_seconds``.
+        ``new_answers``, and ``refresh_seconds``.  Such a result's ``rows``
+        is an :class:`~repro.engine.incremental.AnswerSnapshot`, not a
+        ``set``: read-only, and ``rows.since(k)`` returns just the answers
+        after the first ``k``.
         """
         return self.timings.get("incremental")
 

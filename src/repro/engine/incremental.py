@@ -29,6 +29,14 @@ indexes stay warm; the delta interns into the same dictionary, and only
 the new answers are decoded.  Refresh cost therefore scales with the
 delta, not the database.
 
+That includes handing the answers back.  Because the answers only grow,
+the view keeps them twice: :attr:`IncrementalView.rows`, the live ``set``
+that later refreshes keep growing, and an append-only log of the same
+answers in the order refreshes found them.  The answers at any refresh
+are a prefix of that log, so each refresh result's ``rows`` is an
+:class:`AnswerSnapshot` of the prefix — O(1) to take, read-only, and
+still exact after later refreshes — instead of a copy of the answer set.
+
 When the delta is a large fraction of the stored data (``threshold``,
 default :data:`DEFAULT_REFRESH_THRESHOLD`), re-joining delta against full
 views stops being cheaper than a fresh evaluation, so :meth:`refresh`
@@ -41,6 +49,8 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Set
+from itertools import islice
 
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
@@ -60,24 +70,71 @@ MODE_INCREMENTAL = "incremental"
 MODE_FULL = "full"
 
 
+class AnswerSnapshot(Set):
+    """The answers a view held at one refresh: a read-only set over the
+    first ``n`` entries of the view's append-only answer log.
+
+    Taking one is O(1).  Iteration walks the log up to ``n`` (a list
+    iterator tolerates appends, and entries past ``n`` are never reached),
+    so a snapshot stays exact while the view refreshes on another thread.
+    The first membership test builds a frozenset of the prefix; the set
+    operators (``|``, ``&``, ``-``, ``^``) return plain ``set`` objects.
+    :meth:`since` serves a consumer that only wants the answers it has not
+    seen yet.  Like ``set``, a snapshot is unhashable.
+    """
+
+    __slots__ = ("_log", "_length", "_members")
+
+    def __init__(self, log: list, length: int) -> None:
+        self._log = log
+        self._length = length
+        self._members = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return islice(self._log, self._length)
+
+    def __contains__(self, row) -> bool:
+        if self._members is None:
+            self._members = frozenset(self)
+        return row in self._members
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> set:
+        return set(iterable)
+
+    def since(self, start: int) -> list:
+        """The answers at log positions ``[start, len(self))``, in O(delta):
+        what a consumer that has seen the first ``start`` has not."""
+        return self._log[start:self._length]
+
+    def __repr__(self) -> str:
+        return f"AnswerSnapshot({self._length} answers)"
+
+
 class IncrementalView:
     """A standing query whose answer set refreshes in delta time.
 
     Construct one via :meth:`EngineSession.incremental_view` (or directly);
     call :meth:`refresh` after appends.  Every refresh returns a normal
     :class:`~repro.engine.executor.EvalResult` for the ``answer`` task whose
-    ``timings["incremental"]`` records how the refresh ran: ``mode``
-    (``initial`` / ``noop`` / ``incremental`` / ``full``), ``delta_rows``
-    (stored rows folded in), ``delta_fraction``, ``new_answers``, and
-    ``refresh_seconds``.
+    ``rows`` is a read-only :class:`AnswerSnapshot` of the answers at that
+    refresh, and whose ``timings["incremental"]`` records how the refresh
+    ran: ``mode`` (``initial`` / ``noop`` / ``incremental`` / ``full``),
+    ``delta_rows`` (stored rows folded in), ``delta_fraction``,
+    ``new_answers``, and ``refresh_seconds``.
 
     The maintained answer set is exact after every refresh — the
     differential harness (``tests/engine/test_differential.py``) pins it
     against a from-scratch ``answer()`` across workload regimes — and only
     ever grows, so :attr:`satisfiable` and :attr:`count` read straight off
-    it.  A view is safe to refresh from multiple threads (refreshes
-    serialize on an internal lock), but appends racing a refresh land in
-    the *next* refresh: versions are captured before evaluation.
+    it.  :attr:`rows` is that live ``set``; a snapshot keeps the answers
+    of its own refresh.  A view is safe to refresh from multiple threads
+    (refreshes serialize on an internal lock), but appends racing a
+    refresh land in the *next* refresh: versions are captured before
+    evaluation.
     """
 
     def __init__(
@@ -95,8 +152,12 @@ class IncrementalView:
         self.query = query
         self.database = database
         self.threshold = threshold
-        #: The maintained answer set (tuples over ``query.free_variables``).
+        #: The maintained answer set (tuples over ``query.free_variables``);
+        #: the live set, grown in place by every refresh.
         self.rows: set = set()
+        #: The same answers in the order refreshes found them.  Append-only,
+        #: so every snapshot handed out is a prefix of it.
+        self._log: list = []
         #: Relation name -> storage version the answer set reflects
         #: (0 for relations the database does not hold yet).
         self.versions: dict = {
@@ -157,8 +218,7 @@ class IncrementalView:
                 continue
             relation = self.database.relation(name)
             total += len(relation.tuples)
-            if current[name] != seen:
-                delta += len(relation.delta_since(seen))
+            delta += current[name] - seen
         return delta, total
 
     # ------------------------------------------------------------------
@@ -168,14 +228,16 @@ class IncrementalView:
         # it again on the next refresh is harmless (the union dedups).
         current = self._current_versions()
         result = self.session.answer(self.query, self.database)
-        self.rows = set(result.rows)
+        # The session's answer set is a fresh set: adopt it, do not copy it.
+        self.rows = result.rows
+        self._log.extend(self.rows)
         self.versions = current
         self._plan = result.plan
         self._initialized = True
         self._record(MODE_INITIAL)
         elapsed = time.perf_counter() - started
         result.plan = result.plan.with_note("incremental view: initial full evaluation")
-        result.rows = set(self.rows)
+        result.rows = self._snapshot()
         result.timings["incremental"] = {
             "mode": MODE_INITIAL,
             "delta_rows": sum(
@@ -191,9 +253,7 @@ class IncrementalView:
 
     def _full(self, current, delta_rows, fraction, started) -> EvalResult:
         result = self.session.answer(self.query, self.database)
-        fresh = set(result.rows)
-        new_answers = len(fresh - self.rows)
-        self.rows |= fresh
+        new_answers = self._absorb(result.rows)
         self.versions = current
         self._plan = result.plan
         self._record(MODE_FULL)
@@ -202,7 +262,7 @@ class IncrementalView:
             f"incremental view: delta fraction {fraction:.2f} > "
             f"threshold {self.threshold:.2f}, full recompute"
         )
-        result.rows = set(self.rows)
+        result.rows = self._snapshot()
         result.timings["incremental"] = {
             "mode": MODE_FULL,
             "delta_rows": delta_rows,
@@ -213,9 +273,7 @@ class IncrementalView:
         return result
 
     def _incremental(self, current, delta_rows, fraction, started) -> EvalResult:
-        new = self._semi_naive()
-        new_answers = len(new - self.rows)
-        self.rows |= new
+        new_answers = self._absorb(self._semi_naive(current))
         self.versions = current
         self._record(MODE_INCREMENTAL)
         elapsed = time.perf_counter() - started
@@ -233,7 +291,7 @@ class IncrementalView:
         plan = self._plan.with_note(f"incremental view: {mode} refresh")
         if mode == MODE_NOOP:
             self._record(MODE_NOOP)
-        result = EvalResult(task=TASK_ANSWER, plan=plan, rows=set(self.rows))
+        result = EvalResult(task=TASK_ANSWER, plan=plan, rows=self._snapshot())
         result.timings = {
             "planning_seconds": 0.0,
             "execution_seconds": elapsed,
@@ -248,13 +306,25 @@ class IncrementalView:
         }
         return result
 
+    def _absorb(self, answers: set) -> int:
+        """Extend the log and the live set by the answers in ``answers``
+        not held yet; returns how many there were."""
+        new = answers - self.rows
+        self._log.extend(new)
+        self.rows |= new
+        return len(new)
+
+    def _snapshot(self) -> AnswerSnapshot:
+        return AnswerSnapshot(self._log, len(self._log))
+
     def _record(self, mode: str) -> None:
         self.refreshes += 1
         self.refresh_modes[mode] = self.refresh_modes.get(mode, 0) + 1
 
     # ------------------------------------------------------------------
-    def _semi_naive(self) -> set:
-        """The new-answer union: one delta-first join chain per grown atom.
+    def _semi_naive(self, current: dict) -> set:
+        """The new-answer union: one delta-first join chain per grown atom,
+        folding in each grown relation's rows up to its ``current`` version.
 
         The zero-atom query is vacuously true with the single empty-tuple
         answer and never reaches here (no versions can move); a query
@@ -266,13 +336,15 @@ class IncrementalView:
         atoms = query.atoms
         # Raw deltas are read once per relation and shared by every atom
         # over it; the full views are the resident columnar views, extended
-        # to the current version by ``columnar_view``.
+        # to the current version by ``columnar_view``.  Only the rows in
+        # [seen, current): a row appended after the versions were captured
+        # belongs to the next refresh, and ``delta_rows`` counts these.
         raw_delta: dict = {}
         for name, seen in self.versions.items():
-            if database.has_relation(name):
-                relation = database.relation(name)
-                if relation.version != seen:
-                    raw_delta[name] = relation.delta_since(seen)
+            if current[name] != seen:
+                raw_delta[name] = database.relation(name).delta_since(seen)[
+                    : current[name] - seen
+                ]
         if any(not database.has_relation(atom.relation) for atom in atoms):
             # A missing relation is empty, so the whole answer set is empty
             # now and stays empty until it appears — at which point its

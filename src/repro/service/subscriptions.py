@@ -41,31 +41,33 @@ class Subscription:
         self.query = query
         self.view = view
         self.polls = 0
-        #: Answer tuples already handed to the client; the next poll's delta
-        #: is everything the view holds beyond this set.  Kept as a set (not
-        #: a count) so delivery stays exact even if a poll races an append.
-        self._delivered: set = set()
+        #: How many of the view's answers the client has been handed.  The
+        #: view's answer log is append-only, so the next poll's delta is
+        #: exactly the log entries past this cursor: each answer is
+        #: delivered once, in the order refreshes found it.
+        self._cursor = 0
         self._lock = threading.Lock()
 
     def poll(self) -> dict:
         """Refresh the view and return the undelivered answers.
 
         The record mirrors ``EvalResult.timings["incremental"]`` plus the
-        delta itself: ``delta`` (newly derived answer tuples), ``total``
-        (the full maintained answer count), ``mode``, ``delta_rows``
-        (stored rows folded in by this refresh), and ``refresh_seconds``.
+        delta itself: ``delta`` (the list of newly derived answer tuples),
+        ``total`` (the full maintained answer count), ``mode``,
+        ``delta_rows`` (stored rows folded in by this refresh), and
+        ``refresh_seconds``.
         """
         with self._lock:
             result = self.view.refresh()
             record = result.timings["incremental"]
-            delta = self.view.rows - self._delivered
-            self._delivered |= delta
+            delta = result.rows.since(self._cursor)
+            self._cursor = len(result.rows)
             self.polls += 1
             return {
                 "id": self.id,
                 "dataset": self.dataset,
                 "delta": delta,
-                "total": len(self.view.rows),
+                "total": len(result.rows),
                 "mode": record["mode"],
                 "delta_rows": record["delta_rows"],
                 "refresh_seconds": record["refresh_seconds"],

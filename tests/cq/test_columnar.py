@@ -515,6 +515,31 @@ class TestConcurrentViews:
             self._race(work, "append", "read", "read", "read")
             self._assert_view_matches(database, atom)
 
+    def test_views_built_while_appending_hold_each_row_once(self):
+        # A first build records the relation's version, then scans.  Rows
+        # appended in between belong to the next extension; scanning the
+        # live tuple set built them in early, and the extension added them
+        # again (the kernel assumes distinct rows, so counts went wrong).
+        # Four views per trial, keyed apart by their variable names.
+        atoms = [Atom("E", (f"x{k}", f"y{k}")) for k in range(4)]
+        rows = 5000
+        for trial in range(30):
+            database = Database()
+            for i in range(rows):
+                database.add_fact("E", (i, i + 1))
+
+            def work(barrier, atom):
+                barrier.wait(timeout=10)
+                if atom is None:
+                    for i in range(rows, rows + 3000):
+                        database.add_fact("E", (i, trial))
+                else:
+                    database.columnar_view(atom)
+
+            self._race(work, None, *atoms)
+            for atom in atoms:
+                self._assert_view_matches(database, atom)
+
     def test_vectorised_readers_racing_appends_keep_the_view_exact(self):
         # Vectorised operators copy a resident view's array('q') column
         # while appends extend it in place.  The copy must not export the

@@ -13,6 +13,10 @@ Two concerns, one file:
 """
 
 import random
+import sys
+import threading
+import tracemalloc
+from collections.abc import Set
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.engine import (
     MODE_INITIAL,
     MODE_NOOP,
 )
+from repro.engine.incremental import AnswerSnapshot
 from repro.engine.runtime import ProcessRuntime
 
 
@@ -142,6 +147,140 @@ class TestIncrementalView:
             IncrementalView(session, query, database, threshold=1.5)
         session.incremental_view(query, database)
         assert session.stats()["incremental_views"] == 1
+
+
+class TestAnswerSnapshots:
+    """A refresh result's ``rows`` is a snapshot: a prefix of the view's
+    append-only answer log, not a copy of the answer set."""
+
+    def test_results_keep_their_answers_after_later_refreshes(self):
+        query, database, rng = _chain_instance()
+        view = EngineSession().incremental_view(query, database)
+        held = [(view.refresh(), _fresh_answer(query, database))]
+        database.add_fact("E", (rng.randrange(40), rng.randrange(40)))
+        held.append((view.refresh(), _fresh_answer(query, database)))
+        # Three more cycles: small, large (the full-recompute fallback) and
+        # small again.
+        for count in (5, 300, 5):
+            for _ in range(count):
+                database.add_fact("E", (rng.randrange(40), rng.randrange(40)))
+            held.append((view.refresh(), _fresh_answer(query, database)))
+        modes = [result.incremental["mode"] for result, _ in held]
+        assert modes == [
+            MODE_INITIAL, MODE_INCREMENTAL, MODE_INCREMENTAL, MODE_FULL,
+            MODE_INCREMENTAL,
+        ]
+        assert len(held[0][1]) < len(held[-1][1])
+        for result, expected in held:
+            assert isinstance(result.rows, AnswerSnapshot)
+            assert result.rows == expected
+            assert sorted(result.rows) == sorted(expected)
+        assert view.rows == held[-1][1]
+
+    def test_snapshots_stay_exact_while_the_view_refreshes(self):
+        # Readers iterate and compare earlier snapshots while the writer
+        # appends and refreshes, so the log grows under their iterators.
+        query, database, rng = _chain_instance(edges=300)
+        view = EngineSession().incremental_view(query, database)
+        published = [(view.refresh().rows, _fresh_answer(query, database))]
+        errors = []
+        done = threading.Event()
+
+        def write():
+            try:
+                for _ in range(25):
+                    for _ in range(3):
+                        database.add_fact("E", (rng.randrange(40), rng.randrange(40)))
+                    result = view.refresh()
+                    published.append((result.rows, _fresh_answer(query, database)))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    for snapshot, expected in list(published):
+                        assert len(list(snapshot)) == len(expected)
+                        assert set(snapshot) == expected
+                        assert snapshot == expected and expected <= snapshot
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(published) == 26
+        assert len(published[0][1]) < len(published[-1][1])
+        for snapshot, expected in published:
+            assert snapshot == expected
+
+    def test_one_row_refresh_does_not_copy_the_answer_set(self):
+        # 300 sources -> 10 hubs -> 400 sinks: 120k answers over 7k edges.
+        database = Database()
+        for hub in range(1000, 1010):
+            for source in range(300):
+                database.add_fact("E", (source, hub))
+            for sink in range(2000, 2400):
+                database.add_fact("E", (hub, sink))
+        query = ConjunctiveQuery(
+            [Atom("E", ("x", "y")), Atom("E", ("y", "z"))]
+        ).project(["x", "z"])
+        view = EngineSession().incremental_view(query, database)
+        view.refresh()
+        assert len(view) == 120_000
+        # One warm-up refresh builds the join indexes a standing view keeps.
+        database.add_fact("E", (500, 1000))
+        view.refresh()
+        database.add_fact("E", (501, 1001))
+        tracemalloc.start()
+        try:
+            result = view.refresh()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.incremental["mode"] == MODE_INCREMENTAL
+        assert result.incremental["new_answers"] == 400
+        assert len(result.rows) == 120_800
+        assert peak < sys.getsizeof(view.rows) / 8
+
+    def test_snapshot_set_semantics(self):
+        log = [(1,), (2,), (3,)]
+        snapshot = AnswerSnapshot(log, 2)
+        log.append((4,))  # past the snapshot: invisible to it
+        assert isinstance(snapshot, Set)
+        assert len(snapshot) == 2 and list(snapshot) == [(1,), (2,)]
+        assert (1,) in snapshot and (3,) not in snapshot
+        assert snapshot == {(1,), (2,)} and {(1,), (2,)} == snapshot
+        assert snapshot != {(1,), (2,), (3,)} and {(1,)} != snapshot
+        assert snapshot <= {(1,), (2,), (3,)} and {(1,)} <= snapshot
+        assert not snapshot <= {(1,)} and not {(1,), (3,)} <= snapshot
+        for combined, expected in (
+            (snapshot - {(1,)}, {(2,)}),
+            ({(1,), (9,)} - snapshot, {(9,)}),
+            (snapshot | {(9,)}, {(1,), (2,), (9,)}),
+            ({(9,)} | snapshot, {(1,), (2,), (9,)}),
+        ):
+            assert type(combined) is set and combined == expected
+        assert snapshot.since(0) == [(1,), (2,)] and snapshot.since(1) == [(2,)]
+        assert snapshot.since(2) == []
+        empty = AnswerSnapshot([], 0)
+        assert len(empty) == 0 and not empty and empty == set()
+        assert bool(snapshot)
+        with pytest.raises(TypeError):
+            hash(snapshot)
 
 
 class TestFourLayerExtension:

@@ -6,6 +6,11 @@ return exactly the answers derived since the previous poll — computed
 incrementally, tenant-isolated, and equal to a from-scratch evaluation.
 """
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.cq.database import Database
@@ -18,6 +23,7 @@ from repro.service import (
     ServiceError,
     serve_in_thread,
 )
+from repro.service.subscriptions import Subscription
 
 
 def _path_query():
@@ -166,3 +172,64 @@ class TestSubscriptions:
             info = stats["by_tenant"]["public"][sub["subscription"]]
             assert info["dataset"] == "graph"
             assert info["refresh_modes"]["initial"] == 1
+
+
+class TestConcurrentPolls:
+    def test_polls_racing_appends_deliver_every_answer_once(self):
+        # After the initial poll, two pollers race one paced appender on a
+        # 1 µs switch interval; a last poll after the appends catches up.
+        # The deltas must add up to the from-scratch answer with no row
+        # delivered twice.
+        query = _path_query()
+        rng = random.Random(5)
+        database = _graph(
+            (rng.randrange(80), rng.randrange(80)) for _ in range(600)
+        )
+        view = EngineSession().incremental_view(query, database)
+        subscription = Subscription("sub-race", "public", "graph", query, view)
+        records = [subscription.poll()]
+        errors = []
+        appended = threading.Event()
+        barrier = threading.Barrier(3)
+
+        def append():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(40):
+                    for _ in range(10):
+                        database.add_fact("E", (rng.randrange(80), rng.randrange(80)))
+                    time.sleep(0.001)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+            finally:
+                appended.set()
+
+        def poll():
+            try:
+                barrier.wait(timeout=10)
+                while not appended.is_set():
+                    records.append(subscription.poll())
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append)] + [
+                threading.Thread(target=poll) for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        records.append(subscription.poll())
+        assert "incremental" in {record["mode"] for record in records[1:-1]}
+        expected = EngineSession().answer(query, database).rows
+        delivered = [row for record in records for row in record["delta"]]
+        assert set(delivered) == expected
+        assert len(delivered) == len(expected) == records[-1]["total"]
+        assert subscription.polls == len(records)

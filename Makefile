@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test differential bench bench-baseline
+.PHONY: test differential bench bench-baseline profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -26,3 +26,17 @@ bench:
 # Refresh the recorded baseline (only after verifying a genuine speedup).
 bench-baseline:
 	$(PYTHON) benchmarks/bench_engine_scaling.py
+
+# cProfile one engine-benchmark family (FAMILY=<name>, or FAMILY="<a> <b>"
+# for several): the family's points, then the 40 functions with the largest
+# cumulative time.  Never writes the baseline.  Only the run is profiled:
+# under `python -m cProfile` the imports (SciPy's alone, 1.6 s) fill the
+# top rows.  An unknown name exits 2 and lists the valid ones.
+PROFILE_FAMILY = import cProfile, pstats, sys; sys.path.insert(0, "benchmarks"); \
+	import bench_engine_scaling as bench; profile = cProfile.Profile(); \
+	profile.runcall(bench.main, sys.argv[1:]); \
+	pstats.Stats(profile).sort_stats("cumulative").print_stats(40)
+
+profile:
+	$(if $(FAMILY),,$(error usage: make profile FAMILY=<name>))
+	$(PYTHON) -c '$(PROFILE_FAMILY)' $(addprefix --family ,$(FAMILY))

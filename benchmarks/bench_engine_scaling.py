@@ -89,6 +89,10 @@ summed so one lucky early exit cannot skew the number).  Run it with::
 
     python benchmarks/bench_engine_scaling.py            # refresh the baseline
     python benchmarks/check_regression.py                # compare against it
+    python benchmarks/bench_engine_scaling.py --family columnar_answer
+                                                         # one family, no write
+
+``make profile FAMILY=<name>`` runs the last form under ``cProfile``.
 
 ``benchmarks/check_regression.py`` (also exposed as ``make bench``) re-runs
 the same workloads and fails when any timing regresses by more than 2x, so
@@ -97,6 +101,7 @@ the perf trajectory is tracked from this baseline onward.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import pickle
@@ -809,58 +814,70 @@ def bench_skewed_sharded_answer(include_single: bool = True) -> list[dict]:
     return points
 
 
-def run_benchmarks(include_naive: bool = True) -> dict:
-    """Run all engine benchmarks and return the JSON-ready result document."""
+#: Family name -> its runner, in run order.  A runner takes
+#: ``include_naive``: whether to also time the comparison paths (naive
+#: solver, tuple-set evaluator, cold loops, unsharded runs), which are
+#: recorded context, never gated.
+FAMILIES = {
+    "solver_boolean": lambda include_naive: bench_solver(include_naive=include_naive),
+    "semijoin_reduce": lambda include_naive: bench_semijoin(),
+    "ghd_eval": lambda include_naive: bench_ghd_eval(),
+    "engine_answer": lambda include_naive: bench_engine_answer(),
+    # The columnar kernel on the engine workloads; the tuple-set
+    # comparison numbers are context, only the columnar time gates.
+    "columnar_answer": lambda include_naive: bench_columnar_answer(
+        include_tupleset=include_naive
+    ),
+    "columnar_count": lambda include_naive: bench_columnar_count(
+        include_tupleset=include_naive
+    ),
+    # The comparison loop is historical context like the naive solver:
+    # only the batch time itself is gated.
+    "batch_answer_many": lambda include_naive: bench_batch_answer(
+        include_loop=include_naive
+    ),
+    # The single-shard time is context too: only the sharded time is gated
+    # (sharding is a scale-out play; the gate tracks that its overhead
+    # stays bounded, not that it is faster).
+    "sharded_answer": lambda include_naive: bench_sharded_answer(
+        include_single=include_naive
+    ),
+    # The acceptance points for the runtime layer: process-sharded steady
+    # state must beat the single-shard path wall-clock.
+    "process_sharded_answer": lambda include_naive: bench_process_sharded(
+        include_single=include_naive
+    ),
+    # Owner-routed residency: warm serving time gates; the cold call and
+    # the shipping ledger are recorded context.
+    "affinity_sharded_answer": lambda include_naive: bench_affinity_sharded(),
+    # Wire-format sizes (no timings): gated on the wire form staying
+    # smaller than the pickled database and within 2x of its recorded size.
+    "shipping_bytes": lambda include_naive: bench_shipping_bytes(),
+    # The versioned write path: semi-naive refresh after appends of three
+    # sizes.  The from-scratch comparison is always recorded — the gate
+    # holds the >=5x speedup bar on the small-delta points.
+    "incremental_refresh": lambda include_naive: bench_incremental_refresh(),
+    # Skew-ordering acceptance: the forced-static comparison is always
+    # recorded (the gate holds the >=2x cost-vs-static ratio on every
+    # point, not just the timing).
+    "skewed_answer": lambda include_naive: bench_skewed_answer(),
+    # Hot-key broadcast spilling: the sharded time gates; the unsharded
+    # comparison is context like the other shard families.
+    "skewed_sharded_answer": lambda include_naive: bench_skewed_sharded_answer(
+        include_single=include_naive
+    ),
+}
+
+
+def run_benchmarks(include_naive: bool = True, families=None) -> dict:
+    """Run the engine benchmarks (every family, or the named ``families``)
+    and return the JSON-ready result document."""
+    names = list(FAMILIES) if families is None else families
     return {
         "schema": 1,
         "generated_by": "benchmarks/bench_engine_scaling.py",
         "python": platform.python_version(),
-        "benchmarks": {
-            "solver_boolean": bench_solver(include_naive=include_naive),
-            "semijoin_reduce": bench_semijoin(),
-            "ghd_eval": bench_ghd_eval(),
-            "engine_answer": bench_engine_answer(),
-            # The columnar kernel on the engine workloads; the tuple-set
-            # comparison numbers are context, only the columnar time gates.
-            "columnar_answer": bench_columnar_answer(
-                include_tupleset=include_naive
-            ),
-            "columnar_count": bench_columnar_count(
-                include_tupleset=include_naive
-            ),
-            # The comparison loop is historical context like the naive
-            # solver: only the batch time itself is gated.
-            "batch_answer_many": bench_batch_answer(include_loop=include_naive),
-            # The single-shard time is context too: only the sharded time
-            # is gated (sharding is a scale-out play; the gate tracks that
-            # its overhead stays bounded, not that it is faster).
-            "sharded_answer": bench_sharded_answer(include_single=include_naive),
-            # The acceptance points for the runtime layer: process-sharded
-            # steady state must beat the single-shard path wall-clock.
-            "process_sharded_answer": bench_process_sharded(
-                include_single=include_naive
-            ),
-            # Owner-routed residency: warm serving time gates; the cold
-            # call and the shipping ledger are recorded context.
-            "affinity_sharded_answer": bench_affinity_sharded(),
-            # Wire-format sizes (no timings): gated on the wire form
-            # staying smaller than the pickled database and within 2x of
-            # its recorded size.
-            "shipping_bytes": bench_shipping_bytes(),
-            # The versioned write path: semi-naive refresh after appends of
-            # three sizes.  The from-scratch comparison is always recorded —
-            # the gate holds the >=5x speedup bar on the small-delta points.
-            "incremental_refresh": bench_incremental_refresh(),
-            # Skew-ordering acceptance: the forced-static comparison is
-            # always recorded (the gate holds the >=2x cost-vs-static
-            # ratio on every point, not just the timing).
-            "skewed_answer": bench_skewed_answer(),
-            # Hot-key broadcast spilling: the sharded time gates; the
-            # unsharded comparison is context like the other shard families.
-            "skewed_sharded_answer": bench_skewed_sharded_answer(
-                include_single=include_naive
-            ),
-        },
+        "benchmarks": {name: FAMILIES[name](include_naive) for name in names},
     }
 
 
@@ -870,9 +887,28 @@ def write_baseline(path: pathlib.Path = BASELINE_PATH) -> dict:
     return results
 
 
-def main() -> int:
-    results = write_baseline()
-    print(f"wrote {BASELINE_PATH}")
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog=pathlib.Path(__file__).name,
+        description="Run the engine benchmarks and refresh the recorded baseline.",
+    )
+    parser.add_argument(
+        "--family",
+        action="append",
+        choices=list(FAMILIES),
+        metavar="NAME",
+        help=(
+            "run only this family (repeatable) and print its points, timing "
+            "only what the gate times; never writes the baseline.  "
+            f"Families: {', '.join(FAMILIES)}"
+        ),
+    )
+    args = parser.parse_args(argv)
+    if args.family:
+        results = run_benchmarks(include_naive=False, families=args.family)
+    else:
+        results = write_baseline()
+        print(f"wrote {BASELINE_PATH}")
     for name, points in results["benchmarks"].items():
         for point in points:
             if "indexed_seconds" not in point:

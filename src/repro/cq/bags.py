@@ -82,7 +82,6 @@ def root_tree(
     if not nodes:
         raise DecompositionMismatchError("the decomposition has no nodes")
     free = set(query.free_variables)
-    parent: dict[Node, Node | None] = {}
     root = min(
         nodes,
         key=lambda node: (
@@ -90,26 +89,24 @@ def root_tree(
             sorted(map(repr, ghd.bags[node])),
         ),
     )
-    parent[root] = None
-    seen = {root}
-    frontier = [root]
+    parent: dict[Node, Node | None] = {}
     decomposition = ghd.decomposition
-    while frontier:
-        current = frontier.pop()
-        for neighbour in decomposition.neighbours(current):
-            if neighbour in seen:
-                continue
-            seen.add(neighbour)
-            parent[neighbour] = current
-            frontier.append(neighbour)
-    missing = set(nodes) - seen
-    if missing:
-        # The decomposition tree should be connected; connect leftovers to the
-        # root so evaluation still works (their bags share no variables with
-        # the rest, so this is a plain conjunction).
-        for node in sorted(missing, key=repr):
-            parent[node] = root
-            seen.add(node)
+    # The decomposition tree should be connected.  If it is not, each
+    # leftover component is oriented from its first node, which hangs under
+    # the root: by connectedness a component's bags share no variable with
+    # the rest, so the result is still a join tree (a plain conjunction of
+    # the components), as the pruned Yannakakis join pass needs.
+    for start in [root, *nodes]:
+        if start in parent:
+            continue
+        parent[start] = None if start == root else root
+        frontier = [start]
+        while frontier:
+            current = frontier.pop()
+            for neighbour in decomposition.neighbours(current):
+                if neighbour not in parent:
+                    parent[neighbour] = current
+                    frontier.append(neighbour)
     return parent
 
 

@@ -8,6 +8,29 @@ upper bound; the GHD-guided evaluator in
 :mod:`repro.cq.decomposition_eval` reduces bounded-ghw queries to exactly this
 routine after materialising bag relations (:mod:`repro.cq.bags`).
 
+Enumeration is task-aware: it runs only the passes its output columns ``F``
+need (Yannakakis, VLDB 1981, as free-connex evaluation uses it: Bagan,
+Durand and Grandjean, CSL 2007).  After the upward pass every row of a node
+extends to a solution of the node's subtree, so every root row extends to a
+solution of the whole tree.  The downward pass and the joins then run only
+over the *pruned tree* ``T_F`` (:func:`pruned_tree`): the root, every node
+whose relation holds an output column that its parent's relation lacks, and
+those nodes' ancestors.  The rule is exact on a *join tree* — for every
+column, the nodes holding it form a connected subtree (running
+intersection; a GHD's connectedness condition gives this for bag trees):
+
+* every output column lies in ``T_F``: the topmost node holding it is the
+  root or has a parent lacking it;
+* a subtree hanging off ``T_F`` below node ``p`` shares with the rest of the
+  tree only columns of ``p``, so it can only filter ``p`` — and the upward
+  pass has already applied that filter.  Its other columns are not output,
+  so it adds nothing to the answer.
+
+When ``T_F`` is the root alone (``F`` fits the root, which
+:func:`repro.cq.bags.root_tree` arranges whenever one bag holds every free
+variable), the answer is ``π_F`` of the upward-reduced root: no downward
+pass and no join.
+
 Within the unified engine (:mod:`repro.engine`) this module is the execution
 half of both decomposition strategies: the planner's ``direct-yannakakis``
 and ``ghd-guided`` plans only differ in which decomposition feeds the bag
@@ -101,119 +124,144 @@ def _ordered_children(relations, parent_relation, children: list) -> list:
     return sorted(children, key=fraction)
 
 
-def semijoin_reduce(tree: JoinTree) -> dict[Node, NamedRelation]:
-    """The two semijoin passes of Yannakakis; returns the reduced relations.
+def _filter(relations: dict, owned: set, node: Node, against: Node) -> None:
+    """Semijoin-filter ``relations[node]`` by ``relations[against]``.
 
-    After reduction every remaining row participates in at least one global
-    solution (the *global consistency* property of acyclic instances).
+    Relations created here (``owned``) are filtered in place; the caller's
+    relations are only replaced, never mutated.  Either way the semijoins
+    reuse the key indexes cached on the probe side — the downward pass hits
+    each parent's index once per child."""
+    current = relations[node]
+    if node in owned:
+        current.semijoin_inplace(relations[against])
+        return
+    filtered = current.semijoin(relations[against])
+    if filtered is not current:
+        relations[node] = filtered
+        owned.add(node)
 
-    The upward pass visits parents leaves-first and consumes each parent's
+
+def _upward_pass(tree: JoinTree, relations: dict, owned: set) -> bool:
+    """Filter parents by children, leaves first, each parent consuming its
     children in selectivity order (:func:`_ordered_children`) — equivalent
     to the classic per-node sweep, since a node's children all precede it in
     the reversed topological order and semijoin filters commute.
+
+    Afterwards every row of a node extends to a solution of its subtree, so
+    the root holds exactly the rows that extend to a solution of the whole
+    tree.  Stops at the first node left empty (the query has no solution),
+    after emptying the root by it so later passes see an empty root.
+    Returns whether the root is non-empty.
+    """
+    for node in reversed(tree.topological_order()):
+        for child in _ordered_children(relations, relations[node], tree.children[node]):
+            _filter(relations, owned, node, child)
+        if not relations[node]:
+            if node != tree.root:
+                _filter(relations, owned, tree.root, node)
+            return False
+    return True
+
+
+def _downward_pass(tree: JoinTree, relations: dict, owned: set, nodes: list) -> None:
+    """Filter children by parents, root first, over ``nodes`` (a subtree
+    holding the root, listed parents before children)."""
+    members = set(nodes)
+    for node in nodes:
+        for child in tree.children[node]:
+            if child in members:
+                _filter(relations, owned, child, node)
+
+
+def semijoin_reduce(tree: JoinTree) -> dict[Node, NamedRelation]:
+    """The two full semijoin passes of Yannakakis; returns the reduced
+    relations.
+
+    After reduction every remaining row participates in at least one global
+    solution (the *global consistency* property of acyclic instances).
     """
     relations = dict(tree.relations)
-    order = tree.topological_order()
-    # Relations we created ourselves (not the caller's) may be filtered in
-    # place; the caller's relations are only replaced, never mutated.  Either
-    # way the semijoins reuse the key indexes cached on the probe side — the
-    # downward pass hits each parent's index once per child.
     owned: set = set()
-
-    def filter_node(node: Node, against: Node) -> None:
-        current = relations[node]
-        if node in owned:
-            current.semijoin_inplace(relations[against])
-            return
-        filtered = current.semijoin(relations[against])
-        if filtered is not current:
-            relations[node] = filtered
-            owned.add(node)
-
-    # Upward pass (leaves to root): filter parents by children.
-    for node in reversed(order):
-        children = tree.children[node]
-        if not children:
-            continue
-        for child in _ordered_children(relations, relations[node], children):
-            filter_node(node, child)
-    # Downward pass (root to leaves): filter children by parents.
-    for node in order:
-        for child in tree.children[node]:
-            filter_node(child, node)
+    _upward_pass(tree, relations, owned)
+    _downward_pass(tree, relations, owned, tree.topological_order())
     return relations
 
 
 def yannakakis_boolean(tree: JoinTree) -> bool:
-    """BCQ via Yannakakis: after the upward pass, the query is satisfiable iff
-    the root relation (and every other) is non-empty."""
-    relations = dict(tree.relations)
-    if any(len(r) == 0 for r in relations.values()):
+    """BCQ via Yannakakis: the query is satisfiable iff the upward pass
+    leaves the root (and so every node) non-empty; it stops at the first
+    node it empties."""
+    if any(len(r) == 0 for r in tree.relations.values()):
         return False
+    return _upward_pass(tree, dict(tree.relations), set())
+
+
+def pruned_tree(tree: JoinTree, output_columns) -> list[Node]:
+    """The nodes of ``T_F`` for the output columns ``F``, parents before
+    children: the root, every node whose relation holds an output column
+    its parent's relation lacks, and those nodes' ancestors.  On a join tree
+    the subtrees left out only filter (see the module docstring)."""
+    free = set(output_columns)
     order = tree.topological_order()
-    for node in reversed(order):
+    keep = {tree.root}
+    for node in order:
         parent = tree.parent[node]
         if parent is None:
             continue
-        relations[parent] = relations[parent].semijoin(relations[node])
-        if not relations[parent]:
-            return False
-    return bool(relations[tree.root])
+        introduced = free.intersection(tree.relations[node].columns)
+        if introduced.difference(tree.relations[parent].columns):
+            while node not in keep:
+                keep.add(node)
+                node = tree.parent[node]
+    return [node for node in order if node in keep]
 
 
 def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = None) -> NamedRelation:
-    """Full enumeration via Yannakakis: semijoin-reduce, then join bottom-up,
-    projecting intermediate results onto the columns still needed above.
+    """Enumeration via Yannakakis: the upward pass over the whole tree, then
+    the downward pass and the bottom-up joins over the pruned tree ``T_F``
+    only (:func:`pruned_tree`), projecting each intermediate result onto the
+    output columns and the columns it shares with its parent.  When ``T_F``
+    is the root alone, the answer is the projection of the upward-reduced
+    root, with no downward pass and no join.
 
     ``output_columns`` defaults to the union of all columns (the full CQ
-    case); supplying a subset yields the projection of the answers.
+    case); supplying a subset yields the projection of the answers.  An
+    output column absent from the tree raises ``ValueError`` before any
+    work.  ``tree`` must be a join tree (running intersection): the pruning
+    is exact only there.
     """
-    reduced = semijoin_reduce(tree)
-    all_columns: list = []
-    for relation in tree.relations.values():
-        for column in relation.columns:
-            if column not in all_columns:
-                all_columns.append(column)
-    if output_columns is None:
-        output_columns = tuple(all_columns)
-    else:
-        output_columns = tuple(output_columns)
-
-    needed_above: dict[Node, set] = {}
-
-    def columns_needed(node: Node) -> set:
-        # Columns that must survive when node's result is handed to its parent:
-        # output columns plus columns shared with anything outside the subtree.
-        subtree_nodes = set()
-        frontier = [node]
-        while frontier:
-            current = frontier.pop()
-            subtree_nodes.add(current)
-            frontier.extend(tree.children[current])
-        outside_columns: set = set()
-        for other, relation in tree.relations.items():
-            if other not in subtree_nodes:
-                outside_columns.update(relation.columns)
-        own_columns: set = set()
-        for member in subtree_nodes:
-            own_columns.update(tree.relations[member].columns)
-        return own_columns & (outside_columns | set(output_columns))
-
-    for node in tree.relations:
-        needed_above[node] = columns_needed(node)
-
-    def evaluate(node: Node) -> NamedRelation:
-        result = reduced[node]
-        for child in tree.children[node]:
-            child_result = evaluate(child)
-            result = result.natural_join(child_result)
-        keep = [c for c in result.columns if c in needed_above[node] or node == tree.root]
-        if node == tree.root:
-            keep = [c for c in result.columns if c in set(output_columns)] or list(result.columns)
-        return result.project(keep)
-
-    final = evaluate(tree.root)
-    missing = [c for c in output_columns if c not in final.columns]
+    columns = dict.fromkeys(
+        c for relation in tree.relations.values() for c in relation.columns
+    )
+    output = tuple(columns) if output_columns is None else tuple(output_columns)
+    missing = [c for c in output if c not in columns]
     if missing:
         raise ValueError(f"output columns {missing!r} do not occur in the join tree")
-    return final.project(output_columns)
+    relations = dict(tree.relations)
+    owned: set = set()
+    _upward_pass(tree, relations, owned)
+    nodes = pruned_tree(tree, output)
+    if len(nodes) == 1:
+        return relations[tree.root].project(output)
+    _downward_pass(tree, relations, owned, nodes)
+    # Bottom-up joins over T_F, children before parents.  On a join tree a
+    # subtree shares with the rest of T_F only its root's columns in common
+    # with the parent, so those and the output columns are all a partial
+    # result must carry.
+    wanted = set(output)
+    partial: dict = {}
+
+    def joined(node: Node) -> NamedRelation:
+        result = relations[node]
+        for child in tree.children[node]:
+            if child in partial:
+                result = result.natural_join(partial.pop(child))
+        return result
+
+    for node in reversed(nodes[1:]):
+        result = joined(node)
+        shared = tree.relations[tree.parent[node]].columns
+        partial[node] = result.project(
+            [c for c in result.columns if c in wanted or c in shared]
+        )
+    return joined(tree.root).project(output)

@@ -104,7 +104,10 @@ class ColumnarBackend(EvaluationBackend):
             return columnar_count_answers(query, database, self._ghd(plan))
         # Non-full queries count distinct projections.  Stay in id space:
         # enumerate columnar-side and take the length — the decode step is
-        # skipped entirely because the values never leave the kernel.
+        # skipped entirely because the values never leave the kernel.  The
+        # enumeration joins only the pruned tree T_F; when the free
+        # variables fit the root bag it is the size of the projected,
+        # upward-reduced root, with no downward pass and no join.
         if not query.atoms:
             return 1
         tree = build_columnar_bag_tree(query, database, self._ghd(plan))

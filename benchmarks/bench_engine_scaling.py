@@ -63,9 +63,9 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   join ``A(h,x,y) ∧ B(h,x,z) ∧ C(y,z)`` over databases whose ``(h,x)``
   columns concentrate 90% of their mass on three hot pairs.  The static
   overlap-greedy order always joins A⋈B first (two shared columns) and
-  materialises the quadratic hot-pair blow-up; the sketches see the heavy
-  hitters and route through C instead.  Each point records the cost-based
-  time (the gated number), ``static_seconds`` under
+  materialises the quadratic hot-pair blow-up; the exact degree-vector
+  estimates see it coming and route through C instead.  Each point records
+  the cost-based time (the gated number), ``static_seconds`` under
   ``forced_join_ordering(ORDERING_STATIC)``, and the resulting ``speedup``
   — the gate holds the >=2x bar on every point via ``min_speedup``.
 * ``skewed_sharded_answer`` — hot-key broadcast spilling end to end: a
@@ -698,7 +698,7 @@ def _skewed_join_database(key_domain: int, value_domain: int, tuples: int, seed:
     y/z stay uniform over the wide value domain; C is uniform.  Joining A⋈B
     first (the static overlap-greedy choice: two shared columns) therefore
     materialises ~(hot rows)^2/hot_pairs intermediate rows, while routing
-    through C first stays near-linear — the shape the sketches must detect."""
+    through C first stays near-linear — the shape the estimates must see."""
     import random
 
     from repro.cq.database import Database, Relation
@@ -734,8 +734,9 @@ def bench_skewed_answer() -> list[dict]:
     recorded — like the incremental family's from-scratch comparison —
     because the regression gate re-checks the ``min_speedup`` ratio, not
     just the timing.  The warm first call's estimates-vs-actuals record is
-    kept on the point so the baseline documents the sketches steering the
-    order (``estimated_rows`` within a small factor of ``actual_rows``).
+    kept on the point so the baseline documents the statistics steering the
+    order: the chosen join shares one column, so ``estimated_rows`` equals
+    ``actual_rows``.
     """
     from repro.cq.statistics import ORDERING_STATIC, forced_join_ordering
 
@@ -769,7 +770,6 @@ def bench_skewed_answer() -> list[dict]:
                 "min_speedup": SKEWED_MIN_SPEEDUP,
                 "estimated_rows": stats.get("estimated_rows", 0),
                 "actual_rows": stats.get("actual_rows", 0),
-                "prefilter_rows_dropped": stats.get("prefilter_rows_dropped", 0),
             }
         )
     return points

@@ -28,12 +28,16 @@ set.  This module removes that price structurally:
   :data:`_VECTOR_MIN_ROWS` rows keep int64 ``ndarray`` columns; smaller
   results, dict-path results and resident atom views hold
   ``array('q')``/list columns, copied to int64 (and memoized) when a
-  vectorised operator first reads them.  Everything that leaves the kernel
-  (statistics sketches, decoded rows) sees Python ints;
+  vectorised operator first reads them.  Decoded rows, which leave the
+  kernel, hold Python values;
 * **memoized key structures** — packed key vectors, hash buckets and key
   sets (dict path), and int64 key vectors and their sort orders (NumPy
   path) are cached per (column set, pack base) on the relation in bounded
   LRU memos, so the Yannakakis passes touch each side of an edge once;
+* **exact statistics** — a column's degree vector (:meth:`ColumnarRelation
+  .degrees`) is one ``np.bincount`` over its dense ids, memoized with the
+  NumPy path's keys; the cost-based join order and the reducer's child
+  order read it through :mod:`repro.cq.statistics`;
 * **factorized counting** — the counting DP runs over per-row weight
   vectors and packed keys (sorted segment sums on the NumPy path), so
   ``count()`` on full acyclic/GHD plans never materializes a result row;
@@ -77,7 +81,6 @@ from repro.cq.bags import (
 )
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.relational import NamedRelation, atom_shape, natural_join_all
-from repro.cq.statistics import RelationStatistics
 from repro.cq.yannakakis import JoinTree, yannakakis_boolean, yannakakis_full
 
 #: Entries kept per relation per derived-key memo (packed key vectors, hash
@@ -192,9 +195,9 @@ class ValueInterner:
 
 
 def _ints(vector) -> Sequence[int]:
-    """A column as a sequence of Python ints (what the dict path, the
-    statistics sketches and the decoder consume): int64 arrays convert,
-    ``array``/list columns pass through."""
+    """A column as a sequence of Python ints (what the dict path and the
+    decoder consume): int64 arrays convert, ``array``/list columns pass
+    through."""
     return vector.tolist() if isinstance(vector, np.ndarray) else vector
 
 
@@ -234,7 +237,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "columns", "interner", "_data", "_length", "_positions",
-        "_key_cache", "_bucket_cache", "_keyset_cache", "_stats",
+        "_key_cache", "_bucket_cache", "_keyset_cache",
         "_project_cache", "_vector_cache",
     )
 
@@ -270,7 +273,6 @@ class ColumnarRelation:
         self._keyset_cache = _BoundedMemo()
         self._project_cache = _BoundedMemo()
         self._vector_cache = _BoundedMemo()
-        self._stats = None
 
     @classmethod
     def _trusted(cls, columns, interner, data, length) -> "ColumnarRelation":
@@ -482,28 +484,22 @@ class ColumnarRelation:
         self._keyset_cache.clear()
         self._project_cache.clear()
         self._vector_cache.clear()
-        self._stats = None
 
-    def statistics(self) -> RelationStatistics:
-        """Per-column sketches over the interned **ids** (id equality is
-        value equality, so distinct/heavy-hitter structure carries over),
-        memoized until invalidation; the columnar store's extend-in-place
-        path folds appended rows into existing sketches."""
-        stats = self._stats
-        if stats is None:
-            stats = RelationStatistics.from_columns(
-                self.columns,
-                [_ints(vector) for vector in self._data],
-                self._length,
-            )
-            self._stats = stats
-        return stats
-
-    def adopt_statistics(self, stats: RelationStatistics) -> None:
-        """Install externally composed statistics (cardinality propagation
-        for large join outputs) so :meth:`statistics` never scans the id
-        arrays.  Any later mutation invalidates them like a built sketch."""
-        self._stats = stats
+    def degrees(self, column: Hashable) -> np.ndarray:
+        """The exact degree vector of one column: entry ``k`` counts the
+        rows holding id ``k`` there (one ``np.bincount``; ids past its end
+        occur nowhere).  Id equality is value equality, so these are the
+        column's exact value frequencies.  Memoized with the int64 column
+        it counts, which :meth:`_vector_memo` checks against the row count,
+        and dropped on append with the rest of the NumPy memo."""
+        position = self._positions[column]
+        cache_key = ("degrees", position)
+        entry = self._vector_memo(cache_key)
+        if entry is None:
+            ids = self._column_array(position)
+            entry = (ids, np.bincount(ids))
+            self._vector_cache.store(cache_key, entry)
+        return entry[1]
 
     def _taken(self, indexes) -> tuple:
         """The columns gathered at ``indexes``: an int64 index array takes
@@ -531,7 +527,7 @@ class ColumnarRelation:
         Memoized per column tuple (bounded, LRU like the key memos): the
         bag-materialisation pool projects the same resident atom views with
         the same column sets on every call, and a cached projection keeps
-        not just its arrays but its own key indexes and statistics warm
+        not just its arrays but its own key indexes and degree vectors warm
         across calls.  Derived projections are never mutated — the semijoin
         pass only filters relations it created itself — and the store's
         extend-in-place path drops the memo on append."""
@@ -869,15 +865,12 @@ class ColumnarStore:
         for vector, fresh in zip(view._data, new_columns):
             vector.extend(fresh)
         view._length += added
-        # Derived projections and the NumPy memo hold copies of the
-        # pre-append rows; they are cheap to rebuild, so an append just
-        # drops them (unlike the dict-path key caches above).
+        # Derived projections and the NumPy memo (int64 keys, sort orders,
+        # degree vectors) hold copies of the pre-append rows; they are
+        # cheap to rebuild, so an append just drops them (unlike the
+        # dict-path key caches above).
         view._project_cache.clear()
         view._vector_cache.clear()
-        if view._stats is not None:
-            # Keep the per-column sketches warm across appends too: fold the
-            # new id rows in instead of dropping the statistics.
-            view._stats.extend_columns(new_columns, added)
 
     def _build(self, atom, relation, version, shape) -> tuple:
         """Build a fresh view of ``relation`` as of ``version``; returns

@@ -354,10 +354,10 @@ class Database:
 
     # ------------------------------------------------------------------
     def statistics(self):
-        """This database's :class:`~repro.cq.statistics.StatisticsStore`,
-        created on first use.  Sketches are maintained incrementally on the
-        version seam — appends fold ``delta_since`` rows into the existing
-        per-column summaries instead of rebuilding them."""
+        """This database's :class:`~repro.cq.statistics.StatisticsStore`
+        (exact per-position value counts of the stored relations), created
+        on first use.  The counts follow the version seam: an append folds
+        just its ``delta_since`` rows in, nothing rebuilds."""
         if self._statistics is None:
             from repro.cq.statistics import StatisticsStore
 

@@ -193,9 +193,8 @@ def zipf_database(
     Value ``r`` of the domain (1-indexed rank) is drawn with probability
     proportional to ``1 / r**exponent``, so a handful of head values carry
     most of the mass — the canonical skewed workload.  Uniform-independence
-    cardinality estimates are badly wrong here unless corrected by heavy
-    hitters, which is exactly what the cost-based join ordering's sketches
-    are for.
+    cardinality estimates are badly wrong here, which is why the cost-based
+    join ordering reads exact degree vectors instead.
     """
     if domain_size < 1:
         raise ValueError("zipf_database requires domain_size >= 1")

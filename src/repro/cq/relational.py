@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
-from repro.cq.statistics import (
+# ``estimate_semijoin_fraction`` is unused here but stays bound by name:
+# perfbench/tracing.py wraps the estimators in this module's namespace.
+from repro.cq.statistics import (  # noqa: F401
     ORDERING_COST,
-    RelationStatistics,
-    compose_join_statistics,
     estimate_join_rows,
     estimate_semijoin_fraction,
     join_ordering,
     record_cost_join,
-    record_prefilter,
     record_static_join,
 )
 
@@ -40,26 +39,10 @@ Value = Hashable
 
 _ALL_ROWS = object()  # sentinel index key for the trivial (no-column) key
 
-#: A pre-join semijoin filter is only worth its pass when the estimated
-#: surviving fraction is at most this, over a relation at least this large.
-#: The gate is deliberately strict: uniform workloads estimate ~0.7 and the
-#: filter pass there costs more than the dropped rows save, while skewed
-#: workloads — where the filter is decisive — estimate near zero.
-_PREFILTER_MAX_FRACTION = 0.5
-_PREFILTER_MIN_ROWS = 32
-
-#: Join outputs at least this large adopt *composed* statistics (cardinality
-#: propagation from the input sketches) instead of being re-scanned by the
-#: next ordering decision.  The sketch build costs a few microseconds per
-#: row-value, so even a ~300-row intermediate pays milliseconds per call;
-#: composition is O(sketch capacity) per column regardless of rows.
-_DERIVED_STATS_MIN_ROWS = 64
-
-
 class NamedRelation:
     """An in-memory relation with named columns."""
 
-    __slots__ = ("columns", "rows", "_positions", "_indexes", "_stats")
+    __slots__ = ("columns", "rows", "_positions", "_indexes")
 
     def __init__(self, columns: Sequence[Hashable], rows: Iterable[tuple] = ()) -> None:
         self.columns: tuple = tuple(columns)
@@ -68,7 +51,6 @@ class NamedRelation:
             raise ValueError(f"duplicate column names: {self.columns!r}")
         self.rows: set[tuple] = set()
         self._indexes: dict = {}
-        self._stats = None
         width = len(self.columns)
         for row in rows:
             row = tuple(row)
@@ -85,7 +67,6 @@ class NamedRelation:
         relation._positions = {c: i for i, c in enumerate(columns)}
         relation.rows = rows
         relation._indexes = {}
-        relation._stats = None
         return relation
 
     def __getstate__(self):
@@ -101,7 +82,6 @@ class NamedRelation:
         self._positions = {c: i for i, c in enumerate(columns)}
         self.rows = rows
         self._indexes = {}
-        self._stats = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -162,11 +142,9 @@ class NamedRelation:
         return index
 
     def invalidate_indexes(self) -> None:
-        """Drop the memoized key indexes and statistics (call after any
-        direct mutation of ``rows``; the in-place operations below do it
-        automatically)."""
+        """Drop the memoized key indexes (call after any direct mutation of
+        ``rows``; the in-place operations below do it automatically)."""
         self._indexes.clear()
-        self._stats = None
 
     def extend_rows(self, new_rows: Iterable[tuple]) -> int:
         """Append rows in place, *patching* every memoized key index instead
@@ -181,7 +159,6 @@ class NamedRelation:
         still alive.
         """
         added = 0
-        stats = self._stats
         for row in new_rows:
             if row in self.rows:
                 continue
@@ -190,25 +167,7 @@ class NamedRelation:
             for cache_key, index in self._indexes.items():
                 positions = () if cache_key is _ALL_ROWS else cache_key
                 index.setdefault(tuple(row[i] for i in positions), []).append(row)
-            if stats is not None:
-                stats.extend_rows((row,))
         return added
-
-    def statistics(self) -> RelationStatistics:
-        """Per-column sketches of this relation, built once and memoized
-        until a mutation; appends through :meth:`extend_rows` fold the new
-        rows into the existing sketches instead of rebuilding."""
-        stats = self._stats
-        if stats is None:
-            stats = RelationStatistics.from_rows(self.columns, self.rows)
-            self._stats = stats
-        return stats
-
-    def adopt_statistics(self, stats: RelationStatistics) -> None:
-        """Install externally composed statistics (cardinality propagation
-        for large join outputs) so :meth:`statistics` never scans the rows.
-        Any later mutation invalidates them like a built sketch."""
-        self._stats = stats
 
     @property
     def cached_index_keys(self) -> tuple:
@@ -331,30 +290,31 @@ def natural_join_all(
     selection used to flip the one-column/two-column choice on per-shard
     size jitter, blowing intermediates up by the domain factor.)
 
-    **Cost-based order** (the default mode, for pools of three or more):
-    pick the overlapping pair with the smallest *estimated* output, using
-    the per-column sketches (:meth:`NamedRelation.statistics`) and the
-    heavy-hitter-corrected independence estimate — the structure-only
-    static heuristic is exactly what Zipfian data defeats, since "most
-    shared columns" says nothing about a hub value carrying a third of a
-    column's mass.  Ties in the estimate fall back to the static criteria
-    (more shared columns, then smaller combined size), so uniform data
-    where the estimates genuinely tie keeps the historical shape.  Before
-    the chosen join runs, a **sideways-information-passing** step semijoins
-    each input against the other when the sketches predict a meaningful
-    reduction — the compact key-set filter trims the probe side before any
-    bucket is built, the predicate-transfer/Bloom-join move.  Every
-    decision records its estimate against the actual output in the
+    **Cost-based order** (the default mode, for columnar pools of three or
+    more): pick the overlapping pair with the smallest *estimated* output
+    (:func:`~repro.cq.statistics.estimate_join_rows`, which is exact on one
+    shared column: the dot product of the two columns' degree vectors).
+    The structure-only static heuristic is exactly what Zipfian data
+    defeats, since "most shared columns" says nothing about a hub value
+    carrying a third of a column's mass.  Ties in the estimate fall back to
+    the static criteria (more shared columns, then smaller combined size).
+    Every decision records its estimate against the actual output in the
     process-wide statistics ledger (`EvalResult.timings["stats"]`).
+    Tuple-set relations keep no degree vectors, so tuple-set pools
+    (reference code) always take the static order.
 
-    Both kernels (tuple-set and columnar) flow through this one function;
-    ``trace``, when given, receives the intermediate result size after each
-    pairwise join (the regression harness compares orders with it).
+    Both kernels flow through this one function; ``trace``, when given,
+    receives the intermediate result size after each pairwise join (the
+    regression harness compares orders with it).
     """
     pool = list(relations)
     if not pool:
         raise ValueError("natural_join_all requires at least one relation")
-    cost_mode = len(pool) >= 3 and join_ordering() == ORDERING_COST
+    cost_mode = (
+        len(pool) >= 3
+        and join_ordering() == ORDERING_COST
+        and hasattr(pool[0], "degrees")
+    )
     while len(pool) > 1:
         if cost_mode:
             joined = _cost_join_step(pool)
@@ -390,15 +350,14 @@ def _static_join_step(pool: list) -> NamedRelation:
     return left.natural_join(right)
 
 
-def _cost_join_step(pool: list) -> NamedRelation:
+def _cost_join_step(pool: list):
     """One cost-based join step: pop the pair with the smallest estimated
-    output (sketch-driven), optionally semijoin-prefilter the inputs, join.
+    output and join it.
 
     Estimation only runs where there is a decision to make: with a single
     overlapping pair (the final step of every multi-way join, and forced
-    chain tails) the sketches cannot change the outcome, so the step joins
-    directly and records as static — that keeps the cost mode's overhead on
-    uniform data down to the steps where ordering has leverage.
+    chain tails) the estimates cannot change the outcome, so the step joins
+    directly and records as static.
     """
     pool.sort(key=len)
     candidates = []
@@ -420,66 +379,22 @@ def _cost_join_step(pool: list) -> NamedRelation:
         left = pool.pop(i)
         record_static_join()
         return left.natural_join(right)
-    stats = [relation.statistics() for relation in pool]
     pair = None
     best = None
     for i, j, shared in candidates:
-        estimate = estimate_join_rows(stats[i], stats[j], shared)
+        estimate = estimate_join_rows(pool[i], pool[j], shared)
         # Estimate first; static criteria (overlap, combined size) break
         # genuine ties so uniform data keeps the historical join shape.
         score = (estimate, -len(shared), len(pool[i]) + len(pool[j]))
         if best is None or score < best:
             best = score
-            pair = (i, j, shared, estimate)
-    i, j, shared, estimate = pair
-    left_stats = stats[i]
-    right_stats = stats[j]
+            pair = (i, j, estimate)
+    i, j, estimate = pair
     right = pool.pop(j)
     left = pool.pop(i)
-    left = _sip_prefilter(left, right, left_stats, right_stats)
-    right = _sip_prefilter(right, left, right_stats, left_stats)
     joined = left.natural_join(right)
     record_cost_join(estimate, len(joined))
-    if len(joined) >= _DERIVED_STATS_MIN_ROWS:
-        # Large intermediates never get scanned for sketches: compose the
-        # output statistics from the input sketches instead.  Prefilters may
-        # have shrunk the inputs since the sketches were built, so the
-        # composition errs toward overestimating — safe for ordering.
-        joined.adopt_statistics(
-            compose_join_statistics(
-                left_stats, right_stats, shared, joined.columns, len(joined)
-            )
-        )
     return joined
-
-
-def _sip_prefilter(target, source, target_stats=None, source_stats=None):
-    """Sideways information passing: semijoin ``target`` against ``source``
-    before the join when the sketches predict a worthwhile reduction.  The
-    semijoin probes ``source``'s memoized key-set/index, so surviving rows
-    reach the join's bucket build pre-trimmed; a filter that removes nothing
-    returns ``target`` unchanged (zero-copy).
-
-    Callers that already hold the relations' sketches pass them in so a
-    freshly filtered relation (whose own sketches would need a scan) can be
-    estimated from its pre-filter statistics — an overestimate of its key
-    set, which only makes the gate more conservative."""
-    if len(target) < _PREFILTER_MIN_ROWS:
-        return target
-    shared = [c for c in target.columns if c in set(source.columns)]
-    if not shared:
-        return target
-    fraction = estimate_semijoin_fraction(
-        target_stats if target_stats is not None else target.statistics(),
-        source_stats if source_stats is not None else source.statistics(),
-        shared,
-    )
-    if fraction > _PREFILTER_MAX_FRACTION:
-        return target
-    before = len(target)
-    filtered = target.semijoin(source)
-    record_prefilter(before - len(filtered))
-    return filtered
 
 
 def atom_shape(atom) -> tuple:

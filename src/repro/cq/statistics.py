@@ -1,609 +1,139 @@
-"""Per-column statistics sketches and the selectivity estimators they feed.
+"""Exact statistics over interned ids, and the join-size estimators they feed.
 
-The engine's join ordering was a static, statistics-free heuristic: the
-overlap-greedy pair selection in :func:`repro.cq.relational.natural_join_all`
+The overlap-greedy pair selection in :func:`repro.cq.relational.natural_join_all`
 knows the column structure and the input cardinalities but nothing about the
 *data*.  Uniform data forgives that; Zipfian data does not — a hub value
 carrying 30% of a column's mass turns the "obvious" join into an ``n²``
-blow-up that a statistics-aware order avoids entirely.  This module supplies
-the missing statistics layer:
+blow-up that a statistics-aware order avoids entirely.  The decomposition
+fixes each bag's size bound (Proposition 2.2), so the order of the joins
+inside a bag only ranks work, and exact statistics make that ranking cheap:
+a columnar relation holds dense interned ids, so one ``np.bincount`` gives a
+column's exact degree vector (:meth:`repro.cq.columnar.ColumnarRelation
+.degrees`).  This module supplies:
 
-* :class:`SpaceSaving` — the classic bounded-memory heavy-hitter summary.
-  With capacity ``k`` over ``n`` additions it guarantees, per value ``v``:
-  ``estimate(v) >= true(v)``, ``estimate(v) - error(v) <= true(v)``, and
-  every value with true count ``> n/k`` is tracked.  The summaries drive the
-  skew correction in the join estimator and hot-key detection for sharding.
-* :class:`ColumnSketch` — one column's statistics: row count, an
-  exact-then-sampled distinct count (an exact value set up to
-  :data:`EXACT_DISTINCT_LIMIT`, a KMV min-hash sketch beyond it, reported
-  monotonically under append), min/max where the values are orderable, and a
-  Space-Saving summary.
-* :class:`RelationStatistics` — per-column sketches for one relation,
-  buildable row-wise (tuple-set kernel) or column-wise (columnar kernel) and
-  **extendable** with appended rows, so the PR-9 version seam maintains them
-  incrementally: caches keyed by :attr:`~repro.cq.database.Relation.version`
-  fold in ``delta_since`` rows instead of rebuilding.
-* :func:`estimate_join_rows` / :func:`estimate_semijoin_fraction` —
-  independence-based selectivity with a heavy-hitter correction: matching
-  hot values contribute their (upper-bound) frequency product exactly, the
-  residual mass falls back to the ``1/max(d_l, d_r)`` uniform estimate.
+* :func:`estimate_join_rows` / :func:`estimate_semijoin_fraction` — on one
+  shared column, the exact join size (the dot product of the two degree
+  vectors) and the exact surviving fraction (the degree mass on ids the
+  other side holds).  Several shared columns multiply their single-column
+  selectivities (the independence assumption).  Only columnar relations
+  keep degree vectors; tuple-set pools, reference code, take the static
+  order;
+* :class:`StatisticsStore` — exact per-position value counts of a
+  database's stored relations, kept current on the version seam; the
+  sharding layer's hub and hot-key checks read them;
 * the **join-ordering mode** toggle (:func:`set_join_ordering` /
   :func:`forced_join_ordering`) and the process-wide **ledger** of estimate
   vs. actual records (:func:`ledger_snapshot`), which the executor surfaces
   as ``EvalResult.timings["stats"]`` and benchmarks use to force the static
   order for A/B comparison.
 
-The module is deliberately dependency-free within the package: the kernels
-(:mod:`repro.cq.relational`, :mod:`repro.cq.columnar`), the Yannakakis
-passes, and the sharding layer all import *from* here.
+The kernels (:mod:`repro.cq.relational`, :mod:`repro.cq.columnar`), the
+Yannakakis passes and the sharding layer all import *from* here.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
-from collections import deque
-from collections.abc import Hashable, Iterable, Sequence
+from collections import Counter, deque
+from collections.abc import Hashable, Sequence
 from contextlib import contextmanager
 
-#: Counters kept by one Space-Saving summary.  24 entries track every value
-#: above ~4% column mass exactly enough for ordering and hot-key decisions.
-SPACE_SAVING_CAPACITY = 24
-
-#: Distinct values counted exactly before a sketch switches to KMV sampling.
-EXACT_DISTINCT_LIMIT = 4096
-
-#: Minimum hashes the KMV estimator keeps once sampling starts.
-KMV_SIZE = 256
-
-_HASH_SPACE = float(1 << 32)
-
-
-def _value_hash(value: Hashable) -> int:
-    """A per-run-stable 32-bit hash (builtin ``hash`` is salted)."""
-    return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
-
-
-class SpaceSaving:
-    """Metwally et al.'s Space-Saving heavy-hitter summary.
-
-    Tracks at most ``capacity`` values.  A new value arriving at a full
-    summary evicts the minimum counter ``m`` and enters with count ``m + 1``
-    and error ``m`` — so per tracked value, ``count`` is an upper bound on
-    the true frequency and ``count - error`` a lower bound, and any value
-    whose true frequency exceeds ``total/capacity`` is guaranteed tracked.
-    """
-
-    __slots__ = ("capacity", "total", "_entries", "_exhaustive_memo")
-
-    def __init__(self, capacity: int = SPACE_SAVING_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("SpaceSaving needs capacity >= 1")
-        self.capacity = capacity
-        self.total = 0
-        #: value -> [count, error]
-        self._entries: dict = {}
-        self._exhaustive_memo = None
-
-    def add(self, value: Hashable, weight: int = 1) -> None:
-        self.total += weight
-        self._exhaustive_memo = None
-        entry = self._entries.get(value)
-        if entry is not None:
-            entry[0] += weight
-            return
-        if len(self._entries) < self.capacity:
-            self._entries[value] = [weight, 0]
-            return
-        victim = min(self._entries, key=lambda v: self._entries[v][0])
-        floor = self._entries.pop(victim)[0]
-        self._entries[value] = [floor + weight, floor]
-
-    def estimate(self, value: Hashable) -> tuple[int, int]:
-        """``(count, error)`` for a value: count is an upper bound on the
-        true frequency, ``count - error`` a lower bound.  Untracked values
-        report the current minimum counter as their (all-error) bound."""
-        entry = self._entries.get(value)
-        if entry is not None:
-            return entry[0], entry[1]
-        if len(self._entries) < self.capacity:
-            return 0, 0
-        floor = min(entry[0] for entry in self._entries.values())
-        return floor, floor
-
-    @property
-    def exhaustive(self) -> bool:
-        """Whether the summary still tracks *every* value seen, exactly.
-
-        No eviction has ever happened (every error is zero) iff the column's
-        distinct count never exceeded the capacity — the counts are then true
-        frequencies rather than upper bounds, and a value absent from the
-        summary is genuinely absent from the column.  The estimators use
-        this to go fully exact on small domains.  The tracked counts must
-        also account for the full total: a *derived* summary (composed from
-        join inputs rather than built by scanning) carries partial counts
-        with ``total`` set to the relation's row count, which this check
-        correctly refuses to call exhaustive.
-
-        Memoized until the next :meth:`add` — the ordering estimators ask
-        per candidate pair, over sketches that only change on append.
-        """
-        memo = self._exhaustive_memo
-        if memo is not None:
-            return memo
-        counted = 0
-        result = True
-        for entry in self._entries.values():
-            if entry[1] != 0:
-                result = False
-                break
-            counted += entry[0]
-        else:
-            result = counted == self.total
-        self._exhaustive_memo = result
-        return result
-
-    def upper_bounds(self) -> dict:
-        """``value -> count`` (upper bound) for every tracked value."""
-        return {value: entry[0] for value, entry in self._entries.items()}
-
-    def guaranteed(self) -> dict:
-        """``value -> count - error`` (lower bound) for tracked values with
-        a positive guaranteed frequency."""
-        return {
-            value: entry[0] - entry[1]
-            for value, entry in self._entries.items()
-            if entry[0] > entry[1]
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"SpaceSaving(capacity={self.capacity}, tracked={len(self)}, "
-            f"total={self.total})"
-        )
-
-
-class ColumnSketch:
-    """Statistics for one column: rows, distinct, min/max, heavy hitters.
-
-    The distinct count is **exact** until :data:`EXACT_DISTINCT_LIMIT`
-    distinct values have been seen, then switches to a KMV (k-minimum-
-    values) min-hash estimate seeded from the exact set.  The reported
-    estimate is clamped monotone under append — adding rows never decreases
-    it — which is the property incremental consumers rely on.
-    """
-
-    __slots__ = (
-        "rows", "heavy", "minimum", "maximum", "_orderable",
-        "_exact", "_kmv", "_kmv_threshold", "_floor", "_hot_memo",
-    )
-
-    def __init__(self, capacity: int = SPACE_SAVING_CAPACITY) -> None:
-        self.rows = 0
-        self.heavy = SpaceSaving(capacity)
-        self.minimum = None
-        self.maximum = None
-        self._orderable = True
-        self._exact: set | None = set()
-        self._kmv: list | None = None  # sorted ascending, at most KMV_SIZE
-        self._kmv_threshold = None
-        self._floor = 0.0
-        self._hot_memo = None
-
-    def add(self, value: Hashable) -> None:
-        self.rows += 1
-        self._hot_memo = None
-        self.heavy.add(value)
-        if self._orderable:
-            try:
-                if self.minimum is None:
-                    self.minimum = self.maximum = value
-                else:
-                    if value < self.minimum:
-                        self.minimum = value
-                    if value > self.maximum:
-                        self.maximum = value
-            except TypeError:
-                # Mixed un-orderable types: min/max stop being meaningful.
-                self._orderable = False
-                self.minimum = self.maximum = None
-        if self._exact is not None:
-            self._exact.add(value)
-            if len(self._exact) > EXACT_DISTINCT_LIMIT:
-                self._start_sampling()
-            return
-        digest = _value_hash(value)
-        if digest < self._kmv_threshold and digest not in self._kmv_set():
-            kmv = self._kmv
-            kmv.append(digest)
-            kmv.sort()
-            if len(kmv) > KMV_SIZE:
-                kmv.pop()
-            self._kmv_threshold = kmv[-1]
-
-    def _start_sampling(self) -> None:
-        hashes = sorted({_value_hash(value) for value in self._exact})
-        self._floor = max(self._floor, float(len(self._exact)))
-        self._kmv = hashes[:KMV_SIZE]
-        self._kmv_threshold = self._kmv[-1] if self._kmv else 0
-        self._exact = None
-
-    def _kmv_set(self) -> set:
-        return set(self._kmv)
-
-    @property
-    def exact(self) -> bool:
-        """Whether the distinct count is still exact (below the limit)."""
-        return self._exact is not None
-
-    @property
-    def distinct(self) -> float:
-        """The (possibly estimated) distinct count, monotone under append."""
-        if self._exact is not None:
-            estimate = float(len(self._exact))
-        elif len(self._kmv) < KMV_SIZE:
-            estimate = float(len(self._kmv))
-        else:
-            kth = self._kmv[-1]
-            estimate = (KMV_SIZE - 1) * _HASH_SPACE / max(1.0, float(kth))
-        estimate = min(estimate, float(self.rows)) if self.rows else estimate
-        if estimate > self._floor:
-            self._floor = estimate
-        return self._floor
-
-    @classmethod
-    def derived(
-        cls,
-        rows: int,
-        distinct: float,
-        heavy: "SpaceSaving",
-        minimum=None,
-        maximum=None,
-    ) -> "ColumnSketch":
-        """An *approximate* sketch composed from other sketches rather than
-        built by scanning (join-output cardinality propagation).  The
-        distinct count is recorded as an estimate (``exact`` is False) and
-        the heavy summary is expected to carry all-error entries, so the
-        estimators never mistake a derived sketch for exhaustive truth."""
-        sketch = cls()
-        sketch.rows = rows
-        sketch.heavy = heavy
-        sketch.minimum = minimum
-        sketch.maximum = maximum
-        sketch._orderable = minimum is not None
-        sketch._exact = None
-        sketch._kmv = []
-        sketch._kmv_threshold = 0
-        floor = float(distinct)
-        if rows:
-            floor = min(floor, float(rows))
-        sketch._floor = max(0.0, floor)
-        return sketch
-
-    def hot_values(self) -> dict:
-        """``value -> upper-bound count`` for the tracked heavy hitters,
-        capped at the row count.  Memoized until the next :meth:`add` (the
-        estimators ask repeatedly per ordering decision); callers must not
-        mutate the returned dict."""
-        memo = self._hot_memo
-        if memo is None:
-            rows = self.rows
-            memo = {
-                value: entry[0] if entry[0] < rows else rows
-                for value, entry in self.heavy._entries.items()
-            }
-            self._hot_memo = memo
-        return memo
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnSketch(rows={self.rows}, distinct={self.distinct:.0f}, "
-            f"exact={self.exact})"
-        )
-
-
-class RelationStatistics:
-    """Per-column sketches for one relation (either kernel).
-
-    ``columns`` are the column labels (query variables for pool relations,
-    term positions for stored relations); sketches align positionally.
-    """
-
-    __slots__ = ("columns", "sketches", "rows", "_positions")
-
-    def __init__(self, columns: Sequence[Hashable]) -> None:
-        self.columns = tuple(columns)
-        self.sketches = tuple(ColumnSketch() for _ in self.columns)
-        self.rows = 0
-        self._positions = {c: i for i, c in enumerate(self.columns)}
-
-    @classmethod
-    def from_rows(
-        cls, columns: Sequence[Hashable], rows: Iterable[tuple]
-    ) -> "RelationStatistics":
-        stats = cls(columns)
-        stats.extend_rows(rows)
-        return stats
-
-    @classmethod
-    def from_columns(
-        cls, columns: Sequence[Hashable], vectors: Sequence[Sequence], rows: int
-    ) -> "RelationStatistics":
-        """Column-wise build (the columnar kernel's layout)."""
-        stats = cls(columns)
-        stats.extend_columns(vectors, rows)
-        return stats
-
-    def extend_rows(self, rows: Iterable[tuple]) -> None:
-        sketches = self.sketches
-        count = 0
-        for row in rows:
-            count += 1
-            for sketch, value in zip(sketches, row):
-                sketch.add(value)
-        self.rows += count
-        if not sketches:
-            return
-        # Zero-column relations carry their cardinality in ``rows`` alone;
-        # for the normal case the per-sketch row counters already agree.
-
-    def extend_columns(self, vectors: Sequence[Sequence], rows: int) -> None:
-        for sketch, vector in zip(self.sketches, vectors):
-            add = sketch.add
-            for value in vector:
-                add(value)
-        self.rows += rows
-
-    def sketch(self, column: Hashable) -> ColumnSketch:
-        return self.sketches[self._positions[column]]
-
-    def __repr__(self) -> str:
-        return (
-            f"RelationStatistics(columns={self.columns!r}, rows={self.rows})"
-        )
-
-
-def relation_statistics(relation) -> RelationStatistics:
-    """The memoized :class:`RelationStatistics` of a kernel relation.
-
-    Duck-typed over both kernels through their ``statistics()`` method —
-    each memoizes on the relation object and keeps the sketches patched
-    through its append path, so repeated ordering decisions over the same
-    pool relation pay the scan once.
-    """
-    return relation.statistics()
-
 
 # ----------------------------------------------------------------------
-# Selectivity estimation: independence with heavy-hitter correction
+# Join-size estimation from degree vectors
 # ----------------------------------------------------------------------
-def _column_join_estimate(
-    left: ColumnSketch, right: ColumnSketch
-) -> float:
-    """Estimated matches of one shared column: hot values matched exactly
-    (frequency upper bounds), the residual mass via ``1/max(d_l, d_r)``.
-    When **both** summaries are exhaustive (small domains — every value
-    tracked with its true count) the matched term *is* the answer: there is
-    no residual mass, and a value absent from the other summary is known
-    absent from the column."""
-    nl, nr = left.rows, right.rows
-    if nl == 0 or nr == 0:
-        return 0.0
-    hot_left = left.hot_values()
-    hot_right = right.hot_values()
-    if left.heavy.exhaustive and right.heavy.exhaustive:
-        return min(
-            sum(
-                float(count) * float(hot_right[value])
-                for value, count in hot_left.items()
-                if value in hot_right
-            ),
-            float(nl) * float(nr),
-        )
-    matched = 0.0
-    mass_left = 0.0
-    mass_right = 0.0
-    shared_hot = 0
-    for value, count_left in hot_left.items():
-        count_right = hot_right.get(value)
-        if count_right is None:
-            continue
-        matched += float(count_left) * float(count_right)
-        mass_left += count_left
-        mass_right += count_right
-        shared_hot += 1
-    rest_left = max(0.0, nl - mass_left)
-    rest_right = max(0.0, nr - mass_right)
-    d_left = max(1.0, left.distinct - shared_hot)
-    d_right = max(1.0, right.distinct - shared_hot)
-    estimate = matched + rest_left * rest_right / max(d_left, d_right)
-    return min(estimate, float(nl) * float(nr))
+def _column_join_rows(left, right, column: Hashable) -> int:
+    """The exact ``|L ⋈ R|`` on one shared column: the sum over ids ``k``
+    of ``deg_L(k) * deg_R(k)``, at most ``len(L) * len(R)``, so the int64
+    dot product cannot wrap.  A vector built before the interner grew is
+    shorter; the ids past its end occur nowhere on that side, so truncating
+    both to the shorter length is exact."""
+    left_degrees = left.degrees(column)
+    right_degrees = right.degrees(column)
+    common = min(len(left_degrees), len(right_degrees))
+    return int(left_degrees[:common] @ right_degrees[:common])
 
 
-def estimate_join_rows(
-    left: RelationStatistics,
-    right: RelationStatistics,
-    shared: Sequence[Hashable],
-) -> float:
-    """Estimated ``|L ⋈ R|`` over the shared columns: per-column skew-
-    corrected selectivities combined under the independence assumption.
-    With no shared columns this is the cross-product size."""
-    base = float(left.rows) * float(right.rows)
+def estimate_join_rows(left, right, shared: Sequence[Hashable]) -> float:
+    """Estimated ``|L ⋈ R|`` of two columnar relations over their shared
+    columns: exact on one shared column, the cross-product size scaled by
+    each column's selectivity on several.  With no shared column this is
+    the cross-product size."""
+    base = float(len(left)) * float(len(right))
     if base == 0.0:
         return 0.0
     estimate = base
     for column in shared:
-        per_column = _column_join_estimate(left.sketch(column), right.sketch(column))
-        estimate *= per_column / base
+        # Multiply before dividing: one shared column gives its exact size.
+        estimate = estimate * _column_join_rows(left, right, column) / base
     return estimate
 
 
-def estimate_semijoin_fraction(
-    left: RelationStatistics,
-    right: RelationStatistics,
-    shared: Sequence[Hashable],
-) -> float:
-    """Estimated fraction of ``left`` rows surviving ``left ⋉ right``:
-    hot values present on both sides survive with their full mass, the
-    residual mass survives at the distinct-ratio rate."""
-    if left.rows == 0:
+def estimate_semijoin_fraction(left, right, shared: Sequence[Hashable]) -> float:
+    """Estimated fraction of ``left`` rows surviving ``left ⋉ right``: on
+    one shared column, exactly the degree mass of ``left`` on the ids
+    ``right`` holds, over ``len(left)``; on several, the product of those
+    fractions.  With no shared column every row survives a non-empty
+    ``right`` and none an empty one, as in both kernels' ``semijoin``."""
+    rows = len(left)
+    if rows == 0 or len(right) == 0:
         return 0.0
-    if right.rows == 0:
-        return 0.0 if shared else 1.0
     fraction = 1.0
     for column in shared:
-        sketch_left = left.sketch(column)
-        sketch_right = right.sketch(column)
-        hot_left = sketch_left.hot_values()
-        hot_right = sketch_right.hot_values()
-        surviving = sum(
-            float(count)
-            for value, count in hot_left.items()
-            if value in hot_right
-        )
-        rest = max(0.0, sketch_left.rows - sum(hot_left.values()))
-        ratio = min(1.0, sketch_right.distinct / max(1.0, sketch_left.distinct))
-        per_column = (surviving + rest * ratio) / max(1.0, float(sketch_left.rows))
-        fraction *= min(1.0, per_column)
-    return max(0.0, min(1.0, fraction))
+        left_degrees = left.degrees(column)
+        held = right.degrees(column)[: len(left_degrees)] > 0
+        fraction *= int(left_degrees[: len(held)][held].sum()) / rows
+    return fraction
 
 
-def _derived_heavy(counts: dict, rows: int) -> SpaceSaving:
-    """A Space-Saving summary carrying composed (approximate) hot counts:
-    every entry is all-error (upper bound only, no guaranteed mass) and
-    ``total`` is the relation's row count, so :attr:`SpaceSaving.exhaustive`
-    stays False and downstream estimators treat the counts as bounds."""
-    heavy = SpaceSaving()
-    heavy.total = rows
-    if len(counts) > heavy.capacity:
-        kept = sorted(counts.items(), key=lambda item: -item[1])[: heavy.capacity]
-    else:
-        kept = counts.items()
-    for value, count in kept:
-        if count > 0:
-            heavy._entries[value] = [count, count]
-    return heavy
-
-
-def _range_overlap(left: ColumnSketch, right: ColumnSketch) -> tuple:
-    if left.minimum is None or right.minimum is None:
-        return None, None
-    try:
-        return max(left.minimum, right.minimum), min(left.maximum, right.maximum)
-    except TypeError:
-        return None, None
-
-
-def compose_join_statistics(
-    left: RelationStatistics,
-    right: RelationStatistics,
-    shared: Sequence[Hashable],
-    columns: Sequence[Hashable],
-    rows: int,
-) -> RelationStatistics:
-    """Derived statistics for a join output — cardinality propagation
-    instead of a scan.
-
-    Re-scanning every intermediate to sketch it costs more than the
-    ordering decisions it informs (the scan is O(rows x columns) per join
-    step); composing from the already-known input sketches is O(capacity)
-    per column.  Per output column:
-
-    * **join columns** (shared): distinct is bounded by either side's
-      distinct; a value hot on both sides appears ~``count_l * count_r``
-      times in the output (exactly that many for the join column itself,
-      before capping at the output size); min/max is the range overlap.
-    * **carried columns**: distinct and hot counts come from the owning
-      side; hot counts are scaled up by the join's expansion factor when it
-      expanded (a hub value's rows match at least at the average rate) and
-      left untouched when it filtered (skew tends to survive filtering —
-      keeping the count is the safer upper bound for skew detection).
-
-    Every derived summary is marked approximate (all-error entries,
-    estimated distinct), so the exhaustive-exact shortcut in the estimators
-    never fires on composed numbers.
-    """
-    shared_set = set(shared)
-    stats = RelationStatistics(columns)
-    stats.rows = rows
-    sketches = []
-    for column in columns:
-        in_left = column in left._positions
-        source = left if in_left else right
-        sketch = source.sketch(column)
-        if column in shared_set and in_left and column in right._positions:
-            other = right.sketch(column)
-            distinct = min(sketch.distinct, other.distinct)
-            hot_left = sketch.hot_values()
-            hot_right = other.hot_values()
-            counts = {
-                value: min(rows, int(count) * int(hot_right[value]))
-                for value, count in hot_left.items()
-                if value in hot_right
-            }
-            minimum, maximum = _range_overlap(sketch, other)
-        else:
-            scale = max(1.0, rows / max(1, sketch.rows))
-            distinct = min(sketch.distinct, float(rows)) if rows else 0.0
-            counts = {
-                value: min(rows, int(count * scale))
-                for value, count in sketch.hot_values().items()
-            }
-            minimum, maximum = sketch.minimum, sketch.maximum
-        sketches.append(
-            ColumnSketch.derived(
-                rows, distinct, _derived_heavy(counts, rows), minimum, maximum
-            )
-        )
-    stats.sketches = tuple(sketches)
-    return stats
-
-
+# ----------------------------------------------------------------------
+# Stored relations: exact value counts on the version seam
+# ----------------------------------------------------------------------
 class StatisticsStore:
-    """Per-relation statistics for one :class:`~repro.cq.database.Database`,
-    maintained incrementally on the version seam.
+    """Exact per-position value counts of one
+    :class:`~repro.cq.database.Database`'s stored relations, maintained on
+    the version seam.
 
-    Sketches are built over the **stored tuples** (columns are the term
-    positions ``0..arity-1``) and keyed by :attr:`~repro.cq.database
-    .Relation.version`: a relation whose version moved since the last look
-    folds exactly its ``delta_since`` rows into the existing sketches —
-    appends update, they never rebuild.  The store is derived data; the
-    database drops it before pickling, like the atom-view and columnar
-    caches.
+    :meth:`relation_stats` returns one :class:`collections.Counter` per
+    term position, keyed by :attr:`~repro.cq.database.Relation.version`.
+    A relation whose version moved since the last look folds exactly the
+    rows in ``[seen, version)`` into copies of its counters, under the
+    store's lock: a row appended after the version was read waits for the
+    next call, two callers never fold one delta twice, and a counter once
+    returned is never mutated, so readers need no lock.  The store is
+    derived data; the database drops it before pickling, like the atom-view
+    and columnar caches.
     """
 
-    __slots__ = ("_relations", "builds", "extensions")
+    __slots__ = ("_relations", "_lock", "builds", "extensions")
 
     def __init__(self) -> None:
-        #: relation name -> (version reflected, RelationStatistics)
+        #: relation name -> (version reflected, tuple of Counters)
         self._relations: dict = {}
+        self._lock = threading.Lock()
         self.builds = 0
         self.extensions = 0
 
-    def relation_stats(self, relation) -> RelationStatistics:
-        """The up-to-date sketches of one stored relation."""
-        version = relation.version
-        entry = self._relations.get(relation.name)
-        if entry is not None:
-            seen, stats = entry
-            if version != seen:
-                stats.extend_rows(relation.delta_since(seen))
+    def relation_stats(self, relation) -> tuple:
+        """The value counts of one stored relation, one
+        :class:`~collections.Counter` per term position, as of the version
+        read under the lock."""
+        with self._lock:
+            version = relation.version
+            seen, counts = self._relations.get(relation.name, (0, None))
+            if counts is None:
+                counts = tuple(Counter() for _ in range(relation.arity))
+                self.builds += 1
+            elif seen == version:
+                return counts
+            else:
+                counts = tuple(counter.copy() for counter in counts)
                 self.extensions += 1
-                self._relations[relation.name] = (version, stats)
-            return stats
-        stats = RelationStatistics.from_rows(
-            tuple(range(relation.arity)), relation.delta_since(0)
-        )
-        self.builds += 1
-        self._relations[relation.name] = (version, stats)
-        return stats
-
-    def column_sketch(self, relation, column: int) -> ColumnSketch:
-        """The sketch of one term position of a stored relation."""
-        return self.relation_stats(relation).sketches[column]
+            rows = relation.delta_since(seen)[: version - seen]
+            for counter, column in zip(counts, zip(*rows)):
+                counter.update(column)
+            self._relations[relation.name] = (version, counts)
+            return counts
 
     def info(self) -> dict:
         return {
@@ -664,6 +194,8 @@ def forced_join_ordering(mode: str):
 # ----------------------------------------------------------------------
 # The estimate ledger: estimates vs. actuals, process-wide
 # ----------------------------------------------------------------------
+#: ``prefilter_passes`` and ``prefilter_rows_dropped`` always read 0; they
+#: stay because the benchmark harness's ledger readers index them.
 _LEDGER_FIELDS = (
     "cost_joins", "static_joins", "prefilter_passes", "prefilter_rows_dropped",
     "reducer_orderings", "estimated_rows", "actual_rows",
@@ -685,12 +217,6 @@ def record_cost_join(estimated: float, actual: int) -> None:
 def record_static_join() -> None:
     with _ledger_lock:
         _ledger["static_joins"] += 1
-
-
-def record_prefilter(rows_dropped: int) -> None:
-    with _ledger_lock:
-        _ledger["prefilter_passes"] += 1
-        _ledger["prefilter_rows_dropped"] += rows_dropped
 
 
 def record_reducer_ordering() -> None:

@@ -24,9 +24,9 @@ sync.  Four regimes mirror the paper's complexity landscape:
 * :data:`REGIME_SKEWED` — the same query shapes over *skewed* data:
   Zipf-distributed columns and hub-heavy databases whose join keys
   concentrate on a few hot values.  Uniform-independence cardinality
-  estimates are wrong here, so these scenarios exercise the heavy-hitter
-  corrections of the cost-based join ordering and the hot-key broadcast
-  spill of the sharded path (:mod:`repro.cq.statistics`).
+  estimates are wrong here, so these scenarios exercise the exact
+  degree-vector estimates of the cost-based join ordering and the hot-key
+  broadcast spill of the sharded path (:mod:`repro.cq.statistics`).
 
 Databases per scenario deliberately span the satisfiability spectrum —
 random, planted (guaranteed satisfiable), unsatisfiable-by-construction, and

@@ -98,27 +98,28 @@ def _ordered_children(relations, parent_relation, children: list) -> list:
 
     The filters commute — the reduced parent is the rows matching *every*
     child, whatever the order — so ordering is purely a cost decision: apply
-    the estimated-most-selective child first and the later (more expensive)
-    probes scan an already-shrunk parent.  Only consulted in cost-based mode
-    for parents large enough that the sketch lookups pay for themselves;
-    ties keep the given order (``sorted`` is stable), so uniform data keeps
-    the historical sweep.
+    the most selective child first and the later probes scan an
+    already-shrunk parent.  Each child's surviving fraction is exact on one
+    shared column (:func:`~repro.cq.statistics.estimate_semijoin_fraction`
+    over the degree vectors), and an empty child, whatever it shares,
+    keeps nothing, so it goes first.  Only consulted in cost-based mode, on
+    columnar parents large enough that computing the fractions pays for
+    itself; tuple-set relations keep no degree vectors, so their trees keep
+    the given order, and so do ties (``sorted`` is stable).
     """
     if (
         len(children) < 2
         or len(parent_relation) < _REDUCER_MIN_ROWS
         or join_ordering() != ORDERING_COST
+        or not hasattr(parent_relation, "degrees")
     ):
         return children
-    parent_stats = parent_relation.statistics()
     parent_columns = set(parent_relation.columns)
 
     def fraction(child: Node) -> float:
         child_relation = relations[child]
         shared = [c for c in child_relation.columns if c in parent_columns]
-        return estimate_semijoin_fraction(
-            parent_stats, child_relation.statistics(), shared
-        )
+        return estimate_semijoin_fraction(parent_relation, child_relation, shared)
 
     record_reducer_ordering()
     return sorted(children, key=fraction)

@@ -145,17 +145,17 @@ def reassign_pieces(assignment, dead, workers) -> dict:
 #: would pile that mass onto one shard.
 _HUB_FRACTION = 0.25
 
-#: A partition-key value is spilled to broadcast only when its guaranteed
-#: frequency tops fair share, twice the average per-value mass, *and* this
-#: absolute floor — tiny relations never spill.
+#: A partition-key value is spilled to broadcast only when its frequency
+#: tops fair share, twice the average per-value mass, *and* this absolute
+#: floor — tiny relations never spill.
 _HOT_KEY_MIN_ROWS = 4
 
 
 def _variable_hot_fraction(query: ConjunctiveQuery, database, variable) -> float:
     """The worst top-value concentration over the stored columns where
-    ``variable`` occurs: ``max(top guaranteed frequency / rows)`` across
-    every (relation, position) the variable pins, from the Space-Saving
-    summaries.  0.0 when nothing is known (missing/empty relations)."""
+    ``variable`` occurs: ``max(top frequency / rows)`` across every
+    (relation, position) the variable pins, from the database's exact value
+    counts.  0.0 when nothing is known (missing/empty relations)."""
     worst = 0.0
     store = database.statistics()
     seen: set = set()
@@ -170,9 +170,9 @@ def _variable_hot_fraction(query: ConjunctiveQuery, database, variable) -> float
             rows = len(relation)
             if not rows:
                 continue
-            guaranteed = store.column_sketch(relation, position).heavy.guaranteed()
-            if guaranteed:
-                worst = max(worst, max(guaranteed.values()) / rows)
+            counts = store.relation_stats(relation)[position]
+            if counts:
+                worst = max(worst, max(counts.values()) / rows)
     return worst
 
 
@@ -184,7 +184,7 @@ def choose_shard_variable(query: ConjunctiveQuery, database=None):
     for determinism) — the variable most likely to co-partition every
     relation, and failing that, the one that minimises the broadcast set.
     With a ``database``, equally-frequent candidates are screened through
-    the heavy-hitter summaries: when the default candidate is
+    the exact value counts: when the default candidate is
     hub-concentrated (one value carrying ≥ 25% of a pinned column) and a
     peer is not, the cooler peer wins — hashing on a hub key piles its mass
     onto one shard no matter how good the column structure looks.  Returns
@@ -220,7 +220,8 @@ class ShardingSpec:
     ``partition_columns`` maps each co-partitionable relation to the column
     shared by every atom over it where the shard variable occurs;
     ``broadcast_relations`` are replicated to every shard.  ``hot_keys``
-    are detected heavy-hitter partition-key values spilled to broadcast by
+    are partition-key values frequent enough to overload their shard,
+    spilled to broadcast by
     :meth:`~repro.cq.database.Database.partition` (rows carrying them are
     replicated instead of hashed, keeping shard balance near ±1 under
     Zipfian data — at the price of combining counts by union).  ``mode`` is
@@ -245,10 +246,10 @@ class ShardingSpec:
 def _detect_hot_keys(database, partition_columns: dict, shards: int) -> tuple:
     """Partition-key values whose frequency would overload their shard.
 
-    A value is hot when its **guaranteed** Space-Saving frequency in some
-    partitioned column exceeds fair share (``rows / shards``), twice the
-    average per-value mass (so uniform small domains never trip), and an
-    absolute floor.  Returned repr-sorted for determinism.
+    A value is hot when its exact frequency in some partitioned column
+    exceeds fair share (``rows / shards``), twice the average per-value
+    mass (so uniform small domains never trip), and an absolute floor.
+    Returned repr-sorted for determinism.
     """
     hot: set = set()
     store = database.statistics()
@@ -257,15 +258,13 @@ def _detect_hot_keys(database, partition_columns: dict, shards: int) -> tuple:
         rows = len(relation)
         if not rows:
             continue
-        sketch = store.column_sketch(relation, column)
+        counts = store.relation_stats(relation)[column]
         threshold = max(
             rows / shards,
-            2.0 * rows / max(1.0, sketch.distinct),
+            2.0 * rows / max(1, len(counts)),
             float(_HOT_KEY_MIN_ROWS),
         )
-        for value, guaranteed in sketch.heavy.guaranteed().items():
-            if guaranteed > threshold:
-                hot.add(value)
+        hot.update(value for value, count in counts.items() if count > threshold)
     return tuple(sorted(hot, key=repr))
 
 

@@ -1,18 +1,24 @@
-"""Unit tests for :mod:`repro.cq.statistics`: the sketches' incremental
-maintenance on the version seam, the exact→KMV distinct hand-off, the
-ordering-mode toggle, and the estimate ledger."""
+"""Unit tests for :mod:`repro.cq.statistics`: the store's exact value
+counts on the version seam (including racing appends and readers), the
+columnar degree vectors and the estimators over them (several shared
+columns, an empty side, the reducer's child order), the static order of
+tuple-set pools, the ordering-mode toggle, and the estimate ledger."""
+
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
-from repro.cq import statistics
+from repro.cq.columnar import ColumnarRelation, ValueInterner
 from repro.cq.database import Database, Relation
+from repro.cq.relational import NamedRelation, natural_join_all
 from repro.cq.statistics import (
-    EXACT_DISTINCT_LIMIT,
     ORDERING_COST,
     ORDERING_STATIC,
-    ColumnSketch,
-    RelationStatistics,
     StatisticsStore,
+    estimate_join_rows,
+    estimate_semijoin_fraction,
     forced_join_ordering,
     join_ordering,
     ledger_delta,
@@ -21,6 +27,14 @@ from repro.cq.statistics import (
     record_cost_join,
     set_join_ordering,
 )
+from repro.cq.yannakakis import _ordered_children
+
+
+def _expected_counts(relation, version):
+    rows = relation.rows_at(version)
+    return tuple(
+        Counter(row[position] for row in rows) for position in range(relation.arity)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -32,25 +46,23 @@ def test_store_builds_once_and_extends_on_append():
     store = database.statistics()
     relation = database.relation("R")
 
-    stats = store.relation_stats(relation)
+    counts = store.relation_stats(relation)
     assert store.info() == {"relations": 1, "builds": 1, "extensions": 0}
-    assert stats.rows == 20
-    assert stats.sketches[0].distinct == 20
-    assert stats.sketches[1].distinct == 3
+    assert counts == _expected_counts(relation, 20)
+    assert len(counts[0]) == 20 and len(counts[1]) == 3
 
     # A clean re-read is a pure cache hit: same object, no extension.
-    assert store.relation_stats(relation) is stats
+    assert store.relation_stats(relation) is counts
     assert store.info()["extensions"] == 0
 
-    # Appending moves the version; the store folds exactly the delta in.
+    # Appending moves the version; the store folds exactly the delta into
+    # fresh counters and leaves the ones it returned before untouched.
     database.add_fact("R", (100, 7))
     updated = store.relation_stats(relation)
-    assert updated is stats, "append must extend the existing sketches"
     assert store.info() == {"relations": 1, "builds": 1, "extensions": 1}
-    assert updated.rows == 21
-    assert updated.sketches[0].distinct == 21
-    assert updated.sketches[1].distinct == 4
-    assert updated.sketches[0].maximum == 100
+    assert updated == _expected_counts(relation, 21)
+    assert updated[1][7] == 1
+    assert counts == _expected_counts(relation, 20)
 
 
 def test_store_is_dropped_on_pickle_and_rebuilt_lazily():
@@ -63,69 +75,161 @@ def test_store_is_dropped_on_pickle_and_rebuilt_lazily():
     # The store is derived data: the clone starts fresh and rebuilds.
     store = clone.statistics()
     assert store.info()["relations"] == 0
-    assert store.relation_stats(clone.relation("R")).rows == 2
+    assert store.relation_stats(clone.relation("R")) == (Counter({1: 1, 2: 1}),)
+
+
+class _RacingRelation(Relation):
+    """A relation on which one append lands right after a reader has read
+    :attr:`version`: the interleaving of a concurrent writer, replayed
+    deterministically."""
+
+    pending = None
+
+    @property
+    def version(self) -> int:
+        version = len(self._log)
+        if self.pending is not None:
+            row, self.pending = self.pending, None
+            self.add(row)
+        return version
+
+
+def test_store_folds_exactly_the_rows_below_the_version_it_records():
+    relation = _RacingRelation("R", 2, [(i, i % 2) for i in range(4)])
+    store = StatisticsStore()
+    store.relation_stats(relation)
+    relation.add((10, 0))
+    # The reader sees version 5, then (11, 1) lands before it folds: that
+    # row belongs to the next call, which must fold it exactly once.
+    relation.pending = (11, 1)
+    assert store.relation_stats(relation) == _expected_counts(relation, 5)
+    assert relation.version == 6
+    assert store.relation_stats(relation) == _expected_counts(relation, 6)
+    assert store.relation_stats(relation) == _expected_counts(relation, 6)
+
+
+def test_store_readers_racing_an_appender_see_exact_counts():
+    relation = Relation("R", 2)
+    store = StatisticsStore()
+    appends = 400
+    failures: list = []
+    done = threading.Event()
+
+    def appender():
+        for i in range(appends):
+            relation.add((i, i % 7))
+        done.set()
+
+    def reader():
+        while True:
+            finished = done.is_set()
+            counts = store.relation_stats(relation)
+            # Rows are distinct, so a snapshot of version v totals v rows.
+            version = sum(counts[0].values())
+            if counts != _expected_counts(relation, version):
+                failures.append(version)
+            if finished or failures:
+                return
+
+    threads = [threading.Thread(target=appender)] + [
+        threading.Thread(target=reader) for _ in range(3)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, f"inexact counts at versions {failures[:5]}"
+    assert store.relation_stats(relation) == _expected_counts(relation, appends)
 
 
 # ----------------------------------------------------------------------
-# The exact -> KMV hand-off
+# Degree vectors and the estimators over them
 # ----------------------------------------------------------------------
-def test_distinct_switches_to_sampling_and_stays_monotone(monkeypatch):
-    monkeypatch.setattr(statistics, "EXACT_DISTINCT_LIMIT", 64)
-    sketch = ColumnSketch()
-    previous = 0.0
-    for value in range(500):
-        sketch.add(value)
-        current = sketch.distinct
-        assert current >= previous, "distinct decreased across the hand-off"
-        previous = current
-    assert not sketch.exact, "the sketch never left the exact range"
-    # The estimate stays in the right ballpark (KMV over CRC32 of small
-    # ints is coarse; the ordering decisions only need the magnitude).
-    assert 100 <= sketch.distinct <= 5000
-    assert sketch.rows == 500
+def _columnar(columns, rows, interner):
+    return ColumnarRelation.from_named(NamedRelation(columns, set(rows)), interner)
 
 
-def test_distinct_is_capped_by_rows():
-    sketch = ColumnSketch()
-    for value in range(10):
-        sketch.add(value)
-    assert sketch.distinct <= sketch.rows
-    assert sketch.distinct == 10
+def test_degrees_are_exact_and_follow_in_place_filtering():
+    interner = ValueInterner()
+    # Large enough for the NumPy path's operators.
+    relation = _columnar(("x", "y"), [(i % 37, i) for i in range(700)], interner)
+    degrees = relation.degrees("x")
+    counts = Counter(row[0] for row in relation.id_rows())
+    assert degrees.tolist() == [counts[k] for k in range(len(degrees))]
+    assert relation.degrees("x") is degrees, "degree vectors are memoized"
+    # Filtering in place drops the memo: the next read counts the survivors.
+    relation.semijoin_inplace(_columnar(("x",), [(k,) for k in range(10)], interner))
+    survivors = Counter(row[0] for row in relation.id_rows())
+    assert relation.degrees("x").tolist() == [
+        survivors[k] for k in range(len(relation.degrees("x")))
+    ]
 
 
-def test_unorderable_values_disable_min_max_only():
-    sketch = ColumnSketch()
-    sketch.add(3)
-    sketch.add("three")  # int vs str: not orderable
-    assert sketch.minimum is None and sketch.maximum is None
-    assert sketch.distinct == 2
-    assert sketch.rows == 2
+def test_several_shared_columns_multiply_their_selectivities():
+    left_rows = {(i % 3, i % 5) for i in range(30)}
+    right_rows = {(i % 2, i % 4, i) for i in range(12)}
+    interner = ValueInterner()
+    left = _columnar(("x", "y"), left_rows, interner)
+    right = _columnar(("x", "y", "z"), right_rows, interner)
 
+    def matches(position):
+        return sum(1 for l in left_rows for r in right_rows if l[position] == r[position])
 
-def test_exact_limit_is_wired():
-    # The production limit stays generous enough that the differential
-    # workloads (hundreds of rows) always run in the exact range.
-    assert EXACT_DISTINCT_LIMIT >= 1024
-
-
-# ----------------------------------------------------------------------
-# Column-wise builds (the columnar kernel's layout)
-# ----------------------------------------------------------------------
-def test_from_columns_matches_from_rows():
-    rows = [(1, "a"), (2, "b"), (1, "c")]
-    by_rows = RelationStatistics.from_rows(("x", "y"), rows)
-    by_columns = RelationStatistics.from_columns(
-        ("x", "y"), [[1, 2, 1], ["a", "b", "c"]], 3
+    on_x, on_y = matches(0), matches(1)
+    assert estimate_join_rows(left, right, ["x"]) == on_x
+    assert estimate_join_rows(left, right, ["y"]) == on_y
+    base = len(left) * len(right)
+    assert estimate_join_rows(left, right, ["x", "y"]) == pytest.approx(
+        on_x * on_y / base
     )
-    assert by_rows.rows == by_columns.rows == 3
-    for column in ("x", "y"):
-        assert (
-            by_rows.sketch(column).distinct == by_columns.sketch(column).distinct
-        )
-        assert (
-            by_rows.sketch(column).hot_values()
-            == by_columns.sketch(column).hot_values()
-        )
+
+
+def test_tuple_set_pools_take_the_static_order():
+    pool = [
+        NamedRelation(("x", "y"), {(1, 2), (2, 3)}),
+        NamedRelation(("y", "z"), {(2, 5), (3, 6)}),
+        NamedRelation(("x", "z"), {(1, 5)}),
+    ]
+    before = ledger_snapshot()
+    joined = natural_join_all(pool)
+    moved = ledger_delta(before, ledger_snapshot())
+    assert joined == pool[0].natural_join(pool[1]).natural_join(pool[2])
+    assert moved["cost_joins"] == 0 and moved["static_joins"] == 2
+
+
+def test_semijoin_fraction_against_an_empty_relation_is_zero():
+    # Both kernels' semijoin keeps nothing of ``left`` against an empty
+    # relation, whether or not the two share a column.
+    interner = ValueInterner()
+    left = _columnar(("x",), [(1,), (2,)], interner)
+    for right, shared in [
+        (_columnar(("y",), [], interner), []),
+        (_columnar(("x",), [], interner), ["x"]),
+        (_columnar(("y",), [(3,)], interner), []),
+        (_columnar(("x",), [(2,), (5,)], interner), ["x"]),
+    ]:
+        estimate = estimate_semijoin_fraction(left, right, shared)
+        assert estimate == len(left.semijoin(right)) / len(left), (right, shared)
+
+
+def test_reducer_applies_an_empty_child_first():
+    # The empty child shares no column with the parent: its semijoin keeps
+    # nothing, so it is the most selective filter, not the least.
+    interner = ValueInterner()
+    parent = _columnar(("x", "y"), [(i, i % 4) for i in range(100)], interner)
+    relations = {
+        "half": _columnar(("x",), [(i,) for i in range(50)], interner),
+        "empty": _columnar(("z",), [], interner),
+    }
+    assert _ordered_children(relations, parent, ["half", "empty"]) == [
+        "empty", "half"
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 historical overlap-greedy order on the existing workloads.
 
 For every scenario of the workload seeds, the full multi-way join pool of
-the query (one :func:`from_atom` relation per atom) is evaluated under both
-ordering modes with a step trace.  Two contracts:
+the query (one columnar view per atom, :meth:`Database.columnar_view`; the
+cost path reads the columnar kernel's degree vectors, and tuple-set pools
+always take the static order) is evaluated under both ordering modes with
+a step trace.  Two contracts:
 
 * **per scenario** — the cost-based order's intermediates never *blow up*
   relative to static: greedy-by-estimate optimises one step at a time, so
@@ -25,7 +27,7 @@ import os
 import pytest
 
 from repro.cq import workloads
-from repro.cq.relational import from_atom, natural_join_all
+from repro.cq.relational import natural_join_all
 from repro.cq.statistics import (
     ORDERING_STATIC,
     forced_join_ordering,
@@ -55,7 +57,7 @@ def _pool(scenario):
         seen.add(atom.relation)
         if not scenario.database.has_relation(atom.relation):
             return None
-        pool.append(from_atom(atom, scenario.database))
+        pool.append(scenario.database.columnar_view(atom))
     return pool
 
 
@@ -69,7 +71,10 @@ def _traces(scenario):
     cost_trace: list = []
     cost_result = natural_join_all(list(pool), trace=cost_trace)
     # Same answer either way: the ordering is pure cost policy.
-    assert cost_result.rows == static_result.project(cost_result.columns).rows
+    assert (
+        cost_result.decode_rows()
+        == static_result.project(cost_result.columns).decode_rows()
+    )
     return cost_trace, static_trace
 
 

@@ -184,3 +184,24 @@ def test_eval_result_stats_record_is_populated():
     record = sharded.timings["stats"]
     assert "hot_keys" in record
     assert record["mode"] == "cost-based"
+
+
+def test_eval_result_stats_estimates_equal_actuals_on_the_hot_pair_triangle():
+    # The skewed_answer benchmark's hot-pair triangle at its small scale:
+    # the cost-chosen join shares one column, where the estimate is the
+    # exact join size (the dot product of two degree vectors).
+    import importlib.util
+    import pathlib
+
+    path = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "bench_engine_scaling.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_engine_scaling", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    _label, key_domain, value_domain, tuples = bench.SKEWED_SCALES[0]
+    database = bench._skewed_join_database(key_domain, value_domain, tuples)
+    result = EngineSession().answer(bench._skewed_join_query(), database)
+    assert result.stats["cost_joins"] == 1
+    assert result.stats["estimated_rows"] == result.stats["actual_rows"] > 0

@@ -30,9 +30,12 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   variable-renamed queries over one database).  Each point records the
   batch time (the gated number) and ``loop_seconds``, the same workload as
   a loop of cold per-query ``Engine().answer`` calls, so the JSON tracks the
-  speedup that dedup + plan reuse + parallel execution deliver.
+  speedup that dedup + plan reuse deliver.  The batch runs on the default
+  inline runtime, where ``parallel`` changes nothing (it only caps the
+  process runtime's replicas); the recorded ``parallel`` field is kept for
+  the baseline's shape.
 * ``sharded_answer`` — the sharded execution path
-  (``EngineSession.answer(..., shards=4)``, default thread runtime) on
+  (``EngineSession.answer(..., shards=4)``, default inline runtime) on
   hub-cycle (wheel) workloads, fully co-partitionable on the hub variable.
   Each point records the sharded time (the gated number),
   ``single_shard_seconds`` for the same plan executed unsharded, and the
@@ -40,14 +43,16 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   *steady-state* cost: the session's partition cache holds resident,
   atom-view-memoized pieces, so repeated sharded calls skip the per-call
   re-partitioning that used to make this 2–3.5x slower than unsharded.
-* ``process_sharded_answer`` — the same wheel workloads through
-  ``ProcessRuntime`` at shards=4: persistent worker processes holding the
-  shards resident with warm plan/atom-view caches.  Each point records the
-  steady-state sharded time (the gated number), ``single_shard_seconds``
-  for the unsharded path, and the resulting ``speedup`` — the acceptance
-  number for the runtime layer (sharding must now *beat* the single-shard
-  path, even on one core, by amortizing partition/scan/index work; real
-  cores add GIL-free parallelism on top).
+* ``process_sharded_answer`` — the same wheel workloads through a
+  two-worker ``ProcessRuntime`` at shards=4: persistent worker processes
+  holding the shards resident with warm plan/atom-view caches, plus an
+  ``xl`` point (domain 120, 24,000 rows per relation) that only this
+  family runs.  Each point records the steady-state sharded time (the
+  gated number), ``inline_sharded_seconds`` for the same sharded call on
+  the inline runtime, ``single_shard_seconds`` for the unsharded path, and
+  the resulting ``speedup`` over unsharded — the fan-out decision in
+  numbers (a runtime stays only where it is fastest at some measured
+  point; ``docs/PERFORMANCE.md`` has the table).
 * ``affinity_sharded_answer`` — the owner-routed residency path: the same
   wheel workloads on a fixed two-worker ``ProcessRuntime``.  Each point
   records the warm sharded time (the gated number) plus the cold first
@@ -68,13 +73,12 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   the cost-based time (the gated number), ``static_seconds`` under
   ``forced_join_ordering(ORDERING_STATIC)``, and the resulting ``speedup``
   — the gate holds the >=2x bar on every point via ``min_speedup``.
-* ``skewed_sharded_answer`` — hot-key broadcast spilling end to end: a
+* ``skewed_sharded_answer`` — the sharded path on skewed data: a
   projected star query over hub-concentrated databases (90% of every
-  spoke on two hub values), answered at ``shards=4``.  The hub values
-  trip ``_detect_hot_keys`` and spill to broadcast, so the point records
-  the engaged ``hot_keys`` count next to the gated sharded time plus the
-  unsharded time and ``overhead`` ratio as context (broadcast replication
-  is a balance/correctness play, not a single-machine speedup).
+  spoke on two hub values), answered at ``shards=4``.  Each hub value
+  hashes to one shard like any other, so one or two pieces carry most of
+  the data; the point records the gated sharded time plus the unsharded
+  time and ``overhead`` ratio as context.
 * ``incremental_refresh`` — the versioned write path: one standing
   ``IncrementalView`` (the 2-path self-join projected onto its endpoints)
   over a large sparse random graph, refreshed after appends of one tuple,
@@ -143,7 +147,7 @@ GHD_SCALES = [("small", 6, 20, 500), ("medium", 6, 30, 1200), ("large", 6, 40, 2
 # above the ghd_eval points by the cost of the enumeration passes.
 ENGINE_SCALES = GHD_SCALES
 
-# (scale label, distinct scenarios, copies, workload size, thread pool) for
+# (scale label, distinct scenarios, copies, workload size, parallel cap) for
 # the session batch path — "medium" here is the 100-query mixed workload of
 # the acceptance bar (25 scenarios x 4 copies, every second copy
 # variable-renamed).
@@ -159,6 +163,12 @@ BATCH_SEED = 7
 # co-partition and the shards are answer-disjoint).
 SHARDED_SCALES = [("small", 30, 1500), ("medium", 40, 3000), ("large", 60, 6000)]
 SHARDED_SHARDS = 4
+
+# The process-vs-inline family adds one larger point, where per-shard work
+# dwarfs the dispatch envelope, and pins its worker count so the recorded
+# decision does not depend on the host's core count.
+PROCESS_SHARDED_SCALES = SHARDED_SCALES + [("xl", 120, 24000)]
+PROCESS_WORKERS = 2
 
 # Worker count for the affinity-routing points: fixed (not cpu-derived) so
 # the recorded routing/shipping ledger is machine-independent.
@@ -189,7 +199,7 @@ SKEWED_HOT_FRACTION = 0.9
 # cost-based ordering must beat the forced static-greedy order by >=2x.
 SKEWED_MIN_SPEEDUP = 2.0
 
-# (scale label, domain, tuples per relation) for the hot-key spilling
+# (scale label, domain, tuples per relation) for the skewed sharded
 # family — domain >= tuples so the two hub values keep their 90% mass
 # under set semantics (see SKEWED_SCALES).
 SKEWED_SHARDED_SCALES = [
@@ -470,12 +480,12 @@ def bench_sharded_answer(include_single: bool = True) -> list[dict]:
 
 def bench_process_sharded(include_single: bool = True) -> list[dict]:
     points = []
-    for label, domain, tuples in SHARDED_SCALES:
+    for label, domain, tuples in PROCESS_SHARDED_SCALES:
         query = cqgen.hub_cycle_query(4)
         database = cqgen.random_database(query, domain, tuples, seed=97)
         session = EngineSession()
         plan = session.plan(query)
-        runtime = ProcessRuntime()
+        runtime = ProcessRuntime(max_workers=PROCESS_WORKERS)
         try:
             # First call ships the shards and builds the resident atom views;
             # the timed runs below are the steady-state serving cost.
@@ -493,10 +503,15 @@ def bench_process_sharded(include_single: bool = True) -> list[dict]:
                 "domain": domain,
                 "tuples_per_relation": tuples,
                 "shards": SHARDED_SHARDS,
-                "workers": runtime.max_workers,
+                "workers": PROCESS_WORKERS,
                 "indexed_seconds": sharded,
             }
             if include_single:
+                point["inline_sharded_seconds"] = _timed(
+                    lambda: session.answer(
+                        query, database, plan=plan, shards=SHARDED_SHARDS
+                    )
+                )
                 single = _timed(lambda: session.answer(query, database, plan=plan))
                 point["single_shard_seconds"] = single
                 point["speedup"] = single / sharded if sharded else float("inf")
@@ -776,15 +791,12 @@ def bench_skewed_answer() -> list[dict]:
 
 
 def bench_skewed_sharded_answer(include_single: bool = True) -> list[dict]:
-    """Hot-key broadcast spilling through the sharded session path.
+    """The sharded session path on hub-concentrated data.
 
     A projected star query over hub-concentrated spokes: the two hub
-    values carry 90% of every relation, so hashing the hub variable alone
-    would put 90% of the data (and answers) on one shard.
-    ``_detect_hot_keys`` trips on both values and ``Database.partition``
-    spills them to broadcast.  The sharded time gates (the overhead of
-    replication must stay bounded); the recorded ``hot_keys`` count pins
-    the spilling path as actually engaged in the baseline.
+    values carry 90% of every relation, and each hashes to one shard, so
+    one or two pieces hold most of the data (and answers).  The sharded
+    time gates; the unsharded time is context.
     """
     base = cqgen.star_query(3)
     query = base.project(["c", "x0"])
@@ -793,7 +805,7 @@ def bench_skewed_sharded_answer(include_single: bool = True) -> list[dict]:
         database = cqgen.hub_database(base, domain, tuples, seed=97, hot_values=2)
         session = EngineSession()
         plan = session.plan(query)
-        first = session.answer(query, database, plan=plan, shards=SHARDED_SHARDS)
+        session.answer(query, database, plan=plan, shards=SHARDED_SHARDS)
         sharded = _timed(
             lambda: session.answer(query, database, plan=plan, shards=SHARDED_SHARDS)
         )
@@ -803,7 +815,6 @@ def bench_skewed_sharded_answer(include_single: bool = True) -> list[dict]:
             "domain": domain,
             "tuples_per_relation": tuples,
             "shards": SHARDED_SHARDS,
-            "hot_keys": len(first.sharding.get("hot_keys", ())),
             "indexed_seconds": sharded,
         }
         if include_single:
@@ -842,8 +853,8 @@ FAMILIES = {
     "sharded_answer": lambda include_naive: bench_sharded_answer(
         include_single=include_naive
     ),
-    # The acceptance points for the runtime layer: process-sharded steady
-    # state must beat the single-shard path wall-clock.
+    # The fan-out decision: two process workers against the inline-sharded
+    # and unsharded paths (both context); only the process time gates.
     "process_sharded_answer": lambda include_naive: bench_process_sharded(
         include_single=include_naive
     ),
@@ -861,8 +872,8 @@ FAMILIES = {
     # recorded (the gate holds the >=2x cost-vs-static ratio on every
     # point, not just the timing).
     "skewed_answer": lambda include_naive: bench_skewed_answer(),
-    # Hot-key broadcast spilling: the sharded time gates; the unsharded
-    # comparison is context like the other shard families.
+    # Sharding on hub-concentrated data: the sharded time gates; the
+    # unsharded comparison is context like the other shard families.
     "skewed_sharded_answer": lambda include_naive: bench_skewed_sharded_answer(
         include_single=include_naive
     ),
@@ -944,6 +955,7 @@ def main(argv=None) -> int:
             elif "single_shard_seconds" in point and "speedup" in point:
                 extra = (
                     f"  (single shard {point['single_shard_seconds']:.3f}s, "
+                    f"inline sharded {point['inline_sharded_seconds']:.3f}s, "
                     f"{point['speedup']:.2f}x speedup over unsharded)"
                 )
             elif "single_shard_seconds" in point:

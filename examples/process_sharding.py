@@ -1,4 +1,4 @@
-"""Sharded evaluation across execution runtimes: inline, thread, process.
+"""Sharded evaluation across the two execution runtimes: inline, process.
 
 Answers a hub-cycle (wheel) workload — every atom carries the hub variable,
 so all relations hash-partition on it and the shards are answer-disjoint —
@@ -13,8 +13,8 @@ What to look for in the output:
   process runtime), so after the first call they skip that work entirely;
 * the process runtime reports worker *pids* — the evaluation genuinely
   left the Python process, which is what makes shard execution GIL-free
-  and lets it scale with cores (this demo is honest on a single-core box:
-  the win there is pure cache amortization);
+  and lets it scale with cores (on one or two cores inline is often as
+  fast: docs/PERFORMANCE.md has the measured decision table);
 * `EvalResult.timings["runtime"]` and `session.stats()` record where every
   task ran.
 
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"single shard      {single * 1000:7.1f} ms   (the path to beat)")
 
     process_runtime = ProcessRuntime()
-    runtimes = [("inline", "inline"), ("thread", "thread"), ("process", process_runtime)]
+    runtimes = [("inline", "inline"), ("process", process_runtime)]
     try:
         for label, runtime in runtimes:
             call = lambda: session.answer(  # noqa: E731

@@ -457,7 +457,6 @@ class Database:
         key_columns: Mapping[str, int],
         shards: int,
         broadcast: Iterable[str] = (),
-        hot_keys: Iterable[Value] = (),
     ) -> list["Database"]:
         """Hash-partition the database into ``shards`` disjoint-plus-broadcast
         pieces.
@@ -469,27 +468,15 @@ class Database:
         collection are omitted — the caller decides what the shards need
         (the engine passes exactly the relations of the query being sharded).
 
-        ``hot_keys`` is a set of detected **hot** partition-key values
-        (heavy hitters whose mass would overload their hash shard under
-        Zipfian data): rows carrying a hot value in their partition column
-        are *spilled to broadcast* — replicated into every shard instead of
-        concentrated in one — so the per-shard load of the remaining hashed
-        rows stays near ±1 of fair share.  Spilling is sound for answer and
-        satisfiability combination (every piece remains a subset of the
-        original, and any satisfying assignment still finds all its facts in
-        at least one shard); it deliberately breaks the count-by-disjoint-sum
-        shortcut, so callers that spilled hot keys must combine counts by
-        union (see ``EngineSession._run_sharded``).
-
-        Without hot keys, the partitioned relations reconstruct the original
-        exactly: every tuple appears in precisely one shard, so the shard
-        databases are a partition of the partitioned relations and a
-        replication of the broadcast ones.
+        The partitioned relations reconstruct the original exactly: every
+        tuple appears in precisely one shard, so the shard databases are a
+        partition of the partitioned relations and a replication of the
+        broadcast ones.  A heavy-hitter key lands all its rows on one shard;
+        that costs balance, never exactness.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
         broadcast = tuple(broadcast)
-        hot = set(hot_keys)
         overlap = set(key_columns) & set(broadcast)
         if overlap:
             raise ValueError(
@@ -509,16 +496,8 @@ class Database:
         for name, column in key_columns.items():
             relation = self.relations[name]
             buckets: list[list[tuple]] = [[] for _ in range(shards)]
-            if hot:
-                for row in relation._log:
-                    if row[column] in hot:
-                        for bucket in buckets:
-                            bucket.append(row)
-                    else:
-                        buckets[shard_of(row[column], shards)].append(row)
-            else:
-                for row in relation._log:
-                    buckets[shard_of(row[column], shards)].append(row)
+            for row in relation._log:
+                buckets[shard_of(row[column], shards)].append(row)
             for piece, bucket in zip(pieces, buckets):
                 piece.add_relation(Relation._trusted(name, relation.arity, bucket))
         for name in broadcast:

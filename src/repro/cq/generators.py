@@ -234,8 +234,8 @@ def hub_database(
     non-hub columns stay uniform.  ``hub_variables=None`` targets the query's
     highest-degree variables — the join columns where skew actually hurts.
     This is the hub-heavy half of the skewed regime: join keys so
-    concentrated that hash-partitioning on them collapses onto one shard
-    unless hot keys are spilled to broadcast.
+    concentrated that hash-partitioning on them piles most of the data onto
+    one shard.
     """
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction!r}")

@@ -20,7 +20,7 @@ column's exact degree vector (:meth:`repro.cq.columnar.ColumnarRelation
   order;
 * :class:`StatisticsStore` — exact per-position value counts of a
   database's stored relations, kept current on the version seam; the
-  sharding layer's hub and hot-key checks read them;
+  sharding layer's hub screening reads them;
 * the **join-ordering mode** toggle (:func:`set_join_ordering` /
   :func:`forced_join_ordering`) and the process-wide **ledger** of estimate
   vs. actual records (:func:`ledger_snapshot`), which the executor surfaces

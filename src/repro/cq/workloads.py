@@ -25,8 +25,9 @@ sync.  Four regimes mirror the paper's complexity landscape:
   Zipf-distributed columns and hub-heavy databases whose join keys
   concentrate on a few hot values.  Uniform-independence cardinality
   estimates are wrong here, so these scenarios exercise the exact
-  degree-vector estimates of the cost-based join ordering and the hot-key
-  broadcast spill of the sharded path (:mod:`repro.cq.statistics`).
+  degree-vector estimates of the cost-based join ordering
+  (:mod:`repro.cq.statistics`) and the sharded path on hub-concentrated
+  keys.
 
 Databases per scenario deliberately span the satisfiability spectrum —
 random, planted (guaranteed satisfiable), unsatisfiable-by-construction, and
@@ -230,8 +231,8 @@ def _sharded_queries(rng) -> list[tuple]:
 def _skewed_queries(rng) -> list[tuple]:
     """Query shapes where skew actually bites: a triangle (three-relation
     join pool — the cost-based ordering has a genuine choice to make), a
-    star, and a wheel (hub in every atom, so the sharded path must spill
-    hot hub values to broadcast to stay balanced)."""
+    star, and a wheel (hub in every atom, so the sharded path hashes the hot
+    hub values and must stay exact on the unbalanced pieces)."""
     return [
         ("skew-triangle", cqgen.clique_query(3)),
         ("skew-star", cqgen.star_query(rng.randint(3, 5)), "c"),

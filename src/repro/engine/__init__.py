@@ -24,7 +24,7 @@ The pipeline has three layers, each reusable on its own:
 * :mod:`repro.engine.session` — :class:`EngineSession`, an engine plus a
   session-scoped plan cache, the batch API
   (:meth:`~EngineSession.answer_many`: isomorphism dedup → plan reuse →
-  parallel execution), and sharded single-query execution
+  execution on a runtime), and sharded single-query execution
   (``answer(..., shards=N)``).  The module-level helpers delegate to one
   lazily created default session (:func:`default_session`,
   :func:`isolated_session`);
@@ -33,11 +33,11 @@ The pipeline has three layers, each reusable on its own:
   fallback ladder) and :class:`ShardedDatabase` over
   :meth:`repro.cq.database.Database.partition`;
 * :mod:`repro.engine.runtime` — the execution runtimes behind the fan-out
-  paths: :class:`InlineRuntime`, :class:`ThreadRuntime` (the default), and
-  :class:`ProcessRuntime` (owner-routed persistent workers: each shard is
-  resident on the one worker that owns it, shipped once in the compact
-  columnar wire form), selected per call or per session via
-  ``runtime="inline" | "thread" | "process"`` (or an instance);
+  paths: :class:`InlineRuntime` (the default) and :class:`ProcessRuntime`
+  (owner-routed persistent workers: each shard is resident on the one
+  worker that owns it, shipped once in the compact columnar wire form),
+  selected per call or per session via ``runtime="inline" | "process"``
+  (or an instance);
 * :mod:`repro.engine.incremental` — :class:`IncrementalView`, a standing
   query refreshed in delta time after appends: semi-naive evaluation
   (Δ⋈old + old⋈Δ + Δ⋈Δ) over the versioned storage layer's delta logs and
@@ -45,9 +45,8 @@ The pipeline has three layers, each reusable on its own:
   delta fraction exceeds a threshold
   (:meth:`EngineSession.incremental_view`).
 
-Strategy backends and runtimes are both pluggable: see
-:func:`repro.engine.backends.register_backend`,
-:func:`repro.engine.runtime.register_runtime`, and
+Strategy backends are pluggable: see
+:func:`repro.engine.backends.register_backend` and
 ``docs/ARCHITECTURE.md``.
 """
 
@@ -90,12 +89,9 @@ from repro.engine.runtime import (
     ProcessRuntime,
     RUNTIME_INLINE,
     RUNTIME_PROCESS,
-    RUNTIME_THREAD,
     RunCancelled,
     RuntimeTask,
     TaskOutcome,
-    ThreadRuntime,
-    register_runtime,
     registered_runtimes,
     runtime_for,
     shutdown_runtimes,
@@ -115,11 +111,7 @@ from repro.engine.sharding import (
     SHARD_MODE_SINGLE,
     ShardedDatabase,
     ShardingSpec,
-    assign_pieces,
     choose_shard_variable,
-    reassign_pieces,
-    rendezvous_rank,
-    rendezvous_score,
     sharding_spec,
 )
 from repro.engine.planner import (
@@ -155,14 +147,11 @@ __all__ = [
     "RunCancelled",
     "ExecutionRuntime",
     "InlineRuntime",
-    "ThreadRuntime",
     "ProcessRuntime",
     "RuntimeTask",
     "TaskOutcome",
     "RUNTIME_INLINE",
-    "RUNTIME_THREAD",
     "RUNTIME_PROCESS",
-    "register_runtime",
     "registered_runtimes",
     "runtime_for",
     "shutdown_runtimes",
@@ -171,11 +160,7 @@ __all__ = [
     "SHARD_MODE_SINGLE",
     "ShardedDatabase",
     "ShardingSpec",
-    "assign_pieces",
     "choose_shard_variable",
-    "reassign_pieces",
-    "rendezvous_rank",
-    "rendezvous_score",
     "sharding_spec",
     "EvaluationBackend",
     "TrivialBackend",

@@ -79,8 +79,9 @@ class EvalResult:
         Filled by :meth:`EngineSession.answer` & friends when called with
         ``shards > 1``: ``mode`` (the fallback-ladder rung that ran),
         ``shard_variable``, ``shards`` (executed), ``requested_shards``,
-        ``per_shard_seconds``, ``broadcast_relations``, and — for counting
-        with an existential shard variable — ``count_via="union"``.
+        ``per_shard_seconds``, ``broadcast_relations``, and — for sharded
+        counts — ``count_via`` (``"sum"`` when the shard variable is free,
+        ``"union"`` otherwise).
         """
         return self.timings.get("sharding")
 
@@ -90,8 +91,8 @@ class EvalResult:
 
         Filled by the session's sharded and batch paths: ``name`` (the
         :mod:`~repro.engine.runtime` that executed the fan-out), plus —
-        for sharded calls — ``tasks``, ``workers`` (labels of the threads
-        or worker-process pids that ran them), and ``per_task_seconds``
+        for sharded calls — ``tasks``, ``workers`` (``"inline"`` or the
+        worker-process pids that ran them), and ``per_task_seconds``
         (worker-side execution time per task).
         """
         return self.timings.get("runtime")
@@ -108,8 +109,6 @@ class EvalResult:
         estimates vs. the joins they predicted; equal whenever each
         cost-chosen join shares one column, where the estimate is exact).
         ``prefilter_passes`` / ``prefilter_rows_dropped`` always read 0.
-        Sharded calls additionally record ``hot_keys`` (the values spilled
-        to broadcast).
         """
         return self.timings.get("stats")
 

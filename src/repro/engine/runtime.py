@@ -1,18 +1,14 @@
-"""Pluggable execution runtimes: where the engine's fan-out work runs.
+"""Execution runtimes: where the engine's fan-out work runs.
 
 The session's scaling paths — sharded single-query execution and the batch
 pipeline — both end in the same shape of work: a list of *independent tasks*
 (evaluate this query over this piece of data) whose results are combined
 exactly.  This module owns the question of **where those tasks run**:
 
-* :class:`InlineRuntime` — sequentially, on the calling thread.  Zero
-  overhead, zero parallelism; the baseline every other runtime is measured
-  against.
-* :class:`ThreadRuntime` — on a per-call thread pool.  This is the engine's
-  historical behaviour, extracted from :class:`~repro.engine.session
-  .EngineSession`: cheap, shares all in-process caches, but the GIL
-  serializes CPU-bound evaluation, so within one process it is a scale-out
-  seam rather than a speedup.
+* :class:`InlineRuntime` — sequentially, on the calling thread.  The
+  default: zero dispatch overhead.  A thread pool was never the fastest
+  choice at a measured point, so there is none (``docs/PERFORMANCE.md`` →
+  the fan-out decision).
 * :class:`ProcessRuntime` — on **owner-routed persistent workers**: one
   single-process executor per worker index, so the coordinator controls
   exactly which worker runs which task.  Workers sidestep the GIL and keep
@@ -26,23 +22,25 @@ exactly.  This module owns the question of **where those tasks run**:
 
 Owner routing (why pool memory is O(db), not O(workers x db)):
 
-* every dataset token is deterministically assigned an **owning worker**
-  (:func:`repro.engine.sharding.assign_pieces` — rendezvous hashing with
-  exact ±1 balance), and every task for that token is routed to its owner,
-  so a piece becomes resident on exactly one worker instead of drifting
-  onto all of them;
+* every dataset token is owned by one worker: the token's mint index mod
+  the worker count, so the pieces of one sharded call (minted together)
+  spread ±1-evenly, and every task for that token is routed to its owner —
+  a piece becomes resident on exactly one worker instead of drifting onto
+  all of them;
 * the first submission for a token **push-ships** the piece with the task
-  (the old need-data round-trip survives only as a recovery path: a worker
-  that lost its residency — restart, cache eviction — answers
-  ``need-data`` and the coordinator re-ships to it);
+  (the need-data round-trip survives only as a recovery path: a worker
+  that lost its residency — restart, cache eviction, a delta it could not
+  apply — answers ``need-data`` and the coordinator re-ships to it);
 * a *batch* workload (many tasks over ONE token) would serialize on the
-  owner, so multi-task tokens fan out round-robin over the token's top-k
-  rendezvous-ranked workers (k = number of tasks, capped by the pool) —
-  deliberate replication for parallelism, never accidental drift;
-* on worker death only that worker's state is lost: the dead worker's
-  tokens are reassigned across the survivors
-  (:func:`repro.engine.sharding.reassign_pieces` — minimal movement) and
-  only those pieces re-ship; every other worker's residency is untouched.
+  owner, so multi-task tokens fan out round-robin over the owner and the
+  workers that follow it (k = number of tasks, capped by the pool and the
+  call's ``parallel``) — deliberate replication for parallelism, never
+  accidental drift;
+* on worker death only that worker's state is lost: a replacement takes
+  the dead worker's index and keeps its tokens, so exactly its pieces
+  re-ship and every other worker's residency is untouched.  A task that
+  kills every worker it reaches fails the call after ``_SUBMIT_ATTEMPTS``
+  deaths instead of respawning workers forever.
 
 Serialization contract (what crosses the process boundary):
 
@@ -72,9 +70,8 @@ Serialization contract (what crosses the process boundary):
   (rows / bool / count), the worker-side execution time, and the worker
   identity for the ``timings["runtime"]`` record.
 
-Runtimes are pluggable the same way strategy backends are: third-party
-runtimes register through :func:`register_runtime` and become addressable
-by name in ``EngineSession.answer(..., runtime="...")``.
+``runtime_for`` resolves the two names, or passes an
+:class:`ExecutionRuntime` instance through.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -99,16 +95,9 @@ from dataclasses import dataclass, field
 from repro.cq.columnar import DeltaMismatchError, encode_delta
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
-from repro.engine.sharding import assign_pieces, reassign_pieces, rendezvous_rank
 
 RUNTIME_INLINE = "inline"
-RUNTIME_THREAD = "thread"
 RUNTIME_PROCESS = "process"
-
-#: Upper bound on the threads one fan-out call uses by default: shard counts
-#: are a data-layout choice, not a parallelism dial, so a 64-shard call must
-#: not spawn 64 threads.
-DEFAULT_THREAD_WORKERS = 8
 
 #: How often a cancellable fan-out loop re-checks its token while waiting on
 #: futures.  Only paid when a caller actually passes ``cancel=`` — plain
@@ -191,10 +180,10 @@ class ExecutionRuntime:
 
     ``run`` executes every task and returns one :class:`TaskOutcome` per
     task, in task order.  ``run_local`` is the session's in-process
-    evaluator (``task -> payload value``) — the inline and thread runtimes
-    call it directly; distributed runtimes may ignore it and evaluate from
-    the task's self-contained description instead.  ``parallel`` is the
-    caller's per-call worker cap (``None`` = the runtime's default).
+    evaluator (``task -> payload value``) — the inline runtime calls it
+    directly; the process runtime ignores it and evaluates from the task's
+    self-contained description instead.  ``parallel`` caps how many workers
+    one batch token may replicate to (``None`` = the runtime's default).
     ``cancel`` is an optional :class:`CancellationToken`: when it fires
     mid-call, ``run`` must stop starting tasks, leave no orphaned futures
     behind (cancel the queued ones, drain the running ones), and raise
@@ -229,15 +218,10 @@ class ExecutionRuntime:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
-    @staticmethod
-    def _timed(run_local, task: RuntimeTask, worker: str) -> TaskOutcome:
-        started = time.perf_counter()
-        value = run_local(task)
-        return TaskOutcome(value, time.perf_counter() - started, worker)
-
 
 class InlineRuntime(ExecutionRuntime):
-    """Sequential execution on the calling thread (no fan-out at all)."""
+    """Sequential execution on the calling thread (no fan-out at all) — the
+    default runtime."""
 
     name = RUNTIME_INLINE
 
@@ -252,81 +236,21 @@ class InlineRuntime(ExecutionRuntime):
         for task in tasks:
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            outcomes.append(self._timed(run_local, task, "inline"))
+            started = time.perf_counter()
+            value = run_local(task)
+            outcomes.append(
+                TaskOutcome(value, time.perf_counter() - started, "inline")
+            )
         return outcomes
 
 
-class ThreadRuntime(ExecutionRuntime):
-    """A per-call thread pool — the engine's historical fan-out behaviour.
-
-    Shares every in-process cache and has near-zero dispatch cost, but the
-    GIL serializes CPU-bound evaluation: use it for its cache locality and
-    as the safe default, not for wall-clock speedups on pure-Python work.
-    """
-
-    name = RUNTIME_THREAD
-
-    def __init__(self, max_workers: int = DEFAULT_THREAD_WORKERS) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        tasks,
-        run_local,
-        parallel: int | None = None,
-        cancel: CancellationToken | None = None,
-    ) -> list[TaskOutcome]:
-        tasks = list(tasks)
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-        cap = self.max_workers if parallel is None else parallel
-        workers = min(len(tasks), cap)
-        if workers <= 1:
-            outcomes = []
-            for task in tasks:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                outcomes.append(self._timed(run_local, task, "thread:main"))
-            return outcomes
-
-        def execute(task: RuntimeTask) -> TaskOutcome:
-            # A task that reaches the front of the queue after cancellation
-            # aborts before doing any evaluation work.
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            # Label by the worker's index within its pool ("thread:0", ...)
-            # rather than the pool-unique thread name: session stats
-            # accumulate worker labels, and per-call pools would otherwise
-            # grow that set without bound.
-            name = threading.current_thread().name
-            return self._timed(run_local, task, f"thread:{name.rsplit('_', 1)[-1]}")
-
-        # The pool is per-call and shut down before returning (the context
-        # manager waits), so whatever happens below — completion, a task
-        # exception, cancellation — no future outlives the call.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute, task) for task in tasks]
-            if cancel is None:
-                return [future.result() for future in futures]
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(
-                    not_done, timeout=_CANCEL_POLL_SECONDS
-                )
-                if cancel.cancelled and not_done:
-                    for future in not_done:
-                        future.cancel()
-                    # Running tasks cannot be interrupted mid-evaluation;
-                    # wait them out so the pool drains deterministically.
-                    wait([f for f in not_done if not f.cancelled()])
-                    raise RunCancelled(
-                        f"thread fan-out cancelled with {len(not_done)} of "
-                        f"{len(tasks)} tasks unfinished"
-                    )
-            # A worker that observed the token raises RunCancelled here.
-            return [future.result() for future in futures]
+class ThreadRuntime(InlineRuntime):
+    """Retired name of the thread-pool runtime, which the fan-out
+    measurements deleted (``docs/PERFORMANCE.md`` → the fan-out decision).
+    It runs exactly like :class:`InlineRuntime`, is neither registered nor
+    exported, and stays a distinct class only so tooling that binds
+    ``ThreadRuntime.run`` by name (``perfbench/tracing.py``) still resolves
+    without wrapping ``InlineRuntime.run`` twice."""
 
 
 # ----------------------------------------------------------------------
@@ -445,20 +369,19 @@ class ProcessRuntime(ExecutionRuntime):
         Worker count; defaults to ``os.cpu_count()``.  Each worker is its
         own single-process executor, so the coordinator — not the pool's
         scheduler — decides placement.  On a single-core host this
-        degenerates to one worker; sharded calls still win by executing
-        against resident, pre-indexed shards.
+        degenerates to one worker, which measured no faster than inline.
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (fast startup, inherits loaded modules), ``"spawn"``
         elsewhere.
     max_datasets:
         Coordinator-side bound on tracked resident *pieces*, dropped
-        least-recently-used together with their ownership and residency
-        records.  Must comfortably exceed ``concurrent datasets x shards``
-        — a sharded call whose pieces overflow the bound re-mints tokens
-        every call and re-ships every piece, silently losing the steady
-        state this runtime exists for.  The default (256) covers every
-        engine workload; raise it for wider fan-outs.
+        least-recently-used together with their residency records.  Must
+        comfortably exceed ``concurrent datasets x shards`` — a sharded
+        call whose pieces overflow the bound re-mints tokens every call
+        and re-ships every piece, silently losing the steady state this
+        runtime exists for.  The default (256) covers every engine
+        workload; raise it for wider fan-outs.
 
     Dataset identity: a piece is resident under a token minted for the
     database *object* (checked by identity through a weakref).  Growth
@@ -480,22 +403,25 @@ class ProcessRuntime(ExecutionRuntime):
     hazard that pinning papered over is guarded explicitly instead: a
     token is only ever served back when the stored weakref still yields
     *the same object* — a recycled ``id()`` finds a dead (or differing)
-    entry, retires its token and its routing/residency records, and mints
+    entry, retires its token and its residency records, and mints
     a fresh one, so a worker can never be asked to serve a stale resident
     piece for a new database that happens to reuse an address.
 
-    Placement: tokens are assigned owning workers by
-    :func:`~repro.engine.sharding.assign_pieces` over the worker indexes
-    (deterministic, exactly ±1 balanced per call), and the piece ships —
-    as pickled :class:`~repro.cq.columnar.DatabaseWire` bytes — together
-    with the first task routed to the owner.  In steady state a piece is
-    resident on exactly one worker and a message carries a token, not data.
+    Placement: tokens are minted as consecutive integers and a token's
+    owner is its mint index mod ``max_workers`` — the pieces of one sharded
+    call are minted together, so they spread exactly ±1-evenly — and the
+    piece ships, as pickled :class:`~repro.cq.columnar.DatabaseWire` bytes,
+    together with the first task routed to the owner.  The pool never
+    changes size (a dead worker is replaced at its own index), so the owner
+    of a token never moves.  In steady state a piece is resident on exactly
+    one worker and a message carries a token, not data.
     """
 
     name = RUNTIME_PROCESS
 
-    #: Submit-time attempts before giving up on a task (each failed attempt
-    #: replaces the broken worker, so >1 only loses to repeated crashes).
+    #: Attempts per task before the call gives up: a worker broken at submit
+    #: time, or a worker dying under the task, is replaced and the task
+    #: retried, so >1 only loses to a task that keeps killing its worker.
     _SUBMIT_ATTEMPTS = 3
 
     def __init__(
@@ -513,8 +439,6 @@ class ProcessRuntime(ExecutionRuntime):
         self._datasets: OrderedDict = OrderedDict()
         self._max_datasets = max_datasets
         self._next_token = 0
-        #: token -> owning worker index (the routing table).
-        self._owner: dict[str, int] = {}
         self.tasks_dispatched = 0
         self.tasks_owner_routed = 0
         self.tasks_replica_routed = 0
@@ -552,15 +476,13 @@ class ProcessRuntime(ExecutionRuntime):
         return self._slots
 
     def _recover_worker(self, slot_index: int, generation: int) -> None:
-        """Replace ONE dead worker; reassign and forget only its pieces.
+        """Replace ONE dead worker at its own index.
 
         Idempotent per generation: concurrent failure observers (several
         futures of one broken worker) all call in, only the first acts.
-        The dead worker's tokens move to the survivors with minimal
-        movement (:func:`~repro.engine.sharding.reassign_pieces`); every
-        other worker keeps its residency, so recovery re-ships exactly the
-        dead worker's pieces.  With one worker there are no survivors: the
-        replacement keeps the ownership and the pieces simply re-ship to it.
+        The replacement keeps the dead worker's tokens and starts with an
+        empty residency record, so exactly the dead worker's pieces re-ship
+        to it; every other worker keeps its residency.
         """
         with self._lock:
             slots = self._slots
@@ -574,12 +496,6 @@ class ProcessRuntime(ExecutionRuntime):
                 slot_index, self._new_pool(), generation=generation + 1
             )
             self.worker_restarts += 1
-            if self.max_workers > 1 and any(
-                owner == slot_index for owner in self._owner.values()
-            ):
-                self._owner = reassign_pieces(
-                    self._owner, slot_index, range(self.max_workers)
-                )
         old_pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
@@ -587,7 +503,6 @@ class ProcessRuntime(ExecutionRuntime):
             self.closed = True
             slots, self._slots = self._slots, None
             self._datasets.clear()
-            self._owner.clear()
         for slot in slots or ():
             slot.pool.shutdown(wait=True, cancel_futures=True)
 
@@ -601,10 +516,11 @@ class ProcessRuntime(ExecutionRuntime):
             for name, relation in database.relations.items()
         }
 
-    def _token_for(self, database: Database) -> str:
+    def _token_for(self, database: Database) -> int:
         """The stable token for ``database``, minted on first sight and
         **kept across appends** (versions are tracked per worker in the
-        residency map, not in the token).
+        residency map, not in the token).  Tokens are consecutive mint
+        indexes; :meth:`_owner` derives placement from them.
 
         The map holds only a weakref to the database (callers dropping a
         dataset must actually free it — the runtime's own call frames keep
@@ -626,7 +542,7 @@ class ProcessRuntime(ExecutionRuntime):
                 # wearing a recycled address — never serve the old token.
                 del self._datasets[key]
                 self._drop_token_records_locked(token)
-            token = f"ds{self._next_token}"
+            token = self._next_token
             self._next_token += 1
             self._datasets[key] = (token, weakref.ref(database))
             while len(self._datasets) > self._max_datasets:
@@ -634,55 +550,42 @@ class ProcessRuntime(ExecutionRuntime):
                 self._drop_token_records_locked(evicted)
             return token
 
-    def _drop_token_records_locked(self, token: str) -> None:
+    def _drop_token_records_locked(self, token: int) -> None:
         # Tokens are never reused (monotonic counter), so dropping the
-        # routing and residency records is enough: a worker still holding
-        # the piece ages it out of its own LRU.  ``tokens_retired`` keeps
-        # the shipping ledger reconcilable: a retired token's shipments
-        # stay counted after its residency records are gone.
+        # residency records is enough: a worker still holding the piece
+        # ages it out of its own LRU.  ``tokens_retired`` keeps the
+        # shipping ledger reconcilable: a retired token's shipments stay
+        # counted after its residency records are gone.
         self.tokens_retired += 1
-        self._owner.pop(token, None)
         for slot in self._slots or ():
             slot.resident.pop(token, None)
 
     # -- routing ---------------------------------------------------------
-    def _route(self, tokens: list[str], parallel: int | None) -> list[int]:
+    def _owner(self, token: int) -> int:
+        """The worker that owns ``token``: its mint index mod the pool."""
+        return token % self.max_workers
+
+    def _route(self, tokens: list[int], parallel: int | None) -> list[int]:
         """The target worker index for each task, under the ownership rule.
 
         Single-task tokens go to their owner.  A token with ``m > 1`` tasks
         in this call (the batch pipeline: many queries over one database)
-        fans out round-robin over its top-``min(m, workers)``
-        rendezvous-ranked workers — owner first — trading replication for
+        fans out round-robin over the owner and the workers that follow it,
+        ``min(m, workers, parallel)`` of them — trading replication for
         parallelism *explicitly*; a sharded call (one task per piece) never
         replicates.
         """
-        with self._lock:
-            self._ensure_slots_locked()
-            fresh = sorted({t for t in tokens if t not in self._owner})
-            if fresh:
-                self._owner.update(
-                    assign_pieces(fresh, range(self.max_workers))
-                )
-            by_token: dict[str, list[int]] = {}
-            for index, token in enumerate(tokens):
-                by_token.setdefault(token, []).append(index)
-            targets = [0] * len(tokens)
-            for token, indexes in by_token.items():
-                owner = self._owner[token]
-                if len(indexes) == 1:
-                    targets[indexes[0]] = owner
-                    continue
-                cap = min(len(indexes), self.max_workers)
-                if parallel is not None:
-                    cap = max(1, min(cap, parallel))
-                replicas = [owner] + [
-                    worker
-                    for worker in rendezvous_rank(token, range(self.max_workers))
-                    if worker != owner
-                ]
-                replicas = replicas[:cap]
-                for position, index in enumerate(indexes):
-                    targets[index] = replicas[position % len(replicas)]
+        by_token: dict[int, list[int]] = {}
+        for index, token in enumerate(tokens):
+            by_token.setdefault(token, []).append(index)
+        targets = [0] * len(tokens)
+        for token, indexes in by_token.items():
+            cap = min(len(indexes), self.max_workers)
+            if parallel is not None:
+                cap = max(1, min(cap, parallel))
+            owner = self._owner(token)
+            for position, index in enumerate(indexes):
+                targets[index] = (owner + position % cap) % self.max_workers
         return targets
 
     # -- execution -------------------------------------------------------
@@ -704,10 +607,10 @@ class ProcessRuntime(ExecutionRuntime):
         # the piece in this call (replicas, recovery retries).  Delta blobs
         # memoize per (token, base versions): workers synced at the same
         # point share one encoding.
-        blobs: dict[str, bytes] = {}
+        blobs: dict[int, bytes] = {}
         delta_blobs: dict[tuple, bytes] = {}
 
-        def blob_for(token: str, database: Database) -> bytes:
+        def blob_for(token: int, database: Database) -> bytes:
             blob = blobs.get(token)
             if blob is None:
                 blob = pickle.dumps(
@@ -716,7 +619,7 @@ class ProcessRuntime(ExecutionRuntime):
                 blobs[token] = blob
             return blob
 
-        def delta_blob_for(token: str, database: Database, since: dict) -> bytes:
+        def delta_blob_for(token: int, database: Database, since: dict) -> bytes:
             key = (token, tuple(sorted(since.items())))
             blob = delta_blobs.get(key)
             if blob is None:
@@ -730,6 +633,8 @@ class ProcessRuntime(ExecutionRuntime):
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
         #: future -> (task index, slot index, generation, token)
         pending: dict = {}
+        #: task index -> workers lost under it in this call
+        deaths: dict[int, int] = {}
         for index, (task, token, target) in enumerate(zip(tasks, tokens, targets)):
             future, meta = self._submit(
                 index, task, token, target, False, blob_for, delta_blob_for
@@ -756,14 +661,20 @@ class ProcessRuntime(ExecutionRuntime):
                 index, slot_index, generation, token = pending.pop(future)
                 try:
                     reply = future.result()
-                except (BrokenProcessPool, CancelledError):
-                    # This worker died mid-task.  Replace it (idempotently),
-                    # reroute to the token's current owner — recovery may
-                    # have just moved it — and re-ship there if needed.
+                except (BrokenProcessPool, CancelledError) as exc:
+                    # This worker died mid-task.  Replace it (idempotently)
+                    # at its own index and retry there, re-shipping to the
+                    # fresh worker — unless the task keeps killing workers.
                     self._recover_worker(slot_index, generation)
-                    retry_target = self._owner_of(token, slot_index)
+                    deaths[index] = deaths.get(index, 0) + 1
+                    if deaths[index] >= self._SUBMIT_ATTEMPTS:
+                        self._abandon(pending)
+                        raise BrokenProcessPool(
+                            f"task {index} lost its worker {deaths[index]} "
+                            "times; giving up on the call"
+                        ) from exc
                     future, meta = self._submit(
-                        index, tasks[index], token, retry_target, False,
+                        index, tasks[index], token, slot_index, False,
                         blob_for, delta_blob_for,
                     )
                     pending[future] = meta
@@ -789,7 +700,7 @@ class ProcessRuntime(ExecutionRuntime):
         with self._lock:
             self.tasks_dispatched += len(tasks)
             for token, target in zip(tokens, targets):
-                if target == self._owner.get(token, target):
+                if target == self._owner(token):
                     self.tasks_owner_routed += 1
                 else:
                     self.tasks_replica_routed += 1
@@ -816,15 +727,11 @@ class ProcessRuntime(ExecutionRuntime):
         with self._lock:
             self.tasks_cancelled += len(pending)
 
-    def _owner_of(self, token: str, fallback: int) -> int:
-        with self._lock:
-            return self._owner.get(token, fallback)
-
     def _submit(
         self,
         index: int,
         task: RuntimeTask,
-        token: str,
+        token: int,
         target: int,
         force_ship: bool,
         blob_for,
@@ -836,8 +743,8 @@ class ProcessRuntime(ExecutionRuntime):
         just told us otherwise), only a :class:`~repro.cq.columnar
         .DatabaseDelta` of the appended rows when the copy is resident but
         its synced versions lag the database, and nothing in steady state.
-        A broken worker at submit time is replaced and the task rerouted, a
-        bounded number of times."""
+        A broken worker at submit time is replaced at its index and the
+        submission retried, a bounded number of times."""
         for attempt in range(self._SUBMIT_ATTEMPTS):
             current = self._versions(task.database)
             with self._lock:
@@ -884,7 +791,6 @@ class ProcessRuntime(ExecutionRuntime):
                 return future, (index, target, generation, token)
             except BrokenProcessPool:
                 self._recover_worker(target, generation)
-                target = self._owner_of(token, target)
                 force_ship = False
         raise BrokenProcessPool(
             f"worker for task {index} kept dying across "
@@ -893,9 +799,12 @@ class ProcessRuntime(ExecutionRuntime):
 
     # -- introspection ---------------------------------------------------
     def routing(self) -> dict:
-        """Snapshot of the ownership table: ``token -> worker index``."""
+        """Snapshot of ownership: ``token -> worker index`` for every
+        tracked token."""
         with self._lock:
-            return dict(self._owner)
+            return {
+                token: self._owner(token) for token, _ in self._datasets.values()
+            }
 
     def residency(self) -> dict:
         """Snapshot of coordinator-side residency: ``worker index ->
@@ -935,41 +844,26 @@ class ProcessRuntime(ExecutionRuntime):
 
 
 # ----------------------------------------------------------------------
-# Runtime registry: named, pluggable, with shared lazily-created defaults
+# Runtime resolution: two names, with shared lazily-created instances
 # ----------------------------------------------------------------------
 _FACTORIES: dict = {
     RUNTIME_INLINE: InlineRuntime,
-    RUNTIME_THREAD: ThreadRuntime,
     RUNTIME_PROCESS: ProcessRuntime,
 }
 _SHARED: dict[str, ExecutionRuntime] = {}
 _registry_lock = threading.Lock()
 
 
-def register_runtime(name: str, factory, replace: bool = False) -> None:
-    """Register a runtime factory under ``name`` (mirrors the backend
-    registry: :func:`repro.engine.backends.register_backend`)."""
-    with _registry_lock:
-        if name in _FACTORIES and not replace:
-            raise ValueError(
-                f"a runtime named {name!r} is already registered "
-                "(pass replace=True to substitute it)"
-            )
-        _FACTORIES[name] = factory
-        _SHARED.pop(name, None)
-
-
 def registered_runtimes() -> tuple:
     """The names every session resolves ``runtime="..."`` against."""
-    with _registry_lock:
-        return tuple(sorted(_FACTORIES))
+    return tuple(sorted(_FACTORIES))
 
 
 def runtime_for(spec) -> ExecutionRuntime:
     """Resolve a runtime argument: an instance passes through; a name maps
     to one shared, lazily created instance per process (worker pools are
     expensive — sessions share them); ``None`` means the default
-    :class:`ThreadRuntime`.
+    :class:`InlineRuntime`.
 
     A shared instance that was **closed** — directly by a caller, or by the
     :func:`shutdown_runtimes` atexit hook firing early in a long-lived
@@ -980,12 +874,12 @@ def runtime_for(spec) -> ExecutionRuntime:
     if isinstance(spec, ExecutionRuntime):
         return spec
     if spec is None:
-        spec = RUNTIME_THREAD
+        spec = RUNTIME_INLINE
+    if spec not in _FACTORIES:
+        raise ValueError(
+            f"unknown runtime {spec!r}; registered: {sorted(_FACTORIES)}"
+        )
     with _registry_lock:
-        if spec not in _FACTORIES:
-            raise ValueError(
-                f"unknown runtime {spec!r}; registered: {sorted(_FACTORIES)}"
-            )
         runtime = _SHARED.get(spec)
         if runtime is None or runtime.closed:
             runtime = _FACTORIES[spec]()

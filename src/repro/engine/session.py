@@ -12,13 +12,13 @@ additionally owns a **plan cache** and exposes a **batch API** —
 * **reuses plans** across the batch and across batches through the
   session-scoped plan cache (keyed on the query, its free-variable *order*,
   and the planning options);
-* **executes independent queries concurrently** through a pluggable
-  :mod:`execution runtime <repro.engine.runtime>` — inline, thread pool
-  (the default), or a pool of persistent worker *processes*.  Plans,
-  relations, and the query/hypergraph objects are read-only at execution
-  time; the lazily memoized structures they carry (tries, key indexes,
-  incidence maps) are pure and assigned atomically under the GIL, so a
-  duplicated computation is the worst a race can cost.
+* **executes the class representatives** as independent tasks through an
+  :mod:`execution runtime <repro.engine.runtime>` — inline on the calling
+  thread (the default), or on a pool of persistent worker *processes*.
+  Plans, relations, and the query/hypergraph objects are read-only at
+  execution time; the lazily memoized structures they carry (tries, key
+  indexes, incidence maps) are pure and assigned atomically under the GIL,
+  so concurrent callers sharing a session can only duplicate work.
 
 The same runtime seam drives the sharded single-query path: ``answer(...,
 shards=N, runtime=...)`` partitions once into **resident pieces** (a
@@ -119,7 +119,7 @@ class EngineSession(Engine):
     ``EvalResult.timings["sharding"]``).  ``runtime=`` — per call or as the
     session default — selects *where* the fan-out work runs: an
     :class:`~repro.engine.runtime.ExecutionRuntime` instance or a
-    registered name (``"inline"`` / ``"thread"`` / ``"process"``).  The
+    registered name (``"inline"``, the default, or ``"process"``).  The
     runtime decision and per-task worker timings land in the plan rationale
     and ``EvalResult.timings["runtime"]``.  The runtime only governs
     fan-out calls (``shards``/``shard_variable``/batch, or an explicit
@@ -149,7 +149,7 @@ class EngineSession(Engine):
         #: per-call scan/re-index of the stored tuples.
         self._partition_cache = LRUCache(partition_cache_size)
         #: The session-default runtime spec for fan-out work (``None`` =
-        #: the shared thread runtime, today's behaviour).
+        #: the shared inline runtime).
         self.runtime = runtime
         self._lock = threading.RLock()
         self.dedup_hits = 0
@@ -222,6 +222,10 @@ class EngineSession(Engine):
         hash each appended row to its owning piece, broadcast relations
         append to every piece — so resident pieces (and the atom-view and
         columnar caches living on them) extend instead of being rebuilt.
+        Versions are read *before* the rows they cover: a row appended
+        while the pieces are cut or extended lies past the recorded
+        version, so the next call routes it (a row the cut already took
+        routes again as a no-op ``Relation.add``) instead of losing it.
         The identity check on the cached entry guards against ``id`` reuse
         after garbage collection.  The pieces are session-owned and get the
         atom-view memo enabled — callers must not mutate a served database
@@ -235,7 +239,6 @@ class EngineSession(Engine):
             spec.shards,
             tuple(sorted(spec.partition_columns.items())),
             spec.broadcast_relations,
-            spec.hot_keys,
             relevant,
         )
         with self._lock:
@@ -244,48 +247,43 @@ class EngineSession(Engine):
                 pieces, versions = entry[1], entry[2]
                 self._extend_pieces(database, pieces, versions, spec, relevant)
                 return pieces
-        pieces = ShardedDatabase.partition(database, target, spec.shards, spec=spec).shards
-        for piece in pieces:
-            piece.enable_atom_cache()
         versions = {
             name: database.relations[name].version
             for name in relevant
             if database.has_relation(name)
         }
+        pieces = ShardedDatabase.partition(database, target, spec.shards, spec=spec).shards
+        for piece in pieces:
+            piece.enable_atom_cache()
         with self._lock:
             self._partition_cache.put(key, (database, pieces, versions))
         return pieces
 
     @staticmethod
     def _extend_pieces(database, pieces, versions, spec, relevant) -> None:
-        """Catch resident pieces up with rows appended since they were cut
-        (called under the session lock).  Rows carrying a spilled hot key
-        broadcast to every piece — matching how the partition was cut.
-        (Hotness is frozen in the spec: a value turning hot *after* the cut
-        keeps hashing to its shard, which is correct, just less balanced.)"""
-        hot = set(spec.hot_keys)
+        """Catch resident pieces up with exactly the rows between the
+        recorded and the current version of each relation (called under the
+        session lock).  The version is read first, so a row appended
+        meanwhile stays past it for the next call to route."""
         for name in relevant:
             if not database.has_relation(name):
                 continue
             relation = database.relations[name]
             seen = versions.get(name, 0)
-            if relation.version == seen:
+            version = relation.version
+            if version == seen:
                 continue
-            delta = relation.delta_since(seen)
+            delta = relation.delta_since(seen)[: version - seen]
             if name in spec.partition_columns:
                 column = spec.partition_columns[name]
                 shards = len(pieces)
                 for row in delta:
-                    if row[column] in hot:
-                        for piece in pieces:
-                            piece.add_fact(name, row)
-                    else:
-                        pieces[shard_of(row[column], shards)].add_fact(name, row)
+                    pieces[shard_of(row[column], shards)].add_fact(name, row)
             else:
                 for piece in pieces:
                     for row in delta:
                         piece.add_fact(name, row)
-            versions[name] = relation.version
+            versions[name] = version
 
     # ------------------------------------------------------------------
     def plan(
@@ -334,8 +332,7 @@ class EngineSession(Engine):
     # ------------------------------------------------------------------
     def answer(
         self, query, database, plan=None, use_core=False,
-        shards=1, shard_variable=None, parallel=None, runtime=None,
-        cancel=None,
+        shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
         """``q(D)``; with ``shards=N`` the union of exact per-shard answers.
 
@@ -345,48 +342,43 @@ class EngineSession(Engine):
         :class:`~repro.engine.runtime.RunCancelled` instead of returning —
         the seam a serving layer's request deadlines hang off.
         """
-        self._check_parallel(parallel)
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
             return super().answer(query, database, plan=plan, use_core=use_core)
         return self._run_sharded(
             TASK_ANSWER, query, database, plan, use_core,
-            shards, shard_variable, parallel, runtime, cancel,
+            shards, shard_variable, runtime, cancel,
         )
 
     def is_satisfiable(
         self, query, database, plan=None, use_core=False,
-        shards=1, shard_variable=None, parallel=None, runtime=None,
-        cancel=None,
+        shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
         """BCQ; with ``shards=N`` the disjunction of the per-shard questions."""
-        self._check_parallel(parallel)
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
             return super().is_satisfiable(query, database, plan=plan, use_core=use_core)
         return self._run_sharded(
             TASK_SATISFIABLE, query, database, plan, use_core,
-            shards, shard_variable, parallel, runtime, cancel,
+            shards, shard_variable, runtime, cancel,
         )
 
     def count(
         self, query, database, plan=None, use_core=False,
-        shards=1, shard_variable=None, parallel=None, runtime=None,
-        cancel=None,
+        shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
         """#CQ; with ``shards=N`` the sum of per-shard counts (shard variable
         free: answer-disjoint shards) or the size of the per-shard answer
         union (shard variable existential: shards may share projections)."""
-        self._check_parallel(parallel)
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
             return super().count(query, database, plan=plan, use_core=use_core)
         return self._run_sharded(
             TASK_COUNT, query, database, plan, use_core,
-            shards, shard_variable, parallel, runtime, cancel,
+            shards, shard_variable, runtime, cancel,
         )
 
     def incremental_view(self, query, database, threshold=None):
@@ -410,7 +402,7 @@ class EngineSession(Engine):
 
     def _run_sharded(
         self, task, query, database, plan, use_core, shards, shard_variable,
-        parallel, runtime, cancel=None,
+        runtime, cancel=None,
     ) -> EvalResult:
         """Sharded execution: partition → per-shard plan execution → combine.
 
@@ -420,10 +412,10 @@ class EngineSession(Engine):
         resident pieces come from the session partition cache, and the
         per-shard plan executions fan out to the resolved
         :mod:`execution runtime <repro.engine.runtime>` — the calling
-        thread, a thread pool, or persistent worker processes (which hold
-        the pieces resident and re-plan from the shipped ``(query,
-        use_core, strategy)`` triple through their own warm caches).  The
-        results combine exactly:
+        thread, or persistent worker processes (which hold the pieces
+        resident and re-plan from the shipped ``(query, use_core,
+        strategy)`` triple through their own warm caches).  The results
+        combine exactly:
 
         * answers — set union (exact for every mode: the shards jointly
           contain every fact, and each satisfying assignment survives in the
@@ -468,23 +460,18 @@ class EngineSession(Engine):
             )
         start = time.perf_counter()
         ledger_before = ledger_snapshot()
-        # Counts may add across shards only when the per-shard answer sets
-        # are provably disjoint: the shard variable must be free AND no hot
-        # key may have been spilled to broadcast (a spilled value's answers
-        # can surface in every shard).
-        count_via_sum = (
-            spec.shard_variable in target.free_variables and not spec.hot_keys
-        )
+        # Counts add across shards only when the per-shard answer sets are
+        # provably disjoint: the shard variable must be free.
+        count_via_sum = spec.shard_variable in target.free_variables
         if not spec.is_sharded:
             # One "shard": the database itself, the task as asked.
             pieces = [database]
             shard_task = task
         else:
             pieces = self._sharded_pieces(database, target, spec)
-            # Counting with an existential shard variable (or spilled hot
-            # keys) must union answer *sets* across shards (projections or
-            # hot-key answers may coincide), so the shards run the answer
-            # task and the combiner counts the union.
+            # Counting with an existential shard variable must union answer
+            # *sets* across shards (projections may coincide), so the shards
+            # run the answer task and the combiner counts the union.
             shard_task = (
                 TASK_ANSWER if task == TASK_COUNT and not count_via_sum else task
             )
@@ -510,13 +497,8 @@ class EngineSession(Engine):
         def run_local(item: RuntimeTask):
             return self._run(item.task, item.query, item.database, plan, False).value
 
-        if cancel is None:
-            # Only pass cancel= through when set: pre-cancellation runtime
-            # implementations (third-party registrations) stay callable for
-            # every non-cancellable call.
-            outcomes = resolved.run(tasks, run_local, parallel=parallel)
-        else:
-            outcomes = resolved.run(tasks, run_local, parallel=parallel, cancel=cancel)
+        outcomes = resolved.run(tasks, run_local, cancel=cancel)
+        if cancel is not None:
             # Every runtime drains its futures before raising, so reaching
             # here with a fired token means all tasks finished anyway —
             # still honour the caller's "stop" rather than hand back a
@@ -549,7 +531,6 @@ class EngineSession(Engine):
             "requested_shards": shards,
             "per_shard_seconds": per_shard_seconds,
             "broadcast_relations": list(spec.broadcast_relations),
-            "hot_keys": list(spec.hot_keys),
         }
         if task == TASK_COUNT and spec.is_sharded:
             sharding_record["count_via"] = "sum" if count_via_sum else "union"
@@ -565,7 +546,6 @@ class EngineSession(Engine):
         ledger_after = ledger_snapshot()
         stats_record = ledger_delta(ledger_before, ledger_after)
         stats_record["mode"] = ledger_after["mode"]
-        stats_record["hot_keys"] = list(spec.hot_keys)
         result.timings = {
             "planning_seconds": planning,
             "execution_seconds": execution,
@@ -630,10 +610,11 @@ class EngineSession(Engine):
         """The batch pipeline: dedup → plan once per class → execute.
 
         Class representatives execute as independent tasks on the resolved
-        :mod:`execution runtime <repro.engine.runtime>` (``parallel`` caps
-        the in-process worker count; process workers re-plan each class
-        from its shipped ``(query, use_core, strategy)`` triple and hold
-        the database resident between batches).
+        :mod:`execution runtime <repro.engine.runtime>` (inline by default;
+        on the process runtime ``parallel`` caps how many workers the
+        database is replicated to, and workers re-plan each class from its
+        shipped ``(query, use_core, strategy)`` triple and hold the
+        database resident between batches).
 
         Returns one :class:`EvalResult` per input query, in input order —
         always a **distinct object per query**, even within an isomorphism
@@ -687,10 +668,8 @@ class EngineSession(Engine):
                 item.task, item.query, item.database, plan_of[id(item)], False
             ).value
 
-        if cancel is None:
-            outcomes = resolved.run(tasks, run_local, parallel=parallel)
-        else:
-            outcomes = resolved.run(tasks, run_local, parallel=parallel, cancel=cancel)
+        outcomes = resolved.run(tasks, run_local, parallel=parallel, cancel=cancel)
+        if cancel is not None:
             cancel.raise_if_cancelled()
         results: dict = {}
         for (key, query), outcome in zip(items, outcomes):
@@ -741,13 +720,6 @@ class EngineSession(Engine):
                 "dedup_of": representative_index,
             },
         )
-
-    @staticmethod
-    def _check_parallel(parallel) -> None:
-        # Validated on every call — including the unsharded fast path, so an
-        # invalid argument cannot be masked by an unrelated shards value.
-        if parallel is not None and parallel < 1:
-            raise ValueError("parallel must be >= 1")
 
     @staticmethod
     def _checked_query(query) -> ConjunctiveQuery:

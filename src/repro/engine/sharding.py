@@ -30,7 +30,6 @@ this module is the pure decision + partitioning logic.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.cq.database import Database, shard_of
@@ -41,114 +40,10 @@ SHARD_MODE_BROADCAST = "broadcast"
 SHARD_MODE_SINGLE = "single-shard"
 
 
-# ----------------------------------------------------------------------
-# Worker affinity: deterministic piece -> worker assignment
-# ----------------------------------------------------------------------
-# The process runtime routes every task for a resident piece to the one
-# worker that *owns* the piece, so pool memory is O(db) instead of
-# O(workers x db).  The ownership decision lives here, beside the sharding
-# ladder, because it is the same kind of pure, replayable routing logic:
-# no clock, no randomness, no runtime state — the same (tokens, workers)
-# always produce the same assignment, so a coordinator restart or a
-# differential-test replay reroutes identically.
-
-
-def rendezvous_score(token: str, worker) -> int:
-    """The rendezvous (highest-random-weight) score of ``worker`` for
-    ``token``.
-
-    CRC32 over the joint key for the same reason :func:`~repro.cq.database
-    .shard_of` uses it: Python's builtin ``hash`` is salted per process, and
-    routing must replay identically across runs.  Unlike modular hashing of
-    the token alone, each (token, worker) pair scores independently — so
-    removing one worker perturbs only the pieces that worker was winning.
-    """
-    return zlib.crc32(f"{token}\x1f{worker!r}".encode("utf-8"))
-
-
-def rendezvous_rank(token: str, workers) -> list:
-    """``workers`` ordered by descending preference for ``token`` (score
-    desc, worker order as the deterministic tie-break)."""
-    ordered = sorted(set(workers), key=repr)
-    ordered.sort(key=lambda worker: rendezvous_score(token, worker), reverse=True)
-    return ordered
-
-
-def assign_pieces(tokens, workers) -> dict:
-    """Deterministic, exactly-balanced piece -> worker assignment.
-
-    Every token goes to its highest-preference worker (rendezvous order)
-    that still has capacity, where capacity enforces **exact balance**: with
-    ``n`` tokens over ``w`` workers, every worker ends up owning ``n // w``
-    or ``n // w + 1`` pieces, with precisely ``n % w`` workers at the higher
-    load.  Tokens are processed in sorted order, so the result is a pure
-    function of the two *sets* — independent of iteration order, stable
-    across runs, and mostly stable under pool-size changes (a token moves
-    only when its preferred worker disappears or capacity shifts under it).
-
-    The runtime calls this once per newly seen dataset (all pieces of one
-    sharded call arrive together), so balance holds per dataset — which is
-    the bound that matters for worker memory.
-    """
-    ordered_workers = sorted(set(workers), key=repr)
-    if not ordered_workers:
-        raise ValueError("assign_pieces needs at least one worker")
-    ordered_tokens = sorted(set(tokens))
-    floor_load = len(ordered_tokens) // len(ordered_workers)
-    ceil_slots = len(ordered_tokens) % len(ordered_workers)
-    load = {worker: 0 for worker in ordered_workers}
-    assignment: dict = {}
-    for token in ordered_tokens:
-        for worker in rendezvous_rank(token, ordered_workers):
-            if load[worker] < floor_load:
-                break
-            if load[worker] == floor_load and ceil_slots > 0:
-                ceil_slots -= 1
-                break
-        else:  # pragma: no cover - capacity sums to len(tokens) exactly
-            raise AssertionError("balanced assignment ran out of capacity")
-        load[worker] += 1
-        assignment[token] = worker
-    return assignment
-
-
-def reassign_pieces(assignment, dead, workers) -> dict:
-    """Reassign **only** the dead worker's pieces; everything else stays put.
-
-    Each of the dead worker's tokens (in sorted order) moves to the
-    currently least-loaded survivor, preferring the survivor with the
-    highest rendezvous score for that token among the least-loaded — so the
-    move set is exactly the dead worker's pieces (minimal movement) and a
-    ±1-balanced assignment stays ±1-balanced across the survivors.
-    """
-    survivors = sorted((set(workers) - {dead}), key=repr)
-    if not survivors:
-        raise ValueError("reassign_pieces needs at least one surviving worker")
-    load = {worker: 0 for worker in survivors}
-    for token, owner in assignment.items():
-        if owner in load:
-            load[owner] += 1
-    reassigned = dict(assignment)
-    for token in sorted(t for t, owner in assignment.items() if owner == dead):
-        lightest = min(load[worker] for worker in survivors)
-        chosen = max(
-            (worker for worker in survivors if load[worker] == lightest),
-            key=lambda worker: (rendezvous_score(token, worker), repr(worker)),
-        )
-        load[chosen] += 1
-        reassigned[token] = chosen
-    return reassigned
-
-
 #: A candidate shard variable whose hottest value carries at least this
 #: fraction of some pinned column's rows is hub-concentrated: hashing on it
 #: would pile that mass onto one shard.
 _HUB_FRACTION = 0.25
-
-#: A partition-key value is spilled to broadcast only when its frequency
-#: tops fair share, twice the average per-value mass, *and* this absolute
-#: floor — tiny relations never spill.
-_HOT_KEY_MIN_ROWS = 4
 
 
 def _variable_hot_fraction(query: ConjunctiveQuery, database, variable) -> float:
@@ -208,8 +103,8 @@ def choose_shard_variable(query: ConjunctiveQuery, database=None):
     cool = [v for v in candidates if hot[v] < _HUB_FRACTION]
     if cool:
         return max(cool, key=repr)
-    # Everything is hub-heavy: keep the historical choice and let hot-key
-    # spilling rebalance the partition instead.
+    # Everything is hub-heavy: keep the historical choice.  The hub's shard
+    # carries more than its share, which costs balance, never exactness.
     return default
 
 
@@ -219,15 +114,10 @@ class ShardingSpec:
 
     ``partition_columns`` maps each co-partitionable relation to the column
     shared by every atom over it where the shard variable occurs;
-    ``broadcast_relations`` are replicated to every shard.  ``hot_keys``
-    are partition-key values frequent enough to overload their shard,
-    spilled to broadcast by
-    :meth:`~repro.cq.database.Database.partition` (rows carrying them are
-    replicated instead of hashed, keeping shard balance near ±1 under
-    Zipfian data — at the price of combining counts by union).  ``mode`` is
-    the rung of the fallback ladder the decision landed on, and
-    ``rationale`` says why in prose (it is appended to the plan rationale by
-    the session).
+    ``broadcast_relations`` are replicated to every shard.  ``mode`` is the
+    rung of the fallback ladder the decision landed on, and ``rationale``
+    says why in prose (it is appended to the plan rationale by the
+    session).
     """
 
     shard_variable: object
@@ -236,36 +126,10 @@ class ShardingSpec:
     partition_columns: dict
     broadcast_relations: tuple
     rationale: str
-    hot_keys: tuple = ()
 
     @property
     def is_sharded(self) -> bool:
         return self.mode != SHARD_MODE_SINGLE and self.shards > 1
-
-
-def _detect_hot_keys(database, partition_columns: dict, shards: int) -> tuple:
-    """Partition-key values whose frequency would overload their shard.
-
-    A value is hot when its exact frequency in some partitioned column
-    exceeds fair share (``rows / shards``), twice the average per-value
-    mass (so uniform small domains never trip), and an absolute floor.
-    Returned repr-sorted for determinism.
-    """
-    hot: set = set()
-    store = database.statistics()
-    for name, column in partition_columns.items():
-        relation = database.relation(name)
-        rows = len(relation)
-        if not rows:
-            continue
-        counts = store.relation_stats(relation)[column]
-        threshold = max(
-            rows / shards,
-            2.0 * rows / max(1, len(counts)),
-            float(_HOT_KEY_MIN_ROWS),
-        )
-        hot.update(value for value, count in counts.items() if count > threshold)
-    return tuple(sorted(hot, key=repr))
 
 
 def sharding_spec(
@@ -279,10 +143,8 @@ def sharding_spec(
     shard variable at some common position (self-joins must agree on the
     column, otherwise one tuple would need to live in two shards).
 
-    With a ``database``, the decision becomes skew-aware: the default shard
-    variable avoids hub-concentrated keys (:func:`choose_shard_variable`),
-    and detected hot partition-key values land in :attr:`ShardingSpec
-    .hot_keys` for broadcast spilling at partition time.
+    With a ``database``, the default shard variable avoids hub-concentrated
+    keys (:func:`choose_shard_variable`).
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -330,36 +192,19 @@ def sharding_spec(
             f"shard variable {shard_variable!r} pins no relation "
             "(absent or at inconsistent self-join positions): single-shard fallback",
         )
-    hot_keys = ()
-    hot_note = ""
-    if database is not None:
-        present = {
-            name: column
-            for name, column in partition_columns.items()
-            if database.has_relation(name)
-        }
-        hot_keys = _detect_hot_keys(database, present, shards)
-        if hot_keys:
-            hot_note = (
-                f"; {len(hot_keys)} hot key(s) spilled to broadcast "
-                "(heavy hitters above fair share)"
-            )
     if not broadcast:
         return ShardingSpec(
             shard_variable, shards, SHARD_MODE_COPARTITIONED,
             partition_columns, (),
             f"every atom contains {shard_variable!r}: all "
             f"{len(partition_columns)} relations hash-partitioned, "
-            "shards answer-disjoint" + hot_note,
-            hot_keys,
+            "shards answer-disjoint",
         )
     return ShardingSpec(
         shard_variable, shards, SHARD_MODE_BROADCAST,
         partition_columns, broadcast,
         f"{len(partition_columns)} relations hash-partitioned on "
-        f"{shard_variable!r}, {len(broadcast)} without it broadcast to every shard"
-        + hot_note,
-        hot_keys,
+        f"{shard_variable!r}, {len(broadcast)} without it broadcast to every shard",
     )
 
 
@@ -418,9 +263,7 @@ class ShardedDatabase:
         broadcast = tuple(
             name for name in spec.broadcast_relations if database.has_relation(name)
         )
-        pieces = database.partition(
-            present, spec.shards, broadcast=broadcast, hot_keys=spec.hot_keys
-        )
+        pieces = database.partition(present, spec.shards, broadcast=broadcast)
         return cls(spec, pieces)
 
     def total_tuples(self) -> int:

@@ -96,7 +96,7 @@ class ServiceConfig:
     max_body_bytes: int = 8 * 1024 * 1024
     max_batch_queries: int = 1024
     #: Session-default execution runtime for fan-out calls (``None`` =
-    #: engine default, i.e. the shared thread runtime).
+    #: engine default, i.e. the shared inline runtime).
     default_runtime: str | None = None
     #: Enables the ``_sleep_ms`` request field (deterministic slow requests
     #: for tests and load harnesses).  Never enable in production.
@@ -261,7 +261,6 @@ class QueryService:
             database,
             shards=options["shards"],
             shard_variable=options["shard_variable"],
-            parallel=options["parallel"],
             runtime=options["runtime"],
             use_core=options["use_core"],
         )
@@ -288,8 +287,8 @@ class QueryService:
         options = self._options(payload)
         parallel = options["parallel"]
         if parallel is None:
-            # Batches fan out by default; single queries default to the
-            # engine's plain path.
+            # Only the process runtime reads this: it replicates the dataset
+            # to at most this many workers (inline batches run in order).
             parallel = min(8, len(queries))
         method = getattr(session, _TASK_METHODS[task][1])
         call = partial(

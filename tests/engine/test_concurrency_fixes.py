@@ -17,7 +17,6 @@ session fan-out paths.
 
 import gc
 import threading
-import time
 import weakref
 
 import pytest
@@ -31,7 +30,6 @@ from repro.engine import (
     ProcessRuntime,
     RunCancelled,
     RuntimeTask,
-    ThreadRuntime,
     restore_default_session,
     runtime_for,
 )
@@ -74,15 +72,16 @@ class TestTokenRetention:
         runtime = ProcessRuntime(max_workers=1)
         database = _database(seed=2)
         key = id(database)
-        stale = "ds-stale"
-        # Install a dead entry under this database's exact key, with
-        # routing state the retirement must clean up.
+        stale = 10**6  # a token this runtime never minted
+        # Install a dead entry under this database's exact key: its token
+        # is tracked (routed) until the retirement cleans it up.
         runtime._datasets[key] = (stale, weakref.ref(Database()))
         gc.collect()
-        runtime._owner[stale] = 0
+        assert stale in runtime.routing()
         token = runtime._token_for(database)
         assert token != stale
-        assert stale not in runtime._owner
+        assert stale not in runtime.routing()
+        assert runtime.tokens_retired == 1
         # The live entry now answers for the key.
         assert runtime._token_for(database) == token
 
@@ -150,20 +149,20 @@ class TestLRUCacheThreadSafety:
 # ----------------------------------------------------------------------
 class TestRuntimeRegistryRevival:
     def test_close_marks_instance(self):
-        runtime = ThreadRuntime(max_workers=1)
+        runtime = InlineRuntime()
         assert not runtime.closed
         runtime.close()
         assert runtime.closed
 
     def test_runtime_for_revives_closed_shared_instance(self):
-        first = runtime_for("thread")
+        first = runtime_for("inline")
         first.close()
-        second = runtime_for("thread")
+        second = runtime_for("inline")
         # Pre-fix: `second is first` — a dead runtime handed to every
         # subsequent caller.
         assert second is not first
         assert not second.closed
-        assert runtime_for("thread") is second
+        assert runtime_for("inline") is second
 
     def test_usable_after_shutdown_runtimes(self):
         runtime_for("inline")
@@ -181,8 +180,8 @@ class TestRuntimeRegistryRevival:
         database = cqgen.random_database(query, 6, 30, seed=3)
         session = EngineSession()
         expected = session.answer(query, database).rows
-        runtime_for("thread").close()
-        result = session.answer(query, database, shards=2, runtime="thread")
+        runtime_for("inline").close()
+        result = session.answer(query, database, shards=2, runtime="inline")
         assert result.rows == expected
 
 
@@ -257,36 +256,10 @@ class TestCancellation:
             InlineRuntime().run(self._tasks(5), run_local, cancel=token)
         assert executed == ["t0"]
 
-    def test_thread_runtime_cancels_queued_work_and_stays_usable(self):
-        runtime = ThreadRuntime(max_workers=2)
-        token = CancellationToken()
-        executed = []
-        lock = threading.Lock()
-
-        def run_local(task):
-            with lock:
-                executed.append(task.label)
-            if task.label == "t0":
-                token.cancel()
-            time.sleep(0.01)
-            return task.label
-
-        with pytest.raises(RunCancelled):
-            runtime.run(self._tasks(12), run_local, parallel=2, cancel=token)
-        # Queued tasks were cancelled: nowhere near all 12 ran.
-        assert 0 < len(executed) < 12
-        # The per-call pool was shut down cleanly; the runtime still works.
-        outcomes = runtime.run(self._tasks(3), lambda task: task.label)
-        assert [o.value for o in outcomes] == ["t0", "t1", "t2"]
-
     def test_pre_fired_token_skips_all_work(self):
         token = CancellationToken()
         token.cancel()
-        for runtime in (
-            InlineRuntime(),
-            ThreadRuntime(max_workers=2),
-            ProcessRuntime(max_workers=1),
-        ):
+        for runtime in (InlineRuntime(), ProcessRuntime(max_workers=1)):
             with pytest.raises(RunCancelled):
                 runtime.run(
                     self._tasks(3),
@@ -334,20 +307,3 @@ class TestCancellation:
         assert session.answer(query, database, shards=2).rows == session.answer(
             query, database
         ).rows
-
-    def test_old_style_runtime_without_cancel_still_works(self):
-        """Third-party runtimes with the pre-cancellation ``run`` signature
-        must keep working for calls that pass no token."""
-
-        class OldStyle(InlineRuntime):
-            name = "old-style"
-
-            def run(self, tasks, run_local, parallel=None):  # no cancel
-                return super().run(tasks, run_local, parallel=parallel)
-
-        query = cqgen.chain_query(3)
-        database = cqgen.random_database(query, 6, 30, seed=6)
-        session = EngineSession()
-        expected = session.answer(query, database).rows
-        result = session.answer(query, database, shards=2, runtime=OldStyle())
-        assert result.rows == expected

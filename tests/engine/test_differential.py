@@ -17,11 +17,13 @@ every scenario this harness runs:
   regime covers the co-partitioned and broadcast rungs by construction),
   the engine's automatic choice otherwise, with a hypothesis property that
   fresh-seed results are invariant in the shard count,
-* and **every registered execution runtime** (inline / thread / process) at
+* and **every registered execution runtime** (inline / process) at
   shard counts {1, 2, 4} over a per-regime representative slice of the
   scenarios — default dispatch and every forced decomposition plan, all
   three answer tasks, every regime, every database flavour, with the
   process pass running on real worker processes,
+* and the same slice driven by **two concurrent callers** on the shared
+  session (fan-out runs inline, so concurrency comes from callers),
 
 and asserts bit-for-bit agreement with the naive linear-scan solver.  The
 later passes replay the same slice through owner-routed process workers,
@@ -36,6 +38,7 @@ on one seed (``WORKLOAD_SEEDS=n``, default 0).
 
 import functools
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +351,72 @@ def test_runtime_slice_covers_every_regime_and_flavour(session, seed):
     decomposable = [s for s in chosen if _decomposition_plans(session, s.query)]
     assert {s.regime for s in decomposable} == set(workloads.ALL_REGIMES)
     assert {s.name.split("/")[2] for s in decomposable} == flavours
+
+
+# ----------------------------------------------------------------------
+# The concurrent pass: fan-out runs inline, so the concurrency a session
+# meets comes from its callers (the service answers every request on its
+# own thread).  Two callers drive the shared session through the runtime
+# slice at once — each scenario on a fresh database, so the callers race
+# to cut its first partition pieces — over default dispatch and every
+# forced decomposition plan, all three tasks, shard counts 1/2/4, and every
+# result must still agree with the naive solver.
+# ----------------------------------------------------------------------
+CONCURRENT_CALLERS = 2
+CONCURRENT_CASES = [
+    (seed, scenario) for seed in SEEDS for scenario in _runtime_slice(seed)
+]
+
+
+@pytest.mark.parametrize(
+    "seed,scenario",
+    CONCURRENT_CASES,
+    ids=[f"concurrent/{s.name}" for _, s in CONCURRENT_CASES],
+)
+def test_concurrent_callers_agree_with_naive(session, seed, scenario):
+    query, database = scenario.query, scenario.database
+    expected_rows = naive_enumerate_answers(query, database)
+    expected = (expected_rows, len(expected_rows), bool(expected_rows))
+    plans = [None, *_decomposition_plans(session, query)]
+    start = threading.Barrier(CONCURRENT_CALLERS)
+    disagreements: list = []
+    errors: list = []
+
+    def call() -> None:
+        try:
+            start.wait(timeout=30)
+            for plan in plans:
+                for shards in RUNTIME_SHARD_COUNTS:
+                    options = dict(
+                        plan=plan, shards=shards,
+                        shard_variable=scenario.shard_variable,
+                    )
+                    got = (
+                        session.answer(query, database, **options).rows,
+                        session.count(query, database, **options).count,
+                        session.is_satisfiable(
+                            query, database, **options
+                        ).satisfiable,
+                    )
+                    if got != expected:
+                        route = "default" if plan is None else plan.strategy
+                        disagreements.append(f"{route} at shards={shards}")
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    callers = [threading.Thread(target=call) for _ in range(CONCURRENT_CALLERS)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=120)
+    assert not any(caller.is_alive() for caller in callers), (
+        f"{scenario.name}: a concurrent caller did not finish"
+    )
+    assert errors == [], f"{scenario.name}: {errors!r}"
+    assert disagreements == [], (
+        f"{scenario.name}: concurrent callers disagree with naive: "
+        f"{disagreements}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The execution-runtime layer: the Inline/Thread/Process runtimes, the
-registry, session integration (``runtime=`` per call and per session), the
-resident-shard protocol of the process runtime, and the operator counters.
+"""The execution-runtime layer: the inline and process runtimes, name
+resolution, session integration (``runtime=`` per call and per session), the
+resident-shard protocol of the process runtime — owner placement, recovery
+and its fault paths — and the operator counters.
 """
 
 import os
 import signal
 import time
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,14 +21,28 @@ from repro.engine import (
     ProcessRuntime,
     RUNTIME_INLINE,
     RUNTIME_PROCESS,
-    RUNTIME_THREAD,
     RuntimeTask,
-    ThreadRuntime,
-    register_runtime,
     registered_runtimes,
     runtime_for,
 )
+from repro.cq.database import Database
+from repro.cq.query import Atom, ConjunctiveQuery, Constant
+import repro.engine as engine_module
 import repro.engine.runtime as runtime_module
+
+
+def _revive_in_the_pickling_process(value, pid):
+    if os.getpid() != pid:
+        os._exit(1)
+    return _PoisonConstant(value)
+
+
+class _PoisonConstant(Constant):
+    """A query constant that kills any process unpickling it other than the
+    one that pickled it: a task that crashes every worker it reaches."""
+
+    def __reduce__(self):
+        return _revive_in_the_pickling_process, (self.value, os.getpid())
 
 
 @pytest.fixture(scope="module")
@@ -41,90 +58,94 @@ def wheel_instance():
     return query, cqgen.random_database(query, 8, 60, seed=9)
 
 
-def _echo_tasks(runtime, count=4, parallel=None):
+def _echo_tasks(runtime, count=4):
     query = cqgen.chain_query(2)
     tasks = [
         RuntimeTask("answer", query, None, label=f"t{i}") for i in range(count)
     ]
-    outcomes = runtime.run(tasks, lambda task: task.label, parallel=parallel)
+    outcomes = runtime.run(tasks, lambda task: task.label)
     return tasks, outcomes
+
+
+def _wait_until_dead(pid: int) -> None:
+    deadline = time.time() + 5
+    while time.time() < deadline:
+        try:
+            os.kill(pid, 0)
+        except OSError:
+            return
+        time.sleep(0.05)
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {RUNTIME_INLINE, RUNTIME_THREAD, RUNTIME_PROCESS} <= set(
-            registered_runtimes()
-        )
+        assert registered_runtimes() == (RUNTIME_INLINE, RUNTIME_PROCESS)
 
     def test_runtime_for_resolves_names_and_instances(self):
         inline = runtime_for(RUNTIME_INLINE)
         assert isinstance(inline, InlineRuntime)
         # Named resolution returns one shared instance per process.
         assert runtime_for(RUNTIME_INLINE) is inline
-        mine = ThreadRuntime(max_workers=2)
+        mine = InlineRuntime()
         assert runtime_for(mine) is mine
-        assert isinstance(runtime_for(None), ThreadRuntime)
+        # Inline is the default fan-out runtime.
+        assert runtime_for(None) is inline
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime"):
             runtime_for("hamster-wheel")
 
-    def test_register_custom_runtime(self):
-        class Recorder(InlineRuntime):
-            name = "recorder"
+    def test_thread_runtime_name_rejected(self, wheel_instance):
+        query, database = wheel_instance
+        with pytest.raises(ValueError, match="unknown runtime"):
+            runtime_for("thread")
+        with pytest.raises(ValueError, match="unknown runtime"):
+            EngineSession().answer(query, database, shards=2, runtime="thread")
 
-        try:
-            register_runtime("recorder", Recorder)
-            with pytest.raises(ValueError, match="already registered"):
-                register_runtime("recorder", Recorder)
-            register_runtime("recorder", Recorder, replace=True)
-            assert "recorder" in registered_runtimes()
-            assert isinstance(runtime_for("recorder"), Recorder)
-        finally:
-            with runtime_module._registry_lock:
-                runtime_module._FACTORIES.pop("recorder", None)
-                runtime_module._SHARED.pop("recorder", None)
+    def test_retired_thread_name_is_an_unregistered_inline_class(self):
+        # ``ThreadRuntime`` stays only as a distinct class that tooling can
+        # bind ``ThreadRuntime.run`` on without touching ``InlineRuntime.run``:
+        # it inherits ``run``, runs inline, and is neither registered nor
+        # exported.
+        retired = runtime_module.ThreadRuntime
+        assert retired is not InlineRuntime
+        assert issubclass(retired, InlineRuntime)
+        assert "run" not in vars(retired)
+        assert not hasattr(engine_module, "ThreadRuntime")
+        assert "ThreadRuntime" not in engine_module.__all__
+        assert "thread" not in registered_runtimes()
+        tasks, outcomes = _echo_tasks(retired())
+        assert [o.value for o in outcomes] == [t.label for t in tasks]
+        assert {o.worker for o in outcomes} == {"inline"}
 
 
-class TestInlineAndThread:
+class TestInline:
     def test_outcomes_align_with_tasks(self):
-        for runtime in (InlineRuntime(), ThreadRuntime(max_workers=4)):
-            tasks, outcomes = _echo_tasks(runtime)
-            assert [o.value for o in outcomes] == [t.label for t in tasks]
-            assert all(o.seconds >= 0.0 for o in outcomes)
+        tasks, outcomes = _echo_tasks(InlineRuntime())
+        assert [o.value for o in outcomes] == [t.label for t in tasks]
+        assert all(o.seconds >= 0.0 for o in outcomes)
 
     def test_inline_runs_on_the_calling_thread(self):
         _, outcomes = _echo_tasks(InlineRuntime())
         assert {o.worker for o in outcomes} == {"inline"}
 
-    def test_thread_parallel_one_is_sequential(self):
-        _, outcomes = _echo_tasks(ThreadRuntime(), parallel=1)
-        assert {o.worker for o in outcomes} == {"thread:main"}
-
-    def test_thread_fan_out_uses_bounded_workers(self):
-        _, outcomes = _echo_tasks(ThreadRuntime(max_workers=2), count=6)
-        workers = {o.worker for o in outcomes}
-        assert len(workers) <= 2
-        assert all(worker.startswith("thread:") for worker in workers)
-
-    def test_thread_worker_cap_validated(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadRuntime(max_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            ProcessRuntime(max_workers=0)
-
 
 class TestSessionIntegration:
-    @pytest.mark.parametrize("spec", ["inline", "thread"])
-    def test_sharded_results_match_naive_per_runtime(self, spec, wheel_instance):
+    def test_default_session_fans_out_inline(self, wheel_instance):
+        query, database = wheel_instance
+        result = EngineSession().answer(query, database, shards=2)
+        assert result.runtime["name"] == "inline"
+        assert result.rows == naive_enumerate_answers(query, database)
+
+    def test_sharded_results_match_naive_inline(self, wheel_instance):
         query, database = wheel_instance
         expected = naive_enumerate_answers(query, database)
         session = EngineSession()
         for shards in (1, 2, 4):
-            result = session.answer(query, database, shards=shards, runtime=spec)
+            result = session.answer(query, database, shards=shards, runtime="inline")
             assert result.rows == expected
-            assert result.runtime["name"] == spec
-            count = session.count(query, database, shards=shards, runtime=spec)
+            assert result.runtime["name"] == "inline"
+            count = session.count(query, database, shards=shards, runtime="inline")
             assert count.count == naive_count_answers(query, database)
 
     def test_runtime_recorded_in_rationale_and_timings(self, wheel_instance):
@@ -140,13 +161,16 @@ class TestSessionIntegration:
         assert result.sharding["per_shard_seconds"] == record["per_task_seconds"]
 
     def test_session_default_runtime_applies_to_fan_out(self, wheel_instance):
+        class Tagged(InlineRuntime):
+            name = "tagged"
+
         query, database = wheel_instance
-        session = EngineSession(runtime="inline")
+        session = EngineSession(runtime=Tagged())
         result = session.answer(query, database, shards=2)
-        assert result.runtime["name"] == "inline"
+        assert result.runtime["name"] == "tagged"
         # ... and an explicit per-call runtime overrides the default.
-        override = session.answer(query, database, shards=2, runtime="thread")
-        assert override.runtime["name"] == "thread"
+        override = session.answer(query, database, shards=2, runtime="inline")
+        assert override.runtime["name"] == "inline"
         # The plain single-query fast path bypasses dispatch entirely.
         plain = session.answer(query, database)
         assert plain.runtime is None
@@ -167,7 +191,7 @@ class TestSessionIntegration:
         session.answer_many([query], database)
         stats = session.stats()
         assert stats["runtime"]["tasks_dispatched"] == 4 + 1 + 1
-        assert stats["runtime"]["calls_by_runtime"] == {"inline": 2, "thread": 1}
+        assert stats["runtime"]["calls_by_runtime"] == {"inline": 3}
         assert "inline" in stats["runtime"]["workers_used"]
         assert stats["sharding"]["calls"] == 2
         assert stats["sharding"]["by_mode"] == {
@@ -221,6 +245,10 @@ class TestSessionIntegration:
 
 
 class TestProcessRuntime:
+    def test_worker_cap_validated(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            ProcessRuntime(max_workers=0)
+
     def test_sharded_results_match_naive(self, process_runtime, wheel_instance):
         query, database = wheel_instance
         expected = naive_enumerate_answers(query, database)
@@ -456,5 +484,143 @@ class TestProcessRuntime:
             assert report["process"]["shipments"] == 2
             assert report["process"]["shipment_bytes"] > 0
             assert report["process"]["resident_by_worker"] == {0: 1, 1: 1}
+        finally:
+            runtime.close()
+
+    def test_batch_replicas_are_the_workers_that_follow_the_owner(self):
+        database = Database()
+        for row in ((0, 1), (1, 2), (2, 0), (2, 3), (3, 3)):
+            database.add_fact("E", row)
+        queries = [
+            ConjunctiveQuery([Atom("E", ("x", "y"))]),
+            ConjunctiveQuery([Atom("E", ("x", "y")), Atom("E", ("y", "z"))]),
+            ConjunctiveQuery(
+                [Atom("E", ("x", "y")), Atom("E", ("y", "z")), Atom("E", ("z", "w"))]
+            ),
+            ConjunctiveQuery([Atom("E", ("x", "y")), Atom("E", ("y", "x"))]),
+        ]
+        runtime = ProcessRuntime(max_workers=3)
+        try:
+            results = EngineSession().answer_many(
+                queries, database, parallel=2, runtime=runtime
+            )
+            assert [r.rows for r in results] == [
+                naive_enumerate_answers(query, database) for query in queries
+            ]
+            # Four classes over one database, two replicas allowed: the
+            # database ships to its owner and the worker after it, and the
+            # tasks alternate between the two.
+            ((token, owner),) = runtime.routing().items()
+            holders = {
+                index for index, held in runtime.residency().items() if token in held
+            }
+            assert holders == {owner, (owner + 1) % 3}
+            stats = runtime.stats()
+            assert stats["shipments"] == 2
+            assert stats["tasks_owner_routed"] == 2
+            assert stats["tasks_replica_routed"] == 2
+        finally:
+            runtime.close()
+
+    def test_mint_order_owners_balance_every_call(self):
+        # Tokens and ownership are coordinator book-keeping: no task runs,
+        # so no worker starts.
+        for workers in range(1, 5):
+            runtime = ProcessRuntime(max_workers=workers)
+            calls = []  # keeps every call's databases, and so tokens, alive
+            for pieces in range(1, 9):
+                databases = [Database() for _ in range(pieces)]
+                calls.append(databases)
+                tokens = [runtime._token_for(database) for database in databases]
+                routing = runtime.routing()
+                loads = Counter(routing[token] for token in tokens)
+                counts = [loads[index] for index in range(workers)]
+                assert max(counts) - min(counts) <= 1, (workers, pieces, counts)
+            assert runtime.stats()["pool_live"] is False
+
+    def test_worker_death_before_a_delta_shipment_reships_in_full(
+        self, wheel_instance
+    ):
+        query, database = wheel_instance
+        runtime = ProcessRuntime(max_workers=1)
+        try:
+            session = EngineSession()
+            first = session.answer(query, database, shards=2, runtime=runtime)
+            before = runtime.stats()
+            assert before["shipments"] == 2
+            pid = before["worker_pids"][0]
+            os.kill(pid, signal.SIGKILL)
+            _wait_until_dead(pid)
+            # The append grows a resident piece, so the next call's shipment
+            # to the dead owner is a delta.
+            for index in range(4):
+                database.add_fact(
+                    f"H{index}", ("late-hub", f"w{index}", f"w{(index + 1) % 4}")
+                )
+            second = session.answer(query, database, shards=2, runtime=runtime)
+            assert second.rows == naive_enumerate_answers(query, database)
+            assert ("late-hub", "w0", "w1", "w2", "w3") in second.rows
+            assert ("late-hub", "w0", "w1", "w2", "w3") not in first.rows
+            after = runtime.stats()
+            assert after["worker_restarts"] >= 1
+            assert after["worker_pids"][0] not in (None, pid)
+            # The replacement held nothing: both pieces shipped to it in full.
+            assert after["shipments"] - before["shipments"] == 2
+        finally:
+            runtime.close()
+
+    def test_delta_mismatch_falls_back_to_a_full_reship(self, wheel_instance):
+        query, database = wheel_instance
+        runtime = ProcessRuntime(max_workers=2)
+        try:
+            session = EngineSession()
+            session.answer(query, database, shards=2, runtime=runtime)
+            token, owner = min(runtime.routing().items())
+            synced = runtime._slots[owner].resident[token]
+            # Claim the worker's copy is one row behind in every relation: a
+            # delta from that base cannot apply to the copy it really holds.
+            runtime._slots[owner].resident[token] = {
+                name: max(0, version - 1) for name, version in synced.items()
+            }
+            for index in range(4):
+                database.add_fact(
+                    f"H{index}", ("late-hub", f"w{index}", f"w{(index + 1) % 4}")
+                )
+            result = session.answer(query, database, shards=2, runtime=runtime)
+            assert result.rows == naive_enumerate_answers(query, database)
+            stats = runtime.stats()
+            assert stats["recovery_reships"] == 1
+            assert stats["worker_restarts"] == 0
+        finally:
+            runtime.close()
+
+    def test_a_task_that_kills_every_worker_fails_in_bounded_time(
+        self, monkeypatch
+    ):
+        query = ConjunctiveQuery([Atom("R", ("x", _PoisonConstant(1)))])
+        database = Database()
+        for row in ((0, 1), (2, 1), (3, 4)):
+            database.add_fact("R", row)
+        recoveries = []
+        recover = ProcessRuntime._recover_worker
+
+        def counted(self, slot_index, generation):
+            recoveries.append(slot_index)
+            if len(recoveries) > 6:
+                pytest.fail("a poison task kept respawning workers")
+            return recover(self, slot_index, generation)
+
+        monkeypatch.setattr(ProcessRuntime, "_recover_worker", counted)
+        runtime = ProcessRuntime(max_workers=1)
+        try:
+            session = EngineSession()
+            with pytest.raises(BrokenProcessPool):
+                session.answer(query, database, runtime=runtime)
+            assert len(recoveries) == ProcessRuntime._SUBMIT_ATTEMPTS
+            # The runtime stays usable: the next call on it answers.
+            plain = ConjunctiveQuery([Atom("R", ("x", Constant(1)))])
+            result = session.answer(plain, database, runtime=runtime)
+            assert result.rows == {(0,), (2,)}
+            assert result.runtime["name"] == "process"
         finally:
             runtime.close()

@@ -419,16 +419,6 @@ class TestShardedExecution:
             session.answer(query, database, shards=2, shard_variable="nope")
         with pytest.raises(ValueError, match="shards"):
             session.answer(query, database, shards=0)
-        # parallel is validated up front, on every path — including the
-        # single-shard fallback and the unsharded fast path.
-        with pytest.raises(ValueError, match="parallel"):
-            session.answer(query, database, shards=4, parallel=0)
-        with pytest.raises(ValueError, match="parallel"):
-            session.answer(ConjunctiveQuery([]), database, shards=4, parallel=0)
-        with pytest.raises(ValueError, match="parallel"):
-            session.answer(query, database, parallel=0)
-        with pytest.raises(ValueError, match="parallel"):
-            session.count(query, database, parallel=-1)
 
     def test_sharded_missing_relation_is_empty(self, session):
         query = cqgen.hub_cycle_query(4)

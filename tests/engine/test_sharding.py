@@ -1,17 +1,23 @@
 """The sharding layer: stable hash partitioning, the spec fallback ladder,
-``Database.partition``, and ``ShardedDatabase``."""
+``Database.partition``, ``ShardedDatabase``, and the session's resident
+pieces under concurrent appends."""
 
 import enum
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
 from repro.cq.database import Relation, shard_of
+from repro.cq.homomorphism import naive_enumerate_answers
 from repro.engine import (
     SHARD_MODE_BROADCAST,
     SHARD_MODE_COPARTITIONED,
     SHARD_MODE_SINGLE,
+    EngineSession,
     ShardedDatabase,
     choose_shard_variable,
     sharding_spec,
@@ -268,3 +274,128 @@ class TestShardedDatabase:
                 if other is piece:
                     continue
                 assert all(row[0] != value for row in other.relation("H0").tuples)
+
+
+def _plant_wheel(database, hub) -> None:
+    """Append one satisfying assignment of ``hub_cycle_query(3)`` around
+    ``hub``: one row per relation, all on the hub's shard."""
+    for index in range(3):
+        database.add_fact(
+            f"H{index}", (hub, f"{hub}{index}", f"{hub}{(index + 1) % 3}")
+        )
+
+
+class TestResidentPiecesUnderAppends:
+    """A row appended while the session cuts or extends its resident pieces
+    must reach every later sharded call: the session reads each relation's
+    version before the rows that version covers, so such a row lies past
+    the recorded version and the next call routes it."""
+
+    @staticmethod
+    def _wheel():
+        query = cqgen.hub_cycle_query(3)
+        database = Database()
+        for hub in ("a", "b"):
+            _plant_wheel(database, hub)
+        return query, database
+
+    def test_rows_appended_right_after_the_cut_reach_later_calls(
+        self, monkeypatch
+    ):
+        query, database = self._wheel()
+        cut = ShardedDatabase.partition.__func__
+        planted = []
+
+        def cut_then_append(cls, *args, **kwargs):
+            sharded = cut(cls, *args, **kwargs)
+            if not planted:
+                planted.append(True)
+                _plant_wheel(database, "c")
+            return sharded
+
+        monkeypatch.setattr(ShardedDatabase, "partition", classmethod(cut_then_append))
+        session = EngineSession()
+        session.answer(query, database, shards=2)
+        monkeypatch.undo()
+        assert planted
+        expected = naive_enumerate_answers(query, database)
+        assert len(expected) == 3
+        assert session.answer(query, database, shards=2).rows == expected
+
+    def test_rows_appended_while_pieces_extend_reach_later_calls(
+        self, monkeypatch
+    ):
+        query, database = self._wheel()
+        session = EngineSession()
+        session.answer(query, database, shards=2)
+        # A row completing no wheel: the next call has pieces to extend.
+        database.add_fact("H0", ("z", "z0", "z1"))
+        delta_since = Relation.delta_since
+        planted = []
+
+        def delta_then_append(relation, version):
+            delta = delta_since(relation, version)
+            if not planted and sys._getframe(1).f_code.co_name == "_extend_pieces":
+                planted.append(relation.name)
+                _plant_wheel(database, "c")
+            return delta
+
+        monkeypatch.setattr(Relation, "delta_since", delta_then_append)
+        session.answer(query, database, shards=2)
+        monkeypatch.undo()
+        assert planted == ["H0"]
+        expected = naive_enumerate_answers(query, database)
+        assert len(expected) == 3
+        assert session.answer(query, database, shards=2).rows == expected
+
+    def test_sharded_readers_racing_an_appender_stay_exact(self):
+        query, database = self._wheel()
+        session = EngineSession()
+        session.answer(query, database, shards=2)
+        reads: list = []
+        errors: list = []
+        appended = threading.Event()
+        start = threading.Barrier(3)
+
+        def append() -> None:
+            try:
+                start.wait(timeout=10)
+                for number in range(200):
+                    _plant_wheel(database, f"w{number}")
+                    time.sleep(0)  # let the readers cut in between wheels
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                appended.set()
+
+        def read() -> None:
+            try:
+                start.wait(timeout=10)
+                while not appended.is_set():
+                    session.answer(query, database, shards=2)
+                    reads.append(True)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=append)] + [
+            threading.Thread(target=read) for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Racing reads are not checked row by row: a read overlapping a
+        # columnar view's in-place extension can miss rows, on the
+        # unsharded path too (a known limit of in-place view extension).
+        # What must hold is that no append is lost to the resident pieces:
+        # once the appender stops, a sharded call is exact.
+        expected = naive_enumerate_answers(query, database)
+        assert len(expected) == 202
+        assert session.answer(query, database, shards=2).rows == expected

@@ -91,6 +91,19 @@ class TestEndpoints:
                     query, database
                 ).satisfiable
 
+    def test_fan_out_runs_inline_by_default(self, server, workload):
+        queries, database = workload
+        with _client(server) as client:
+            served = client.count(queries[0], dataset="bench", shards=2)
+            assert served["runtime"] == "inline"
+            assert served["sharding"]["shards"] == 2
+            assert served["value"] == EngineSession().count(
+                queries[0], database
+            ).count
+            with pytest.raises(ServiceError) as info:
+                client.count(queries[0], dataset="bench", shards=2, runtime="thread")
+            assert info.value.status == 400
+
     def test_inline_database(self, server):
         database = Database()
         database.add_fact("E", (1, 2))

@@ -1,9 +1,12 @@
-"""Where the columnar kernel's NumPy path starts to beat its dict path.
+"""Where the columnar kernel's NumPy path starts to beat its dict path, and
+where its dense-id branch starts to beat sorting.
 
 Times each operator of :class:`repro.cq.columnar.ColumnarRelation` with
-both execution paths forced (by moving ``_VECTOR_MIN_ROWS`` to 0 or out of
-reach) on random relations of n rows over ``(x, y, z)`` and ``(y, z, w)``,
-which share two columns.  Two regimes:
+each execution path forced (by moving ``_VECTOR_MIN_ROWS`` to 0 or out of
+reach, and ``_DENSE_FACTOR`` to 0 or out of reach) on random relations of
+n rows over ``(x, y, z)`` and ``(y, z, w)``, which share two columns: the
+dict path, the NumPy path with dense addressing off (every keyed operator
+sorts) and on.  Projection has no dense branch.  Two regimes:
 
 * **cold** — every call sees fresh relation objects over the same arrays,
   so nothing is memoized (intermediate results inside one query);
@@ -14,9 +17,17 @@ A third table times cross products (no shared column) of a 40-row probe
 with m rows, by output size 40·m: a cross product has no key to probe, so
 the kernel sizes it by the pairs it gathers rather than by its probe side.
 
-Prints the median microseconds per call and the faster path.  The kernel's
-threshold is the smallest size from which the NumPy path wins every row of
-the tables.  Run with::
+A fourth table sweeps the key domain: two relations of n rows (1k and 20k)
+whose one key column draws from ``ratio * n`` ids, cold memos, sort vs
+dense, for the count DP's child sums, the semijoin and the join (whose
+cold build side is sorted either way: the dense join reads its build order
+from the same memoized sort).  Both sides' rows count, so ratio r is a
+table of r/2 slots per operand row; ``_DENSE_FACTOR`` is the largest such
+table size at which every dense operator still wins.
+
+Prints the median microseconds per call and the fastest path.  The
+kernel's threshold is the smallest size from which the NumPy path wins
+every row of the tables.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_vector_crossover.py
 """
@@ -25,6 +36,8 @@ from __future__ import annotations
 
 import random
 import time
+
+import numpy as np
 
 from repro.cq import columnar
 from repro.cq.columnar import ColumnarRelation, ValueInterner, columnar_count_join_tree
@@ -35,7 +48,14 @@ SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 #: Build-side rows of the cross-product table (probe side: 40 rows).
 CROSS_PROBE = 40
 CROSS_SIZES = (2, 4, 8, 13, 26, 52, 103, 1248)
+#: Rows per side and key-domain-to-rows ratios of the dense sweep.
+SWEEP_ROWS = (1000, 20000)
+SWEEP_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 REPEATS = 15
+#: The kernel's dense factor, and the settings at which every keyed
+#: NumPy operator sorts, or none does.
+FACTOR = columnar._DENSE_FACTOR
+SORTED, DENSE = 0, 10**9
 
 
 def _relation(columns, rows, domain, rng, interner) -> ColumnarRelation:
@@ -75,13 +95,20 @@ def _operators(left, right, warm: bool) -> dict:
 
 
 def _timed_paths(call) -> tuple:
-    """Median microseconds of ``call`` on the dict path, then NumPy."""
+    """Median microseconds of ``call`` on the dict path, then NumPy with
+    dense addressing off, then on."""
     timings = []
-    for forced in (10**9, 0):
-        columnar._VECTOR_MIN_ROWS = forced
+    for rows, factor in ((10**9, FACTOR), (0, SORTED), (0, FACTOR)):
+        columnar._VECTOR_MIN_ROWS = rows
+        columnar._DENSE_FACTOR = factor
         call()
         timings.append(_median_us(call))
     return tuple(timings)
+
+
+def _fastest(dict_us, sort_us, dense_us) -> str:
+    timings = {"dict": dict_us, "sort": sort_us, "dense": dense_us}
+    return min(timings, key=timings.get)
 
 
 def _cross_products() -> None:
@@ -94,7 +121,7 @@ def _cross_products() -> None:
         right = _relation(("b", "c"), rows, 4 * rows, rng, interner)
         for warm in (False, True):
             join = _operators(left, right, warm)["join"]
-            dict_us, numpy_us = _timed_paths(join)
+            dict_us, _sort_us, numpy_us = _timed_paths(join)
             faster = "numpy" if numpy_us < dict_us else "dict"
             print(
                 f"{CROSS_PROBE * rows:>6} {dict_us:>8.0f} {numpy_us:>9.0f}  "
@@ -102,12 +129,55 @@ def _cross_products() -> None:
             )
 
 
+def _dense_sweep() -> None:
+    print("key domain sweep, one key column, cold memos (sort / dense us)")
+    print(f"{'rows':>6} {'ratio':>5} {'child_sums':>13} {'semijoin':>11} {'join':>13}")
+    for rows in SWEEP_ROWS:
+        for ratio in SWEEP_RATIOS:
+            domain = ratio * rows
+            rng = np.random.default_rng(domain)
+            interner = ValueInterner.from_values(range(domain))
+            base = len(interner)
+
+            def relation(column):
+                keys = rng.integers(0, domain, rows, dtype=np.int64)
+                data = (keys, np.arange(rows, dtype=np.int64))
+                return ColumnarRelation._trusted(("k", column), interner, data, rows)
+
+            def fresh(relation):  # same arrays, empty memos
+                return ColumnarRelation._trusted(
+                    relation.columns, interner, relation._data, rows
+                )
+
+            left, right = relation("x"), relation("y")
+            weights = np.ones(rows, dtype=np.int64)
+            calls = (
+                lambda: columnar._vector_child_sums(
+                    fresh(left), fresh(right), ["k"], weights, base
+                ),
+                lambda: fresh(left)._vector_survivors(fresh(right), ["k"], base),
+                lambda: fresh(left)._vector_matches(fresh(right), ["k"], base),
+            )
+            cells = []
+            for call in calls:
+                timings = []
+                for factor in (SORTED, DENSE):
+                    columnar._DENSE_FACTOR = factor
+                    call()
+                    timings.append(_median_us(call))
+                cells.append(f"{timings[0]:.0f} / {timings[1]:.0f}")
+            print(f"{rows:>6} {ratio:>5} {cells[0]:>13} {cells[1]:>11} {cells[2]:>13}")
+
+
 def main() -> None:
     threshold = columnar._VECTOR_MIN_ROWS
     try:
         for warm in (False, True):
             print("warm memos" if warm else "cold memos")
-            print(f"{'rows':>6} {'operator':<9} {'dict_us':>8} {'numpy_us':>9}  faster")
+            print(
+                f"{'rows':>6} {'operator':<9} {'dict_us':>8} {'sort_us':>8} "
+                f"{'dense_us':>9}  fastest"
+            )
             for rows in SIZES:
                 rng = random.Random(rows)
                 domain = max(8, int((4 * rows) ** 0.5))
@@ -117,15 +187,17 @@ def main() -> None:
                 for name, call in _operators(left, right, warm).items():
                     if warm and name == "project":
                         continue  # a warm projection is a memo hit
-                    dict_us, numpy_us = _timed_paths(call)
-                    faster = "numpy" if numpy_us < dict_us else "dict"
+                    timings = _timed_paths(call)
                     print(
-                        f"{rows:>6} {name:<9} {dict_us:>8.0f} "
-                        f"{numpy_us:>9.0f}  {faster}"
+                        f"{rows:>6} {name:<9} {timings[0]:>8.0f} "
+                        f"{timings[1]:>8.0f} {timings[2]:>9.0f}  "
+                        f"{_fastest(*timings)}"
                     )
         _cross_products()
+        _dense_sweep()
     finally:
         columnar._VECTOR_MIN_ROWS = threshold
+        columnar._DENSE_FACTOR = FACTOR
 
 
 if __name__ == "__main__":

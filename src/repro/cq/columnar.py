@@ -15,11 +15,17 @@ set.  This module removes that price structurally:
 * **two execution paths, chosen by size** — an operator whose own (probe)
   side holds at least :data:`_VECTOR_MIN_ROWS` rows (for a cross product:
   whose two sides make that many pairs) runs on NumPy int64
-  arrays: keys pack with whole-array arithmetic, a semijoin is one
-  ``np.isin``, a join sorts both key vectors and matches them with
-  ``searchsorted`` (offsets by ``repeat``/``cumsum``, one fancy-index
-  gather per column), and dedup projection keeps the first row of each run
-  of equal sorted keys.  Smaller operators keep the dict/list code: packed
+  arrays: keys pack with whole-array arithmetic.  Interned ids are dense,
+  so when a table indexed by key (sized from the largest key held) has
+  at most :data:`_DENSE_FACTOR` slots per operand row, a semijoin reads a
+  boolean mask of the build keys, a join takes its run lengths from a
+  ``bincount`` of the build keys and expands the probe rows in order, and
+  a count-DP edge sums child weights into the table with ``np.add.at``.
+  Sparser domains sort: ``np.isin``, a join matching sorted key vectors
+  with ``searchsorted``, sorted segment sums.  Joins expand matches by
+  ``repeat``/``cumsum`` offsets and gather each column with one fancy
+  index; dedup projection keeps the first row of each run of equal sorted
+  keys.  Smaller operators keep the dict/list code: packed
   keys probe ``dict``/``set`` objects keyed by plain ints, and columns
   gather with one list comprehension each.  That path is faster on small
   relations (per-call NumPy overhead dominates there) and is the exact
@@ -33,14 +39,16 @@ set.  This module removes that price structurally:
 * **memoized key structures** — packed key vectors, hash buckets and key
   sets (dict path), and int64 key vectors and their sort orders (NumPy
   path) are cached per (column set, pack base) on the relation in bounded
-  LRU memos, so the Yannakakis passes touch each side of an edge once;
+  LRU memos, so the Yannakakis passes touch each side of an edge once.
+  Each operator reads the pack base once and passes it to both sides;
 * **exact statistics** — a column's degree vector (:meth:`ColumnarRelation
   .degrees`) is one ``np.bincount`` over its dense ids, memoized with the
   NumPy path's keys; the cost-based join order and the reducer's child
   order read it through :mod:`repro.cq.statistics`;
 * **factorized counting** — the counting DP runs over per-row weight
-  vectors and packed keys (sorted segment sums on the NumPy path), so
-  ``count()`` on full acyclic/GHD plans never materializes a result row;
+  vectors and packed keys (table or sorted segment sums on the NumPy
+  path), so ``count()`` on full acyclic/GHD plans never materializes a
+  result row;
 * **decode once at the boundary** — ids are decoded back to values only
   when an answer set leaves the kernel (:meth:`ColumnarRelation
   .decode_rows`), one list comprehension per output column.
@@ -98,6 +106,14 @@ _MEMO_CAP = 16
 #: more than the per-row loop they replace.  Cross products compare their
 #: pair count with the same bound; NumPy wins those from 80 pairs up.
 _VECTOR_MIN_ROWS = 512
+
+#: A NumPy-path join, semijoin or count-DP edge addresses its key domain
+#: directly (a table indexed by packed key) when that table, sized from the
+#: largest key it holds, has at most this many slots per operand row;
+#: sparser domains sort.  The measured sweep (docs/PERFORMANCE.md): at 1k
+#: and 20k rows every dense operator wins up to 4 slots per row, and the
+#: join stops winning at 8.
+_DENSE_FACTOR = 4
 
 #: The largest int64; packed keys and count weights above it would wrap.
 _INT64_MAX = (1 << 63) - 1
@@ -220,6 +236,16 @@ def _packs(base: int, width: int) -> bool:
     """Whether ``width`` ids below ``base`` pack into one int64 key (the
     largest packed key is ``base ** width - 1``)."""
     return base ** width <= _INT64_MAX + 1
+
+
+def _dense_size(*keys: np.ndarray) -> int | None:
+    """The size of a direct-address table over the packed key vectors
+    ``keys`` (their largest key + 1), or ``None`` when it exceeds
+    :data:`_DENSE_FACTOR` slots per key.  Sized from the keys, never from
+    the dictionary: a resident view that another thread extends mid-read
+    can hold ids interned after the operator read the dictionary size."""
+    top = max((int(vector.max()) for vector in keys if len(vector)), default=-1)
+    return top + 1 if top < _DENSE_FACTOR * sum(map(len, keys)) else None
 
 
 class ColumnarRelation:
@@ -349,7 +375,11 @@ class ColumnarRelation:
     # ------------------------------------------------------------------
     # Packed key vectors, dict path (memoized per column set x pack base)
     # ------------------------------------------------------------------
-    def _keys(self, columns: Sequence[Hashable]) -> Sequence[int]:
+    # Every key structure takes its pack ``base`` from the operator, which
+    # reads ``len(self.interner)`` once and hands it to both sides: another
+    # thread can intern values between two reads, and keys packed under two
+    # bases neither match nor stay distinct.
+    def _keys(self, columns: Sequence[Hashable], base: int) -> Sequence[int]:
         """One Python int key per row over the given columns: the column
         itself for a single key column, ids packed into one int otherwise
         (``base = |dictionary|`` makes packing a bijection; the base is part
@@ -361,7 +391,6 @@ class ColumnarRelation:
             return _ints(self._data[positions[0]])
         if not positions:
             return [0] * self._length
-        base = len(self.interner)
         cache_key = (positions, base)
         keys = self._key_cache.lookup(cache_key)
         if keys is None:
@@ -372,19 +401,18 @@ class ColumnarRelation:
             self._key_cache.store(cache_key, keys)
         return keys
 
-    def _cache_key(self, columns: Sequence[Hashable]) -> tuple:
+    def _cache_key(self, columns: Sequence[Hashable], base: int) -> tuple:
         positions = tuple(self._positions[c] for c in columns)
-        base = len(self.interner) if len(positions) > 1 else 0
-        return (positions, base)
+        return (positions, base if len(positions) > 1 else 0)
 
-    def _buckets(self, columns: Sequence[Hashable]) -> dict:
+    def _buckets(self, columns: Sequence[Hashable], base: int) -> dict:
         """Hash index ``key -> list of row indexes`` (the join build side)."""
-        cache_key = self._cache_key(columns)
+        cache_key = self._cache_key(columns, base)
         buckets = self._bucket_cache.lookup(cache_key)
         if buckets is None:
             buckets = {}
             get = buckets.get
-            for index, key in enumerate(self._keys(columns)):
+            for index, key in enumerate(self._keys(columns, base)):
                 rows = get(key)
                 if rows is None:
                     buckets[key] = [index]
@@ -393,15 +421,15 @@ class ColumnarRelation:
             self._bucket_cache.store(cache_key, buckets)
         return buckets
 
-    def _keyset(self, columns: Sequence[Hashable]) -> set:
+    def _keyset(self, columns: Sequence[Hashable], base: int) -> set:
         """The set of packed keys (the semijoin probe side)."""
-        cache_key = self._cache_key(columns)
+        cache_key = self._cache_key(columns, base)
         keyset = self._keyset_cache.lookup(cache_key)
         if keyset is None:
             buckets = self._bucket_cache.get(cache_key)
             keyset = (
                 set(buckets) if buckets is not None
-                else set(self._keys(columns))
+                else set(self._keys(columns, base))
             )
             self._keyset_cache.store(cache_key, keyset)
         return keyset
@@ -445,11 +473,13 @@ class ColumnarRelation:
             self._vector_cache.store(cache_key, column)
         return column
 
-    def _vector_keys(self, columns: Sequence[Hashable]) -> np.ndarray | None:
+    def _vector_keys(
+        self, columns: Sequence[Hashable], base: int
+    ) -> np.ndarray | None:
         """The packed keys as one int64 array, or ``None`` when
         ``|dictionary| ** width`` could exceed int64 — packing would wrap
         silently, so the caller takes the exact dict path instead."""
-        positions, base = cache_key = self._cache_key(columns)
+        positions, base = cache_key = self._cache_key(columns, base)
         if len(positions) == 1:
             return self._column_array(positions[0])
         if not _packs(base, len(positions)):
@@ -462,18 +492,26 @@ class ColumnarRelation:
             self._vector_cache.store(cache_key, keys)
         return keys
 
-    def _sorted_keys(self, columns: Sequence[Hashable]) -> tuple | None:
+    def _sorted_keys(
+        self, columns: Sequence[Hashable], base: int
+    ) -> tuple | None:
         """``(order, keys[order])`` for the packed keys, or ``None`` when
-        they do not fit int64.  The default (unstable) ``argsort`` is about
-        five times faster than a stable one, and no caller needs the order
-        of equal keys."""
-        cache_key = ("sorted",) + self._cache_key(columns)
+        they do not fit int64: the dedup projection's runs, the sort-path
+        join's and count DP's sorted keys, and the dense join's build
+        order.  Keys below ``2**16`` take a stable ``argsort`` on
+        ``uint16``, which NumPy runs as a radix sort; wider keys take the
+        default (unstable) ``argsort``, about five times faster than a
+        stable one on int64.  No caller needs the order of equal keys."""
+        cache_key = ("sorted",) + self._cache_key(columns, base)
         entry = self._vector_memo(cache_key)
         if entry is None:
-            keys = self._vector_keys(columns)
+            keys = self._vector_keys(columns, base)
             if keys is None:
                 return None
-            order = np.argsort(keys)
+            if len(keys) and keys.max() < 1 << 16:
+                order = np.argsort(keys.astype(np.uint16), kind="stable")
+            else:
+                order = np.argsort(keys)
             entry = (order, keys[order])
             self._vector_cache.store(cache_key, entry)
         return entry
@@ -545,16 +583,17 @@ class ColumnarRelation:
                 (), self.interner, (), 1 if self._length else 0
             )
         else:
-            projected = self._vector_project(columns, positions)
+            base = len(self.interner)
+            projected = self._vector_project(columns, positions, base)
             if projected is None:
-                projected = self._dict_project(columns, positions)
+                projected = self._dict_project(columns, positions, base)
         self._project_cache.store(columns, projected)
         return projected
 
-    def _vector_project(self, columns, positions) -> "ColumnarRelation | None":
+    def _vector_project(self, columns, positions, base) -> "ColumnarRelation | None":
         if self._length < _VECTOR_MIN_ROWS:
             return None
-        entry = self._sorted_keys(columns)
+        entry = self._sorted_keys(columns, base)
         if entry is None:
             return None
         order, keys = entry
@@ -567,13 +606,13 @@ class ColumnarRelation:
             columns, self.interner, _stored(data, len(survivors)), len(survivors)
         )
 
-    def _dict_project(self, columns, positions) -> "ColumnarRelation":
+    def _dict_project(self, columns, positions, base) -> "ColumnarRelation":
         if len(positions) == 1:
             unique = list(dict.fromkeys(_ints(self._data[positions[0]])))
             return ColumnarRelation._trusted(
                 columns, self.interner, (unique,), len(unique)
             )
-        keys = self._keys(columns)
+        keys = self._keys(columns, base)
         seen: set = set()
         add = seen.add
         survivors = [
@@ -586,22 +625,24 @@ class ColumnarRelation:
 
     def natural_join(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Join on the shared columns; ``self`` is the probe side.  A probe
-        side of at least :data:`_VECTOR_MIN_ROWS` rows matches sorted key
-        vectors, a smaller one probes int-keyed hash buckets built over
-        ``other``.  A cross product (no shared column) has no key to probe:
-        its cost is the ``len(self) * len(other)`` pairs it gathers, so
-        that product, not the probe side alone, selects the NumPy path
-        (both crossovers are measured in docs/PERFORMANCE.md)."""
+        side of at least :data:`_VECTOR_MIN_ROWS` rows matches int64 key
+        vectors (:meth:`_vector_matches`), a smaller one probes int-keyed
+        hash buckets built over ``other``.  A cross product (no shared
+        column) has no key to probe: its cost is the ``len(self) *
+        len(other)`` pairs it gathers, so that product, not the probe side
+        alone, selects the NumPy path (both crossovers are measured in
+        docs/PERFORMANCE.md)."""
         if self.interner is not other.interner:
             raise ValueError("cannot join relations over different interners")
         shared = [c for c in self.columns if c in other._positions]
         other_only = [c for c in other.columns if c not in self._positions]
         result_columns = self.columns + tuple(other_only)
+        base = len(self.interner)
         matches = None
         if self._length >= _VECTOR_MIN_ROWS or (
             not shared and self._length * other._length >= _VECTOR_MIN_ROWS
         ):
-            matches = self._vector_matches(other, shared)
+            matches = self._vector_matches(other, shared, base)
         if matches is not None:
             left, right = matches
             data = tuple(
@@ -618,13 +659,13 @@ class ColumnarRelation:
             left = [i for i in range(self._length) for _ in range(m)]
             right = list(range(m)) * self._length
         else:
-            buckets = other._buckets(shared)
+            buckets = other._buckets(shared, base)
             get = buckets.get
             left: list[int] = []
             right: list[int] = []
             extend_left = left.extend
             extend_right = right.extend
-            for index, key in enumerate(self._keys(shared)):
+            for index, key in enumerate(self._keys(shared, base)):
                 rows = get(key)
                 if rows is not None:
                     extend_left([index] * len(rows))
@@ -639,43 +680,62 @@ class ColumnarRelation:
             result_columns, self.interner, data, len(left)
         )
 
-    def _vector_matches(self, other, shared) -> tuple | None:
+    def _vector_matches(self, other, shared, base) -> tuple | None:
         """Row index arrays ``(left, right)`` of every matching pair, or
         ``None`` when the keys do not pack into int64.
 
-        Both key vectors are sorted (memoized — the build side's sort is
-        reused by every probe against it), so ``searchsorted`` runs on
-        sorted needles, several times faster than on unsorted ones.  Probe
-        row ``j`` matches the build run ``[lo_j, hi_j)``; ``repeat`` expands
-        the probe rows and a ``cumsum`` offset walks each run."""
+        The build side's keys are sorted (memoized, so every probe against
+        it reuses the sort); probe row ``j`` matches the build run
+        ``[lo_j, lo_j + count_j)``.  Over a dense key domain
+        (:func:`_dense_size`) the run lengths are one ``bincount`` of the
+        build keys and their starts its ``cumsum``, both read at each
+        probe key, so the probe rows expand in their own order.  Otherwise
+        the probe keys are sorted too (memoized) and ``searchsorted`` finds
+        each run, several times faster on sorted needles than on unsorted
+        ones.  Either way ``repeat`` expands the probe rows and a
+        ``cumsum`` offset walks each run."""
         if not shared:
             n, m = self._length, other._length
             return (
                 np.repeat(np.arange(n, dtype=np.int64), m),
                 np.tile(np.arange(m, dtype=np.int64), n),
             )
-        probe = self._sorted_keys(shared)
-        build = other._sorted_keys(shared)
-        if probe is None or build is None:
-            return None
-        probe_order, probe_keys = probe
-        build_order, build_keys = build
-        lo = np.searchsorted(build_keys, probe_keys, side="left")
-        counts = np.searchsorted(build_keys, probe_keys, side="right") - lo
-        left = np.repeat(probe_order, counts)
-        ends = np.cumsum(counts)
-        runs = np.repeat(lo - (ends - counts), counts)
-        right = build_order[np.arange(len(left), dtype=np.int64) + runs]
-        return left, right
-
-    def _vector_survivors(self, other, shared) -> np.ndarray | None:
-        """Indexes of the rows whose packed key occurs in ``other``
-        (``np.isin``), or ``None`` when the keys do not pack into int64."""
-        keys = self._vector_keys(shared)
-        build = other._vector_keys(shared)
+        keys = self._vector_keys(shared, base)
+        build = other._sorted_keys(shared, base)
         if keys is None or build is None:
             return None
-        return np.flatnonzero(np.isin(keys, build))
+        build_order, build_keys = build
+        size = _dense_size(keys, build_keys)
+        if size is not None:
+            runs = np.bincount(build_keys, minlength=size)
+            probe_rows = np.arange(len(keys), dtype=np.int64)
+            counts = runs[keys]
+            lo = (np.cumsum(runs) - runs)[keys]
+        else:
+            probe_rows, probe_keys = self._sorted_keys(shared, base)
+            lo = np.searchsorted(build_keys, probe_keys, side="left")
+            counts = np.searchsorted(build_keys, probe_keys, side="right") - lo
+        left = np.repeat(probe_rows, counts)
+        ends = np.cumsum(counts)
+        offsets = np.repeat(lo - (ends - counts), counts)
+        right = build_order[np.arange(len(left), dtype=np.int64) + offsets]
+        return left, right
+
+    def _vector_survivors(self, other, shared, base) -> np.ndarray | None:
+        """Indexes of the rows whose packed key occurs in ``other``, or
+        ``None`` when the keys do not pack into int64.  Over a dense key
+        domain a boolean mask marks ``other``'s keys and is read at each
+        row's key; otherwise ``np.isin``."""
+        keys = self._vector_keys(shared, base)
+        build = other._vector_keys(shared, base)
+        if keys is None or build is None:
+            return None
+        size = _dense_size(keys, build)
+        if size is None:
+            return np.flatnonzero(np.isin(keys, build))
+        present = np.zeros(size, dtype=bool)
+        present[build] = True
+        return np.flatnonzero(present[keys])
 
     def semijoin(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Grouped semijoin filtering: keep rows whose packed key occurs in
@@ -705,12 +765,13 @@ class ColumnarRelation:
         shared = [c for c in self.columns if c in other._positions]
         if not shared:
             return None if other._length else []
+        base = len(self.interner)
         if self._length >= _VECTOR_MIN_ROWS:
-            survivors = self._vector_survivors(other, shared)
+            survivors = self._vector_survivors(other, shared, base)
             if survivors is not None:
                 return None if len(survivors) == self._length else survivors
-        keyset = other._keyset(shared)
-        keys = self._keys(shared)
+        keyset = other._keyset(shared, base)
+        keys = self._keys(shared, base)
         survivors = [i for i, k in enumerate(keys) if k in keyset]
         if len(survivors) == self._length:
             return None
@@ -1299,20 +1360,31 @@ def _fits(weights: np.ndarray, factor: int) -> bool:
     return not len(weights) or int(weights.max()) * factor <= _INT64_MAX
 
 
-def _vector_child_sums(relation, child_relation, shared, child_weights):
+def _vector_child_sums(relation, child_relation, shared, child_weights, base):
     """For each row of ``relation``, the summed weight of the compatible
-    rows of ``child_relation``: sorted segment sums over the child's keys
-    (``np.add.reduceat``), mapped onto the parent's sorted keys with
-    ``searchsorted``."""
+    rows of ``child_relation``.  Over a dense key domain
+    (:func:`_dense_size`) one ``np.add.at`` sums the child's weights into
+    an int64 table indexed by key, and one gather reads it at the parent's
+    keys.  Otherwise sorted segment sums over the child's keys
+    (``np.add.reduceat``) map onto the parent's sorted keys with
+    ``searchsorted``.  The overflow check comes first: no sum of these
+    weights can leave int64 once it passes."""
     weights = _weights_array(child_weights)
     if not _fits(weights, len(weights)):
         raise _Int64Overflow
     if not shared:
         return np.full(len(relation), int(weights.sum()), dtype=np.int64)
-    parent = relation._sorted_keys(shared)
-    child = child_relation._sorted_keys(shared)
-    if parent is None or child is None:
+    keys = relation._vector_keys(shared, base)
+    child_keys = child_relation._vector_keys(shared, base)
+    if keys is None or child_keys is None:
         raise _Int64Overflow
+    size = _dense_size(keys, child_keys)
+    if size is not None:
+        table = np.zeros(size, dtype=np.int64)
+        np.add.at(table, child_keys, weights)
+        return table[keys]
+    parent = relation._sorted_keys(shared, base)
+    child = child_relation._sorted_keys(shared, base)
     sums = np.zeros(len(relation), dtype=np.int64)
     child_order, child_keys = child
     if not len(child_keys):
@@ -1343,9 +1415,10 @@ def _count_join_tree(tree: JoinTree, vectorise: bool) -> int:
             shared = [
                 c for c in relation.columns if c in child_relation._positions
             ]
+            base = len(relation.interner)
             if vector:
                 sums = _vector_child_sums(
-                    relation, child_relation, shared, weights[child]
+                    relation, child_relation, shared, weights[child], base
                 )
                 if not _fits(node_weights, int(sums.max())):
                     raise _Int64Overflow
@@ -1354,12 +1427,12 @@ def _count_join_tree(tree: JoinTree, vectorise: bool) -> int:
             grouped: dict = {}
             get = grouped.get
             for key, weight in zip(
-                child_relation._keys(shared), _ints(weights[child])
+                child_relation._keys(shared, base), _ints(weights[child])
             ):
                 grouped[key] = get(key, 0) + weight
             node_weights = [
                 w * grouped.get(k, 0)
-                for w, k in zip(node_weights, relation._keys(shared))
+                for w, k in zip(node_weights, relation._keys(shared, base))
             ]
         weights[node] = node_weights
     root = weights[tree.root]

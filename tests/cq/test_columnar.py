@@ -8,12 +8,14 @@ operation here must coincide with the tuple-set kernel after decoding.
 """
 
 import pickle
+import random
 import sys
 import threading
 import time
 
 import pytest
 
+from repro.cq import columnar as kernel
 from repro.cq import generators as cqgen
 from repro.cq.columnar import (
     _VECTOR_MIN_ROWS,
@@ -26,11 +28,13 @@ from repro.cq.columnar import (
     columnar_count_join_tree,
     columnar_enumerate_answers,
 )
+from repro.cq.counting import count_answers_via_join_tree
 from repro.cq.database import Database, Relation
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.cq.query import Atom, ConjunctiveQuery, Constant
 from repro.cq.relational import NamedRelation
-from repro.cq.yannakakis import yannakakis_full
+from repro.cq.yannakakis import JoinTree, yannakakis_full
+from repro.engine.session import EngineSession
 
 
 def named(columns, rows):
@@ -125,12 +129,13 @@ class TestOperationsAgreeWithTupleSet:
 
     def test_semijoin_inplace_rebinds_and_invalidates(self):
         relation = columnar("xy", [(1, 2), (2, 3), (4, 1)], self.interner)
-        relation._buckets(("x", "y"))  # warm a memo that must not go stale
+        base = len(self.interner)
+        relation._buckets(("x", "y"), base)  # warm a memo that must not go stale
         relation.semijoin_inplace(self.right)
         expected = named("xy", [(1, 2), (2, 3), (4, 1)]).semijoin(self.right_named)
         assert relation.to_named() == expected
-        assert relation._buckets(("x", "y")).keys() == {
-            key for key in relation._keys(("x", "y"))
+        assert relation._buckets(("x", "y"), base).keys() == {
+            key for key in relation._keys(("x", "y"), base)
         }
 
     def test_project_with_dedup(self):
@@ -164,11 +169,11 @@ class TestOperationsAgreeWithTupleSet:
 
     def test_packed_keys_refresh_when_dictionary_grows(self):
         left = columnar("xy", [(1, 2)], self.interner)
-        keys_before = left._keys(("x", "y"))
+        keys_before = left._keys(("x", "y"), len(self.interner))
         # Growing the dictionary changes the pack base: a fresh key vector
         # must be computed, not the memo for the old base.
         self.interner.intern("brand new value")
-        keys_after = left._keys(("x", "y"))
+        keys_after = left._keys(("x", "y"), len(self.interner))
         assert keys_before != keys_after or len(self.interner) == 0
 
 
@@ -598,3 +603,135 @@ class TestConcurrentViews:
             self._race(create)
             assert len({id(store) for store in stores}) == 1
             assert stores[0] is database.columnar_store()
+
+
+class _GrowingInterner(ValueInterner):
+    """Replays another thread interning values right after every read of
+    the dictionary size: each ``len()`` answers, then interns seven fresh
+    values.  An operator that reads the size once per side packs its two
+    sides' keys under different bases."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        size = len(self.values)
+        for _ in range(7):
+            self.intern(("fresh", len(self.values)))
+        return size
+
+
+def _three_column_pair(rows: int, domain: int, seed: int) -> tuple:
+    """``R(a, b, c)`` and ``S(a, b, d)``: ``rows`` distinct rows each over
+    ``range(domain)``, sharing the two-column key ``(a, b)``; ``S`` skips
+    a third of the key pairs, so a semijoin filters."""
+    rng = random.Random(seed)
+    cells = [
+        (a, b, v) for a in range(domain) for b in range(domain)
+        for v in range(domain)
+    ]
+    left = NamedRelation(("a", "b", "c"), set(rng.sample(cells, rows)))
+    right = NamedRelation(
+        ("a", "b", "d"),
+        {row for row in rng.sample(cells, rows) if (row[0] + row[1]) % 3},
+    )
+    return left, right
+
+
+class TestPackBase:
+    """Multi-column keys pack as ``k * base + id`` with ``base =
+    |dictionary|``.  Each operator reads the base once and hands it to
+    both sides; reading it per side mixed two bases whenever another
+    thread interned values in between, which lost matches and made false
+    ones."""
+
+    @pytest.mark.parametrize(
+        "rows, domain, dense_factor",
+        [(200, 7, kernel._DENSE_FACTOR), (1500, 12, kernel._DENSE_FACTOR),
+         (1500, 12, 0)],
+        ids=["dict", "numpy-dense", "numpy-sort"],
+    )
+    def test_interning_between_the_two_sides_keeps_operators_exact(
+        self, rows, domain, dense_factor, monkeypatch
+    ):
+        monkeypatch.setattr(kernel, "_DENSE_FACTOR", dense_factor)
+        left, right = _three_column_pair(rows, domain, seed=rows)
+        interner = _GrowingInterner()
+
+        def fresh():
+            return (
+                ColumnarRelation.from_named(left, interner),
+                ColumnarRelation.from_named(right, interner),
+            )
+
+        cleft, cright = fresh()
+        assert (len(cleft) >= _VECTOR_MIN_ROWS) == (rows >= _VECTOR_MIN_ROWS)
+        assert cleft.natural_join(cright).to_named() == left.natural_join(right)
+        cleft, cright = fresh()
+        assert cright.natural_join(cleft).to_named() == right.natural_join(left)
+        cleft, cright = fresh()
+        assert cleft.semijoin(cright).to_named() == left.semijoin(right)
+        cleft, cright = fresh()
+        tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
+        reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
+        assert columnar_count_join_tree(tree) == count_answers_via_join_tree(
+            reference
+        )
+
+    def test_threads_interning_values_leave_running_joins_exact(self):
+        """One thread answers ``R(a, b, c), S(a, b, d)`` projected onto
+        ``(c, d)`` (a dict-path join on a two-column key) while another
+        appends fresh values to ``T`` and answers ``T(t)``, interning them
+        into the same dictionary.  About 2 s at a 10 µs switch interval."""
+        left, right = _three_column_pair(200, 7, seed=3)
+        database = Database()
+        for name, relation in (("R", left), ("S", right)):
+            for row in relation.rows:
+                database.add_fact(name, row)
+        query = ConjunctiveQuery(
+            [Atom("R", ["a", "b", "c"]), Atom("S", ["a", "b", "d"])]
+        ).project(["c", "d"])
+        grower = ConjunctiveQuery([Atom("T", ["t"])])
+        expected = naive_enumerate_answers(query, database)
+        session = EngineSession()
+        stop = threading.Event()
+        answered: list = []
+        wrong: list = []
+        errors: list = []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    rows = session.answer(query, database).rows
+                    answered.append(len(rows))
+                    if rows != expected:
+                        wrong.append(len(rows))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def intern():
+            try:
+                fresh = 0
+                while not stop.is_set():
+                    database.add_fact("T", (("t", fresh),))
+                    fresh += 1
+                    session.answer(grower, database)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read), threading.Thread(target=intern)]
+            for thread in threads:
+                thread.start()
+            time.sleep(2)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answered
+        assert wrong == [], f"{len(wrong)} of {len(answered)} answers wrong"

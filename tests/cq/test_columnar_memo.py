@@ -63,18 +63,19 @@ def test_relation_key_memos_stay_bounded_under_many_patterns():
     relation = ColumnarRelation.from_named(
         NamedRelation(columns, rows), ValueInterner()
     )
+    base = len(relation.interner)
     patterns = list(itertools.combinations(columns, 2))
     assert len(patterns) > _MEMO_CAP
     for pattern in patterns:
-        relation._buckets(pattern)
-        relation._keyset(pattern)
-        relation._keys(pattern)
+        relation._buckets(pattern, base)
+        relation._keyset(pattern, base)
+        relation._keys(pattern, base)
     assert len(relation._key_cache) <= _MEMO_CAP
     assert len(relation._bucket_cache) <= _MEMO_CAP
     assert len(relation._keyset_cache) <= _MEMO_CAP
     # Re-probing a recent pattern is a pure hit — no new entries.
     before = memo_counters()["hits"]
-    relation._buckets(patterns[-1])
+    relation._buckets(patterns[-1], base)
     assert memo_counters()["hits"] > before
 
 

@@ -1,14 +1,16 @@
 """The columnar kernel's NumPy path against the tuple-set reference.
 
 Operators whose probe side holds at least ``_VECTOR_MIN_ROWS`` rows run on
-int64 arrays; smaller ones keep the dict/list code.  These tests build
-relations on both sides of that threshold and pin every vectorised
-operator — ``natural_join``, ``semijoin``, ``semijoin_inplace``,
-``project`` and the counting DP — to :class:`NamedRelation` after
+int64 arrays; smaller ones keep the dict/list code.  On the NumPy path a
+join, semijoin or count-DP edge addresses a dense key domain directly and
+sorts a sparse one (``_DENSE_FACTOR``).  These tests build relations on
+both sides of the row threshold and pin every vectorised operator —
+``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project`` and the
+counting DP — on both NumPy branches to :class:`NamedRelation` after
 decoding, then check the same through the engine on databases large enough
-that each vectorised operator fires.  The last group covers the exactness
-guards: int64 would wrap silently where Python ints grow, so each test
-below fails if the guard it names is removed.
+that each vectorised operator and each branch fires.  The last group
+covers the exactness guards: int64 would wrap silently where Python ints
+grow, so each test below fails if the guard it names is removed.
 """
 
 import math
@@ -83,7 +85,16 @@ def relation_pairs(draw):
 @settings(max_examples=30, deadline=None)
 @given(pair=relation_pairs())
 def test_vectorised_operators_match_the_tuple_set_reference(pair):
-    left, right = pair
+    """Each draw runs twice: as is (its narrow domains mostly take the
+    dense branch), and with ``_DENSE_FACTOR`` at 0, where every keyed
+    NumPy operator sorts."""
+    for factor in (columnar._DENSE_FACTOR, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar, "_DENSE_FACTOR", factor)
+            _check_operators(*pair)
+
+
+def _check_operators(left, right):
     interner = ValueInterner()
     cleft = ColumnarRelation.from_named(left, interner)
     cright = ColumnarRelation.from_named(right, interner)
@@ -138,8 +149,58 @@ def test_cross_products_match_the_tuple_set_reference(left_rows, right_rows):
     assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
 
 
+@pytest.fixture
+def dense_sizes(monkeypatch):
+    """Records what ``_dense_size`` returns: a table size for each dense
+    operator, ``None`` for each sorted one."""
+    sizes = []
+    real = columnar._dense_size
+
+    def recorded(*keys):
+        sizes.append(real(*keys))
+        return sizes[-1]
+
+    monkeypatch.setattr(columnar, "_dense_size", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("key_width", [1, 2])
+def test_sparse_key_domains_take_the_sort_path(key_width, dense_sizes):
+    """Keys spread over ten or more slots per operand row, past
+    ``_DENSE_FACTOR``: one-column keys draw from 40·N interned values for
+    2·N rows a side, two-column keys pack under that base.  The join, the
+    semijoin and the count DP sort, and match the reference."""
+    interner = ValueInterner()
+    for value in range(40 * N):
+        interner.intern(value)
+    rng = random.Random(key_width)
+    key = ("a", "b")[:key_width]
+    spread = 40 * N if key_width == 1 else 200
+
+    def draw(columns):
+        width = len(columns)
+        return NamedRelation(
+            columns,
+            {
+                tuple(rng.randrange(spread) for _ in key)
+                + tuple(rng.randrange(40 * N) for _ in range(width - key_width))
+                for _ in range(2 * N)
+            },
+        )
+
+    left, right = draw(key + ("x",)), draw(key + ("y",))
+    cleft = ColumnarRelation.from_named(left, interner)
+    cright = ColumnarRelation.from_named(right, interner)
+    assert cleft.natural_join(cright).to_named() == left.natural_join(right)
+    assert cleft.semijoin(cright).to_named() == left.semijoin(right)
+    tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
+    reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
+    assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
+    assert dense_sizes == [None] * 3
+
+
 # ----------------------------------------------------------------------
-# Engine level: every vectorised operator fires
+# Engine level: every vectorised operator and both NumPy branches fire
 # ----------------------------------------------------------------------
 VECTOR_OPERATORS = (
     ("ColumnarRelation", "_vector_matches"),
@@ -166,16 +227,19 @@ def vector_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "query, domain, tuples",
+    "query, domain, tuples, branches",
+    # Across the three queries both NumPy branches fire.
     [
-        (cqgen.cycle_query(4), 40, 1200),
-        (cqgen.hub_cycle_query(3), 14, 1200),
-        (cqgen.star_query(3), 30, 800),
+        # Two-column keys over 200 values: the bags' (x0, x2) keys are
+        # sparse, their one-column join keys dense.
+        (cqgen.cycle_query(4), 200, 1200, {"dense", "sort"}),
+        (cqgen.hub_cycle_query(3), 14, 1200, {"dense"}),
+        (cqgen.star_query(3), 30, 800, {"dense"}),
     ],
     ids=["cycle", "wheel", "star"],
 )
 def test_engine_answers_and_counts_on_the_vector_path(
-    query, domain, tuples, vector_calls
+    query, domain, tuples, branches, vector_calls, dense_sizes
 ):
     database = cqgen.random_database(query, domain, tuples, seed=11)
     session = EngineSession()
@@ -194,6 +258,8 @@ def test_engine_answers_and_counts_on_the_vector_path(
         projected, database, projected_plan.decomposition
     )
     assert all(count > 0 for count in vector_calls.values()), vector_calls
+    fired = {"sort" if size is None else "dense" for size in dense_sizes}
+    assert fired == branches
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +310,37 @@ def test_counts_above_int64_stay_exact(shapes):
     expected = _product(shapes)
     assert expected > _INT64_MAX
     assert columnar_count_join_tree(_columns_tree(shapes)) == expected
+
+
+def test_dense_child_sums_above_int64_rerun_on_python_ints():
+    """A count-DP edge over a dense key domain (three key values) whose
+    grouped child sums exceed ``2**63`` although every child weight fits:
+    a chain of six 600-row nodes gives each child row weight ``600**6``,
+    and 200 child rows share each key.  The overflow check runs before
+    ``np.add.at``, so the DP reruns on Python ints instead of wrapping."""
+    rows, chain = 600, 6
+    interner = ValueInterner()
+    parent = NamedRelation(("a", "p"), {(i % 3, i) for i in range(rows)})
+    child = NamedRelation(("a", "c"), {(i % 3, i) for i in range(rows)})
+    relations = {
+        0: ColumnarRelation.from_named(parent, interner),
+        1: ColumnarRelation.from_named(child, interner),
+    }
+    parents = {0: None, 1: 0}
+    for node in range(2, 2 + chain):
+        relations[node] = ColumnarRelation.from_named(
+            NamedRelation((f"v{node}",), {(i,) for i in range(rows)}), interner
+        )
+        parents[node] = node - 1
+    grouped = (rows // 3) * rows**chain
+    assert rows**chain <= _INT64_MAX < grouped
+    base = len(interner)
+    assert columnar._dense_size(
+        relations[0]._vector_keys(("a",), base),
+        relations[1]._vector_keys(("a",), base),
+    ) == 3
+    expected = rows * grouped
+    assert columnar_count_join_tree(JoinTree(relations, parents)) == expected
 
 
 def test_four_column_keys_stay_exact_when_packing_cannot_fit():

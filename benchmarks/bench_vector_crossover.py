@@ -25,6 +25,12 @@ from the same memoized sort).  Both sides' rows count, so ratio r is a
 table of r/2 slots per operand row; ``_DENSE_FACTOR`` is the largest such
 table size at which every dense operator still wins.
 
+A fifth table times sort-order maintenance on a resident view: after k
+keys (below ``2**16``, like node ids) are appended to n, the next
+snapshot's sort order either re-sorts all n + k keys or merges the k
+appended ones into the previous snapshot's order (``searchsorted`` slots,
+then ``np.insert``), as ``ColumnarRelation._sorted_keys`` does.
+
 Prints the median microseconds per call and the fastest path.  The
 kernel's threshold is the smallest size from which the NumPy path wins
 every row of the tables.  Run with::
@@ -40,7 +46,12 @@ import time
 import numpy as np
 
 from repro.cq import columnar
-from repro.cq.columnar import ColumnarRelation, ValueInterner, columnar_count_join_tree
+from repro.cq.columnar import (
+    ColumnarRelation,
+    ValueInterner,
+    _BoundedMemo,
+    columnar_count_join_tree,
+)
 from repro.cq.relational import NamedRelation
 from repro.cq.yannakakis import JoinTree
 
@@ -51,6 +62,9 @@ CROSS_SIZES = (2, 4, 8, 13, 26, 52, 103, 1248)
 #: Rows per side and key-domain-to-rows ratios of the dense sweep.
 SWEEP_ROWS = (1000, 20000)
 SWEEP_RATIOS = (1, 2, 4, 8, 16, 32, 64)
+#: Resident rows and appended keys of the sort-order maintenance table.
+MERGE_ROWS = (1000, 20000, 80000)
+MERGE_APPENDS = (1, 60, 600)
 REPEATS = 15
 #: The kernel's dense factor, and the settings at which every keyed
 #: NumPy operator sorts, or none does.
@@ -169,6 +183,34 @@ def _dense_sweep() -> None:
             print(f"{rows:>6} {ratio:>5} {cells[0]:>13} {cells[1]:>11} {cells[2]:>13}")
 
 
+def _order_maintenance() -> None:
+    print("sort order after an append of k keys to n (re-sort / merge us)")
+    print(f"{'rows':>6} {'k':>4} {'re-sort / merge':>16}")
+    rng = np.random.default_rng(5)
+    for rows in MERGE_ROWS:
+        for added in MERGE_APPENDS:
+            keys = rng.integers(0, 1 << 16, rows + added, dtype=np.int64)
+            older, newer = (
+                ColumnarRelation._trusted(("k",), None, (keys[:n],), n)
+                for n in (rows, rows + added)
+            )
+            older._order_cache = newer._order_cache = memo = _BoundedMemo()
+            older._sorted_keys(("k",), 0)
+            previous = dict(memo)
+
+            def resort():
+                memo.clear()
+                newer._sorted_keys(("k",), 0)
+
+            def merge():
+                memo.clear()
+                memo.update(previous)
+                newer._sorted_keys(("k",), 0)
+
+            cells = f"{_median_us(resort):.0f} / {_median_us(merge):.0f}"
+            print(f"{rows:>6} {added:>4} {cells:>16}")
+
+
 def main() -> None:
     threshold = columnar._VECTOR_MIN_ROWS
     try:
@@ -195,6 +237,7 @@ def main() -> None:
                     )
         _cross_products()
         _dense_sweep()
+        _order_maintenance()
     finally:
         columnar._VECTOR_MIN_ROWS = threshold
         columnar._DENSE_FACTOR = FACTOR

@@ -30,17 +30,23 @@ set.  This module removes that price structurally:
   gather with one list comprehension each.  That path is faster on small
   relations (per-call NumPy overhead dominates there) and is the exact
   fallback whenever a packed key or a count weight could leave int64;
-* **column representations** — results of the NumPy path with at least
-  :data:`_VECTOR_MIN_ROWS` rows keep int64 ``ndarray`` columns; smaller
-  results, dict-path results and resident atom views hold
+* **column representations** — results of the NumPy path and resident
+  atom views with at least :data:`_VECTOR_MIN_ROWS` rows keep int64
+  ``ndarray`` columns; smaller results and dict-path results hold
   ``array('q')``/list columns, copied to int64 (and memoized) when a
   vectorised operator first reads them.  Decoded rows, which leave the
   kernel, hold Python values;
+* **resident id tables** — a :class:`ColumnarStore` interns each stored
+  row once into one append-only id table per relation and serves atom
+  views as immutable snapshots of it, so an append never changes a view
+  a reader holds;
 * **memoized key structures** — packed key vectors, hash buckets and key
   sets (dict path), and int64 key vectors and their sort orders (NumPy
   path) are cached per (column set, pack base) on the relation in bounded
   LRU memos, so the Yannakakis passes touch each side of an edge once.
-  Each operator reads the pack base once and passes it to both sides;
+  The snapshots of a resident view share their buckets, key sets and sort
+  orders, topped up or merged with the appended rows.  Each operator
+  reads the pack base once and passes it to both sides;
 * **exact statistics** — a column's degree vector (:meth:`ColumnarRelation
   .degrees`) is one ``np.bincount`` over its dense ids, memoized with the
   NumPy path's keys; the cost-based join order and the reducer's child
@@ -67,14 +73,15 @@ unchanged — they are duck-typed over the relation interface (``columns``,
 The engine dispatches the decomposition strategies here through
 :class:`repro.engine.backends.ColumnarBackend`; conversion and
 caching live at the :class:`~repro.cq.database.Database` layer
-(``Database.columnar_view``), versioned like the atom-view cache: appends
-through the storage API *extend* cached views in place instead of
-invalidating them, and :class:`DatabaseDelta` ships only the appended rows
-to workers that already hold a piece resident.
+(``Database.columnar_view``) behind the relations' version seam: appends
+through the storage API are interned onto the id tables instead of
+invalidating anything, and :class:`DatabaseDelta` ships only the appended
+rows to workers that already hold a piece resident.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from array import array
 from collections.abc import Hashable, Sequence
@@ -138,8 +145,8 @@ class _BoundedMemo(dict):
 
     A plain dict with insertion order as recency: :meth:`lookup` reinserts
     on hit, :meth:`store` evicts the least recently used entry at the cap.
-    It *is* a dict, so the columnar store's extend-in-place path can keep
-    iterating, patching and purging entries directly.
+    The snapshots of one resident view share some of these memos, so
+    threads may hit one concurrently.
     """
 
     __slots__ = ()
@@ -157,9 +164,35 @@ class _BoundedMemo(dict):
 
     def store(self, key, value) -> None:
         if key not in self and len(self) >= _MEMO_CAP:
-            del self[next(iter(self))]
+            self.pop(next(iter(self), None), None)
             _MEMO_COUNTERS["evictions"] += 1
         self[key] = value
+
+
+class _Covering:
+    """A memoized key structure over the first ``rows`` rows of a relation.
+
+    The snapshots of one resident view share their hash buckets, key sets
+    and sort orders (:meth:`ColumnarStore.view`), so an entry can cover
+    more or fewer rows than the snapshot reading it.  A reader at more rows
+    tops a bucket or key-set entry up in place under the store's lock: it
+    raises ``limit`` before the new rows land and ``rows`` after, so a
+    reader that finds ``limit`` still at most its own length after its
+    probe loop saw no later row.  One that finds it past its length drops
+    the later matches (row ids only ever append in increasing order) or,
+    for a key set, which records no rows, tests its own keys instead.  A
+    merged sort order is published as a new entry.
+    """
+
+    __slots__ = ("rows", "limit", "value")
+
+    def __init__(self, rows: int, value) -> None:
+        self.rows = self.limit = rows
+        self.value = value
+
+
+#: The lock an ordinary relation's memos take: nothing else shares them.
+_UNSHARED = contextlib.nullcontext()
 
 
 class ValueInterner:
@@ -242,10 +275,36 @@ def _dense_size(*keys: np.ndarray) -> int | None:
     """The size of a direct-address table over the packed key vectors
     ``keys`` (their largest key + 1), or ``None`` when it exceeds
     :data:`_DENSE_FACTOR` slots per key.  Sized from the keys, never from
-    the dictionary: a resident view that another thread extends mid-read
-    can hold ids interned after the operator read the dictionary size."""
+    the dictionary, which other threads can grow mid-operator."""
     top = max((int(vector.max()) for vector in keys if len(vector)), default=-1)
     return top + 1 if top < _DENSE_FACTOR * sum(map(len, keys)) else None
+
+
+def _argsort(keys: np.ndarray) -> np.ndarray:
+    """An order that sorts ``keys``.  Keys below ``2**16`` take a stable
+    ``argsort`` on ``uint16``, which NumPy runs as a radix sort; wider keys
+    take the default (unstable) ``argsort``, about five times faster than
+    a stable one on int64."""
+    if len(keys) and keys.max() < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys)
+
+
+def _fill_buckets(buckets: dict, keys, start: int) -> None:
+    """Append rows ``start, start + 1, ...`` (keyed by ``keys``) to their
+    hash buckets."""
+    get = buckets.get
+    for index, key in enumerate(keys, start):
+        rows = get(key)
+        if rows is None:
+            buckets[key] = [index]
+        else:
+            rows.append(index)
+
+
+def _fill_keys(keyset: set, keys, start: int) -> None:
+    """Add the keys of rows ``start, start + 1, ...`` to a key set."""
+    keyset.update(keys)
 
 
 class ColumnarRelation:
@@ -258,13 +317,15 @@ class ColumnarRelation:
     explicit so zero-column relations (the relational units ``{}`` and
     ``{()}``) keep their cardinality.  Columns are ``array('q')``/lists, or
     int64 ``ndarray``s on relations of at least :data:`_VECTOR_MIN_ROWS`
-    rows produced by a vectorised operator.
+    rows produced by a vectorised operator or served by a
+    :class:`ColumnarStore`.  A relation never changes once built, except
+    through :meth:`semijoin_inplace` on one an evaluator owns.
     """
 
     __slots__ = (
         "columns", "interner", "_data", "_length", "_positions",
-        "_key_cache", "_bucket_cache", "_keyset_cache",
-        "_project_cache", "_vector_cache",
+        "_key_cache", "_bucket_cache", "_keyset_cache", "_order_cache",
+        "_project_cache", "_vector_cache", "_lock",
     )
 
     def __init__(
@@ -297,14 +358,23 @@ class ColumnarRelation:
         self._key_cache = _BoundedMemo()
         self._bucket_cache = _BoundedMemo()
         self._keyset_cache = _BoundedMemo()
+        self._order_cache = _BoundedMemo()
         self._project_cache = _BoundedMemo()
         self._vector_cache = _BoundedMemo()
+        self._lock = _UNSHARED
 
     @classmethod
     def _trusted(cls, columns, interner, data, length) -> "ColumnarRelation":
         relation = object.__new__(cls)
         relation._init(tuple(columns), interner, tuple(data), length)
         return relation
+
+    def _share(self, memos: tuple, lock) -> None:
+        """Read and top up ``memos`` — hash buckets, key sets and sort
+        orders shared with the other snapshots of one resident view — under
+        ``lock``."""
+        self._bucket_cache, self._keyset_cache, self._order_cache = memos
+        self._lock = lock
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -389,87 +459,81 @@ class ColumnarRelation:
         positions = tuple(self._positions[c] for c in columns)
         if len(positions) == 1:
             return _ints(self._data[positions[0]])
-        if not positions:
-            return [0] * self._length
         cache_key = (positions, base)
         keys = self._key_cache.lookup(cache_key)
         if keys is None:
-            vectors = [_ints(self._data[p]) for p in positions]
-            keys = list(vectors[0])
-            for vector in vectors[1:]:
-                keys = [k * base + i for k, i in zip(keys, vector)]
+            keys = self._range_keys(positions, base, 0)
             self._key_cache.store(cache_key, keys)
+        return keys
+
+    def _range_keys(self, positions: tuple, base: int, start: int):
+        """The packed Python-int keys of rows ``[start, len(self))``."""
+        if not positions:
+            return [0] * (self._length - start)
+        vectors = [
+            _ints(self._data[p][start:] if start else self._data[p])
+            for p in positions
+        ]
+        keys = vectors[0]
+        for vector in vectors[1:]:
+            keys = [k * base + i for k, i in zip(keys, vector)]
         return keys
 
     def _cache_key(self, columns: Sequence[Hashable], base: int) -> tuple:
         positions = tuple(self._positions[c] for c in columns)
         return (positions, base if len(positions) > 1 else 0)
 
-    def _buckets(self, columns: Sequence[Hashable], base: int) -> dict:
-        """Hash index ``key -> list of row indexes`` (the join build side)."""
-        cache_key = self._cache_key(columns, base)
-        buckets = self._bucket_cache.lookup(cache_key)
-        if buckets is None:
-            buckets = {}
-            get = buckets.get
-            for index, key in enumerate(self._keys(columns, base)):
-                rows = get(key)
-                if rows is None:
-                    buckets[key] = [index]
-                else:
-                    rows.append(index)
-            self._bucket_cache.store(cache_key, buckets)
-        return buckets
+    def _buckets(self, columns: Sequence[Hashable], base: int) -> _Covering:
+        """Hash index ``key -> row indexes, ascending`` (the join build
+        side), covering at least this relation's rows."""
+        return self._covering(self._bucket_cache, columns, base, dict, _fill_buckets)
 
-    def _keyset(self, columns: Sequence[Hashable], base: int) -> set:
-        """The set of packed keys (the semijoin probe side)."""
+    def _keyset(self, columns: Sequence[Hashable], base: int) -> _Covering:
+        """The set of packed keys (the semijoin probe side), covering at
+        least this relation's rows."""
+        return self._covering(self._keyset_cache, columns, base, set, _fill_keys)
+
+    def _covering(self, memo, columns, base, empty, fill) -> _Covering:
+        """The memo entry for ``columns``, built or topped up to cover this
+        relation's rows.  A reader pinned at fewer rows than the entry
+        covers (another snapshot topped it up, maybe mid-read) keeps only
+        the rows below its own length: see the two dict-path operators."""
         cache_key = self._cache_key(columns, base)
-        keyset = self._keyset_cache.lookup(cache_key)
-        if keyset is None:
-            buckets = self._bucket_cache.get(cache_key)
-            keyset = (
-                set(buckets) if buckets is not None
-                else set(self._keys(columns, base))
-            )
-            self._keyset_cache.store(cache_key, keyset)
-        return keyset
+        n = self._length
+        entry = memo.lookup(cache_key)
+        if entry is None:
+            entry = _Covering(n, empty())
+            fill(entry.value, self._keys(columns, base), 0)
+            self._publish(memo, cache_key, entry)
+        elif entry.rows < n:
+            with self._lock:
+                start = entry.rows
+                if start < n:
+                    entry.limit = n
+                    fill(entry.value, self._range_keys(cache_key[0], base, start), start)
+                    entry.rows = n
+        return entry
+
+    def _publish(self, memo, cache_key, entry: _Covering) -> None:
+        """Store ``entry`` unless the memo holds one covering as many rows."""
+        with self._lock:
+            current = memo.get(cache_key)
+            if current is None or current.rows < entry.rows:
+                memo.store(cache_key, entry)
 
     # ------------------------------------------------------------------
     # Packed key vectors, NumPy path (memoized like the dict path's)
     # ------------------------------------------------------------------
-    def _vector_memo(self, cache_key):
-        """A NumPy-path memo entry (an int64 array, or a tuple of them),
-        or ``None``.  Entries whose row count differs from the relation's
-        are misses: another thread can extend a resident view between an
-        entry's computation and its store, after the extension cleared the
-        memo."""
-        entry = self._vector_cache.lookup(cache_key)
-        if entry is None:
-            return None
-        rows = entry[0] if isinstance(entry, tuple) else entry
-        return entry if len(rows) == self._length else None
-
     def _column_array(self, position: int) -> np.ndarray:
         """One column as an int64 array; ``array``/list columns are
-        copied and memoized.  An ``array`` copies through ``tobytes``,
-        which holds the GIL for the whole copy.  ``np.array`` or
-        ``np.frombuffer`` on the column would export its buffer instead,
-        and while an export is live (during a copy that releases the GIL,
-        or for as long as a view is kept) the store's in-place ``extend``
-        of a resident view raises ``BufferError`` halfway through an
-        append."""
+        copied and memoized."""
         vector = self._data[position]
         if isinstance(vector, np.ndarray):
             return vector
         cache_key = ((position,), 0)
-        column = self._vector_memo(cache_key)
+        column = self._vector_cache.lookup(cache_key)
         if column is None:
-            if isinstance(vector, array):
-                column = np.frombuffer(
-                    vector.tobytes(), dtype=vector.typecode
-                ).astype(np.int64, copy=False)
-            else:
-                column = np.array(vector, dtype=np.int64)
+            column = np.array(vector, dtype=np.int64)
             self._vector_cache.store(cache_key, column)
         return column
 
@@ -484,7 +548,7 @@ class ColumnarRelation:
             return self._column_array(positions[0])
         if not _packs(base, len(positions)):
             return None
-        keys = self._vector_memo(cache_key)
+        keys = self._vector_cache.lookup(cache_key)
         if keys is None:
             keys = self._column_array(positions[0])
             for position in positions[1:]:
@@ -498,28 +562,46 @@ class ColumnarRelation:
         """``(order, keys[order])`` for the packed keys, or ``None`` when
         they do not fit int64: the dedup projection's runs, the sort-path
         join's and count DP's sorted keys, and the dense join's build
-        order.  Keys below ``2**16`` take a stable ``argsort`` on
-        ``uint16``, which NumPy runs as a radix sort; wider keys take the
-        default (unstable) ``argsort``, about five times faster than a
-        stable one on int64.  No caller needs the order of equal keys."""
-        cache_key = ("sorted",) + self._cache_key(columns, base)
-        entry = self._vector_memo(cache_key)
+        order (:func:`_argsort`).  No caller needs the order of equal keys.
+
+        The snapshots of a resident view share this memo.  An entry over
+        fewer rows merges the appended rows' keys in (``searchsorted``
+        slots, then ``np.insert``) instead of re-sorting every row; an
+        entry over more rows drops the rows at or past this relation's
+        length, which keeps the rest in order."""
+        cache_key = self._cache_key(columns, base)
+        n = self._length
+        entry = self._order_cache.lookup(cache_key)
+        if entry is not None and entry.rows >= n:
+            if entry.rows == n:
+                return entry.value
+            order, keys = entry.value
+            kept = order < n
+            return order[kept], keys[kept]
+        keys = self._vector_keys(columns, base)
+        if keys is None:
+            return None
         if entry is None:
-            keys = self._vector_keys(columns, base)
-            if keys is None:
-                return None
-            if len(keys) and keys.max() < 1 << 16:
-                order = np.argsort(keys.astype(np.uint16), kind="stable")
-            else:
-                order = np.argsort(keys)
-            entry = (order, keys[order])
-            self._vector_cache.store(cache_key, entry)
-        return entry
+            order = _argsort(keys)
+            value = (order, keys[order])
+        else:
+            start = entry.rows
+            order, sorted_keys = entry.value
+            added = _argsort(keys[start:]) + start
+            added_keys = keys[added]
+            slots = np.searchsorted(sorted_keys, added_keys, side="right")
+            value = (
+                np.insert(order, slots, added),
+                np.insert(sorted_keys, slots, added_keys),
+            )
+        self._publish(self._order_cache, cache_key, _Covering(n, value))
+        return value
 
     def _invalidate(self) -> None:
         self._key_cache.clear()
         self._bucket_cache.clear()
         self._keyset_cache.clear()
+        self._order_cache.clear()
         self._project_cache.clear()
         self._vector_cache.clear()
 
@@ -527,17 +609,15 @@ class ColumnarRelation:
         """The exact degree vector of one column: entry ``k`` counts the
         rows holding id ``k`` there (one ``np.bincount``; ids past its end
         occur nowhere).  Id equality is value equality, so these are the
-        column's exact value frequencies.  Memoized with the int64 column
-        it counts, which :meth:`_vector_memo` checks against the row count,
-        and dropped on append with the rest of the NumPy memo."""
+        column's exact value frequencies.  Memoized with the NumPy path's
+        keys."""
         position = self._positions[column]
         cache_key = ("degrees", position)
-        entry = self._vector_memo(cache_key)
-        if entry is None:
-            ids = self._column_array(position)
-            entry = (ids, np.bincount(ids))
-            self._vector_cache.store(cache_key, entry)
-        return entry[1]
+        degrees = self._vector_cache.lookup(cache_key)
+        if degrees is None:
+            degrees = np.bincount(self._column_array(position))
+            self._vector_cache.store(cache_key, degrees)
+        return degrees
 
     def _taken(self, indexes) -> tuple:
         """The columns gathered at ``indexes``: an int64 index array takes
@@ -567,8 +647,8 @@ class ColumnarRelation:
         the same column sets on every call, and a cached projection keeps
         not just its arrays but its own key indexes and degree vectors warm
         across calls.  Derived projections are never mutated — the semijoin
-        pass only filters relations it created itself — and the store's
-        extend-in-place path drops the memo on append."""
+        pass only filters relations it created itself — and each snapshot
+        of a resident view keeps its own."""
         columns = tuple(columns)
         if columns == self.columns:
             return self
@@ -659,8 +739,8 @@ class ColumnarRelation:
             left = [i for i in range(self._length) for _ in range(m)]
             right = list(range(m)) * self._length
         else:
-            buckets = other._buckets(shared, base)
-            get = buckets.get
+            entry = other._buckets(shared, base)
+            get = entry.value.get
             left: list[int] = []
             right: list[int] = []
             extend_left = left.extend
@@ -668,8 +748,18 @@ class ColumnarRelation:
             for index, key in enumerate(self._keys(shared, base)):
                 rows = get(key)
                 if rows is not None:
-                    extend_left([index] * len(rows))
+                    # Extend ``right`` first, in one step: another snapshot
+                    # can append to a shared bucket between two reads of it.
                     extend_right(rows)
+                    extend_left([index] * (len(right) - len(left)))
+            if entry.limit > other._length:
+                # Another snapshot of ``other`` topped the shared buckets
+                # up: keep the matches within ``other``'s own rows.
+                pairs = [
+                    (i, j) for i, j in zip(left, right) if j < other._length
+                ]
+                left = [i for i, _ in pairs]
+                right = [j for _, j in pairs]
         data = tuple(
             _take_list(vector, left) for vector in self._data
         ) + tuple(
@@ -770,9 +860,15 @@ class ColumnarRelation:
             survivors = self._vector_survivors(other, shared, base)
             if survivors is not None:
                 return None if len(survivors) == self._length else survivors
-        keyset = other._keyset(shared, base)
+        entry = other._keyset(shared, base)
+        keyset = entry.value
         keys = self._keys(shared, base)
         survivors = [i for i, k in enumerate(keys) if k in keyset]
+        if entry.limit > other._length:
+            # Another snapshot of ``other`` topped the shared key set up
+            # with later rows: test against ``other``'s own keys instead.
+            keyset = set(other._keys(shared, base))
+            survivors = [i for i, k in enumerate(keys) if k in keyset]
         if len(survivors) == self._length:
             return None
         return survivors
@@ -781,25 +877,91 @@ class ColumnarRelation:
 # ----------------------------------------------------------------------
 # Per-database conversion + caching (consumed via Database.columnar_view)
 # ----------------------------------------------------------------------
+class _IdTable:
+    """Append-only int64 id columns, one per argument position.
+
+    The buffers keep spare capacity and grow by doubling.  An append writes
+    past the published ``length``, then publishes the new one, so a row
+    below a published length is never written again: the ``[:n]`` slices a
+    snapshot holds never change.  Only a :class:`ColumnarStore` appends,
+    under its lock.
+    """
+
+    __slots__ = ("buffers", "length")
+
+    def __init__(self, width: int, data=(), length: int = 0) -> None:
+        self.buffers = tuple(np.array(vector, dtype=np.int64) for vector in data)
+        if not self.buffers:
+            self.buffers = tuple(np.empty(0, dtype=np.int64) for _ in range(width))
+        self.length = length
+
+    def append(self, data: tuple, added: int) -> None:
+        """Append ``added`` rows: one id vector per column."""
+        end = self.length + added
+        if self.buffers and end > len(self.buffers[0]):
+            capacity = max(end, 2 * len(self.buffers[0]))
+            grown = []
+            for buffer in self.buffers:
+                vector = np.empty(capacity, dtype=np.int64)
+                vector[: self.length] = buffer[: self.length]
+                grown.append(vector)
+            self.buffers = tuple(grown)
+        for buffer, vector in zip(self.buffers, data):
+            buffer[self.length:end] = vector
+        self.length = end
+
+
+class _Resident:
+    """One atom pattern's state in a store: the snapshot at the last
+    version served, the selected id columns of a pattern with constants or
+    repeated variables (``None`` for an identity pattern, which reads the
+    table itself), and the memos its snapshots share."""
+
+    __slots__ = ("shape", "version", "snapshot", "selected", "memos")
+
+    def __init__(self, shape: tuple) -> None:
+        self.shape = shape
+        self.version = 0
+        self.snapshot = None
+        _, keep, constant_checks, equality_checks = shape
+        self.selected = (
+            _IdTable(len(keep)) if constant_checks or equality_checks else None
+        )
+        self.memos = (_BoundedMemo(), _BoundedMemo(), _BoundedMemo())
+
+
 class ColumnarStore:
-    """One database's interner plus its memoized columnar atom views.
+    """One database's interner, its id tables and its atom views.
 
-    Mirrors the atom-view cache contract: views are keyed by ``(relation,
-    term pattern)`` and tagged with the :attr:`~repro.cq.database.Relation
-    .version` they reflect.  Growth through the versioned append-only
-    storage API (``add_fact`` / ``Relation.add``) *extends* the cached view
-    in place — the ``delta_since`` rows run through the atom's selection
-    recipe, surviving rows intern and append onto the existing id columns,
-    and the dict path's memoized packed-key vectors, hash buckets and key
-    sets are patched rather than dropped.  The store is derived data and is
-    dropped by ``Database.__getstate__`` before shipping to runtime
-    workers.  The view cache is a bounded
-    :class:`~repro.engine.analysis.LRUCache`, so its hit/miss counters feed
-    ``EngineSession.stats()``.
+    **Id tables.**  Each relation's stored rows are interned exactly once,
+    in log order, under the store's lock, into one append-only
+    :class:`_IdTable` per relation.  A wire decode adopts its id columns as
+    the tables (:meth:`adopt_table`).
 
-    :meth:`view` holds the store's lock across its whole check / extend /
-    store step, so concurrent readers of a stale view fold each appended
-    row in exactly once (the kernel relies on distinct rows).
+    **Snapshots.**  :meth:`view` serves an atom as an immutable
+    :class:`ColumnarRelation` over its relation at the version it reads:
+    its columns, length and memo reads describe exactly those rows, and a
+    later append never changes it; the next call returns a new snapshot.
+    An identity pattern (distinct variables, no constant) renames the
+    table's ``[:n]`` slices without copying them.  A pattern with constants
+    or repeated variables keeps its own append-only selected id columns,
+    and each new version selects only the new table rows, comparing ids
+    (a constant resolves through ``interner.id_of`` at every extension:
+    one missing now can arrive later).  Snapshots below
+    :data:`_VECTOR_MIN_ROWS` rows hold list copies, like the kernel's other
+    small results.
+
+    **Shared memos.**  The snapshots of one atom pattern share their hash
+    buckets, key sets and sort orders (:class:`_Covering`): a reader tops
+    them up with the appended rows, or merges them into a sort order, in
+    O(delta); packed keys, projections and degree vectors are per snapshot.
+
+    **Deltas.**  :meth:`delta` is the semi-naive refresh's delta side: the
+    table rows between two versions, through the same id-level selection.
+
+    The view cache is a bounded :class:`~repro.engine.analysis.LRUCache`,
+    so its hit/miss counters feed ``EngineSession.stats()``.  The store is
+    derived data: ``Database.__getstate__`` drops it.
     """
 
     def __init__(self, maxsize: int = 256, interner: ValueInterner | None = None) -> None:
@@ -810,232 +972,109 @@ class ColumnarStore:
         self.interner = interner if interner is not None else ValueInterner()
         self.views = LRUCache(maxsize)
         self._lock = threading.Lock()
-        #: Number of times a cached view was extended in place instead of
-        #: rebuilt (coverage guard for the incremental differential pass).
+        #: Number of times a cached view advanced to a new version instead
+        #: of being built (coverage guard for the incremental differential
+        #: pass).
         self.extensions = 0
-        #: relation name -> (column id-vectors in term-position order, rows):
-        #: pre-interned base columns adopted from a wire payload.  Views over
-        #: a based relation build by id-level selection and column gathering
-        #: instead of re-scanning and re-interning the stored tuples.
-        self._bases: dict = {}
+        #: relation name -> :class:`_IdTable`.
+        self._tables: dict = {}
 
-    def adopt_base(self, name: str, data, length: int) -> None:
-        """Adopt pre-interned base columns for one relation (the wire decode
-        path).  ``data`` holds one id vector per term position over *this
-        store's* interner; validity is checked by cardinality at view-build
-        time, exactly like the view cache itself (grow-only storage API)."""
-        self._bases[name] = (tuple(data), length)
+    def adopt_table(self, name: str, data, length: int) -> None:
+        """Adopt pre-interned id columns (one per argument position, over
+        *this store's* interner) as the id table of the relation ``name``
+        at version ``length`` (the wire decode path)."""
+        self._tables[name] = _IdTable(len(data), data, length)
+
+    def _table(self, relation, version: int) -> _IdTable:
+        """The relation's id table, caught up to at least ``version`` by
+        interning the log rows it lacks (call under the lock)."""
+        table = self._tables.get(relation.name)
+        if table is None:
+            table = self._tables[relation.name] = _IdTable(relation.arity)
+        if table.length < version:
+            rows = relation.delta_since(table.length)[: version - table.length]
+            intern = self.interner.intern
+            table.append(
+                tuple(
+                    np.fromiter(map(intern, column), np.int64, len(rows))
+                    for column in zip(*rows)
+                ),
+                len(rows),
+            )
+        return table
 
     def view(self, atom, relation) -> ColumnarRelation:
+        """The snapshot of ``atom`` over ``relation`` at its current version."""
         key = (atom.relation, atom.terms)
         with self._lock:
             version = relation.version
-            entry = self.views.get(key)
-            if entry is not None:
-                seen, view, shape, owned = entry
-                if seen != version:
-                    # Only the rows in [seen, version): a row appended
-                    # after ``version`` was read belongs to the next call.
-                    delta = relation.delta_since(seen)[: version - seen]
-                    self._extend(view, shape, delta, owned)
-                    self.extensions += 1
-                    self.views.put(key, (version, view, shape, True))
-                return view
-            shape = atom_shape(atom)
-            built, owned = self._build(atom, relation, version, shape)
-            self.views.put(key, (version, built, shape, owned))
-            return built
+            resident = self.views.get(key)
+            if resident is not None and resident.version == version:
+                return resident.snapshot
+            table = self._table(relation, version)
+            if resident is None:
+                resident = _Resident(atom_shape(atom))
+            else:
+                self.extensions += 1
+            if resident.selected is None:
+                data = tuple(table.buffers[i][:version] for i in resident.shape[1])
+                length = version
+            else:
+                selected = resident.selected
+                selected.append(
+                    *self._select(table, resident.shape, resident.version, version)
+                )
+                data = tuple(vector[: selected.length] for vector in selected.buffers)
+                length = selected.length
+            resident.version = version
+            resident.snapshot = self._relation(resident.shape, data, length)
+            resident.snapshot._share(resident.memos, self._lock)
+            self.views.put(key, resident)
+            return resident.snapshot
 
-    def _extend(self, view, shape, delta_rows, owned: bool) -> None:
-        """Fold appended stored rows into a cached view in place.
+    def delta(self, atom, relation, start: int, stop: int) -> ColumnarRelation:
+        """The rows of ``relation`` appended between versions ``start`` and
+        ``stop`` that match ``atom``'s pattern, read off the id table: the
+        delta side the semi-naive refresh joins against the resident
+        views."""
+        shape = atom_shape(atom)
+        with self._lock:
+            table = self._table(relation, stop)
+            return self._relation(shape, *self._select(table, shape, start, stop))
 
-        The delta rows run through the same selection recipe as the full
-        build; survivors intern column-wise and append onto the view's id
-        columns.  Memoized key vectors, buckets and key sets whose pack base
-        is still current are *patched* with the new rows (single-column key
-        vectors are the live column arrays and extend automatically);
-        entries packed under an outgrown dictionary base are purged — they
-        would miss anyway, this just frees them.  The NumPy path's int64
-        key arrays and sort orders are copies of the old rows and are
-        dropped; the next vectorised operator rebuilds them.  A view that
-        still shares its columns with an adopted wire base (``owned=False``)
-        first promotes them to private ``array('q')`` copies: base columns
-        use the narrowest wire typecode and may be shared with other views,
-        so they must be neither widened nor mutated in place.
-        """
-        columns, keep, constant_checks, equality_checks = shape
-        survivors = [
-            row
-            for row in delta_rows
-            if not any(row[i] != value for i, value in constant_checks)
-            and not any(row[i] != row[a] for i, a in equality_checks)
-        ]
-        if not columns:
-            # Zero-column view (all-constant atom): the only thing growth
-            # can do is flip the relational zero {} to the unit {()}.
-            if survivors and view._length == 0:
-                view._length = 1
-                view._invalidate()
-            return
-        if not survivors:
-            return
-        if not owned:
-            view._data = tuple(array("q", column) for column in view._data)
-        intern = self.interner.intern
-        # Stored rows are distinct and the kept projection is injective on
-        # them (dropped positions are constants or repeats of kept anchors),
-        # so the appended rows need no dedup against the resident columns.
-        new_columns = [
-            [intern(row[i]) for row in survivors] for i in keep
-        ]
-        base = len(self.interner)
-        added = len(survivors)
-        start = view._length
-
-        def packed(positions):
-            keys = list(new_columns[positions[0]]) if positions else [0] * added
-            for position in positions[1:]:
-                vector = new_columns[position]
-                keys = [k * base + i for k, i in zip(keys, vector)]
-            return keys
-
-        for cache_key in list(view._key_cache):
-            positions, entry_base = cache_key
-            if entry_base != base:
-                del view._key_cache[cache_key]
-                continue
-            view._key_cache[cache_key].extend(packed(positions))
-        for cache_key in list(view._bucket_cache):
-            positions, entry_base = cache_key
-            if len(positions) > 1 and entry_base != base:
-                del view._bucket_cache[cache_key]
-                continue
-            buckets = view._bucket_cache[cache_key]
-            for offset, key in enumerate(packed(positions)):
-                rows = buckets.get(key)
-                if rows is None:
-                    buckets[key] = [start + offset]
-                else:
-                    rows.append(start + offset)
-        for cache_key in list(view._keyset_cache):
-            positions, entry_base = cache_key
-            if len(positions) > 1 and entry_base != base:
-                del view._keyset_cache[cache_key]
-                continue
-            view._keyset_cache[cache_key].update(packed(positions))
-        for vector, fresh in zip(view._data, new_columns):
-            vector.extend(fresh)
-        view._length += added
-        # Derived projections and the NumPy memo (int64 keys, sort orders,
-        # degree vectors) hold copies of the pre-append rows; they are
-        # cheap to rebuild, so an append just drops them (unlike the
-        # dict-path key caches above).
-        view._project_cache.clear()
-        view._vector_cache.clear()
-
-    def _build(self, atom, relation, version, shape) -> tuple:
-        """Build a fresh view of ``relation`` as of ``version``; returns
-        ``(view, owned)`` where ``owned`` says the view's columns are
-        private (safe to extend in place).  The identity pattern over an
-        adopted wire base shares the base arrays — those are promoted to
-        private copies on first extension.  Rows come from the log prefix,
-        not the live tuple set: a row appended after ``version`` was read
-        belongs to the next extension, which would otherwise add it twice."""
-        base = self._bases.get(atom.relation)
-        if base is not None and base[1] == version:
-            return self._build_from_base(shape, *base)
-        return self._build_from_rows(relation.rows_at(version), shape), True
-
-    def _build_from_base(self, shape, data, length) -> tuple:
-        """Build a view from adopted id columns: constants resolve through
-        ``interner.id_of`` and every selection compares ints — the stored
-        tuples are never touched, so a shipped piece serves its first query
-        without re-scanning or re-interning anything."""
-        columns, keep, constant_checks, equality_checks = shape
-        id_checks: list[tuple[int, int]] = []
-        missing_constant = False
+    def _select(self, table: _IdTable, shape: tuple, start: int, stop: int) -> tuple:
+        """``(kept id columns, rows)`` of the table rows ``[start, stop)``
+        that match an :func:`~repro.cq.relational.atom_shape` pattern.  The
+        kept projection is injective on them (dropped positions are
+        constants or repeats of kept anchors), so stored rows' distinctness
+        carries over without a dedup."""
+        _, keep, constant_checks, equality_checks = shape
+        window = [buffer[start:stop] for buffer in table.buffers]
+        if not (constant_checks or equality_checks):
+            return tuple(window[i] for i in keep), stop - start
+        mask = np.ones(stop - start, dtype=bool)
         for index, value in constant_checks:
             ident = self.interner.id_of(value)
             if ident is None:
-                # The constant never occurs in this database: no row matches.
-                missing_constant = True
+                # Not interned, so no stored row holds it (yet).
+                mask[:] = False
                 break
-            id_checks.append((index, ident))
-        if missing_constant:
-            survivors: list[int] = []
-        elif id_checks or equality_checks:
-            survivors = [
-                row
-                for row in range(length)
-                if not any(data[i][row] != ident for i, ident in id_checks)
-                and not any(data[i][row] != data[a][row] for i, a in equality_checks)
-            ]
-        else:
-            # Identity pattern: the base columns serve as-is, zero copy —
-            # shared with the base, so not extend-owned.
-            if not columns:
-                return ColumnarRelation._trusted(
-                    (), self.interner, (), 1 if length else 0
-                ), True
-            return ColumnarRelation._trusted(
-                tuple(columns), self.interner,
-                tuple(data[i] for i in keep), length,
-            ), False
-        if not columns:
-            return ColumnarRelation._trusted(
-                (), self.interner, (), 1 if survivors else 0
-            ), True
-        # As in the tuple path: the kept projection is injective on the
-        # surviving rows, so distinctness is inherited without a dedup.
-        return ColumnarRelation._trusted(
-            tuple(columns), self.interner,
-            tuple([data[i][row] for row in survivors] for i in keep),
-            len(survivors),
-        ), True
+            mask &= window[index] == ident
+        for index, anchor in equality_checks:
+            mask &= window[index] == window[anchor]
+        rows = np.flatnonzero(mask)
+        return tuple(window[i][rows] for i in keep), len(rows)
 
-    def delta_view(self, atom, rows) -> ColumnarRelation:
-        """The stored rows ``rows`` of ``atom``'s relation (distinct, e.g.
-        a ``delta_since`` slice) that match the atom's pattern, as a
-        relation over this store's interner: the delta side the semi-naive
-        refresh joins against the resident views.  Interns under the store
-        lock, like :meth:`view`."""
-        with self._lock:
-            return self._build_from_rows(rows, atom_shape(atom))
-
-    def _build_from_rows(self, rows, shape) -> ColumnarRelation:
-        """The columnar analogue of :func:`repro.cq.relational.from_atom`:
-        constants and repeated variables resolve to selections in one pass
-        over the stored rows, then surviving rows intern column-wise."""
-        columns, keep, constant_checks, equality_checks = shape
-        intern = self.interner.intern
-        if constant_checks or equality_checks:
-            rows = [
-                row
-                for row in rows
-                if not any(row[i] != value for i, value in constant_checks)
-                and not any(row[i] != row[a] for i, a in equality_checks)
-            ]
-        if not columns:
+    def _relation(self, shape: tuple, data: tuple, length: int) -> ColumnarRelation:
+        if not shape[0]:
             # All-constant atom: the relational unit {()} or the zero {}.
-            return ColumnarRelation._trusted(
-                (), self.interner, (), 1 if rows else 0
-            )
-        if rows:
-            transposed = list(zip(*rows))
-            data = tuple(
-                array("q", [intern(value) for value in transposed[i]])
-                for i in keep
-            )
-            length = len(transposed[0])
-        else:
-            data = tuple(array("q") for _ in keep)
-            length = 0
-        # The kept projection is injective on the surviving rows (removed
-        # positions are constants or repeats of kept anchors), so the
-        # columns inherit the tuple set's distinctness without a dedup.
-        return ColumnarRelation._trusted(
-            tuple(columns), self.interner, data, length
-        )
+            return ColumnarRelation._trusted((), self.interner, (), 1 if length else 0)
+        data = _stored(data, length)
+        for vector in data:
+            if isinstance(vector, np.ndarray):
+                # A view of an id table: a write would change every snapshot.
+                vector.flags.writeable = False
+        return ColumnarRelation._trusted(shape[0], self.interner, data, length)
 
     def info(self) -> dict:
         """Counters for ``stats()``: view-cache hits/misses/size plus the
@@ -1060,9 +1099,9 @@ class DatabaseWire:
     two, four or eight bytes per cell), which pickle as flat byte buffers.
     The receiving side
     rebuilds the interner from the dictionary (ids are list indices, so the
-    bijection survives the trip) and adopts the columns directly into a warm
-    :class:`ColumnarStore` — the first query over a shipped piece never
-    re-scans or re-interns the stored tuples.
+    bijection survives the trip) and adopts the columns as the id tables of
+    a warm :class:`ColumnarStore` — the first query over a shipped piece
+    never re-scans or re-interns the stored tuples.
     """
 
     __slots__ = ("relations", "dictionary")
@@ -1082,8 +1121,8 @@ class DatabaseWire:
     def decode(self):
         """Rebuild a :class:`~repro.cq.database.Database` with a warm
         columnar store: tuple sets decode through the dictionary (one list
-        comprehension per column), and the id columns are adopted as base
-        columns so columnar views build by id-level selection."""
+        comprehension per column), and the id columns are adopted as the
+        store's id tables, so columnar views build by id-level selection."""
         from repro.cq.database import Database, Relation
 
         interner = ValueInterner.from_values(self.dictionary)
@@ -1103,7 +1142,7 @@ class DatabaseWire:
             # reports version == row count, matching a relation grown row by
             # row, so delta shipping can resume from the decoded state.
             database.add_relation(Relation._trusted(name, arity, rows))
-            store.adopt_base(name, data, length)
+            store.adopt_table(name, data, length)
         database.attach_columnar_store(store)
         return database
 
@@ -1299,16 +1338,18 @@ def build_columnar_bag_tree(
     database's memoized :meth:`~repro.cq.database.Database.columnar_view`,
     and single-use out-of-bag columns are projected away *below* the joins
     (:func:`_push_bag_projections`), which the final ``π_bag`` makes
-    semantically invisible.
+    semantically invisible.  The store is read once, so every view and the
+    interner come from one store even if ``drop_columnar`` runs meanwhile.
     """
     scope_atoms = atoms_by_scope(query)
     assignment = assign_atoms_to_nodes(query, ghd)
-    interner = database.columnar_store().interner
+    store = database.columnar_store()
+    interner = store.interner
     materialised: dict = {}
 
     def relation_for(atom) -> ColumnarRelation:
         if atom not in materialised:
-            materialised[atom] = database.columnar_view(atom)
+            materialised[atom] = database.columnar_view(atom, store)
         return materialised[atom]
 
     bag_relations: dict = {}

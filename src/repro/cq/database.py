@@ -240,8 +240,6 @@ class Database:
 
     def __init__(self, relations: Mapping[str, Relation] | Iterable[Relation] = ()) -> None:
         self.relations: dict[str, Relation] = {}
-        #: Opt-in memo of atom views (see :meth:`enable_atom_cache`).
-        self._atom_cache: dict | None = None
         #: Lazily created columnar store (see :meth:`columnar_view`).
         self._columnar = None
         #: Lazily created per-relation statistics (see :meth:`statistics`).
@@ -289,33 +287,6 @@ class Database:
 
     # ------------------------------------------------------------------
     @property
-    def atom_cache(self) -> dict | None:
-        """The atom-view memo consulted by :func:`repro.cq.relational.from_atom`
-        (``None`` unless :meth:`enable_atom_cache` was called)."""
-        return self._atom_cache
-
-    def enable_atom_cache(self) -> "Database":
-        """Turn on atom-view memoization for this database; returns ``self``.
-
-        Intended for **resident** databases — shards held by a runtime worker
-        or the session's partition cache — that are evaluated repeatedly:
-        ``from_atom`` then reuses one :class:`~repro.cq.relational.NamedRelation`
-        per (relation, term pattern), together with whatever key indexes
-        later joins memoized on it, instead of rescanning and re-indexing the
-        stored tuples on every call.  Correctness relies on the storage
-        layer's versioned append-only API: cache keys carry the relation's
-        :attr:`Relation.version`, every ``add`` of a new row bumps it, and no
-        removal API exists — so a stale view can only be served to code that
-        mutates ``Relation.tuples`` directly, which is off-API.  On a version
-        miss the cached view is *extended* with ``delta_since`` rows rather
-        than rebuilt.
-        """
-        if self._atom_cache is None:
-            self._atom_cache = {}
-        return self
-
-    # ------------------------------------------------------------------
-    @property
     def columnar_cache(self):
         """The lazily created :class:`~repro.cq.columnar.ColumnarStore`
         (``None`` until :meth:`columnar_view` is first used)."""
@@ -323,9 +294,9 @@ class Database:
 
     def columnar_store(self):
         """This database's columnar store, created on first use: one value
-        interner plus the memoized columnar atom views.  Creation is
-        locked, so concurrent first callers share one store (and one
-        interner) instead of each installing their own."""
+        interner, one id table per relation and the atom views over them.
+        Creation is locked, so concurrent first callers share one store (and
+        one interner) instead of each installing their own."""
         store = self._columnar
         if store is None:
             with _COLUMNAR_STORE_LOCK:
@@ -336,17 +307,22 @@ class Database:
                     store = self._columnar = ColumnarStore()
         return store
 
-    def columnar_view(self, atom):
-        """The memoized :class:`~repro.cq.columnar.ColumnarRelation` view of
-        ``atom`` over this database's interner.
+    def columnar_view(self, atom, store=None):
+        """The :class:`~repro.cq.columnar.ColumnarRelation` snapshot of
+        ``atom`` at its relation's current version, over this database's
+        interner.
 
-        Sits beside the atom-view cache with the same invalidation contract:
-        keys carry the relation's version, so growth through the append-only
-        storage API misses — and the store extends the stale view in place
-        with the ``delta_since`` rows instead of rebuilding it.  Stale views
-        are only possible through off-API mutation of ``Relation.tuples``.
+        A snapshot never changes: after an append through the storage API
+        the next call returns a new one, which reads the appended rows off
+        the relation's id table and shares the older snapshot's key
+        structures (:class:`~repro.cq.columnar.ColumnarStore`).  A caller
+        that takes several views, or a view and the interner, passes the
+        ``store`` it read once, so a concurrent :meth:`drop_columnar` cannot
+        mix two stores' interners in one call.
         """
-        return self.columnar_store().view(atom, self.relation(atom.relation))
+        if store is None:
+            store = self.columnar_store()
+        return store.view(atom, self.relation(atom.relation))
 
     def drop_columnar(self) -> None:
         """Drop the columnar store (views *and* interned dictionary)."""
@@ -371,8 +347,8 @@ class Database:
     def attach_columnar_store(self, store) -> "Database":
         """Adopt a pre-built :class:`~repro.cq.columnar.ColumnarStore` as
         this database's columnar cache (the wire-decode path); returns
-        ``self``.  The caller owns the invariant that the store's base
-        columns describe this database's relations."""
+        ``self``.  The caller owns the invariant that the store's id tables
+        describe this database's relations."""
         self._columnar = store
         return self
 
@@ -392,12 +368,10 @@ class Database:
         return wire.decode()
 
     def __getstate__(self) -> dict:
-        # Shards ship as raw tuples: the atom-view cache (and the key indexes
-        # memoized on its NamedRelations) and the columnar store are derived
-        # data that the receiving worker rebuilds against its own access
-        # pattern (each worker interns into its own dictionary).
+        # Shards ship as raw tuples: the columnar store is derived data that
+        # the receiving worker rebuilds against its own access pattern (each
+        # worker interns into its own dictionary).
         state = self.__dict__.copy()
-        state["_atom_cache"] = None
         state["_columnar"] = None
         state["_statistics"] = None
         state["_domain_values"] = None
@@ -407,7 +381,6 @@ class Database:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._atom_cache = None
         self._columnar = None
         self._statistics = None
         self._domain_values = None

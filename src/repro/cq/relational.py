@@ -146,29 +146,6 @@ class NamedRelation:
         ``rows``; the in-place operations below do it automatically)."""
         self._indexes.clear()
 
-    def extend_rows(self, new_rows: Iterable[tuple]) -> int:
-        """Append rows in place, *patching* every memoized key index instead
-        of dropping it: each genuinely new row is appended to its hash bucket
-        in every cached index, so a resident view stays warm across appends.
-        Duplicates are skipped (set semantics — a bucket must never hold the
-        same row twice).  Returns the number of rows actually added.
-
-        Only long-lived owners (the atom-view cache) may call this: it
-        mutates ``rows`` in place, so it must never run on a relation whose
-        row set is shared with derived per-evaluation relations that are
-        still alive.
-        """
-        added = 0
-        for row in new_rows:
-            if row in self.rows:
-                continue
-            self.rows.add(row)
-            added += 1
-            for cache_key, index in self._indexes.items():
-                positions = () if cache_key is _ALL_ROWS else cache_key
-                index.setdefault(tuple(row[i] for i in positions), []).append(row)
-        return added
-
     @property
     def cached_index_keys(self) -> tuple:
         """The key-column position tuples currently memoized (for tests)."""
@@ -401,9 +378,10 @@ def atom_shape(atom) -> tuple:
     """The selection/projection recipe an atom induces on its relation:
     ``(columns, keep_indexes, constant_checks, equality_checks)``.
 
-    Shared by the tuple-set and columnar atom views (full build and
-    extend-in-place paths) and the semi-naive refresh's delta views, so
-    every consumer filters appended rows through exactly the same recipe.
+    Shared by the tuple-set atom views (:func:`from_atom`) and the columnar
+    store's id-level selection, which serves both its atom views and the
+    semi-naive refresh's deltas, so every consumer filters rows through
+    exactly the same recipe.
     """
     from repro.cq.query import Constant
 
@@ -429,63 +407,19 @@ def atom_shape(atom) -> tuple:
     )
 
 
-def filter_atom_rows(rows: Iterable[tuple], shape: tuple) -> set:
-    """Run stored rows through an :func:`atom_shape` recipe: constant and
-    repeated-variable selections, then projection onto the kept columns."""
-    _, keep_indexes, constant_checks, equality_checks = shape
-    out = set()
-    for row in rows:
-        if any(row[i] != value for i, value in constant_checks):
-            continue
-        if any(row[i] != row[anchor] for i, anchor in equality_checks):
-            continue
-        out.add(tuple(row[i] for i in keep_indexes))
-    return out
-
-
 def from_atom(atom, database) -> NamedRelation:
     """The named relation induced by a query atom over a database.
 
     Handles constants (selection) and repeated variables (equality selection)
     so the rest of the evaluators can assume clean named columns.  All
     selections and the projection run in a single pass over the stored rows.
-
-    Databases with the **atom-view cache** enabled
-    (:meth:`~repro.cq.database.Database.enable_atom_cache` — resident shards
-    held by runtime workers and the session's partition cache) memoize the
-    result per ``(relation, term pattern)`` together with the relation
-    version it reflects.  A repeated query over a resident shard skips the
-    scan entirely and reuses the cached view *and* the key indexes later
-    operations memoized on it.  When the relation's version has moved, the
-    cached view is **extended in place**: only the ``delta_since`` rows run
-    through the atom's selection recipe, and surviving rows patch the
-    memoized key-index buckets (see :meth:`NamedRelation.extend_rows`) —
-    refresh cost scales with the delta, not the relation.
     """
-    relation = database.relation(atom.relation)
-    cache = database.atom_cache
-    cache_key = None
-    if cache is not None:
-        cache_key = (atom.relation, atom.terms)
-        entry = cache.get(cache_key)
-        if entry is not None:
-            seen, view, shape = entry
-            version = relation.version
-            if version != seen:
-                view.extend_rows(
-                    filter_atom_rows(relation.delta_since(seen), shape)
-                )
-                cache[cache_key] = (version, view, shape)
-            return view
-    shape = atom_shape(atom)
-    version = relation.version
-    rows = filter_atom_rows(relation.tuples, shape)
-    result = NamedRelation._trusted(shape[0], rows)
-    if cache is not None:
-        if len(cache) >= 256:
-            # A resident shard serves a bounded set of atom patterns; a cap
-            # this size only ever trips on pathological workloads, where
-            # restarting the memo beats unbounded growth.
-            cache.clear()
-        cache[cache_key] = (version, result, shape)
-    return result
+    columns, keep_indexes, constant_checks, equality_checks = atom_shape(atom)
+    rows = set()
+    for row in database.relation(atom.relation).tuples:
+        if any(row[i] != value for i, value in constant_checks):
+            continue
+        if any(row[i] != row[anchor] for i, anchor in equality_checks):
+            continue
+        rows.add(tuple(row[i] for i in keep_indexes))
+    return NamedRelation._trusted(columns, rows)

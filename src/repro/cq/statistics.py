@@ -101,8 +101,8 @@ class StatisticsStore:
     store's lock: a row appended after the version was read waits for the
     next call, two callers never fold one delta twice, and a counter once
     returned is never mutated, so readers need no lock.  The store is
-    derived data; the database drops it before pickling, like the atom-view
-    and columnar caches.
+    derived data; the database drops it before pickling, like the columnar
+    store.
     """
 
     __slots__ = ("_relations", "_lock", "builds", "extensions")

@@ -68,7 +68,8 @@ class ColumnarBackend(EvaluationBackend):
     interned value ids: int-keyed hash joins and semijoins, column-wise
     gathers, and a single id→value decode at the answer boundary (see
     :mod:`repro.cq.columnar`).  The database interns itself on first use
-    through ``Database.columnar_view``, memoized beside the atom-view cache.
+    through ``Database.columnar_view``, which serves snapshots of its id
+    tables.
     """
 
     def __init__(self, name: str) -> None:

@@ -12,8 +12,8 @@ re-running the query from scratch:
 
 one union term per atom ``i`` whose relation grew, where ``Δview_i`` is the
 appended rows of atom ``i``'s relation run through the atom's selection
-recipe (:meth:`~repro.cq.columnar.ColumnarStore.delta_view` — the same
-recipe the full build uses) and every *other* atom contributes its full
+recipe (:meth:`~repro.cq.columnar.ColumnarStore.delta` — the same id-level
+selection the full views use) and every *other* atom contributes its full
 current view.  The rule is exact for monotone queries: every genuinely new
 answer embeds at least one appended tuple in at least one atom position,
 and the term for that position covers it (the other positions use the
@@ -21,13 +21,14 @@ full post-append views, which contain both old and new rows, so Δ⋈old,
 old⋈Δ, and Δ⋈Δ combinations are all swept up; the union dedups the
 overlap).
 
-The terms run on the columnar kernel (:mod:`repro.cq.columnar`): the full
-views are the database's resident columnar atom views
-(:meth:`~repro.cq.database.Database.columnar_view`), which extend in place
-from the same delta log across refreshes, so their memoized join-key
-indexes stay warm; the delta interns into the same dictionary, and only
-the new answers are decoded.  Refresh cost therefore scales with the
-delta, not the database.
+The terms run on the columnar kernel (:mod:`repro.cq.columnar`).  Each
+relation's appended rows are interned once, into its id table in the
+database's columnar store.  The full views are that store's snapshots
+(:meth:`~repro.cq.database.Database.columnar_view`): a new snapshot reads
+the appended rows off the table and shares the older one's join-key
+indexes and sort orders, topped up with the delta.  The deltas are read
+off the same table, and only the new answers are decoded.  Refresh cost
+therefore scales with the delta, not the database.
 
 That includes handing the answers back.  Because the answers only grow,
 the view keeps them twice: :attr:`IncrementalView.rows`, the live ``set``
@@ -334,35 +335,29 @@ class IncrementalView:
         query = self.query
         database = self.database
         atoms = query.atoms
-        # Raw deltas are read once per relation and shared by every atom
-        # over it; the full views are the resident columnar views, extended
-        # to the current version by ``columnar_view``.  Only the rows in
-        # [seen, current): a row appended after the versions were captured
-        # belongs to the next refresh, and ``delta_rows`` counts these.
-        raw_delta: dict = {}
-        for name, seen in self.versions.items():
-            if current[name] != seen:
-                raw_delta[name] = database.relation(name).delta_since(seen)[
-                    : current[name] - seen
-                ]
         if any(not database.has_relation(atom.relation) for atom in atoms):
             # A missing relation is empty, so the whole answer set is empty
             # now and stays empty until it appears — at which point its
             # tracked version 0 makes its entire contents the delta.
             return set()
-        full_views = [database.columnar_view(atom) for atom in atoms]
+        # One store for the whole refresh: the full views are its snapshots
+        # at the relations' current versions, and each grown atom's delta
+        # is the id-table rows in [seen, current) — a row appended after
+        # the versions were captured belongs to the next refresh, and
+        # ``delta_rows`` counts these.
         store = database.columnar_store()
+        full_views = [database.columnar_view(atom, store) for atom in atoms]
         new: set = set()
         free = query.free_variables
         for index, atom in enumerate(atoms):
-            delta_source = raw_delta.get(atom.relation)
-            if not delta_source:
+            seen, stop = self.versions[atom.relation], current[atom.relation]
+            if seen == stop:
                 continue
-            delta_view = store.delta_view(atom, delta_source)
-            if not delta_view:
+            delta = store.delta(atom, database.relation(atom.relation), seen, stop)
+            if not delta:
                 continue
             others = [view for j, view in enumerate(full_views) if j != index]
-            joined = _join_chain(delta_view, others, free)
+            joined = _join_chain(delta, others, free)
             new |= joined.project(free).decode_rows()
         return new
 

@@ -15,8 +15,8 @@ exactly.  This module owns the question of **where those tasks run**:
   warm state between calls: a per-worker
   :class:`~repro.engine.session.EngineSession` (analysis/plan caches) and a
   bounded cache of **resident databases** — shard pieces shipped once, then
-  referenced by token, with their atom views and key indexes memoized via
-  :meth:`~repro.cq.database.Database.enable_atom_cache`.  A repeated
+  referenced by token, with their id tables, atom views and key indexes
+  kept in the piece's columnar store.  A repeated
   sharded query therefore pays join work plus a small IPC envelope, not
   re-partitioning, re-scanning, or re-indexing.
 
@@ -308,7 +308,7 @@ def _worker_execute(message: tuple) -> tuple:
             # Nothing resident and no full payload: a bare token or a delta
             # cannot (re)build the piece — ask the coordinator to ship.
             return (_REPLY_NEED_DATA, token, os.getpid())
-        database = pickle.loads(payload[1]).decode().enable_atom_cache()
+        database = pickle.loads(payload[1]).decode()
         _WORKER_RESIDENT[token] = database
         while len(_WORKER_RESIDENT) > _WORKER_RESIDENT_CAP:
             _WORKER_RESIDENT.popitem(last=False)
@@ -318,7 +318,7 @@ def _worker_execute(message: tuple) -> tuple:
             if payload[0] == _SHIP_FULL:
                 # The coordinator chose a full re-ship (e.g. recovery after
                 # a need-data reply): replace the resident piece outright.
-                database = pickle.loads(payload[1]).decode().enable_atom_cache()
+                database = pickle.loads(payload[1]).decode()
                 _WORKER_RESIDENT[token] = database
             else:
                 delta = pickle.loads(payload[1])

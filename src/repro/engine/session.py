@@ -22,8 +22,8 @@ additionally owns a **plan cache** and exposes a **batch API** —
 
 The same runtime seam drives the sharded single-query path: ``answer(...,
 shards=N, runtime=...)`` partitions once into **resident pieces** (a
-session-scoped partition cache with atom-view memoization), then fans the
-per-shard plan executions out to the chosen runtime.  With the process
+session-scoped partition cache; each piece keeps its columnar store), then
+fans the per-shard plan executions out to the chosen runtime.  With the process
 runtime the pieces live on the workers between calls, so a repeated sharded
 query pays join work plus a small IPC envelope — not re-partitioning,
 re-scanning, or re-indexing (see ``docs/ARCHITECTURE.md`` → Execution
@@ -145,8 +145,8 @@ class EngineSession(Engine):
         #: Resident shard pieces per (database identity, sharding spec):
         #: partitioning is a full hash pass over the data, so a serving
         #: session pays it once and re-executes against the cached pieces —
-        #: which carry the atom-view memo, so repeated queries also skip the
-        #: per-call scan/re-index of the stored tuples.
+        #: whose columnar stores stay warm, so repeated queries also skip
+        #: the per-call scan/re-index of the stored tuples.
         self._partition_cache = LRUCache(partition_cache_size)
         #: The session-default runtime spec for fan-out work (``None`` =
         #: the shared inline runtime).
@@ -220,17 +220,14 @@ class EngineSession(Engine):
         spec touches.  When versions have moved since the pieces were cut,
         only the ``delta_since`` rows are routed — partitioned relations
         hash each appended row to its owning piece, broadcast relations
-        append to every piece — so resident pieces (and the atom-view and
-        columnar caches living on them) extend instead of being rebuilt.
+        append to every piece — so resident pieces (and the columnar
+        stores living on them) extend instead of being rebuilt.
         Versions are read *before* the rows they cover: a row appended
         while the pieces are cut or extended lies past the recorded
         version, so the next call routes it (a row the cut already took
         routes again as a no-op ``Relation.add``) instead of losing it.
         The identity check on the cached entry guards against ``id`` reuse
-        after garbage collection.  The pieces are session-owned and get the
-        atom-view memo enabled — callers must not mutate a served database
-        concurrently with evaluation (appends between evaluations are the
-        supported write pattern).
+        after garbage collection.  The pieces are session-owned.
         """
         relevant = tuple(sorted(set(spec.partition_columns) | set(spec.broadcast_relations)))
         key = (
@@ -253,8 +250,6 @@ class EngineSession(Engine):
             if database.has_relation(name)
         }
         pieces = ShardedDatabase.partition(database, target, spec.shards, spec=spec).shards
-        for piece in pieces:
-            piece.enable_atom_cache()
         with self._lock:
             self._partition_cache.put(key, (database, pieces, versions))
         return pieces

@@ -152,10 +152,8 @@ class QueryService:
     def register_dataset(self, name: str, database, tenant: str = DEFAULT_TENANT):
         """Make ``database`` queryable as ``{"dataset": name}`` for
         ``tenant``.  Served databases are append-only: ``POST /facts`` may
-        grow them (never shrink), and the atom-view memo is enabled so
-        repeated queries reuse resident views — extended in place from the
-        delta log when appends land between calls."""
-        database.enable_atom_cache()
+        grow them (never shrink); repeated queries reuse the database's
+        columnar views, which read appended rows off its id tables."""
         self.datasets.register(tenant, name, database)
         return self
 

@@ -134,7 +134,7 @@ class TestOperationsAgreeWithTupleSet:
         relation.semijoin_inplace(self.right)
         expected = named("xy", [(1, 2), (2, 3), (4, 1)]).semijoin(self.right_named)
         assert relation.to_named() == expected
-        assert relation._buckets(("x", "y"), base).keys() == {
+        assert relation._buckets(("x", "y"), base).value.keys() == {
             key for key in relation._keys(("x", "y"), base)
         }
 
@@ -214,13 +214,15 @@ class TestColumnarStore:
         assert database.columnar_view(atom) is first
         info = database.columnar_cache.info()
         assert info["hits"] == 1 and info["misses"] == 1
-        # Growth through the versioned API extends the resident view in
-        # place — same object, new rows, extension counter bumped.
+        # Growth through the versioned API advances the resident view to a
+        # new snapshot over the id table; the one already handed out keeps
+        # its rows.
         database.add_fact("R", (9, 9))
         second = database.columnar_view(atom)
-        assert second is first
-        assert len(second) == 5
+        assert second is not first
+        assert len(second) == 5 and len(first) == 4
         assert (9, 9) in second.decode_rows()
+        assert (9, 9) not in first.decode_rows()
         assert database.columnar_cache.extensions == 1
 
     def test_one_interner_per_database(self):
@@ -291,9 +293,13 @@ class TestDatabaseWire:
         store = back.columnar_cache
         assert store is not None
         assert len(store.interner) == len(wire.dictionary)
-        # The identity view is zero-copy over the adopted base columns.
+        # The wire's id columns are adopted as the relation's id table.
+        table = store._tables["R"]
+        assert table.length == 4
+        assert [buffer[:4].tolist() for buffer in table.buffers] == [
+            list(column) for column in wire.relations["R"][1]
+        ]
         view = back.columnar_view(Atom("R", ["x", "y"]))
-        assert view._data[0] is wire.relations["R"][1][0]
         assert view.to_named() == NamedRelation(
             ("x", "y"), set(database.relation("R").tuples)
         )
@@ -316,19 +322,19 @@ class TestDatabaseWire:
 
     def test_growth_after_decode_extends_the_based_view(self):
         database = self.mixed_db()
-        back = Database.from_wire(database.to_wire())
         atom = Atom("R", ["x", "y"])
+        wire = database.to_wire()
+        back = Database.from_wire(wire)
         before = back.columnar_view(atom)
-        base_columns = back.columnar_cache._bases["R"][0]
         back.add_fact("R", (7, "fresh"))
         after = back.columnar_view(atom)
-        # The identity view shared the adopted base arrays; extension
-        # promotes them to private 'q' copies and appends — same object,
-        # untouched base, new row present.
-        assert after is before
+        # The appended row is interned onto the adopted id table; the
+        # snapshot taken before keeps its rows, the wire stays unmutated.
+        assert after is not before
         assert (7, "fresh") in after.decode_rows()
-        assert all(column.typecode == "q" for column in after._data)
-        assert len(base_columns[0]) == 4  # the adopted base is unmutated
+        assert len(before) == 4 and (7, "fresh") not in before.decode_rows()
+        assert back.columnar_cache._tables["R"].length == 5
+        assert len(wire.relations["R"][1][0]) == 4
 
     def test_typecode_narrows_with_the_dictionary(self):
         small = Database()

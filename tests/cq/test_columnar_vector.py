@@ -388,9 +388,9 @@ def test_four_column_keys_stay_exact_when_packing_cannot_fit():
 
 
 def test_resident_view_sees_appends_after_a_vectorised_operation():
-    """The int64 key arrays and sort orders memoized on a resident view are
-    dropped when the store extends it, so the next vectorised operation
-    sees the appended rows."""
+    """The sort orders memoized by a resident view's snapshot carry over to
+    the next snapshot, which merges the appended rows in, so the next
+    vectorised operation sees them; the older snapshot still does not."""
     database = Database()
     for i in range(2 * N):
         database.add_fact("R", (i, i % 7))
@@ -405,18 +405,20 @@ def test_resident_view_sees_appends_after_a_vectorised_operation():
 
     database.add_fact("R", ("fresh", 1))
     again = database.columnar_view(atom)
-    assert again is view
+    assert again is not view and again._order_cache is view._order_cache
     semijoined = again.semijoin(probe).to_named()
     assert ("fresh", 1) in semijoined.rows
     assert ("fresh", 1) in again.natural_join(probe).to_named().rows
     assert (1, "fresh") in probe.natural_join(again).to_named().rows
+    assert (1, "fresh") not in probe.natural_join(view).to_named().rows
 
 
 def test_memo_entries_over_pre_append_rows_are_not_served():
-    """A reader that copied a resident view's columns before an append can
-    store its int64 entries after the extension cleared the memo (the
-    race of ``TestConcurrentViews``, replayed here in a fixed order):
-    those entries are misses, so the next operators see the new rows."""
+    """A sort order shared by a resident view's snapshots and covering the
+    rows before an append is merged up to the next snapshot's rows, never
+    served as is; the older snapshot then reads the merged entry without
+    its later rows and leaves it in place (the race of
+    ``TestConcurrentViews``, replayed here in a fixed order)."""
     database = Database()
     for i in range(2 * N):
         database.add_fact("R", (i, i % 7))
@@ -427,12 +429,17 @@ def test_memo_entries_over_pre_append_rows_are_not_served():
     )
     view.semijoin(probe)
     view.natural_join(probe)
-    view.project(("y", "x"))
-    stale = dict(view._vector_cache)
+    view.project(("x",))
+    key = ((0,), 0)
+    assert view._order_cache[key].rows == len(view)
 
     database.add_fact("R", ("fresh", 1))
-    assert database.columnar_view(atom) is view
-    view._vector_cache.update(stale)
-    assert ("fresh", 1) in view.semijoin(probe).to_named().rows
-    assert ("fresh", 1) in view.natural_join(probe).to_named().rows
-    assert (1, "fresh") in view.project(("y", "x")).to_named().rows
+    again = database.columnar_view(atom)
+    assert ("fresh", 1) in again.semijoin(probe).to_named().rows
+    assert (1, "fresh") in probe.natural_join(again).to_named().rows
+    assert ("fresh",) in again.project(("x",)).to_named().rows
+    assert view._order_cache[key].rows == len(again)
+    order, keys = view._sorted_keys(("x",), 0)
+    assert sorted(order.tolist()) == list(range(len(view)))
+    assert keys.tolist() == sorted(view._column_array(0).tolist())
+    assert view._order_cache[key].rows == len(again)

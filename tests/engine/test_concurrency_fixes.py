@@ -12,7 +12,8 @@ Four bugfixes, each with a test that fails on the pre-fix code:
 
 Plus the cancellation layer the service's deadlines hang off:
 ``CancellationToken`` / ``RunCancelled`` through every runtime and the
-session fan-out paths.
+session fan-out paths, and ``EngineSession.clear_cache()`` landing between
+two store reads of one call (the call mixed two interners and raised).
 """
 
 import gc
@@ -23,6 +24,8 @@ import pytest
 
 from repro.cq import generators as cqgen
 from repro.cq.database import Database
+from repro.cq.homomorphism import naive_enumerate_answers
+from repro.cq.query import Atom, ConjunctiveQuery
 from repro.engine import (
     CancellationToken,
     EngineSession,
@@ -307,3 +310,56 @@ class TestCancellation:
         assert session.answer(query, database, shards=2).rows == session.answer(
             query, database
         ).rows
+
+
+# ----------------------------------------------------------------------
+# clear_cache() racing a call: one store read per call
+# ----------------------------------------------------------------------
+class TestClearCacheRacingACall:
+    """Replays ``clear_cache()`` landing right after a call's second atom
+    view: every view (and the interner, and a refresh's deltas) must come
+    from the store the call read first, or joins mix two interners."""
+
+    @staticmethod
+    def _clear_after_second_view(monkeypatch, session) -> list:
+        fetch = Database.columnar_view
+        calls: list = []
+
+        def fetch_then_clear(database, *args, **kwargs):
+            view = fetch(database, *args, **kwargs)
+            calls.append(view)
+            if len(calls) == 2:
+                session.clear_cache()
+            return view
+
+        monkeypatch.setattr(Database, "columnar_view", fetch_then_clear)
+        return calls
+
+    def test_answer(self, monkeypatch):
+        query = cqgen.cycle_query(4)
+        database = cqgen.random_database(query, 6, 40, seed=11)
+        session = EngineSession()
+        calls = self._clear_after_second_view(monkeypatch, session)
+        result = session.answer(query, database)
+        assert len(calls) >= 2
+        monkeypatch.undo()
+        assert result.rows == naive_enumerate_answers(query, database)
+
+    def test_incremental_refresh(self, monkeypatch):
+        query = ConjunctiveQuery(
+            [Atom("E", ["x", "y"]), Atom("E", ["y", "z"])]
+        ).project(["x", "z"])
+        database = Database()
+        for i in range(60):
+            database.add_fact("E", (i % 17, (5 * i) % 19))
+        session = EngineSession()
+        view = session.incremental_view(query, database)
+        view.refresh()
+        database.add_fact("E", (3, 100))
+        database.add_fact("E", (100, 4))
+        calls = self._clear_after_second_view(monkeypatch, session)
+        result = view.refresh()
+        assert len(calls) >= 2
+        monkeypatch.undo()
+        assert result.timings["incremental"]["mode"] == "incremental"
+        assert set(result.rows) == naive_enumerate_answers(query, database)

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cq.database import Database
 from repro.cq.query import Atom, Constant, ConjunctiveQuery
-from repro.cq.relational import from_atom
 from repro.engine import (
     DEFAULT_REFRESH_THRESHOLD,
     EngineSession,
@@ -284,30 +283,24 @@ class TestAnswerSnapshots:
 
 
 class TestFourLayerExtension:
-    """After ``add_fact``, every resident layer extends in place."""
-
-    def test_atom_view_layer_extends_not_rebuilds(self):
-        database = Database().enable_atom_cache()
-        database.add_fact("E", (1, 2))
-        atom = Atom("E", ("x", "y"))
-        view = from_atom(atom, database)
-        view.key_index(("x",))  # memoize an index so extension must patch it
-        database.add_fact("E", (2, 3))
-        extended = from_atom(atom, database)
-        assert extended is view
-        assert (2, 3) in extended.rows
-        assert extended.key_index(("x",))[(2,)] == [(2, 3)]
+    """After ``add_fact``, every resident layer extends instead of
+    rebuilding."""
 
     def test_columnar_layer_extends_not_rebuilds(self):
         database = Database()
         database.add_fact("E", (1, 2))
         atom = Atom("E", ("x", "y"))
         before = database.columnar_view(atom)
+        before._buckets(("x",), 0)  # a key index the next snapshot shares
         database.add_fact("E", (2, 3))
         after = database.columnar_view(atom)
-        assert after is before
-        assert len(after) == 2
+        # A new snapshot over the same id table: the old one keeps its row,
+        # the shared index is topped up with the appended row.
+        assert after is not before
+        assert len(after) == 2 and len(before) == 1
         assert database.columnar_store().extensions == 1
+        interner = database.columnar_store().interner
+        assert after._buckets(("x",), 0).value[interner.id_of(2)] == [1]
 
     def test_session_partition_cache_extends_not_rebuilds(self):
         query, database, rng = _chain_instance()
@@ -360,8 +353,11 @@ class TestFourLayerExtension:
         result = view.refresh()
         assert result.incremental["mode"] == MODE_INCREMENTAL
         # The semi-naive terms joined the resident columnar views, which
-        # the refresh extended in place instead of rebuilding.
+        # the refresh advanced to new snapshots sharing the old ones' key
+        # structures instead of rebuilding them.
         assert store.extensions > extensions
         for atom, before in zip(query.atoms, resident):
-            assert database.columnar_view(atom) is before
+            after = database.columnar_view(atom)
+            assert after._bucket_cache is before._bucket_cache
+            assert after._order_cache is before._order_cache
         assert result.rows == _fresh_answer(query, database)

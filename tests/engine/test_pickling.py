@@ -5,7 +5,7 @@ ships (:class:`ConjunctiveQuery`, sometimes a :class:`Database` piece) and
 everything a worker could send back must survive ``pickle.dumps``/``loads``
 with unchanged semantics.  Memoized derived state — key indexes on
 relations, incidence/adjacency maps and hashes on hypergraphs, the
-atom-view memo on databases — must be *dropped* in transit: it is rebuilt
+columnar store on databases — must be *dropped* in transit: it is rebuilt
 on the receiving side, and shipping it would both bloat the payload and
 risk resurrecting stale caches.
 """
@@ -17,7 +17,7 @@ import pytest
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
 from repro.cq.query import Constant
-from repro.cq.relational import NamedRelation, from_atom
+from repro.cq.relational import NamedRelation
 from repro.engine import Engine, EngineSession
 from repro.hypergraphs.hypergraph import Hypergraph
 
@@ -105,15 +105,6 @@ class TestDerivedStateDropped:
         assert copy.column_index("b") == 1
         assert copy.project(("b",)).rows == {(2,), (4,)}
 
-    def test_database_roundtrip_drops_atom_view_cache(self):
-        query = cqgen.chain_query(2)
-        database = cqgen.random_database(query, 5, 10, seed=1).enable_atom_cache()
-        view = from_atom(query.atoms[0], database)
-        assert from_atom(query.atoms[0], database) is view  # memo live
-        copy = roundtrip(database)
-        assert copy == database
-        assert copy.atom_cache is None
-
 
 class TestWireRoundTrip:
     """The compact shipping form the process runtime actually uses: a
@@ -142,7 +133,6 @@ class TestWireRoundTrip:
         store = decoded.columnar_cache
         assert store is not None
         assert len(store.interner) > 0
-        assert decoded.atom_cache is None  # the memo stays opt-in
 
     def test_wire_is_smaller_than_pickled_database(self):
         query = cqgen.hub_cycle_query(4)
@@ -150,52 +140,3 @@ class TestWireRoundTrip:
         wire = len(pickle.dumps(database.to_wire(), pickle.HIGHEST_PROTOCOL))
         plain = len(pickle.dumps(database, pickle.HIGHEST_PROTOCOL))
         assert wire < plain
-
-
-class TestAtomViewCache:
-    def test_disabled_by_default(self):
-        query = cqgen.chain_query(2)
-        database = cqgen.random_database(query, 5, 10, seed=1)
-        assert database.atom_cache is None
-        assert from_atom(query.atoms[0], database) is not from_atom(
-            query.atoms[0], database
-        )
-
-    def test_memoizes_per_atom_pattern(self):
-        query = ConjunctiveQuery(
-            [Atom("R", ["x", "y"]), Atom("R", ["y", "x"])]
-        )
-        database = Database()
-        database.add_fact("R", (1, 2))
-        database.add_fact("R", (2, 1))
-        database.enable_atom_cache()
-        first = from_atom(query.atoms[0], database)
-        assert from_atom(query.atoms[0], database) is first
-        # A different term pattern over the same relation is its own view.
-        swapped = from_atom(query.atoms[1], database)
-        assert swapped is not first
-        assert swapped.columns == ("y", "x")
-
-    def test_growth_extends_the_cached_view_in_place(self):
-        query = cqgen.chain_query(1)
-        database = Database()
-        database.add_fact("R0", (1, 2))
-        database.enable_atom_cache()
-        view = from_atom(query.atoms[0], database)
-        view.key_index(("x0",))  # memoize an index to be patched
-        database.add_fact("R0", (3, 4))
-        fresh = from_atom(query.atoms[0], database)
-        # The version seam extends the resident view instead of rebuilding.
-        assert fresh is view
-        assert len(fresh) == 2
-        # The memoized key index was patched in place, not dropped.
-        assert fresh.cached_index_keys
-        assert fresh.key_index(("x0",))[(3,)] == [(3, 4)]
-
-    def test_copy_and_partition_do_not_inherit_the_cache(self):
-        query = cqgen.hub_cycle_query(3)
-        database = cqgen.random_database(query, 6, 20, seed=2).enable_atom_cache()
-        from_atom(query.atoms[0], database)
-        assert database.copy().atom_cache is None
-        pieces = database.partition({"H0": 0}, 2)
-        assert all(piece.atom_cache is None for piece in pieces)

@@ -352,6 +352,13 @@ class TestResidentPiecesUnderAppends:
         query, database = self._wheel()
         session = EngineSession()
         session.answer(query, database, shards=2)
+        hubs = [f"w{number}" for number in range(200)]
+        answers = {}
+        for hub in ["a", "b"] + hubs:
+            alone = Database()
+            _plant_wheel(alone, hub)
+            answers[hub] = naive_enumerate_answers(query, alone)
+        progress = {"started": 0, "planted": 0}
         reads: list = []
         errors: list = []
         appended = threading.Event()
@@ -360,8 +367,10 @@ class TestResidentPiecesUnderAppends:
         def append() -> None:
             try:
                 start.wait(timeout=10)
-                for number in range(200):
-                    _plant_wheel(database, f"w{number}")
+                for number, hub in enumerate(hubs):
+                    progress["started"] = number + 1
+                    _plant_wheel(database, hub)
+                    progress["planted"] = number + 1
                     time.sleep(0)  # let the readers cut in between wheels
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
@@ -372,8 +381,9 @@ class TestResidentPiecesUnderAppends:
             try:
                 start.wait(timeout=10)
                 while not appended.is_set():
-                    session.answer(query, database, shards=2)
-                    reads.append(True)
+                    before = progress["planted"]
+                    rows = session.answer(query, database, shards=2).rows
+                    reads.append((before, rows, progress["started"]))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -391,11 +401,13 @@ class TestResidentPiecesUnderAppends:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        # Racing reads are not checked row by row: a read overlapping a
-        # columnar view's in-place extension can miss rows, on the
-        # unsharded path too (a known limit of in-place view extension).
-        # What must hold is that no append is lost to the resident pieces:
-        # once the appender stops, a sharded call is exact.
+        # Every racing read holds each wheel planted before it began and
+        # none whose planting started after it ended (a wheel planted
+        # during the read may or may not show).
+        for before, rows, after in reads:
+            held = ["a", "b"] + hubs[:before]
+            possible = set().union(*(answers[hub] for hub in held + hubs[before:after]))
+            assert set().union(*(answers[hub] for hub in held)) <= rows <= possible
         expected = naive_enumerate_answers(query, database)
         assert len(expected) == 202
         assert session.answer(query, database, shards=2).rows == expected

@@ -71,9 +71,11 @@ def test_estimates_stay_exact_on_a_resident_view_after_an_append(base, appended,
     _assert_exact(view, database.columnar_view(spokes), "x")
     for row in appended:
         database.add_fact("E", (row[0] + 3, row[1]))
-    assert database.columnar_view(edges) is view, "the view must extend in place"
-    _assert_exact(view, database.columnar_view(spokes), "x")
-    _assert_exact(database.columnar_view(spokes), view, "x")
+    grown = database.columnar_view(edges)
+    assert len(grown) == len(database.relation("E"))
+    for edges_view in (grown, view):
+        _assert_exact(edges_view, database.columnar_view(spokes), "x")
+        _assert_exact(database.columnar_view(spokes), edges_view, "x")
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test differential bench bench-baseline profile
+.PHONY: test differential bench bench-baseline profile loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,3 +40,8 @@ PROFILE_FAMILY = import cProfile, pstats, sys; sys.path.insert(0, "benchmarks");
 profile:
 	$(if $(FAMILY),,$(error usage: make profile FAMILY=<name>))
 	$(PYTHON) -c '$(PROFILE_FAMILY)' $(addprefix --family ,$(FAMILY))
+
+# The two numbers each CHANGES.md entry reports: every line under src/, and
+# the code lines among them (no docstrings, comments or blank lines).
+loc:
+	$(PYTHON) tools/loc.py src

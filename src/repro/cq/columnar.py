@@ -49,8 +49,8 @@ set.  This module removes that price structurally:
   reads the pack base once and passes it to both sides;
 * **exact statistics** — a column's degree vector (:meth:`ColumnarRelation
   .degrees`) is one ``np.bincount`` over its dense ids, memoized with the
-  NumPy path's keys; the cost-based join order and the reducer's child
-  order read it through :mod:`repro.cq.statistics`;
+  NumPy path's keys; the cost-based join order reads it through
+  :mod:`repro.cq.statistics`;
 * **factorized counting** — the counting DP runs over per-row weight
   vectors and packed keys (table or sorted segment sums on the NumPy
   path), so ``count()`` on full acyclic/GHD plans never materializes a

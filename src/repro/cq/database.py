@@ -242,12 +242,6 @@ class Database:
         self.relations: dict[str, Relation] = {}
         #: Lazily created columnar store (see :meth:`columnar_view`).
         self._columnar = None
-        #: Lazily created per-relation statistics (see :meth:`statistics`).
-        self._statistics = None
-        #: Memoized active domain (see :meth:`active_domain`).
-        self._domain_values: set | None = None
-        self._domain_frozen: frozenset | None = None
-        self._domain_versions: dict[str, int] = {}
         if isinstance(relations, Mapping):
             iterable = relations.values()
         else:
@@ -328,22 +322,6 @@ class Database:
         """Drop the columnar store (views *and* interned dictionary)."""
         self._columnar = None
 
-    # ------------------------------------------------------------------
-    def statistics(self):
-        """This database's :class:`~repro.cq.statistics.StatisticsStore`
-        (exact per-position value counts of the stored relations), created
-        on first use.  The counts follow the version seam: an append folds
-        just its ``delta_since`` rows in, nothing rebuilds."""
-        if self._statistics is None:
-            from repro.cq.statistics import StatisticsStore
-
-            self._statistics = StatisticsStore()
-        return self._statistics
-
-    def drop_statistics(self) -> None:
-        """Drop the statistics store (it rebuilds lazily on next use)."""
-        self._statistics = None
-
     def attach_columnar_store(self, store) -> "Database":
         """Adopt a pre-built :class:`~repro.cq.columnar.ColumnarStore` as
         this database's columnar cache (the wire-decode path); returns
@@ -373,42 +351,9 @@ class Database:
         # worker interns into its own dictionary).
         state = self.__dict__.copy()
         state["_columnar"] = None
-        state["_statistics"] = None
-        state["_domain_values"] = None
-        state["_domain_frozen"] = None
-        state["_domain_versions"] = {}
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._columnar = None
-        self._statistics = None
-        self._domain_values = None
-        self._domain_frozen = None
-        self._domain_versions = {}
-
     # ------------------------------------------------------------------
-    def active_domain(self) -> frozenset:
-        """The set of values appearing anywhere in the database, memoized
-        behind the version seam: the first call scans everything, later
-        calls fold in only the ``delta_since`` rows of relations whose
-        version moved (and values from newly added relations)."""
-        if self._domain_values is None:
-            self._domain_values = set()
-            self._domain_versions = {}
-            self._domain_frozen = None
-        before = len(self._domain_values)
-        for name, relation in self.relations.items():
-            seen = self._domain_versions.get(name, 0)
-            version = relation.version
-            if version > seen:
-                for row in relation.delta_since(seen):
-                    self._domain_values.update(row)
-                self._domain_versions[name] = version
-        if self._domain_frozen is None or len(self._domain_values) != before:
-            self._domain_frozen = frozenset(self._domain_values)
-        return self._domain_frozen
-
     def size(self) -> int:
         """``||D||``: total cells plus number of relations."""
         return sum(r.size() for r in self.relations.values()) + len(self.relations)

@@ -18,23 +18,20 @@ column's exact degree vector (:meth:`repro.cq.columnar.ColumnarRelation
   selectivities (the independence assumption).  Only columnar relations
   keep degree vectors; tuple-set pools, reference code, take the static
   order;
-* :class:`StatisticsStore` — exact per-position value counts of a
-  database's stored relations, kept current on the version seam; the
-  sharding layer's hub screening reads them;
 * the **join-ordering mode** toggle (:func:`set_join_ordering` /
   :func:`forced_join_ordering`) and the process-wide **ledger** of estimate
   vs. actual records (:func:`ledger_snapshot`), which the executor surfaces
   as ``EvalResult.timings["stats"]`` and benchmarks use to force the static
   order for A/B comparison.
 
-The kernels (:mod:`repro.cq.relational`, :mod:`repro.cq.columnar`), the
-Yannakakis passes and the sharding layer all import *from* here.
+The join kernel (:mod:`repro.cq.relational`'s ``natural_join_all``, which
+the columnar kernel calls) and the engine's executor and session import
+*from* here.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, deque
 from collections.abc import Hashable, Sequence
 from contextlib import contextmanager
 
@@ -87,66 +84,18 @@ def estimate_semijoin_fraction(left, right, shared: Sequence[Hashable]) -> float
 
 
 # ----------------------------------------------------------------------
-# Stored relations: exact value counts on the version seam
+# A retired name
 # ----------------------------------------------------------------------
 class StatisticsStore:
-    """Exact per-position value counts of one
-    :class:`~repro.cq.database.Database`'s stored relations, maintained on
-    the version seam.
+    """Retired name of the per-position value counts of stored relations,
+    which fed only the sharding layer's hub screening; both were deleted
+    (``docs/PERFORMANCE.md`` → Skew & statistics).  Nothing constructs it
+    or calls :meth:`relation_stats`; the name stays only so tooling that
+    binds ``StatisticsStore.relation_stats`` by name
+    (``perfbench/tracing.py``) still resolves."""
 
-    :meth:`relation_stats` returns one :class:`collections.Counter` per
-    term position, keyed by :attr:`~repro.cq.database.Relation.version`.
-    A relation whose version moved since the last look folds exactly the
-    rows in ``[seen, version)`` into copies of its counters, under the
-    store's lock: a row appended after the version was read waits for the
-    next call, two callers never fold one delta twice, and a counter once
-    returned is never mutated, so readers need no lock.  The store is
-    derived data; the database drops it before pickling, like the columnar
-    store.
-    """
-
-    __slots__ = ("_relations", "_lock", "builds", "extensions")
-
-    def __init__(self) -> None:
-        #: relation name -> (version reflected, tuple of Counters)
-        self._relations: dict = {}
-        self._lock = threading.Lock()
-        self.builds = 0
-        self.extensions = 0
-
-    def relation_stats(self, relation) -> tuple:
-        """The value counts of one stored relation, one
-        :class:`~collections.Counter` per term position, as of the version
-        read under the lock."""
-        with self._lock:
-            version = relation.version
-            seen, counts = self._relations.get(relation.name, (0, None))
-            if counts is None:
-                counts = tuple(Counter() for _ in range(relation.arity))
-                self.builds += 1
-            elif seen == version:
-                return counts
-            else:
-                counts = tuple(counter.copy() for counter in counts)
-                self.extensions += 1
-            rows = relation.delta_since(seen)[: version - seen]
-            for counter, column in zip(counts, zip(*rows)):
-                counter.update(column)
-            self._relations[relation.name] = (version, counts)
-            return counts
-
-    def info(self) -> dict:
-        return {
-            "relations": len(self._relations),
-            "builds": self.builds,
-            "extensions": self.extensions,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"StatisticsStore(relations={len(self._relations)}, "
-            f"builds={self.builds}, extensions={self.extensions})"
-        )
+    def relation_stats(self, relation) -> None:
+        """Never called; see the class docstring."""
 
 
 # ----------------------------------------------------------------------
@@ -198,12 +147,10 @@ def forced_join_ordering(mode: str):
 #: stay because the benchmark harness's ledger readers index them.
 _LEDGER_FIELDS = (
     "cost_joins", "static_joins", "prefilter_passes", "prefilter_rows_dropped",
-    "reducer_orderings", "estimated_rows", "actual_rows",
+    "estimated_rows", "actual_rows",
 )
 _ledger_lock = threading.Lock()
 _ledger = {field: 0 for field in _LEDGER_FIELDS}
-#: The most recent (estimated, actual) join-size pairs, for explainability.
-_ledger_samples: deque = deque(maxlen=64)
 
 
 def record_cost_join(estimated: float, actual: int) -> None:
@@ -211,17 +158,11 @@ def record_cost_join(estimated: float, actual: int) -> None:
         _ledger["cost_joins"] += 1
         _ledger["estimated_rows"] += int(estimated)
         _ledger["actual_rows"] += actual
-        _ledger_samples.append((int(estimated), actual))
 
 
 def record_static_join() -> None:
     with _ledger_lock:
         _ledger["static_joins"] += 1
-
-
-def record_reducer_ordering() -> None:
-    with _ledger_lock:
-        _ledger["reducer_orderings"] += 1
 
 
 def ledger_snapshot() -> dict:
@@ -240,15 +181,8 @@ def ledger_delta(before: dict, after: dict) -> dict:
     }
 
 
-def recent_estimates() -> list:
-    """The last recorded (estimated, actual) join-size pairs."""
-    with _ledger_lock:
-        return list(_ledger_samples)
-
-
 def reset_ledger() -> None:
     """Zero the ledger (test isolation)."""
     with _ledger_lock:
         for field in _LEDGER_FIELDS:
             _ledger[field] = 0
-        _ledger_samples.clear()

@@ -42,18 +42,12 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping, Sequence
 
 from repro.cq.relational import NamedRelation
-from repro.cq.statistics import (
-    ORDERING_COST,
-    estimate_semijoin_fraction,
-    join_ordering,
-    record_reducer_ordering,
-)
+
+# ``estimate_semijoin_fraction`` is unused here but stays bound by name:
+# perfbench/tracing.py wraps the estimators in this module's namespace.
+from repro.cq.statistics import estimate_semijoin_fraction  # noqa: F401
 
 Node = Hashable
-
-#: A parent smaller than this is filtered in its children's given order —
-#: estimating selectivities costs more than any misordering could save.
-_REDUCER_MIN_ROWS = 64
 
 
 class JoinTree:
@@ -93,38 +87,6 @@ class JoinTree:
         return order
 
 
-def _ordered_children(relations, parent_relation, children: list) -> list:
-    """The order in which a parent consumes its children's semijoin filters.
-
-    The filters commute — the reduced parent is the rows matching *every*
-    child, whatever the order — so ordering is purely a cost decision: apply
-    the most selective child first and the later probes scan an
-    already-shrunk parent.  Each child's surviving fraction is exact on one
-    shared column (:func:`~repro.cq.statistics.estimate_semijoin_fraction`
-    over the degree vectors), and an empty child, whatever it shares,
-    keeps nothing, so it goes first.  Only consulted in cost-based mode, on
-    columnar parents large enough that computing the fractions pays for
-    itself; tuple-set relations keep no degree vectors, so their trees keep
-    the given order, and so do ties (``sorted`` is stable).
-    """
-    if (
-        len(children) < 2
-        or len(parent_relation) < _REDUCER_MIN_ROWS
-        or join_ordering() != ORDERING_COST
-        or not hasattr(parent_relation, "degrees")
-    ):
-        return children
-    parent_columns = set(parent_relation.columns)
-
-    def fraction(child: Node) -> float:
-        child_relation = relations[child]
-        shared = [c for c in child_relation.columns if c in parent_columns]
-        return estimate_semijoin_fraction(parent_relation, child_relation, shared)
-
-    record_reducer_ordering()
-    return sorted(children, key=fraction)
-
-
 def _filter(relations: dict, owned: set, node: Node, against: Node) -> None:
     """Semijoin-filter ``relations[node]`` by ``relations[against]``.
 
@@ -143,10 +105,9 @@ def _filter(relations: dict, owned: set, node: Node, against: Node) -> None:
 
 
 def _upward_pass(tree: JoinTree, relations: dict, owned: set) -> bool:
-    """Filter parents by children, leaves first, each parent consuming its
-    children in selectivity order (:func:`_ordered_children`) — equivalent
-    to the classic per-node sweep, since a node's children all precede it in
-    the reversed topological order and semijoin filters commute.
+    """Filter parents by children, leaves first: a node's children all
+    precede it in the reversed topological order.  The filters commute, so
+    each parent consumes its children in the tree's order.
 
     Afterwards every row of a node extends to a solution of its subtree, so
     the root holds exactly the rows that extend to a solution of the whole
@@ -155,7 +116,7 @@ def _upward_pass(tree: JoinTree, relations: dict, owned: set) -> bool:
     Returns whether the root is non-empty.
     """
     for node in reversed(tree.topological_order()):
-        for child in _ordered_children(relations, relations[node], tree.children[node]):
+        for child in tree.children[node]:
             _filter(relations, owned, node, child)
         if not relations[node]:
             if node != tree.root:

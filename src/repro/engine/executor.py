@@ -104,8 +104,7 @@ class EvalResult:
         Filled whenever the execution exercised the cost-based machinery of
         :mod:`repro.cq.statistics`: ``mode`` (the join-ordering mode),
         ``cost_joins`` / ``static_joins`` (pairwise join steps taken by each
-        path), ``reducer_orderings`` (selectivity-ordered semijoin sweeps),
-        and ``estimated_rows`` / ``actual_rows`` (summed cardinality
+        path), and ``estimated_rows`` / ``actual_rows`` (summed cardinality
         estimates vs. the joins they predicted; equal whenever each
         cost-chosen join shares one column, where the estimate is exact).
         ``prefilter_passes`` / ``prefilter_rows_dropped`` always read 0.

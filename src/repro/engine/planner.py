@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.statistics import ORDERING_COST, join_ordering
 from repro.engine.analysis import LRUCache, QueryAnalysis
 from repro.widths.ghd import GeneralizedHypertreeDecomposition
 
@@ -137,12 +136,6 @@ class QueryPlanner:
                     f"{len(query.atoms)} atoms — equivalent, sem-ghw route)"
                 )
         plan = self._dispatch(target, semantic_note, force_strategy)
-        # Surface a non-default join-ordering mode (A/B benchmarks force the
-        # historical static-greedy path) so explain() shows which ordering
-        # the executor will use; the cost-based default stays unannotated.
-        mode = join_ordering()
-        if mode != ORDERING_COST:
-            plan = plan.with_note(f"join ordering forced to {mode}")
         plan.planning_seconds = time.perf_counter() - start
         plan.source_query = query
         return plan

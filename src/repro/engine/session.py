@@ -450,9 +450,7 @@ class EngineSession(Engine):
                 "single-shard fallback",
             )
         else:
-            spec = sharding_spec(
-                target, shards, shard_variable=shard_variable, database=database
-            )
+            spec = sharding_spec(target, shards, shard_variable=shard_variable)
         start = time.perf_counter()
         ledger_before = ledger_snapshot()
         # Counts add across shards only when the per-shard answer sets are
@@ -797,7 +795,6 @@ class EngineSession(Engine):
         self.plan_cache.clear()
         for database in self._live_served_databases():
             database.drop_columnar()
-            database.drop_statistics()
         with self._lock:
             self._partition_cache.clear()
             self._served_databases.clear()

@@ -40,51 +40,15 @@ SHARD_MODE_BROADCAST = "broadcast"
 SHARD_MODE_SINGLE = "single-shard"
 
 
-#: A candidate shard variable whose hottest value carries at least this
-#: fraction of some pinned column's rows is hub-concentrated: hashing on it
-#: would pile that mass onto one shard.
-_HUB_FRACTION = 0.25
-
-
-def _variable_hot_fraction(query: ConjunctiveQuery, database, variable) -> float:
-    """The worst top-value concentration over the stored columns where
-    ``variable`` occurs: ``max(top frequency / rows)`` across every
-    (relation, position) the variable pins, from the database's exact value
-    counts.  0.0 when nothing is known (missing/empty relations)."""
-    worst = 0.0
-    store = database.statistics()
-    seen: set = set()
-    for atom in query.atoms:
-        for position, term in enumerate(atom.terms):
-            if term != variable or (atom.relation, position) in seen:
-                continue
-            seen.add((atom.relation, position))
-            if not database.has_relation(atom.relation):
-                continue
-            relation = database.relation(atom.relation)
-            rows = len(relation)
-            if not rows:
-                continue
-            counts = store.relation_stats(relation)[position]
-            if counts:
-                worst = max(worst, max(counts.values()) / rows)
-    return worst
-
-
-def choose_shard_variable(query: ConjunctiveQuery, database=None):
-    """The default shard variable: the highest-frequency join variable,
-    skew-checked against the data when a database is supplied.
+def choose_shard_variable(query: ConjunctiveQuery):
+    """The default shard variable: the highest-frequency join variable.
 
     Picks the variable occurring in the most atoms (ties broken by ``repr``
     for determinism) — the variable most likely to co-partition every
     relation, and failing that, the one that minimises the broadcast set.
-    With a ``database``, equally-frequent candidates are screened through
-    the exact value counts: when the default candidate is
-    hub-concentrated (one value carrying ≥ 25% of a pinned column) and a
-    peer is not, the cooler peer wins — hashing on a hub key piles its mass
-    onto one shard no matter how good the column structure looks.  Returns
-    ``None`` when the query has no variables (zero-atom or constants-only
-    queries cannot shard).
+    The choice reads the query only: a hub value hashes to one shard, which
+    costs balance, never exactness.  Returns ``None`` when the query has no
+    variables (zero-atom or constants-only queries cannot shard).
     """
     occurrences: dict = {}
     for atom in query.atoms:
@@ -94,18 +58,7 @@ def choose_shard_variable(query: ConjunctiveQuery, database=None):
         return None
     best_count = max(occurrences.values())
     candidates = [v for v, count in occurrences.items() if count == best_count]
-    default = max(candidates, key=repr)
-    if database is None or len(candidates) == 1:
-        return default
-    hot = {v: _variable_hot_fraction(query, database, v) for v in candidates}
-    if hot[default] < _HUB_FRACTION:
-        return default
-    cool = [v for v in candidates if hot[v] < _HUB_FRACTION]
-    if cool:
-        return max(cool, key=repr)
-    # Everything is hub-heavy: keep the historical choice.  The hub's shard
-    # carries more than its share, which costs balance, never exactness.
-    return default
+    return max(candidates, key=repr)
 
 
 @dataclass(frozen=True)
@@ -133,7 +86,7 @@ class ShardingSpec:
 
 
 def sharding_spec(
-    query: ConjunctiveQuery, shards: int, shard_variable=None, database=None
+    query: ConjunctiveQuery, shards: int, shard_variable=None
 ) -> ShardingSpec:
     """Walk the fallback ladder for ``query``: co-partitioned when every
     relation agrees on a shard column, broadcast when at least one does,
@@ -142,14 +95,11 @@ def sharding_spec(
     A relation is *co-partitionable* when every atom over it contains the
     shard variable at some common position (self-joins must agree on the
     column, otherwise one tuple would need to live in two shards).
-
-    With a ``database``, the default shard variable avoids hub-concentrated
-    keys (:func:`choose_shard_variable`).
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if shard_variable is None:
-        shard_variable = choose_shard_variable(query, database=database)
+        shard_variable = choose_shard_variable(query)
     elif shard_variable not in query.variables:
         # Validated before any fallback so a typo'd variable raises on every
         # query shape (including zero-atom queries and shards=1).

@@ -130,6 +130,8 @@ class QueryService:
         )
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
+        #: Open connections: each handler task and its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._router = Router()
         self.subscriptions = SubscriptionRegistry()
         #: Serializes dataset appends (``POST /facts``): each request's rows
@@ -165,8 +167,17 @@ class QueryService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop serving; returns once every connection handler has finished.
+
+        Closing the listening socket leaves keep-alive connections open, so
+        each is closed here: an idle handler reads EOF and returns, a busy
+        one answers into the closed stream first.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -181,6 +192,8 @@ class QueryService:
 
     # -- connection loop -------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -220,8 +233,13 @@ class QueryService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # Closing is best effort, and the handler must not end
+                # cancelled: asyncio's stream callback reads the task's
+                # exception, which on Python 3.11 raises (and is logged)
+                # for a cancelled task.
                 pass
+            del self._connections[task]
 
     # -- endpoint handlers ----------------------------------------------
     async def _handle_healthz(self, request: Request) -> Response:
@@ -307,11 +325,14 @@ class QueryService:
     async def _handle_facts(self, request: Request) -> Response:
         """Append rows to a registered dataset (the service write path).
 
-        The versioned storage layer makes the append observable everywhere
-        downstream: resident atom views and columnar views extend in place,
-        session partition caches route the delta rows to their shards, the
-        process runtime ships only the delta to the owning workers, and
-        standing subscriptions fold the rows in on their next poll.
+        All or nothing: every relation's stored arity is checked for the
+        whole payload before the first row lands, so a 400 leaves the
+        dataset unchanged.  The versioned storage layer makes the append
+        observable everywhere downstream: columnar views read the appended
+        rows off the id tables, session partition caches route the delta
+        rows to their shards, the process runtime ships only the delta to
+        the owning workers, and standing subscriptions fold the rows in on
+        their next poll.
         """
         payload = self._payload(request)
         tenant = self._tenant_of(payload, request)
@@ -322,6 +343,16 @@ class QueryService:
         database = self.datasets.get(tenant, dataset)
         appended: dict = {}
         with self._append_lock:
+            # The codec made each relation's rows agree on one arity.
+            for name, rows in facts.items():
+                if database.has_relation(name):
+                    arity = database.relation(name).arity
+                    if len(rows[0]) != arity:
+                        raise HttpError(
+                            400,
+                            f"relation {name!r} has arity {arity}, "
+                            f"got tuple of length {len(rows[0])}",
+                        )
             for name, rows in facts.items():
                 before = (
                     database.relation(name).version
@@ -329,10 +360,7 @@ class QueryService:
                     else 0
                 )
                 for row in rows:
-                    try:
-                        database.add_fact(name, row)
-                    except ValueError as exc:  # arity mismatch with storage
-                        raise HttpError(400, str(exc)) from None
+                    database.add_fact(name, row)
                 appended[name] = database.relation(name).version - before
             version = database.version
         return Response(

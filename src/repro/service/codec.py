@@ -130,8 +130,8 @@ def facts_from_json(obj) -> dict:
     """``{"R": [[1, 2], ...], ...}`` → relation name to validated row
     tuples — the ``POST /facts`` append payload.  Arities must agree within
     each relation of the payload; agreement with the *stored* relation is
-    the storage layer's check (the append endpoint maps its ``ValueError``
-    to a 400)."""
+    the append endpoint's check, made for the whole payload before any row
+    lands."""
     if not isinstance(obj, dict) or not obj:
         raise CodecError(
             "'facts' must be a non-empty JSON object of relation -> rows"

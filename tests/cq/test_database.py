@@ -46,12 +46,6 @@ class TestDatabase:
         with pytest.raises(KeyError):
             Database().relation("nope")
 
-    def test_active_domain(self):
-        db = Database()
-        db.add_fact("R", (1, 2))
-        db.add_fact("S", (2, 3))
-        assert db.active_domain() == frozenset({1, 2, 3})
-
     def test_size_measure(self):
         db = Database()
         db.add_fact("R", (1, 2))

@@ -35,6 +35,7 @@ from repro.cq.relational import NamedRelation
 from repro.cq.yannakakis import (
     JoinTree,
     pruned_tree,
+    semijoin_reduce,
     yannakakis_boolean,
     yannakakis_full,
 )
@@ -343,6 +344,44 @@ class TestYannakakis:
         filters = calls["semijoin"] + calls["semijoin_inplace"]
         assert filters, "the upward pass must still filter the root"
         assert not edges & set(filters), "a child was filtered by its parent"
+
+    # ------------------------------------------------------------------
+    # The full reducer: both passes, every node consistent with the rest
+    # ------------------------------------------------------------------
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_semijoin_reduce_keeps_exactly_the_rows_of_global_solutions(
+        self, case, kernel
+    ):
+        relations, parent, _, _ = PRUNING_CASES[case]
+        tree = JoinTree(_in_kernel(relations, kernel), parent)
+        reduced = semijoin_reduce(tree)
+        assert set(reduced) == set(relations)
+        for node, relation in relations.items():
+            assert _rows(reduced[node]) == brute_force_join(
+                relations, relation.columns
+            ), node
+        # The reducer works on copies: the tree keeps its input relations.
+        for node, relation in relations.items():
+            assert _rows(tree.relations[node]) == set(relation.rows), node
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_an_empty_child_sharing_no_column_empties_every_node(self, kernel):
+        # The empty child shares no column with the parent, yet its semijoin
+        # keeps nothing: the query has no solution, so nothing survives.
+        relations = {
+            "parent": _R(("x", "y"), {(i, i % 4) for i in range(100)}),
+            "half": _R(("x",), {(i,) for i in range(50)}),
+            "empty": _R(("z",), set()),
+        }
+        parent = {"parent": None, "half": "parent", "empty": "parent"}
+        tree = JoinTree(_in_kernel(relations, kernel), parent)
+        reduced = semijoin_reduce(tree)
+        assert {node: len(relation) for node, relation in reduced.items()} == {
+            "parent": 0, "half": 0, "empty": 0
+        }
+        assert not yannakakis_boolean(tree)
+        assert len(yannakakis_full(tree, output_columns=("x", "y"))) == 0
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_unknown_output_column_is_rejected_before_any_semijoin(

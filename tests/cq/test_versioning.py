@@ -1,6 +1,6 @@
 """The storage layer's version seam: monotone counters, the per-relation
-append log (``delta_since``), the cached sorted iteration order, and the
-memoized active domain — the contract every higher cache layer keys on."""
+append log (``delta_since``) and the cached sorted iteration order — the
+contract every higher cache layer keys on."""
 
 import pickle
 
@@ -78,27 +78,3 @@ class TestDatabaseVersion:
         assert database.version == v1
         database.add_fact("S", (7,))
         assert database.version > v1
-
-
-class TestActiveDomainMemo:
-    def test_active_domain_is_memoized(self):
-        database = Database()
-        database.add_fact("R", (1, 2))
-        first = database.active_domain()
-        assert database.active_domain() is first
-
-    def test_active_domain_updates_incrementally(self):
-        database = Database()
-        database.add_fact("R", (1, 2))
-        assert database.active_domain() == frozenset({1, 2})
-        database.add_fact("R", (2, 3))
-        database.add_fact("S", (9,))
-        assert database.active_domain() == frozenset({1, 2, 3, 9})
-
-    def test_duplicate_values_keep_the_frozen_set(self):
-        database = Database()
-        database.add_fact("R", (1, 2))
-        first = database.active_domain()
-        database.add_fact("R", (2, 1))  # new row, no new values
-        assert database.active_domain() is first
-        assert database.active_domain() == frozenset({1, 2})

@@ -12,6 +12,7 @@ from repro.cq.query import Constant
 from repro.cq import generators as cqgen
 from repro.cq import workloads
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
+from repro.cq.statistics import ORDERING_COST, ORDERING_STATIC, forced_join_ordering
 from repro.engine import (
     EngineSession,
     answer_many,
@@ -143,6 +144,25 @@ class TestPlanCache:
         # plan's one-off cost as its own.
         assert cold.timings["planning_seconds"] > 0.0
         assert warm.timings["planning_seconds"] < cold.plan.planning_seconds
+
+    @pytest.mark.parametrize(
+        "modes",
+        [(ORDERING_STATIC, ORDERING_COST), (ORDERING_COST, ORDERING_STATIC)],
+    )
+    def test_cached_plans_name_no_other_calls_ordering_mode(self, session, modes):
+        # The plan cache does not key on the join-ordering mode, so the
+        # second call reuses the first call's plan: the plan must not name
+        # a mode, and each call's stats record reports its own.
+        query = cqgen.clique_query(3)
+        database = cqgen.zipf_database(query, 40, 300, seed=4)
+        for mode in modes:
+            with forced_join_ordering(mode):
+                result = session.answer(query, database)
+            assert result.stats["mode"] == mode
+            explained = result.plan.explain()
+            for other in {ORDERING_COST, ORDERING_STATIC} - {mode}:
+                assert other not in explained
+        assert session.plan_cache.hits == 1
 
     def test_clear_cache_drops_all_session_caches(self, session):
         session.plan(cqgen.zigzag_cycle_query(4), use_core=True)

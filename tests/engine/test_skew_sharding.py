@@ -1,6 +1,6 @@
 """Sharding under skew: exact disjoint partitions of hub-heavy data, the
-skew-checked shard variable choice, exact answers and counts on hub data,
-and the estimates-vs-actuals record on results.
+query-only shard variable choice, exact answers and counts on hub data, and
+the estimates-vs-actuals record on results.
 
 Hub values hash to one shard like any other value: that shard carries more
 than its share, which costs balance, never exactness — with a free shard
@@ -10,6 +10,7 @@ variable the per-shard answer sets stay disjoint, so counts add
 from repro.cq import generators as cqgen
 from repro.cq.database import Database, Relation
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
+from repro.cq.query import Atom, ConjunctiveQuery
 from repro.engine.session import EngineSession
 from repro.engine.sharding import choose_shard_variable
 
@@ -42,34 +43,28 @@ def test_partition_without_hot_keys_is_exactly_disjoint():
 
 
 # ----------------------------------------------------------------------
-# The skew-checked shard variable
+# The shard variable is chosen from the query alone
 # ----------------------------------------------------------------------
-def test_choose_shard_variable_avoids_hub_concentrated_candidates():
-    from repro.cq.query import Atom, ConjunctiveQuery
-
-    # a and b both occur in every atom; column a is hub-heavy, b uniform.
+def test_a_structural_tie_on_a_hot_column_shards_on_it_exactly():
+    # a and b both occur in every atom, so the tie goes to repr-max "b",
+    # although half of the rows share b = 0: the hub lands on one shard.
     query = ConjunctiveQuery([Atom("R", ["a", "b"]), Atom("S", ["a", "b"])])
     database = Database()
     for name in ("R", "S"):
         relation = Relation(name, 2)
         for i in range(100):
-            relation.add((0 if i % 2 else i, i))  # half the rows share a=0
+            relation.add((i, 0 if i % 2 else i))
         database.add_relation(relation)
-    # Structure alone ties a and b; repr-max picks "b" — which is uniform,
-    # so data cannot improve on it...
     assert choose_shard_variable(query) == "b"
-    assert choose_shard_variable(query, database) == "b"
-    # ...but when the repr-max default is the hot column, the data steers
-    # the choice to the cool candidate.
-    flipped = ConjunctiveQuery([Atom("R", ["c", "b"]), Atom("S", ["c", "b"])])
-    database_flipped = Database()
-    for name in ("R", "S"):
-        relation = Relation(name, 2)
-        for i in range(100):
-            relation.add((i, 0 if i % 2 else i))  # now repr-max "c" is cool
-        database_flipped.add_relation(relation)
-    assert choose_shard_variable(flipped) == "c"
-    assert choose_shard_variable(flipped, database_flipped) == "c"
+    expected_rows = naive_enumerate_answers(query, database)
+    session = EngineSession()
+    for shards in (2, 4):
+        answered = session.answer(query, database, shards=shards)
+        assert answered.sharding["shard_variable"] == "b"
+        assert answered.rows == expected_rows
+        counted = session.count(query, database, shards=shards)
+        assert counted.count == len(expected_rows)
+        assert counted.sharding["count_via"] == "sum"
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,15 @@ concurrent ``http.client`` connections:
   orphaned work (in-flight drains back to 0);
 * **tenant isolation** — tenants get private sessions and private dataset
   namespaces, whether the tenant arrives in the body or the ``X-Tenant``
-  header.
+  header;
+* **shutdown** — stopping a service that holds idle keep-alive connections
+  closes them and waits for their handlers, leaving nothing for asyncio to
+  log.
 """
 
+import gc
+import logging
+import sys
 import threading
 import time
 
@@ -399,3 +405,32 @@ class TestTenantIsolation:
                         cqgen.chain_query(2), dataset="bench", _sleep_ms=10
                     )
                 assert info.value.status == 400
+
+
+class TestShutdown:
+    def test_stop_closes_idle_keep_alive_connections(self, caplog):
+        # Three clients each leave a keep-alive connection idle.  stop()
+        # must close them and wait for their handlers: a handler left
+        # pending is destroyed with its loop, which asyncio logs, and its
+        # cleanup then raises into a closed loop (an unraisable exception).
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        clients = []
+        try:
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                handle = serve_in_thread(QueryService(ServiceConfig()))
+                try:
+                    for _ in range(3):
+                        clients.append(ServiceClient(handle.host, handle.port))
+                        assert clients[-1].healthz()["status"] == "ok"
+                finally:
+                    handle.stop()
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+            for client in clients:
+                client.close()
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert logged == []
+        assert [repr(item.exc_value) for item in unraisable] == []

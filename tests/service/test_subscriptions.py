@@ -85,6 +85,19 @@ class TestFactsEndpoint:
                 client.add_facts("missing", {"E": [[1, 2]]})
             assert err.value.status == 404
 
+    def test_an_arity_error_appends_nothing(self, server):
+        # All or nothing: the payload names E before Label, and Label's
+        # stored arity refuses the whole payload before E's row lands.
+        database = server.service.datasets.get("public", "graph")
+        with _client(server) as client:
+            client.add_facts("graph", {"Label": [[1]]})
+            version = database.relation("E").version
+            with pytest.raises(ServiceError) as err:
+                client.add_facts("graph", {"E": [[500, 501]], "Label": [[1, 2]]})
+            assert err.value.status == 400
+            assert database.relation("E").version == version
+            assert (500, 501) not in database.relation("E")
+
     def test_facts_payload_validated(self, server):
         with _client(server) as client:
             for bad in ({}, {"E": []}, {"E": [[1], [1, 2]]}, {"E": "rows"}):
@@ -172,6 +185,37 @@ class TestSubscriptions:
             info = stats["by_tenant"]["public"][sub["subscription"]]
             assert info["dataset"] == "graph"
             assert info["refresh_modes"]["initial"] == 1
+
+
+class TestTenantEviction:
+    def test_a_live_subscription_outlives_its_tenants_evicted_session(self):
+        # One tenant slot: tenant b's request evicts tenant a's session
+        # while a holds a subscription.  a's poll still delivers exactly the
+        # answers it has not seen, and a's next query runs on a new session.
+        query = _path_query()
+        edges = [(i, i + 1) for i in range(10)]
+        service = QueryService(ServiceConfig(max_tenants=1))
+        service.register_dataset("graph", _graph(edges), tenant="a")
+        service.register_dataset("graph", _graph([(1, 2), (2, 3)]), tenant="b")
+        shadow = _graph(edges)
+        with serve_in_thread(service) as handle, _client(handle) as client:
+            sub = client.subscribe(query, dataset="graph", tenant="a")
+            delivered = {tuple(row) for row in sub["delta"]}
+            assert client.answer(query, dataset="graph", tenant="b")["rows"]
+            assert service.sessions.tenants() == ["b"]
+            rows = [[10, 11], [11, 12], [3, 30]]
+            client.add_facts("graph", {"E": rows}, tenant="a")
+            for a, b in rows:
+                shadow.add_fact("E", (a, b))
+            expected = EngineSession().answer(query, shadow).rows
+            poll = client.poll(sub["subscription"], tenant="a")
+            assert sorted(map(tuple, poll["delta"])) == sorted(expected - delivered)
+            assert poll["total"] == len(expected)
+            answered = client.answer(query, dataset="graph", tenant="a")
+            assert {tuple(row) for row in answered["rows"]} == expected
+            stats = client.stats()
+            assert stats["tenant_pool"]["created"] == 3
+            assert stats["tenants"]["a"]["plan_cache"]["hits"] == 0
 
 
 class TestConcurrentPolls:

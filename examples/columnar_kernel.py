@@ -50,13 +50,11 @@ def main() -> None:
         print(f"  columnar:  {columnar_s * 1000:8.1f} ms   ({len(columnar.rows)} answers)")
         print(f"  tuple-set: {tupleset_s * 1000:8.1f} ms   (identical answers)")
         print(f"  speedup:   {tupleset_s / columnar_s:8.1f} x")
-
-    stats = session.stats()["columnar_view_cache"]
-    print(
-        f"\nview cache: {stats['views']} views over {stats['databases']} database(s), "
-        f"{stats['dictionary_size']} interned values "
-        f"({stats['hits']} hits / {stats['misses']} misses)"
-    )
+        store = database.columnar_cache.info()
+        print(
+            f"  store:     {store['size']} views, {store['dictionary_size']} "
+            f"interned values ({store['hits']} hits / {store['misses']} misses)"
+        )
 
 
 if __name__ == "__main__":

@@ -129,8 +129,7 @@ _MEMO_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def memo_counters() -> dict:
-    """A snapshot of the process-wide derived-key memo counters (surfaced
-    through ``EngineSession.stats()``)."""
+    """A snapshot of the process-wide derived-key memo counters."""
     return dict(_MEMO_COUNTERS)
 
 

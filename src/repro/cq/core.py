@@ -13,8 +13,6 @@ the query sizes this reproduction works with.
 
 from __future__ import annotations
 
-from itertools import product
-
 from repro.cq.query import Atom, Constant, ConjunctiveQuery
 
 
@@ -114,50 +112,3 @@ def core_of(query: ConjunctiveQuery) -> ConjunctiveQuery:
                 improved = True
                 break
     return current
-
-
-def semantic_core_hypergraph(query: ConjunctiveQuery):
-    """The hypergraph of the query's core (used by semantic width)."""
-    return core_of(query).hypergraph()
-
-
-def product_query(first: ConjunctiveQuery, second: ConjunctiveQuery) -> ConjunctiveQuery:
-    """A convenience combinator used by tests: the conjunction of two queries
-    over disjoint variable namespaces (variables are tagged by side)."""
-    def tag(atom: Atom, side: str) -> Atom:
-        terms = [
-            t if isinstance(t, Constant) else (side, t)
-            for t in atom.terms
-        ]
-        return Atom(atom.relation, terms)
-
-    atoms = [tag(a, "L") for a in first.atoms] + [tag(a, "R") for a in second.atoms]
-    free = [("L", v) for v in first.free_variables] + [("R", v) for v in second.free_variables]
-    return ConjunctiveQuery(atoms, free_variables=free)
-
-
-def all_homomorphisms_between_queries(
-    source: ConjunctiveQuery, target: ConjunctiveQuery, limit: int = 10_000
-) -> list[dict]:
-    """All homomorphisms from ``source`` to ``target`` (brute force; capped).
-
-    Used by property tests for the equivalence machinery on tiny queries.
-    """
-    target_terms = list(dict.fromkeys(
-        term for atom in target.atoms for term in atom.terms
-    ))
-    variables = list(source.variables)
-    free = set(source.free_variables)
-    results = []
-    pools = [
-        [v] if v in free else target_terms
-        for v in variables
-    ]
-    target_atoms = set(target.atoms)
-    for combination in product(*pools):
-        mapping = dict(zip(variables, combination))
-        if all(_apply_mapping(a, mapping) in target_atoms for a in source.atoms):
-            results.append(mapping)
-            if len(results) >= limit:
-                break
-    return results

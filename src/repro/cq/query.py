@@ -148,9 +148,6 @@ class ConjunctiveQuery:
     def has_constants(self) -> bool:
         return any(isinstance(t, Constant) for atom in self.atoms for t in atom.terms)
 
-    def atoms_for_relation(self, relation: str) -> list[Atom]:
-        return [atom for atom in self.atoms if atom.relation == relation]
-
     # ------------------------------------------------------------------
     def hypergraph(self) -> Hypergraph:
         """The query hypergraph: variables as vertices, one edge per atom

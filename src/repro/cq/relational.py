@@ -276,7 +276,7 @@ def natural_join_all(
     carrying a third of a column's mass.  Ties in the estimate fall back to
     the static criteria (more shared columns, then smaller combined size).
     Every decision records its estimate against the actual output in the
-    process-wide statistics ledger (`EvalResult.timings["stats"]`).
+    calling engine call's join record (`EvalResult.timings["stats"]`).
     Tuple-set relations keep no degree vectors, so tuple-set pools
     (reference code) always take the static order.
 

@@ -18,11 +18,12 @@ column's exact degree vector (:meth:`repro.cq.columnar.ColumnarRelation
   selectivities (the independence assumption).  Only columnar relations
   keep degree vectors; tuple-set pools, reference code, take the static
   order;
-* the **join-ordering mode** toggle (:func:`set_join_ordering` /
-  :func:`forced_join_ordering`) and the process-wide **ledger** of estimate
-  vs. actual records (:func:`ledger_snapshot`), which the executor surfaces
-  as ``EvalResult.timings["stats"]`` and benchmarks use to force the static
-  order for A/B comparison.
+* the **join-ordering mode** (:func:`forced_join_ordering`, read by
+  :func:`join_ordering`), scoped to the calling thread or task, and the
+  **join record** of each engine call (:func:`join_record`): its cost and
+  static join steps and its estimated vs. actual rows, which the executor
+  surfaces as ``EvalResult.timings["stats"]``.  The same steps also add to
+  process totals (:func:`ledger_snapshot`), which benchmarks read.
 
 The join kernel (:mod:`repro.cq.relational`'s ``natural_join_all``, which
 the columnar kernel calls) and the engine's executor and session import
@@ -34,6 +35,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Hashable, Sequence
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 # ----------------------------------------------------------------------
@@ -99,49 +101,42 @@ class StatisticsStore:
 
 
 # ----------------------------------------------------------------------
-# Join-ordering mode: the cost-based / static-greedy toggle
+# Join-ordering mode: the cost-based / static-greedy choice, per caller
 # ----------------------------------------------------------------------
 ORDERING_COST = "cost-based"
 ORDERING_STATIC = "static-greedy"
 
-_ordering_lock = threading.Lock()
-_ordering_mode = ORDERING_COST
+_ordering = ContextVar("forced_ordering", default=ORDERING_COST)
 
 
 def join_ordering() -> str:
-    """The process-wide join-ordering mode (:data:`ORDERING_COST` default)."""
-    return _ordering_mode
+    """The caller's join-ordering mode (:data:`ORDERING_COST` unless a
+    :func:`forced_join_ordering` block on this thread or task says
+    otherwise)."""
+    return _ordering.get()
 
 
-def set_join_ordering(mode: str) -> str:
-    """Set the ordering mode; returns the previous one.  Benchmarks force
+@contextmanager
+def forced_join_ordering(mode: str):
+    """Run a block under a forced ordering mode.  The mode holds for the
+    calling thread (or asyncio task) only: other threads keep theirs, and
+    tasks shipped to process workers do not carry it.  Benchmarks force
     :data:`ORDERING_STATIC` to A/B the statistics-driven order against the
-    historical overlap greedy on identical data."""
-    global _ordering_mode
+    overlap greedy on identical data."""
     if mode not in (ORDERING_COST, ORDERING_STATIC):
         raise ValueError(
             f"unknown join ordering {mode!r}; choose "
             f"{ORDERING_COST!r} or {ORDERING_STATIC!r}"
         )
-    with _ordering_lock:
-        previous = _ordering_mode
-        _ordering_mode = mode
-        return previous
-
-
-@contextmanager
-def forced_join_ordering(mode: str):
-    """Run a block under a forced ordering mode (process-wide — benchmark
-    and test use only, not safe under concurrent evaluation)."""
-    previous = set_join_ordering(mode)
+    token = _ordering.set(mode)
     try:
         yield
     finally:
-        set_join_ordering(previous)
+        _ordering.reset(token)
 
 
 # ----------------------------------------------------------------------
-# The estimate ledger: estimates vs. actuals, process-wide
+# Join records: estimates vs. actuals, per call and in process totals
 # ----------------------------------------------------------------------
 #: ``prefilter_passes`` and ``prefilter_rows_dropped`` always read 0; they
 #: stay because the benchmark harness's ledger readers index them.
@@ -150,39 +145,58 @@ _LEDGER_FIELDS = (
     "estimated_rows", "actual_rows",
 )
 _ledger_lock = threading.Lock()
-_ledger = {field: 0 for field in _LEDGER_FIELDS}
+_ledger = dict.fromkeys(_LEDGER_FIELDS, 0)
+_open_record = ContextVar("join_record", default=None)
+
+
+@contextmanager
+def join_record():
+    """Open a zeroed join record for one engine call and yield it.
+
+    Join steps taken by this thread or task inside the block add to it.  On
+    exit it folds into the record of the enclosing call, if any, so a
+    sharded call's record sums its inline pieces; work done on other
+    threads or in process workers never reaches it."""
+    record = dict.fromkeys(_LEDGER_FIELDS, 0)
+    token = _open_record.set(record)
+    try:
+        yield record
+    finally:
+        _open_record.reset(token)
+        outer = _open_record.get()
+        if outer is not None:
+            for field in _LEDGER_FIELDS:
+                outer[field] += record[field]
 
 
 def record_cost_join(estimated: float, actual: int) -> None:
-    with _ledger_lock:
-        _ledger["cost_joins"] += 1
-        _ledger["estimated_rows"] += int(estimated)
-        _ledger["actual_rows"] += actual
+    _record(cost_joins=1, estimated_rows=int(estimated), actual_rows=actual)
 
 
 def record_static_join() -> None:
+    _record(static_joins=1)
+
+
+def _record(**moved: int) -> None:
+    """Add one join step to the caller's open record and the totals."""
+    record = _open_record.get()
     with _ledger_lock:
-        _ledger["static_joins"] += 1
+        for field, value in moved.items():
+            _ledger[field] += value
+            if record is not None:
+                record[field] += value
 
 
 def ledger_snapshot() -> dict:
-    """A copy of the ledger counters plus the current ordering mode."""
+    """A copy of the process totals plus the caller's ordering mode."""
     with _ledger_lock:
         snapshot = dict(_ledger)
     snapshot["mode"] = join_ordering()
     return snapshot
 
 
-def ledger_delta(before: dict, after: dict) -> dict:
-    """The counter movement between two snapshots (numeric fields only)."""
-    return {
-        field: after[field] - before[field]
-        for field in _LEDGER_FIELDS
-    }
-
-
 def reset_ledger() -> None:
-    """Zero the ledger (test isolation)."""
+    """Zero the process totals (test and benchmark isolation)."""
     with _ledger_lock:
         for field in _LEDGER_FIELDS:
             _ledger[field] = 0

@@ -45,9 +45,9 @@ The pipeline has three layers, each reusable on its own:
   delta fraction exceeds a threshold
   (:meth:`EngineSession.incremental_view`).
 
-Strategy backends are pluggable: see
-:func:`repro.engine.backends.register_backend` and
-``docs/ARCHITECTURE.md``.
+Each plan strategy runs on the backend that
+:data:`repro.engine.backends.BACKENDS` maps it to (see
+``docs/ARCHITECTURE.md``).
 """
 
 from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
@@ -57,9 +57,6 @@ from repro.engine.backends import (
     EvaluationBackend,
     TrivialBackend,
     backend_for,
-    register_backend,
-    registered_strategies,
-    unregister_backend,
 )
 from repro.engine.executor import (
     Engine,
@@ -167,9 +164,6 @@ __all__ = [
     "ColumnarBackend",
     "BacktrackingBackend",
     "backend_for",
-    "register_backend",
-    "registered_strategies",
-    "unregister_backend",
     "DEFAULT_ENGINE",
     "DEFAULT_MAX_GHD_WIDTH",
     "Engine",

@@ -77,10 +77,6 @@ class QueryAnalysis:
         """The witnessing decomposition behind the ghw upper bound."""
         return self.ghw_bounds.decomposition
 
-    @property
-    def width_upper_bound(self) -> int:
-        return self.ghw_bounds.upper
-
     def __repr__(self) -> str:
         width = "?" if self._ghw_bounds is None else self._ghw_bounds.upper
         return (

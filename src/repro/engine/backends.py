@@ -1,13 +1,11 @@
 """Strategy backends: the evaluators behind each plan strategy.
 
 A backend answers the three query tasks — Boolean satisfiability, answer
-enumeration, answer counting — for plans of one strategy.  The built-in
-backends wrap the existing evaluators (the columnar kernel of
+enumeration, answer counting — for plans of one strategy.  The backends
+wrap the existing evaluators (the columnar kernel of
 :mod:`repro.cq.columnar` + :mod:`repro.cq.yannakakis` for the decomposition
-strategies, :mod:`repro.cq.homomorphism` for the structure-blind fallback);
-new strategies — a sharded evaluator, an async or multi-backend executor —
-register through :func:`register_backend` and become dispatchable without
-touching the executor.
+strategies, :mod:`repro.cq.homomorphism` for the structure-blind fallback),
+and :data:`BACKENDS` is the fixed table the executor dispatches through.
 """
 
 from __future__ import annotations
@@ -132,46 +130,22 @@ class BacktrackingBackend(EvaluationBackend):
         return count_answers(query, database)
 
 
-_REGISTRY: dict[str, EvaluationBackend] = {}
-
-
-def register_backend(strategy: str, backend: EvaluationBackend, replace: bool = False) -> None:
-    """Register ``backend`` as the evaluator for plans of ``strategy``.
-
-    Registration is global (module-level): every engine dispatches through
-    the same registry.  Pass ``replace=True`` to swap a built-in out.
-    """
-    if strategy in _REGISTRY and not replace:
-        raise ValueError(
-            f"a backend for strategy {strategy!r} is already registered "
-            "(pass replace=True to substitute it)"
-        )
-    _REGISTRY[strategy] = backend
-
-
-def unregister_backend(strategy: str) -> None:
-    """Remove a registered backend (tests and hot-swapping extensions)."""
-    _REGISTRY.pop(strategy, None)
+#: The evaluator behind each plan strategy.  The decomposition strategies
+#: run on the columnar kernel (the database interns itself on first
+#: evaluation).
+BACKENDS: dict[str, EvaluationBackend] = {
+    STRATEGY_TRIVIAL: TrivialBackend(),
+    STRATEGY_YANNAKAKIS: ColumnarBackend(STRATEGY_YANNAKAKIS),
+    STRATEGY_GHD: ColumnarBackend(STRATEGY_GHD),
+    STRATEGY_BACKTRACKING: BacktrackingBackend(),
+}
 
 
 def backend_for(strategy: str) -> EvaluationBackend:
     try:
-        return _REGISTRY[strategy]
+        return BACKENDS[strategy]
     except KeyError:
         raise ValueError(
-            f"no backend registered for strategy {strategy!r}; "
-            f"registered: {sorted(_REGISTRY)}"
+            f"no backend for strategy {strategy!r}; "
+            f"strategies: {sorted(BACKENDS)}"
         ) from None
-
-
-def registered_strategies() -> tuple:
-    return tuple(sorted(_REGISTRY))
-
-
-register_backend(STRATEGY_TRIVIAL, TrivialBackend())
-# The decomposition strategies run on the columnar kernel (the database
-# interns itself on first evaluation); register_backend(replace=True) still
-# swaps either strategy wholesale.
-register_backend(STRATEGY_YANNAKAKIS, ColumnarBackend(STRATEGY_YANNAKAKIS))
-register_backend(STRATEGY_GHD, ColumnarBackend(STRATEGY_GHD))
-register_backend(STRATEGY_BACKTRACKING, BacktrackingBackend())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.statistics import ledger_delta, ledger_snapshot
+from repro.cq.statistics import join_ordering, join_record
 from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
 from repro.engine.backends import backend_for
 from repro.engine.planner import DEFAULT_MAX_GHD_WIDTH, Plan, QueryPlanner
@@ -99,10 +99,11 @@ class EvalResult:
 
     @property
     def stats(self) -> dict | None:
-        """The statistics/ordering record, or ``None`` when nothing ran.
+        """This call's own join record, or ``None`` when nothing ran.
 
         Filled whenever the execution exercised the cost-based machinery of
-        :mod:`repro.cq.statistics`: ``mode`` (the join-ordering mode),
+        :mod:`repro.cq.statistics` (always on sharded calls, where it sums
+        the inline pieces): ``mode`` (the caller's join-ordering mode),
         ``cost_joins`` / ``static_joins`` (pairwise join steps taken by each
         path), and ``estimated_rows`` / ``actual_rows`` (summed cardinality
         estimates vs. the joins they predicted; equal whenever each
@@ -228,7 +229,6 @@ class Engine:
         backend = backend_for(plan.strategy)
         target = plan.query
         result = EvalResult(task=task, plan=plan)
-        ledger_before = ledger_snapshot()
         start = time.perf_counter()
         # Solver semantics: a relation absent from the database is empty, so
         # a query mentioning it has no answers.  The ``target.atoms`` guard
@@ -240,24 +240,23 @@ class Engine:
         empty = bool(target.atoms) and any(
             not database.has_relation(atom.relation) for atom in target.atoms
         )
-        if task == TASK_ANSWER:
-            result.rows = set() if empty else backend.answers(target, database, plan)
-        elif task == TASK_SATISFIABLE:
-            result.satisfiable = False if empty else backend.boolean(target, database, plan)
-        elif task == TASK_COUNT:
-            result.count = 0 if empty else backend.count(target, database, plan)
-        else:
-            raise ValueError(f"unknown task {task!r}")
+        with join_record() as stats_record:
+            if task == TASK_ANSWER:
+                result.rows = set() if empty else backend.answers(target, database, plan)
+            elif task == TASK_SATISFIABLE:
+                result.satisfiable = False if empty else backend.boolean(target, database, plan)
+            elif task == TASK_COUNT:
+                result.count = 0 if empty else backend.count(target, database, plan)
+            else:
+                raise ValueError(f"unknown task {task!r}")
         execution = time.perf_counter() - start
         result.timings = {
             "planning_seconds": planning,
             "execution_seconds": execution,
             "total_seconds": planning + execution,
         }
-        ledger_after = ledger_snapshot()
-        stats_record = ledger_delta(ledger_before, ledger_after)
         if any(stats_record.values()):
-            stats_record["mode"] = ledger_after["mode"]
+            stats_record["mode"] = join_ordering()
             result.timings["stats"] = stats_record
         return result
 

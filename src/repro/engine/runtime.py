@@ -370,10 +370,8 @@ class ProcessRuntime(ExecutionRuntime):
         own single-process executor, so the coordinator — not the pool's
         scheduler — decides placement.  On a single-core host this
         degenerates to one worker, which measured no faster than inline.
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where
-        available (fast startup, inherits loaded modules), ``"spawn"``
-        elsewhere.
+        Workers start by ``fork`` where the platform offers it (fast
+        startup, inherits loaded modules), by ``spawn`` elsewhere.
     max_datasets:
         Coordinator-side bound on tracked resident *pieces*, dropped
         least-recently-used together with their residency records.  Must
@@ -427,13 +425,11 @@ class ProcessRuntime(ExecutionRuntime):
     def __init__(
         self,
         max_workers: int | None = None,
-        start_method: str | None = None,
         max_datasets: int = 256,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or max(1, os.cpu_count() or 1)
-        self._start_method = start_method
         self._slots: list[_WorkerSlot] | None = None
         self._lock = threading.Lock()
         self._datasets: OrderedDict = OrderedDict()
@@ -455,14 +451,10 @@ class ProcessRuntime(ExecutionRuntime):
     def _context(self):
         import multiprocessing
 
-        method = self._start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        return multiprocessing.get_context(method)
+        try:
+            return multiprocessing.get_context("fork")
+        except ValueError:  # a platform without fork
+            return multiprocessing.get_context("spawn")
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=1, mp_context=self._context())

@@ -41,13 +41,11 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from contextlib import contextmanager
 
-from repro.cq.columnar import memo_counters
 from repro.cq.database import Database, shard_of
 from repro.cq.query import Constant, ConjunctiveQuery
-from repro.cq.statistics import ledger_delta, ledger_snapshot
+from repro.cq.statistics import join_ordering, join_record
 from repro.engine.analysis import LRUCache
 from repro.engine.executor import (
     Engine,
@@ -159,55 +157,14 @@ class EngineSession(Engine):
         self.runtime_tasks = 0
         self.runtime_calls: dict = {}
         self.runtime_workers: set = set()
-        #: name -> the resolved runtime instance, for surfacing each
-        #: runtime's own counters (shipments, resident pieces, restarts)
-        #: through ``stats()["runtime"]["by_runtime"]``.
-        self._runtimes_used: dict = {}
         self.sharded_calls = 0
         self.sharding_modes: dict = {}
         #: Standing incremental views handed out by :meth:`incremental_view`.
         self.incremental_views = 0
-        #: Weak refs to every database this session has executed against,
-        #: so stats()/clear_cache() can reach their columnar-view caches
-        #: (which live on the Database, not the session) without keeping
-        #: the databases alive.
-        self._served_databases: dict[int, weakref.ref] = {}
-
-    def _run(self, task, query, database, plan, use_core):
-        self._track_database(database)
-        return super()._run(task, query, database, plan, use_core)
-
-    def _track_database(self, database) -> None:
-        key = id(database)
-        with self._lock:
-            ref = self._served_databases.get(key)
-            if ref is None or ref() is not database:
-                try:
-                    self._served_databases[key] = weakref.ref(database)
-                except TypeError:
-                    pass  # a weakref-less Database subclass: skip tracking
-
-    def _live_served_databases(self) -> list:
-        """The still-alive served databases; prunes dead refs in passing."""
-        with self._lock:
-            live = []
-            dead = []
-            for key, ref in self._served_databases.items():
-                database = ref()
-                if database is None:
-                    dead.append(key)
-                else:
-                    live.append(database)
-            for key in dead:
-                del self._served_databases[key]
-            return live
 
     def _resolve_runtime(self, runtime):
         """The per-call runtime, falling back to the session default."""
-        resolved = runtime_for(runtime if runtime is not None else self.runtime)
-        with self._lock:
-            self._runtimes_used[resolved.name] = resolved
-        return resolved
+        return runtime_for(runtime if runtime is not None else self.runtime)
 
     # ------------------------------------------------------------------
     def _sharded_pieces(self, database: Database, target, spec) -> list:
@@ -215,7 +172,9 @@ class EngineSession(Engine):
         and *extended* across appends.
 
         Cache validity rides the version seam: the key carries the
-        database's identity plus the spec, and the entry records the
+        database's identity plus what shapes the pieces (the shard count,
+        the partition columns and the broadcast set), so queries that
+        partition alike share one cut; the entry records the
         :attr:`~repro.cq.database.Relation.version` of every relation the
         spec touches.  When versions have moved since the pieces were cut,
         only the ``delta_since`` rows are routed — partitioned relations
@@ -232,11 +191,9 @@ class EngineSession(Engine):
         relevant = tuple(sorted(set(spec.partition_columns) | set(spec.broadcast_relations)))
         key = (
             id(database),
-            spec.shard_variable,
             spec.shards,
             tuple(sorted(spec.partition_columns.items())),
             spec.broadcast_relations,
-            relevant,
         )
         with self._lock:
             entry = self._partition_cache.get(key)
@@ -390,7 +347,6 @@ class EngineSession(Engine):
         if threshold is None:
             threshold = DEFAULT_REFRESH_THRESHOLD
         view = IncrementalView(self, query, database, threshold=threshold)
-        self._track_database(database)
         with self._lock:
             self.incremental_views += 1
         return view
@@ -452,7 +408,6 @@ class EngineSession(Engine):
         else:
             spec = sharding_spec(target, shards, shard_variable=shard_variable)
         start = time.perf_counter()
-        ledger_before = ledger_snapshot()
         # Counts add across shards only when the per-shard answer sets are
         # provably disjoint: the shard variable must be free.
         count_via_sum = spec.shard_variable in target.free_variables
@@ -490,7 +445,10 @@ class EngineSession(Engine):
         def run_local(item: RuntimeTask):
             return self._run(item.task, item.query, item.database, plan, False).value
 
-        outcomes = resolved.run(tasks, run_local, cancel=cancel)
+        # Inline pieces fold their join records into this call's; process
+        # workers keep theirs.
+        with join_record() as stats_record:
+            outcomes = resolved.run(tasks, run_local, cancel=cancel)
         if cancel is not None:
             # Every runtime drains its futures before raising, so reaching
             # here with a fired token means all tasks finished anyway —
@@ -536,9 +494,7 @@ class EngineSession(Engine):
         result.plan = plan.with_note(
             f"sharding: {spec.rationale}; runtime: {resolved.name}"
         )
-        ledger_after = ledger_snapshot()
-        stats_record = ledger_delta(ledger_before, ledger_after)
-        stats_record["mode"] = ledger_after["mode"]
+        stats_record["mode"] = join_ordering()
         result.timings = {
             "planning_seconds": planning,
             "execution_seconds": execution,
@@ -724,66 +680,39 @@ class EngineSession(Engine):
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """One dict of every session counter (cache hit rates, dedup,
-        batches, plus where fan-out work ran: tasks dispatched per runtime,
-        workers observed, and the sharding-ladder rungs taken)."""
+        """One dict of this session's own counters: its caches' hit rates,
+        dedup and batches, and where its fan-out work ran (tasks dispatched
+        per runtime, workers observed, and the sharding-ladder rungs taken).
+
+        Only what the session owns: a database reports its columnar store
+        (``database.columnar_cache.info()``), a runtime its shipping
+        counters (``runtime.stats()``), and the process its join-ordering
+        totals (:func:`~repro.cq.statistics.ledger_snapshot`) and columnar
+        memo counters (:func:`~repro.cq.columnar.memo_counters`)."""
         with self._lock:
             return {
                 "analysis_cache": self.cache.info(),
                 "core_cache": self.core_cache.info(),
                 "plan_cache": self.plan_cache.info(),
                 "partition_cache": self._partition_cache.info(),
-                "columnar_view_cache": self._columnar_stats(),
                 "dedup_hits": self.dedup_hits,
                 "batches": self.batches,
                 "runtime": {
                     "tasks_dispatched": self.runtime_tasks,
                     "calls_by_runtime": dict(self.runtime_calls),
                     "workers_used": sorted(self.runtime_workers),
-                    # Each resolved runtime's own counters — for the process
-                    # runtime: shipments, shipment_bytes, per-worker
-                    # resident-piece counts, restarts.
-                    "by_runtime": {
-                        name: instance.stats()
-                        for name, instance in self._runtimes_used.items()
-                    },
                 },
                 "sharding": {
                     "calls": self.sharded_calls,
                     "by_mode": dict(self.sharding_modes),
                 },
                 "incremental_views": self.incremental_views,
-                # Process-wide (not session-scoped): the columnar kernel's
-                # bounded derived-key memos and the join-ordering ledger.
-                "columnar_memo": memo_counters(),
-                "join_ordering": ledger_snapshot(),
             }
 
-    def _columnar_stats(self) -> dict:
-        """Aggregate columnar-view cache counters across every live database
-        this session has served (the stores live on the databases — see
-        ``Database.columnar_view`` — not on the session; resident shards
-        inside process workers tally in the worker's own session)."""
-        report = {
-            "databases": 0, "interned": 0, "views": 0,
-            "hits": 0, "misses": 0, "dictionary_size": 0,
-        }
-        for database in self._live_served_databases():
-            report["databases"] += 1
-            store = database.columnar_cache
-            if store is None:
-                continue
-            info = store.info()
-            report["interned"] += 1
-            report["views"] += info["size"]
-            report["hits"] += info["hits"]
-            report["misses"] += info["misses"]
-            report["dictionary_size"] += info["dictionary_size"]
-        return report
-
     def clear_cache(self) -> None:
-        """Drop every session cache (analysis, core, plan, partitions, and
-        the columnar stores of every database this session has served).
+        """Drop the session's own caches: analysis, core, plan and
+        partitions.  A database's columnar store belongs to the database
+        and stays (``database.drop_columnar()`` drops it).
 
         Also zeroes the hit/miss counters of each cache
         (:meth:`LRUCache.clear`): a cleared session restarts cold, and its
@@ -793,11 +722,8 @@ class EngineSession(Engine):
         super().clear_cache()
         self.core_cache.clear()
         self.plan_cache.clear()
-        for database in self._live_served_databases():
-            database.drop_columnar()
         with self._lock:
             self._partition_cache.clear()
-            self._served_databases.clear()
 
 
 # ----------------------------------------------------------------------

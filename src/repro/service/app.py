@@ -325,53 +325,58 @@ class QueryService:
     async def _handle_facts(self, request: Request) -> Response:
         """Append rows to a registered dataset (the service write path).
 
-        All or nothing: every relation's stored arity is checked for the
-        whole payload before the first row lands, so a 400 leaves the
-        dataset unchanged.  The versioned storage layer makes the append
-        observable everywhere downstream: columnar views read the appended
-        rows off the id tables, session partition caches route the delta
-        rows to their shards, the process runtime ships only the delta to
-        the owning workers, and standing subscriptions fold the rows in on
-        their next poll.
+        Decoding, the arity check and the append run on the engine executor
+        under admission and the request deadline, like a query, so the
+        event loop keeps serving while a large payload lands.  All or
+        nothing: every relation's stored arity is checked for the whole
+        payload before the first row lands, so a 400 leaves the dataset
+        unchanged, and so does a deadline that fires first.  The versioned
+        storage layer makes the append observable everywhere downstream:
+        columnar views read the appended rows off the id tables, session
+        partition caches route the delta rows to their shards, the process
+        runtime ships only the delta to the owning workers, and standing
+        subscriptions fold the rows in on their next poll.
         """
         payload = self._payload(request)
         tenant = self._tenant_of(payload, request)
         dataset = self._field(payload, "dataset")
         if not isinstance(dataset, str):
             raise HttpError(400, f"dataset must be a string, got {dataset!r}")
-        facts = facts_from_json(self._field(payload, "facts"))
-        database = self.datasets.get(tenant, dataset)
-        appended: dict = {}
-        with self._append_lock:
-            # The codec made each relation's rows agree on one arity.
-            for name, rows in facts.items():
-                if database.has_relation(name):
-                    arity = database.relation(name).arity
-                    if len(rows[0]) != arity:
-                        raise HttpError(
-                            400,
-                            f"relation {name!r} has arity {arity}, "
-                            f"got tuple of length {len(rows[0])}",
-                        )
-            for name, rows in facts.items():
-                before = (
-                    database.relation(name).version
-                    if database.has_relation(name)
-                    else 0
-                )
-                for row in rows:
-                    database.add_fact(name, row)
-                appended[name] = database.relation(name).version - before
-            version = database.version
-        return Response(
-            200,
-            {
+        raw_facts = self._field(payload, "facts")
+
+        def append(cancel) -> dict:
+            facts = facts_from_json(raw_facts)
+            database = self.datasets.get(tenant, dataset)
+            appended: dict = {}
+            with self._append_lock:
+                cancel.raise_if_cancelled()
+                # The codec made each relation's rows agree on one arity.
+                for name, rows in facts.items():
+                    if database.has_relation(name):
+                        arity = database.relation(name).arity
+                        if len(rows[0]) != arity:
+                            raise CodecError(
+                                f"relation {name!r} has arity {arity}, "
+                                f"got tuple of length {len(rows[0])}"
+                            )
+                for name, rows in facts.items():
+                    before = (
+                        database.relation(name).version
+                        if database.has_relation(name)
+                        else 0
+                    )
+                    for row in rows:
+                        database.add_fact(name, row)
+                    appended[name] = database.relation(name).version - before
+                version = database.version
+            return {
                 "dataset": dataset,
                 "appended": appended,
                 "added": sum(appended.values()),
                 "version": version,
-            },
-        )
+            }
+
+        return await self._execute(payload, append, lambda receipt: receipt)
 
     async def _handle_subscribe(self, request: Request) -> Response:
         """Register a standing query; the response carries the initial

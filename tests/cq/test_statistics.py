@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.cq.statistics`: the columnar degree vectors
 (also on resident views, at each pinned version) and the estimators over
 them (several shared columns, an empty side), the static order of
-tuple-set pools, the ordering-mode toggle, and the estimate ledger."""
+tuple-set pools, the caller-scoped ordering mode, and the join records."""
 
 from collections import Counter
 
@@ -18,10 +18,9 @@ from repro.cq.statistics import (
     estimate_semijoin_fraction,
     forced_join_ordering,
     join_ordering,
-    ledger_delta,
+    join_record,
     ledger_snapshot,
     record_cost_join,
-    set_join_ordering,
 )
 
 
@@ -98,9 +97,8 @@ def test_tuple_set_pools_take_the_static_order():
         NamedRelation(("y", "z"), {(2, 5), (3, 6)}),
         NamedRelation(("x", "z"), {(1, 5)}),
     ]
-    before = ledger_snapshot()
-    joined = natural_join_all(pool)
-    moved = ledger_delta(before, ledger_snapshot())
+    with join_record() as moved:
+        joined = natural_join_all(pool)
     assert joined == pool[0].natural_join(pool[1]).natural_join(pool[2])
     assert moved["cost_joins"] == 0 and moved["static_joins"] == 2
 
@@ -121,21 +119,17 @@ def test_semijoin_fraction_against_an_empty_relation_is_zero():
 
 
 # ----------------------------------------------------------------------
-# Mode toggle and ledger
+# Ordering mode and join records
 # ----------------------------------------------------------------------
 def test_default_mode_is_cost_based():
     assert join_ordering() == ORDERING_COST
 
 
-def test_set_join_ordering_validates_and_returns_previous():
+def test_forced_join_ordering_validates_the_mode():
     with pytest.raises(ValueError):
-        set_join_ordering("optimistic")
-    previous = set_join_ordering(ORDERING_STATIC)
-    try:
-        assert previous == ORDERING_COST
-        assert join_ordering() == ORDERING_STATIC
-    finally:
-        set_join_ordering(previous)
+        with forced_join_ordering("optimistic"):
+            pass
+    assert join_ordering() == ORDERING_COST
 
 
 def test_forced_join_ordering_restores_on_exit_and_error():
@@ -150,10 +144,25 @@ def test_forced_join_ordering_restores_on_exit_and_error():
 
 def test_ledger_records_estimates_vs_actuals():
     before = ledger_snapshot()
-    record_cost_join(12.7, 9)
+    with join_record() as moved:
+        record_cost_join(12.7, 9)
     after = ledger_snapshot()
-    moved = ledger_delta(before, after)
     assert moved["cost_joins"] == 1
     assert moved["estimated_rows"] == 12
     assert moved["actual_rows"] == 9
+    # The process totals move by the same step.
+    for field in ("cost_joins", "estimated_rows", "actual_rows"):
+        assert after[field] - before[field] == moved[field]
     assert after["mode"] == join_ordering()
+
+
+def test_a_nested_record_folds_into_its_callers():
+    with join_record() as outer:
+        record_cost_join(4.0, 3)
+        with join_record() as inner:
+            record_cost_join(7.0, 5)
+        assert inner["cost_joins"] == 1 and inner["actual_rows"] == 5
+        assert outer["cost_joins"] == 2 and outer["actual_rows"] == 8
+    with join_record() as later:
+        pass
+    assert not any(later.values())

@@ -16,8 +16,8 @@ from repro.engine import (
     Engine,
     EngineSession,
     backend_for,
-    register_backend,
 )
+from repro.engine.backends import BACKENDS
 from repro.hypergraphs import Hypergraph
 
 
@@ -197,13 +197,13 @@ class TestSessionPlanCache:
 
 
 class TestBackendReplacement:
-    """register_backend(..., replace=True) against a live session: backends
-    resolve at *execution* time by strategy name, so a replacement takes
+    """A substituted backend against a live session: backends resolve at
+    *execution* time by strategy name, so a replacement takes
     effect for every subsequent evaluation — including evaluations replaying
     an already-cached plan — while the cached :class:`Plan` objects
     themselves are immutable records that the swap never mutates."""
 
-    def test_replacement_takes_effect_without_mutating_cached_plans(self):
+    def test_replacement_takes_effect_without_mutating_cached_plans(self, monkeypatch):
         session = EngineSession()
         query = cqgen.chain_query(3)
         database = cqgen.random_database(query, 5, 30, seed=41)
@@ -233,19 +233,18 @@ class TestBackendReplacement:
             def count(self, q, d, p):
                 return original.count(q, d, p)
 
-        register_backend(strategy, Recording(), replace=True)
-        try:
-            # The cached plan object is served unchanged...
-            replayed = session.plan(query)
-            assert replayed is cached
-            # ...but execution — even against the cached plan — dispatches
-            # to the replacement.
-            assert session.answer(query, database, plan=cached).rows == before
-            assert Recording.calls == 1
-            assert session.answer(query, database).rows == before
-            assert Recording.calls == 2
-        finally:
-            register_backend(strategy, original, replace=True)
+        monkeypatch.setitem(BACKENDS, strategy, Recording())
+        # The cached plan object is served unchanged...
+        replayed = session.plan(query)
+        assert replayed is cached
+        # ...but execution — even against the cached plan — dispatches
+        # to the replacement.
+        assert session.answer(query, database, plan=cached).rows == before
+        assert Recording.calls == 1
+        assert session.answer(query, database).rows == before
+        assert Recording.calls == 2
+        monkeypatch.undo()
+        assert backend_for(strategy) is original
         # The swap (and the swap back) never touched the plan's fields.
         assert (
             cached.strategy,
@@ -254,9 +253,3 @@ class TestBackendReplacement:
             cached.rationale,
             cached.width,
         ) == snapshot
-
-    def test_replace_false_still_refuses(self):
-        strategy = "direct-yannakakis"
-        original = backend_for(strategy)
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(strategy, original)

@@ -1,5 +1,5 @@
 """The columnar backend through the engine: dispatch for the decomposition
-strategies, session stats / clear_cache integration, and the sharded +
+strategies, the store's place on its database, and the sharded +
 worker execution paths evaluating columnar-side.  The evidence that the
 kernel ran is each database's own columnar store: every columnar
 evaluation looks up the view of each of the query's atoms there once.
@@ -87,43 +87,32 @@ def test_counts_match_tuple_set_kernel_on_projections(session):
     )
 
 
-def test_session_stats_report_columnar_view_cache(session, acyclic):
+def test_columnar_store_reports_on_its_database(session, acyclic):
     query, database = acyclic
-    empty = session.stats()["columnar_view_cache"]
-    assert empty == {
-        "databases": 0, "interned": 0, "views": 0,
-        "hits": 0, "misses": 0, "dictionary_size": 0,
-    }
+    assert database.columnar_cache is None
     session.answer(query, database)
     session.answer(query, database)  # repeat: view-cache hits
-    report = session.stats()["columnar_view_cache"]
-    assert report["databases"] == 1
-    assert report["interned"] == 1
-    assert report["views"] > 0
-    assert report["misses"] > 0
-    assert report["hits"] > 0
-    assert report["dictionary_size"] == len(database.columnar_cache.interner)
+    info = database.columnar_cache.info()
+    assert info["size"] > 0
+    assert info["misses"] > 0
+    assert info["hits"] > 0
+    assert info["dictionary_size"] == len(database.columnar_cache.interner)
+    assert "columnar_view_cache" not in session.stats()
 
 
-def test_clear_cache_drops_columnar_views(session, acyclic):
+def test_clear_cache_keeps_the_databases_columnar_store(session, acyclic):
+    # The store belongs to the database: clearing the session's caches
+    # leaves it, and the database drops it.
     query, database = acyclic
     session.answer(query, database)
-    assert database.columnar_cache is not None
+    store = database.columnar_cache
     session.clear_cache()
+    assert database.columnar_cache is store
+    database.drop_columnar()
     assert database.columnar_cache is None
-    assert session.stats()["columnar_view_cache"]["databases"] == 0
-
-
-def test_stats_survive_garbage_collected_databases(session):
-    query = cqgen.chain_query(3)
-    database = cqgen.random_database(query, 5, 30, seed=34)
-    session.answer(query, database)
-    del database
-    import gc
-
-    gc.collect()
-    report = session.stats()["columnar_view_cache"]
-    assert report["databases"] == 0  # weakly tracked: nothing kept alive
+    assert session.answer(query, database).rows == naive_enumerate_answers(
+        query, database
+    )
 
 
 def test_lru_cache_stats_alias():
@@ -142,10 +131,14 @@ def test_sharded_execution_is_columnar_per_shard(session, acyclic):
         result = session.answer(query, database, shards=shards, shard_variable="x0")
         assert result.rows == expected
     # Every shard of every call evaluated columnar-side on its own piece
-    # (1 + 2 + 4 databases), and the resident pieces are tracked by stats.
-    report = session.stats()["columnar_view_cache"]
-    assert report["interned"] == 7
-    assert report["hits"] + report["misses"] == 7 * len(query.atoms)
+    # (1 + 2 + 4 databases): the database itself, then the cached pieces.
+    pieces = [database] + [
+        piece
+        for _key, (_database, shard_pieces, _versions) in session._partition_cache.snapshot()
+        for piece in shard_pieces
+    ]
+    assert len(pieces) == 7
+    assert all(_columnar_lookups(piece) == len(query.atoms) for piece in pieces)
 
 
 def test_worker_execution_path_is_columnar(acyclic):

@@ -12,7 +12,7 @@ Four bugfixes, each with a test that fails on the pre-fix code:
 
 Plus the cancellation layer the service's deadlines hang off:
 ``CancellationToken`` / ``RunCancelled`` through every runtime and the
-session fan-out paths, and ``EngineSession.clear_cache()`` landing between
+session fan-out paths, and ``Database.drop_columnar()`` landing between
 two store reads of one call (the call mixed two interners and raised).
 """
 
@@ -313,33 +313,33 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
-# clear_cache() racing a call: one store read per call
+# drop_columnar() racing a call: one store read per call
 # ----------------------------------------------------------------------
-class TestClearCacheRacingACall:
-    """Replays ``clear_cache()`` landing right after a call's second atom
+class TestStoreDroppedMidCall:
+    """Replays ``drop_columnar()`` landing right after a call's second atom
     view: every view (and the interner, and a refresh's deltas) must come
     from the store the call read first, or joins mix two interners."""
 
     @staticmethod
-    def _clear_after_second_view(monkeypatch, session) -> list:
+    def _drop_after_second_view(monkeypatch) -> list:
         fetch = Database.columnar_view
         calls: list = []
 
-        def fetch_then_clear(database, *args, **kwargs):
+        def fetch_then_drop(database, *args, **kwargs):
             view = fetch(database, *args, **kwargs)
             calls.append(view)
             if len(calls) == 2:
-                session.clear_cache()
+                database.drop_columnar()
             return view
 
-        monkeypatch.setattr(Database, "columnar_view", fetch_then_clear)
+        monkeypatch.setattr(Database, "columnar_view", fetch_then_drop)
         return calls
 
     def test_answer(self, monkeypatch):
         query = cqgen.cycle_query(4)
         database = cqgen.random_database(query, 6, 40, seed=11)
         session = EngineSession()
-        calls = self._clear_after_second_view(monkeypatch, session)
+        calls = self._drop_after_second_view(monkeypatch)
         result = session.answer(query, database)
         assert len(calls) >= 2
         monkeypatch.undo()
@@ -357,7 +357,7 @@ class TestClearCacheRacingACall:
         view.refresh()
         database.add_fact("E", (3, 100))
         database.add_fact("E", (100, 4))
-        calls = self._clear_after_second_view(monkeypatch, session)
+        calls = self._drop_after_second_view(monkeypatch)
         result = view.refresh()
         assert len(calls) >= 2
         monkeypatch.undo()

@@ -55,10 +55,10 @@ from repro.engine import (
     STRATEGY_TRIVIAL,
     STRATEGY_YANNAKAKIS,
     registered_runtimes,
-    registered_strategies,
     runtime_for,
     sharding_spec,
 )
+from repro.engine.backends import BACKENDS
 
 
 def _seeds() -> list[int]:
@@ -84,7 +84,7 @@ def session():
 def _forceable_strategies(session, query):
     """Every registered strategy the planner accepts for this query."""
     strategies = []
-    for strategy in registered_strategies():
+    for strategy in sorted(BACKENDS):
         if strategy == STRATEGY_TRIVIAL and query.atoms:
             continue
         try:
@@ -618,13 +618,11 @@ def test_delta_shipping_coverage_guard(runtimes):
 
 # ----------------------------------------------------------------------
 # The skewed pass: the scenarios exist to exercise the cost-based ordering
-# machinery — hold the statistics ledger up as proof that it actually ran.
+# machinery — hold the calls' join records up as proof that it actually ran.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_skewed_pass_exercises_cost_based_ordering(session, seed):
-    from repro.cq.statistics import ledger_delta, ledger_snapshot
-
-    before = ledger_snapshot()
+    cost_joins = 0
     for scenario in workloads.generate_workload(
         seed=seed, regimes=[workloads.REGIME_SKEWED]
     ):
@@ -632,11 +630,11 @@ def test_skewed_pass_exercises_cost_based_ordering(session, seed):
         assert result.rows == naive_enumerate_answers(
             scenario.query, scenario.database
         ), scenario.name
-    moved = ledger_delta(before, ledger_snapshot())
+        cost_joins += (result.stats or {}).get("cost_joins", 0)
     # Coverage guard: the skewed scenarios must drive the cost-based join
     # ordering (triangle bags put >= 3 relations in the join pool), or this
     # regime silently stops testing what it was added for.
-    assert moved["cost_joins"] > 0, "cost-based ordering never ran on the skewed pass"
+    assert cost_joins > 0, "cost-based ordering never ran on the skewed pass"
 
 
 @functools.lru_cache(maxsize=128)

@@ -1,5 +1,5 @@
 """The executor layer: uniform EvalResult, plan reuse, missing relations,
-counting semantics, and pluggable backend registration."""
+counting semantics, and the fixed strategy-to-backend table."""
 
 import pytest
 
@@ -17,10 +17,8 @@ from repro.engine import (
     EvaluationBackend,
     Plan,
     backend_for,
-    register_backend,
-    registered_strategies,
-    unregister_backend,
 )
+from repro.engine.backends import BACKENDS
 
 
 @pytest.fixture
@@ -152,7 +150,7 @@ class TestTrivialEdgeCases:
 
     def _forceable_strategies(self, engine, query):
         plans = []
-        for strategy in registered_strategies():
+        for strategy in sorted(BACKENDS):
             try:
                 plans.append(engine.plan(query, force_strategy=strategy))
             except ValueError:
@@ -236,16 +234,12 @@ class TestPublicSurface:
         assert cq.answer(query, database).rows == repro.answer(query, database).rows
 
 
-class TestBackendRegistry:
+class TestBackendTable:
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="no backend registered"):
+        with pytest.raises(ValueError, match="no backend for strategy"):
             backend_for("nonexistent-strategy")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("trivial", EvaluationBackend())
-
-    def test_custom_backend_dispatch(self, engine, cycle_instance):
+    def test_custom_backend_dispatch(self, engine, cycle_instance, monkeypatch):
         query, database = cycle_instance
 
         class EchoBackend(EvaluationBackend):
@@ -260,17 +254,14 @@ class TestBackendRegistry:
             def count(self, query, database, plan):
                 return 42
 
-        register_backend("echo-test", EchoBackend(), replace=True)
-        try:
-            plan = Plan(
-                strategy="echo-test",
-                query=query,
-                analysis=None,
-                decomposition=None,
-                width=None,
-                rationale="test backend",
-            )
-            assert engine.answer(query, database, plan=plan).rows == {("echo",)}
-            assert engine.count(query, database, plan=plan).count == 42
-        finally:
-            unregister_backend("echo-test")
+        monkeypatch.setitem(BACKENDS, "echo-test", EchoBackend())
+        plan = Plan(
+            strategy="echo-test",
+            query=query,
+            analysis=None,
+            decomposition=None,
+            width=None,
+            rationale="test backend",
+        )
+        assert engine.answer(query, database, plan=plan).rows == {("echo",)}
+        assert engine.count(query, database, plan=plan).count == 42

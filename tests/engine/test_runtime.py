@@ -474,16 +474,19 @@ class TestProcessRuntime:
             "worker_pids",
         }
 
-    def test_runtime_counters_surface_in_session_stats(self, wheel_instance):
+    def test_runtime_counters_report_on_the_runtime(self, wheel_instance):
+        # The runtime owns its shipping counters; the session's stats()
+        # counts only its own calls, not a runtime other sessions share.
         query, database = wheel_instance
         runtime = ProcessRuntime(max_workers=2)
         try:
             session = EngineSession()
             session.answer(query, database, shards=2, runtime=runtime)
-            report = session.stats()["runtime"]["by_runtime"]
-            assert report["process"]["shipments"] == 2
-            assert report["process"]["shipment_bytes"] > 0
-            assert report["process"]["resident_by_worker"] == {0: 1, 1: 1}
+            report = runtime.stats()
+            assert report["shipments"] == 2
+            assert report["shipment_bytes"] > 0
+            assert report["resident_by_worker"] == {0: 1, 1: 1}
+            assert "by_runtime" not in session.stats()["runtime"]
         finally:
             runtime.close()
 

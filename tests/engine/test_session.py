@@ -461,6 +461,29 @@ class TestShardedExecution:
         assert folded.rows == expected
         assert folded.sharding["mode"] == "single-shard"
 
+    def test_renamed_variants_share_one_cut(self, session, monkeypatch):
+        # The pieces depend on the shard count, the partition columns and
+        # the broadcast set only, so a renamed query (another shard
+        # variable name, the same columns) reuses the first query's cut.
+        from repro.engine.sharding import ShardedDatabase
+
+        query = cqgen.hub_cycle_query(3)
+        variant = renamed(query)
+        database = cqgen.random_database(query, 6, 40, seed=3)
+        partition = ShardedDatabase.partition.__func__
+        cuts: list = []
+
+        def counted(cls, *args, **kwargs):
+            cuts.append(args)
+            return partition(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedDatabase, "partition", classmethod(counted))
+        for candidate in (query, variant):
+            result = session.count(candidate, database, shards=2)
+            assert result.count == naive_count_answers(candidate, database)
+            assert result.sharding["mode"] == "co-partitioned"
+        assert len(cuts) == 1
+
     def test_sharded_with_prebuilt_plan(self, session):
         query = cqgen.hub_cycle_query(4)
         database = cqgen.random_database(query, 8, 40, seed=2)

@@ -18,8 +18,7 @@ from repro.cq.relational import NamedRelation, natural_join_all
 from repro.cq.statistics import (
     estimate_join_rows,
     estimate_semijoin_fraction,
-    ledger_delta,
-    ledger_snapshot,
+    join_record,
 )
 
 PAIRS = st.lists(
@@ -98,8 +97,8 @@ def test_cost_based_multiway_join_matches_pairwise_reference(left, right, mid):
     a = _columnar(("x", "y"), left, interner)
     b = _columnar(("y", "z"), right, interner)
     c = _columnar(("x", "z"), mid, interner)
-    before = ledger_snapshot()
-    joined = natural_join_all([a, b, c])
-    assert ledger_delta(before, ledger_snapshot())["cost_joins"] == 1
+    with join_record() as record:
+        joined = natural_join_all([a, b, c])
+    assert record["cost_joins"] == 1
     reference = a.natural_join(b).natural_join(c).project(joined.columns)
     assert joined.decode_rows() == reference.decode_rows()

@@ -6,6 +6,9 @@ return exactly the answers derived since the previous poll — computed
 incrementally, tenant-isolated, and equal to a from-scratch evaluation.
 """
 
+import gc
+import http.client
+import json
 import random
 import sys
 import threading
@@ -97,6 +100,84 @@ class TestFactsEndpoint:
             assert err.value.status == 400
             assert database.relation("E").version == version
             assert (500, 501) not in database.relation("E")
+
+    def test_a_large_append_leaves_the_event_loop_serving(self):
+        # The append runs on the engine executor: a health probe on another
+        # connection keeps answering while 100,000 rows land.  The body is
+        # encoded up front and the cyclic collector is paused, because a
+        # JSON encode or a full collection stops every thread of this
+        # process, the probe's included, wherever the append runs.
+        service = QueryService(ServiceConfig(max_concurrent=2))
+        service.register_dataset("graph", _graph([(0, 1)]))
+        rows = [[i, i + 1] for i in range(1, 100_001)]
+        body = json.dumps({"dataset": "graph", "facts": {"E": rows}}).encode()
+        worst = [0.0]
+        probing = threading.Event()
+        done = threading.Event()
+        gc.disable()
+        try:
+            with serve_in_thread(service) as handle:
+
+                def probe():
+                    with ServiceClient(handle.host, handle.port) as client:
+                        while not done.is_set():
+                            started = time.perf_counter()
+                            client.healthz()
+                            elapsed = time.perf_counter() - started
+                            worst[0] = max(worst[0], elapsed)
+                            probing.set()
+
+                thread = threading.Thread(target=probe)
+                thread.start()
+                try:
+                    assert probing.wait(30)
+                    connection = http.client.HTTPConnection(handle.host, handle.port)
+                    started = time.perf_counter()
+                    connection.request(
+                        "POST", "/facts", body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    receipt = json.loads(response.read())
+                    append_seconds = time.perf_counter() - started
+                    connection.close()
+                finally:
+                    done.set()
+                    thread.join(30)
+        finally:
+            gc.enable()
+        assert not thread.is_alive()
+        assert response.status == 200
+        assert receipt["added"] == 100_000
+        assert worst[0] < append_seconds / 4, (worst[0], append_seconds)
+
+    def test_a_deadline_before_the_append_leaves_the_dataset_unchanged(self):
+        service = QueryService(ServiceConfig(max_concurrent=2, debug_hooks=True))
+        database = _graph((i, i + 1) for i in range(10))
+        service.register_dataset("graph", database)
+        version = database.version
+        with serve_in_thread(service) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request(
+                        "POST",
+                        "/facts",
+                        {
+                            "dataset": "graph",
+                            "facts": {"E": [[500, 501]]},
+                            "_sleep_ms": 200,
+                            "deadline_ms": 50,
+                        },
+                    )
+                assert err.value.status == 504
+                # The slot returns once the cancelled work unwinds.
+                for _ in range(200):
+                    if client.healthz()["in_flight"] == 0:
+                        break
+                    time.sleep(0.05)
+                assert client.healthz()["in_flight"] == 0
+        assert database.version == version
+        assert (500, 501) not in database.relation("E")
 
     def test_facts_payload_validated(self, server):
         with _client(server) as client:

@@ -29,7 +29,7 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   (``repro.cq.workloads.mixed_batch``: all four regimes, repeated and
   variable-renamed queries over one database).  Each point records the
   batch time (the gated number) and ``loop_seconds``, the same workload as
-  a loop of cold per-query ``Engine().answer`` calls, so the JSON tracks the
+  a loop of cold per-query ``EngineSession().answer`` calls, so the JSON tracks the
   speedup that dedup + plan reuse deliver.  The batch runs on the default
   inline runtime, where ``parallel`` changes nothing (it only caps the
   process runtime's replicas); the recorded ``parallel`` field is kept for
@@ -125,7 +125,7 @@ from repro.cq.decomposition_eval import (  # noqa: E402
 from repro.cq.homomorphism import _solve, _solve_naive  # noqa: E402
 from repro.cq.relational import NamedRelation  # noqa: E402
 from repro.cq.yannakakis import JoinTree, semijoin_reduce  # noqa: E402
-from repro.engine import Engine, EngineSession, ProcessRuntime  # noqa: E402
+from repro.engine import EngineSession, ProcessRuntime  # noqa: E402
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -330,7 +330,7 @@ def bench_engine_answer() -> list[dict]:
         # the materialisation of the output rather than the engine.
         query = cqgen.cycle_query(length).project(["x0"])
         database = cqgen.random_database(query, domain, tuples, seed=97)
-        engine = Engine()
+        engine = EngineSession()
         # The planner clocks itself; the first plan is the cold (uncached) one.
         cold_plan = engine.plan(query).planning_seconds
         seconds = _timed(lambda: engine.answer(query, database))
@@ -361,7 +361,7 @@ def bench_columnar_answer(include_tupleset: bool = True) -> list[dict]:
     for label, length, domain, tuples in ENGINE_SCALES:
         query = cqgen.cycle_query(length).project(["x0"])
         database = cqgen.random_database(query, domain, tuples, seed=97)
-        engine = Engine()
+        engine = EngineSession()
         plan = engine.plan(query)
         columnar = _timed(lambda: engine.answer(query, database, plan=plan))
         point = {
@@ -395,7 +395,7 @@ def bench_columnar_count(include_tupleset: bool = True) -> list[dict]:
     for label, length, domain, tuples in ENGINE_SCALES:
         query = cqgen.cycle_query(length)
         database = cqgen.random_database(query, domain, tuples, seed=97)
-        engine = Engine()
+        engine = EngineSession()
         plan = engine.plan(query)
         columnar = _timed(lambda: engine.count(query, database, plan=plan))
         point = {
@@ -431,7 +431,7 @@ def bench_batch_answer(include_loop: bool = True) -> list[dict]:
 
         def loop() -> None:
             for query in queries:
-                Engine().answer(query, database)
+                EngineSession().answer(query, database)
 
         point = {
             "scale": label,

@@ -15,7 +15,8 @@ dispatch agrees with each entry's certified width band.
 from repro.benchdata import degree2_ghw_table, generate_corpus, render_table1
 from repro.cq import generators as cq_generators
 from repro.engine import (
-    Engine,
+    DEFAULT_MAX_GHD_WIDTH,
+    EngineSession,
     STRATEGY_BACKTRACKING,
     STRATEGY_GHD,
     STRATEGY_YANNAKAKIS,
@@ -48,7 +49,7 @@ def test_table1_regeneration(benchmark, record_result):
     assert amounts[5] > 0.1 * degree2_total          # a substantial high-ghw tail
 
 
-def _engine_sample(corpus, engine):
+def _engine_sample(corpus):
     """One small entry per certified width band, with the expected strategy."""
 
     def pick(predicate, size_cap):
@@ -62,12 +63,12 @@ def _engine_sample(corpus, engine):
         ("acyclic", pick(lambda e: e.ghw_upper <= 1, 24), STRATEGY_YANNAKAKIS),
         (
             "bounded",
-            pick(lambda e: 2 <= e.ghw_upper <= engine.planner.max_ghd_width, 24),
+            pick(lambda e: 2 <= e.ghw_upper <= DEFAULT_MAX_GHD_WIDTH, 24),
             STRATEGY_GHD,
         ),
         (
             "high-width",
-            pick(lambda e: e.ghw_lower > engine.planner.max_ghd_width, 40),
+            pick(lambda e: e.ghw_lower > DEFAULT_MAX_GHD_WIDTH, 40),
             STRATEGY_BACKTRACKING,
         ),
     ]
@@ -78,8 +79,8 @@ def test_table1_engine_dispatch(benchmark, record_result):
     """Answer canonical corpus queries through the unified engine; the
     planner must dispatch each width band to its strategy."""
     corpus = generate_corpus(seed=2022, scale=0.1)
-    engine = Engine()
-    sample = _engine_sample(corpus, engine)
+    engine = EngineSession()
+    sample = _engine_sample(corpus)
     assert len(sample) == 3, "corpus sample must cover all three width bands"
 
     def evaluate():

@@ -4,7 +4,7 @@ Builds a seeded mixed workload (all four structural regimes of the paper,
 with repeated and variable-renamed queries — the shape of real serving
 traffic), answers it through one `EngineSession.answer_many` call, and
 contrasts the session counters and wall-clock with a loop of cold per-query
-`Engine().answer` calls.
+`EngineSession().answer` calls.
 
 Run:  PYTHONPATH=src python examples/batch_sessions.py
 """
@@ -16,7 +16,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cq import workloads
-from repro.engine import Engine, EngineSession
+from repro.engine import EngineSession
 
 
 def main() -> None:
@@ -30,13 +30,13 @@ def main() -> None:
 
     start = time.perf_counter()
     for query in queries:
-        Engine().answer(query, database)  # cold engine per call: no reuse
+        EngineSession().answer(query, database)  # cold session per call: no reuse
     loop_seconds = time.perf_counter() - start
 
     stats = session.stats()
     evaluated = len(queries) - stats["dedup_hits"]
     print(f"\nbatch:      {batch_seconds:.3f}s  (one session, parallel=4)")
-    print(f"cold loop:  {loop_seconds:.3f}s  (fresh engine per query)")
+    print(f"cold loop:  {loop_seconds:.3f}s  (fresh session per query)")
     print(f"speedup:    {loop_seconds / batch_seconds:.1f}x")
     print(f"\ndedup:      {stats['dedup_hits']} of {len(queries)} queries were "
           f"repeats of {evaluated} distinct classes")

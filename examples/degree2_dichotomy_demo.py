@@ -18,13 +18,13 @@ from repro.cq import Atom, ConjunctiveQuery
 from repro.cq import generators as cq_generators
 from repro.cq.semantic_width import semantic_ghw
 from repro.engine import (
-    Engine,
+    EngineSession,
     STRATEGY_BACKTRACKING,
     STRATEGY_GHD,
 )
 from repro.widths.ghw import ghw
 
-ENGINE = Engine()
+ENGINE = EngineSession()
 
 
 def timed(label: str, function) -> None:
@@ -61,9 +61,9 @@ def jigsaw_classes() -> None:
         )
 
         def guided_run(q=query, d=database):
-            # A fresh engine so the timing includes the decomposition search —
+            # A fresh session so the timing includes the decomposition search —
             # the real cost of the GHD route on the unbounded-ghw side.
-            fresh = Engine()
+            fresh = EngineSession()
             plan = fresh.plan(q, force_strategy=STRATEGY_GHD)
             return fresh.is_satisfiable(q, d, plan=plan).value
 

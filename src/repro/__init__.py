@@ -51,7 +51,6 @@ from repro.reductions import reduce_along_dilution
 # the documented public entry point for query evaluation.
 from repro import engine
 from repro.engine import (
-    Engine,
     EngineSession,
     EvalResult,
     Plan,
@@ -91,7 +90,6 @@ __all__ = [
     "decomposition_count_answers",
     "reduce_along_dilution",
     "engine",
-    "Engine",
     "EngineSession",
     "EvalResult",
     "Plan",

@@ -33,7 +33,7 @@ from repro.cq import workloads
 # engine sits *above* this package, so its names are re-exported lazily
 # (PEP 562) — an eager import here would create a cq -> engine -> cq cycle.
 _ENGINE_EXPORTS = frozenset(
-    {"Engine", "EvalResult", "Plan", "answer", "count", "is_satisfiable", "plan_query"}
+    {"EvalResult", "Plan", "answer", "count", "is_satisfiable", "plan_query"}
 )
 
 
@@ -66,7 +66,6 @@ __all__ = [
     "DecompositionMismatchError",
     "build_bag_join_tree",
     "generators",
-    "Engine",
     "EvalResult",
     "Plan",
     "answer",

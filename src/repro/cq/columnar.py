@@ -958,9 +958,9 @@ class ColumnarStore:
     **Deltas.**  :meth:`delta` is the semi-naive refresh's delta side: the
     table rows between two versions, through the same id-level selection.
 
-    The view cache is a bounded :class:`~repro.engine.analysis.LRUCache`,
-    so its hit/miss counters feed ``EngineSession.stats()``.  The store is
-    derived data: ``Database.__getstate__`` drops it.
+    The view cache is a bounded :class:`~repro.engine.analysis.LRUCache`
+    whose hit/miss counters :meth:`info` reports.  The store is derived
+    data: ``Database.__getstate__`` drops it.
     """
 
     def __init__(self, maxsize: int = 256, interner: ValueInterner | None = None) -> None:
@@ -1076,8 +1076,8 @@ class ColumnarStore:
         return ColumnarRelation._trusted(shape[0], self.interner, data, length)
 
     def info(self) -> dict:
-        """Counters for ``stats()``: view-cache hits/misses/size plus the
-        interned dictionary size."""
+        """The store's counters (``database.columnar_cache.info()``):
+        view-cache hits/misses/size plus the interned dictionary size."""
         report = self.views.info()
         report["dictionary_size"] = len(self.interner)
         return report

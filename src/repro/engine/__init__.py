@@ -18,16 +18,15 @@ The pipeline has three layers, each reusable on its own:
   :class:`Plan` objects (direct-Yannakakis | GHD-guided |
   indexed-backtracking, with the witnessing decomposition and a cost
   rationale);
-* :mod:`repro.engine.executor` — :class:`Engine` / the module-level
-  :func:`answer`, :func:`is_satisfiable`, :func:`count`, returning a uniform
-  :class:`EvalResult` (payload + plan + timings);
-* :mod:`repro.engine.session` — :class:`EngineSession`, an engine plus a
-  session-scoped plan cache, the batch API
-  (:meth:`~EngineSession.answer_many`: isomorphism dedup → plan reuse →
-  execution on a runtime), and sharded single-query execution
-  (``answer(..., shards=N)``).  The module-level helpers delegate to one
-  lazily created default session (:func:`default_session`,
-  :func:`isolated_session`);
+* :mod:`repro.engine.session` — :class:`EngineSession`, the engine: the
+  analysis and core caches, a plan cache, execution on the plan's backend,
+  the batch API (:meth:`~EngineSession.answer_many`: isomorphism dedup →
+  plan reuse → execution on a runtime), and sharded single-query execution
+  (``answer(..., shards=N)``);
+* :mod:`repro.engine.executor` — the uniform :class:`EvalResult` (payload +
+  plan + timings) and the module-level :func:`answer`,
+  :func:`is_satisfiable`, :func:`count`, which run on one lazily created
+  default session (:func:`default_session`);
 * :mod:`repro.engine.sharding` — the hash-sharding layer:
   :func:`sharding_spec` (the co-partitioned / broadcast / single-shard
   fallback ladder) and :class:`ShardedDatabase` over
@@ -36,13 +35,13 @@ The pipeline has three layers, each reusable on its own:
   paths: :class:`InlineRuntime` (the default) and :class:`ProcessRuntime`
   (owner-routed persistent workers: each shard is resident on the one
   worker that owns it, shipped once in the compact columnar wire form),
-  selected per call or per session via ``runtime="inline" | "process"``
-  (or an instance);
+  selected per call via ``runtime="inline" | "process"`` (or an
+  instance);
 * :mod:`repro.engine.incremental` — :class:`IncrementalView`, a standing
   query refreshed in delta time after appends: semi-naive evaluation
   (Δ⋈old + old⋈Δ + Δ⋈Δ) over the versioned storage layer's delta logs and
   the resident atom views, with an exact full-recompute fallback when the
-  delta fraction exceeds a threshold
+  delta fraction exceeds :data:`DEFAULT_REFRESH_THRESHOLD`
   (:meth:`EngineSession.incremental_view`).
 
 Each plan strategy runs on the backend that
@@ -59,14 +58,11 @@ from repro.engine.backends import (
     backend_for,
 )
 from repro.engine.executor import (
-    Engine,
     EvalResult,
     TASK_ANSWER,
     TASK_COUNT,
     TASK_SATISFIABLE,
-    analyze,
     answer,
-    clear_analysis_cache,
     count,
     is_satisfiable,
     plan_query,
@@ -98,9 +94,6 @@ from repro.engine.session import (
     answer_many,
     canonical_query_key,
     default_session,
-    isolated_session,
-    restore_default_session,
-    set_default_session,
 )
 from repro.engine.sharding import (
     SHARD_MODE_BROADCAST,
@@ -121,14 +114,6 @@ from repro.engine.planner import (
     STRATEGY_YANNAKAKIS,
 )
 
-def __getattr__(name):
-    # Backwards-compatible alias from before caches were session-scoped:
-    # the "default engine" is now the process-default EngineSession.
-    if name == "DEFAULT_ENGINE":
-        return default_session()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AnalysisCache",
     "LRUCache",
@@ -137,9 +122,6 @@ __all__ = [
     "answer_many",
     "canonical_query_key",
     "default_session",
-    "isolated_session",
-    "restore_default_session",
-    "set_default_session",
     "CancellationToken",
     "RunCancelled",
     "ExecutionRuntime",
@@ -164,9 +146,7 @@ __all__ = [
     "ColumnarBackend",
     "BacktrackingBackend",
     "backend_for",
-    "DEFAULT_ENGINE",
     "DEFAULT_MAX_GHD_WIDTH",
-    "Engine",
     "EvalResult",
     "Plan",
     "QueryPlanner",
@@ -177,9 +157,7 @@ __all__ = [
     "TASK_ANSWER",
     "TASK_SATISFIABLE",
     "TASK_COUNT",
-    "analyze",
     "answer",
-    "clear_analysis_cache",
     "count",
     "is_satisfiable",
     "plan_query",

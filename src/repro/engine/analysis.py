@@ -89,9 +89,9 @@ class LRUCache:
     """The engine's cache primitive: a bounded LRU with hit/miss counters.
 
     Every memo the engine keeps — analyses, cores, plans — is an instance of
-    this class *owned by a session* (or an :class:`~repro.engine.Engine`), so
-    cache state is never process-global: tests isolate it by constructing a
-    fresh session, and two sessions can never poison each other's entries.
+    this class *owned by a session*, so cache state is never process-global:
+    tests isolate it by constructing a fresh session, and two sessions can
+    never poison each other's entries.
 
     Instances are **thread-safe**: ``get``'s recency bump and ``put``'s
     eviction loop both mutate the underlying :class:`OrderedDict`, and a

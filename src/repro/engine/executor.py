@@ -1,7 +1,8 @@
-"""The executor: the engine's single public entry point.
+"""The engine's result type and its module-level front door.
 
 ``answer(query, db)``, ``is_satisfiable(query, db)``, and ``count(query,
-db)`` run the full analysis → plan → execute pipeline and return a uniform
+db)`` run the full analysis → plan → execute pipeline on the process-default
+:class:`~repro.engine.session.EngineSession` and return a uniform
 :class:`EvalResult` — the answer payload plus the plan that produced it and
 per-stage timings.  A caller that wants control can plan once and execute
 many times by passing ``plan=`` explicitly (the plan embeds the witnessing
@@ -10,21 +11,21 @@ decomposition, so re-execution skips analysis and planning entirely).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
-from repro.cq.database import Database
-from repro.cq.query import ConjunctiveQuery
-from repro.cq.statistics import join_ordering, join_record
-from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
-from repro.engine.backends import backend_for
-from repro.engine.planner import DEFAULT_MAX_GHD_WIDTH, Plan, QueryPlanner
-from repro.hypergraphs.hypergraph import Hypergraph
+from repro.engine.planner import Plan
 
 TASK_ANSWER = "answer"
 TASK_SATISFIABLE = "satisfiable"
 TASK_COUNT = "count"
+
+#: The :class:`EvalResult` field that carries each task's payload.
+_PAYLOAD_FIELDS = {
+    TASK_ANSWER: "rows",
+    TASK_SATISFIABLE: "satisfiable",
+    TASK_COUNT: "count",
+}
 
 
 @dataclass
@@ -41,8 +42,7 @@ class EvalResult:
     ``planning_seconds`` (the planning work done by *this call*: the cold
     analysis + planning cost on first sight of a query, near-zero on a
     session plan-cache hit, ``0.0`` when a pre-built plan was passed in),
-    ``execution_seconds``, and ``total_seconds``.  Two optional entries are
-    filled by the session's batch and sharded paths:
+    ``execution_seconds``, and ``total_seconds``.  Five optional entries:
 
     * ``dedup_of`` — the batch index of the representative this result was
       deduplicated from (:meth:`EngineSession._run_many`); absent on results
@@ -50,7 +50,10 @@ class EvalResult:
     * ``sharding`` — the sharded-execution record (mode, shard variable,
       shard count, per-shard seconds; see :attr:`sharding`);
     * ``runtime`` — where the fan-out work ran (runtime name, workers used,
-      per-task worker timings; see :attr:`runtime`).
+      per-task worker timings; see :attr:`runtime`);
+    * ``stats`` — the call's own join record (see :attr:`stats`);
+    * ``incremental`` — how a standing view's refresh ran (see
+      :attr:`incremental`).
     """
 
     task: str
@@ -59,6 +62,21 @@ class EvalResult:
     satisfiable: bool | None = None
     count: int | None = None
     timings: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, task: str, plan: Plan, value, planning: float, execution: float):
+        """The result of ``task`` with payload ``value`` and the three
+        timing entries every result carries."""
+        return cls(
+            task=task,
+            plan=plan,
+            timings={
+                "planning_seconds": planning,
+                "execution_seconds": execution,
+                "total_seconds": planning + execution,
+            },
+            **{_PAYLOAD_FIELDS[task]: value},
+        )
 
     @property
     def value(self):
@@ -133,172 +151,28 @@ class EvalResult:
         )
 
 
-class Engine:
-    """The unified query engine: analysis → plan → execute.
-
-    One engine owns its caches (the analysis cache and the planner's core
-    cache) — no cache state is process-global.  The module-level helpers
-    (:func:`answer` & friends) share the default
-    :class:`~repro.engine.session.EngineSession`.  Engines are cheap —
-    construct a private one to isolate cache state or change the width limit;
-    construct an :class:`~repro.engine.session.EngineSession` to also get
-    plan caching and the batch API.
-    """
-
-    def __init__(
-        self,
-        max_ghd_width: int = DEFAULT_MAX_GHD_WIDTH,
-        cache_size: int = 256,
-        core_cache_size: int = 256,
-    ) -> None:
-        self.cache = AnalysisCache(cache_size)
-        self.core_cache = LRUCache(core_cache_size)
-        self.planner = QueryPlanner(
-            self.analyze, max_ghd_width=max_ghd_width, core_cache=self.core_cache
-        )
-
-    # ------------------------------------------------------------------
-    def analyze(self, target: ConjunctiveQuery | Hypergraph) -> QueryAnalysis:
-        """The (cached) structural analysis of a query or hypergraph."""
-        hypergraph = target.hypergraph() if isinstance(target, ConjunctiveQuery) else target
-        return self.cache.get_or_create(hypergraph)
-
-    def plan(
-        self,
-        query: ConjunctiveQuery,
-        use_core: bool = False,
-        force_strategy: str | None = None,
-    ) -> Plan:
-        return self.planner.plan(query, use_core=use_core, force_strategy=force_strategy)
-
-    def cache_info(self) -> dict:
-        return self.cache.info()
-
-    def clear_cache(self) -> None:
-        self.cache.clear()
-
-    # ------------------------------------------------------------------
-    def answer(self, query, database, plan=None, use_core=False) -> EvalResult:
-        """The answer set ``q(D)`` (tuples over the free variables)."""
-        return self._run(TASK_ANSWER, query, database, plan, use_core)
-
-    def is_satisfiable(self, query, database, plan=None, use_core=False) -> EvalResult:
-        """BCQ: is the answer set non-empty?"""
-        return self._run(TASK_SATISFIABLE, query, database, plan, use_core)
-
-    def count(self, query, database, plan=None, use_core=False) -> EvalResult:
-        """#CQ: ``|q(D)|`` for full queries, distinct projections otherwise."""
-        return self._run(TASK_COUNT, query, database, plan, use_core)
-
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        task: str,
-        query: ConjunctiveQuery,
-        database: Database,
-        plan: Plan | None,
-        use_core: bool,
-    ) -> EvalResult:
-        reused_plan = plan is not None
-        if reused_plan and use_core:
-            raise ValueError(
-                "use_core applies at planning time; pass it to plan() "
-                "(or omit plan=) instead of combining it with a pre-built plan"
-            )
-        planning = 0.0
-        if plan is None:
-            # Clock the planning work *this call* did: the cold analysis +
-            # planning cost on first sight of a query, near-zero when a
-            # session serves the plan from its cache (the plan object's own
-            # planning_seconds keeps the one-off cold cost).
-            planning_started = time.perf_counter()
-            plan = self.plan(query, use_core=use_core)
-            planning = time.perf_counter() - planning_started
-        elif plan.source_query is not None and (
-            plan.source_query != query
-            # __eq__ compares free variables as a set; answer tuples follow
-            # their *order*, so a reordered projection is a different query.
-            or plan.source_query.free_variables != query.free_variables
-        ):
-            # A plan built for a different query would silently return that
-            # query's answers; hand-built plans (source_query=None) are exempt.
-            raise ValueError(
-                "the supplied plan was built for a different query; "
-                "re-plan or pass the query it was planned for"
-            )
-        backend = backend_for(plan.strategy)
-        target = plan.query
-        result = EvalResult(task=task, plan=plan)
-        start = time.perf_counter()
-        # Solver semantics: a relation absent from the database is empty, so
-        # a query mentioning it has no answers.  The ``target.atoms`` guard
-        # deliberately exempts the zero-atom query — the empty conjunction
-        # mentions no relation, is vacuously true, and must keep its single
-        # empty-tuple answer ({()} / count 1 / satisfiable) on ANY database;
-        # constants-only atoms take the normal path, where the backend checks
-        # the facts.  Pinned by tests/engine/test_executor.py::TestTrivialEdgeCases.
-        empty = bool(target.atoms) and any(
-            not database.has_relation(atom.relation) for atom in target.atoms
-        )
-        with join_record() as stats_record:
-            if task == TASK_ANSWER:
-                result.rows = set() if empty else backend.answers(target, database, plan)
-            elif task == TASK_SATISFIABLE:
-                result.satisfiable = False if empty else backend.boolean(target, database, plan)
-            elif task == TASK_COUNT:
-                result.count = 0 if empty else backend.count(target, database, plan)
-            else:
-                raise ValueError(f"unknown task {task!r}")
-        execution = time.perf_counter() - start
-        result.timings = {
-            "planning_seconds": planning,
-            "execution_seconds": execution,
-            "total_seconds": planning + execution,
-        }
-        if any(stats_record.values()):
-            stats_record["mode"] = join_ordering()
-            result.timings["stats"] = stats_record
-        return result
-
-
 def _default():
-    # The default engine is the process-default *session*
-    # (:mod:`repro.engine.session`); resolved lazily on every call so
-    # ``isolated_session()`` / ``set_default_session()`` take effect, and
-    # imported locally because session.py builds on this module.
+    # Imported here because session.py builds on this module.
     from repro.engine.session import default_session
 
     return default_session()
 
 
-def answer(query, database, plan=None, use_core=False, engine=None) -> EvalResult:
-    """``q(D)`` through the default session (see :class:`Engine.answer`)."""
-    return (engine or _default()).answer(query, database, plan=plan, use_core=use_core)
+def answer(query, database, plan=None, use_core=False) -> EvalResult:
+    """``q(D)`` through the default session (see :meth:`EngineSession.answer`)."""
+    return _default().answer(query, database, plan=plan, use_core=use_core)
 
 
-def is_satisfiable(query, database, plan=None, use_core=False, engine=None) -> EvalResult:
+def is_satisfiable(query, database, plan=None, use_core=False) -> EvalResult:
     """BCQ through the default session."""
-    return (engine or _default()).is_satisfiable(
-        query, database, plan=plan, use_core=use_core
-    )
+    return _default().is_satisfiable(query, database, plan=plan, use_core=use_core)
 
 
-def count(query, database, plan=None, use_core=False, engine=None) -> EvalResult:
+def count(query, database, plan=None, use_core=False) -> EvalResult:
     """#CQ through the default session."""
-    return (engine or _default()).count(query, database, plan=plan, use_core=use_core)
+    return _default().count(query, database, plan=plan, use_core=use_core)
 
 
-def plan_query(query, use_core=False, force_strategy=None, engine=None) -> Plan:
+def plan_query(query, use_core=False, force_strategy=None) -> Plan:
     """Plan without executing (inspect strategy, witness, rationale)."""
-    return (engine or _default()).plan(
-        query, use_core=use_core, force_strategy=force_strategy
-    )
-
-
-def analyze(target, engine=None) -> QueryAnalysis:
-    """The cached structural analysis of a query or hypergraph."""
-    return (engine or _default()).analyze(target)
-
-
-def clear_analysis_cache(engine=None) -> None:
-    (engine or _default()).clear_cache()
+    return _default().plan(query, use_core=use_core, force_strategy=force_strategy)

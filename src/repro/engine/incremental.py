@@ -38,10 +38,10 @@ are a prefix of that log, so each refresh result's ``rows`` is an
 :class:`AnswerSnapshot` of the prefix — O(1) to take, read-only, and
 still exact after later refreshes — instead of a copy of the answer set.
 
-When the delta is a large fraction of the stored data (``threshold``,
-default :data:`DEFAULT_REFRESH_THRESHOLD`), re-joining delta against full
-views stops being cheaper than a fresh evaluation, so :meth:`refresh`
-falls back to one exact full recompute through the owning session.  The
+When the delta is a large fraction of the stored data (more than
+:data:`DEFAULT_REFRESH_THRESHOLD`), re-joining delta against full views
+stops being cheaper than a fresh evaluation, so :meth:`refresh` falls back
+to one exact full recompute through the owning session.  The
 decision is recorded in the returned plan's rationale and in
 ``EvalResult.timings["incremental"]``.
 """
@@ -138,21 +138,12 @@ class IncrementalView:
     evaluation.
     """
 
-    def __init__(
-        self,
-        session,
-        query: ConjunctiveQuery,
-        database: Database,
-        threshold: float = DEFAULT_REFRESH_THRESHOLD,
-    ) -> None:
+    def __init__(self, session, query: ConjunctiveQuery, database: Database) -> None:
         if not isinstance(query, ConjunctiveQuery):
             raise TypeError(f"expected a ConjunctiveQuery, got {type(query).__name__}")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
         self.session = session
         self.query = query
         self.database = database
-        self.threshold = threshold
         #: The maintained answer set (tuples over ``query.free_variables``);
         #: the live set, grown in place by every refresh.
         self.rows: set = set()
@@ -197,7 +188,7 @@ class IncrementalView:
                 return self._result(MODE_NOOP, 0, 0.0, 0, started)
             delta_rows, total_rows = self._delta_size(current)
             fraction = (delta_rows / total_rows) if total_rows else 1.0
-            if fraction > self.threshold:
+            if fraction > DEFAULT_REFRESH_THRESHOLD:
                 return self._full(current, delta_rows, fraction, started)
             return self._incremental(current, delta_rows, fraction, started)
 
@@ -261,7 +252,7 @@ class IncrementalView:
         elapsed = time.perf_counter() - started
         result.plan = result.plan.with_note(
             f"incremental view: delta fraction {fraction:.2f} > "
-            f"threshold {self.threshold:.2f}, full recompute"
+            f"threshold {DEFAULT_REFRESH_THRESHOLD:.2f}, full recompute"
         )
         result.rows = self._snapshot()
         result.timings["incremental"] = {
@@ -292,18 +283,13 @@ class IncrementalView:
         plan = self._plan.with_note(f"incremental view: {mode} refresh")
         if mode == MODE_NOOP:
             self._record(MODE_NOOP)
-        result = EvalResult(task=TASK_ANSWER, plan=plan, rows=self._snapshot())
-        result.timings = {
-            "planning_seconds": 0.0,
-            "execution_seconds": elapsed,
-            "total_seconds": elapsed,
-            "incremental": {
-                "mode": mode,
-                "delta_rows": delta_rows,
-                "delta_fraction": fraction,
-                "new_answers": new_answers,
-                "refresh_seconds": elapsed,
-            },
+        result = EvalResult.of(TASK_ANSWER, plan, self._snapshot(), 0.0, elapsed)
+        result.timings["incremental"] = {
+            "mode": mode,
+            "delta_rows": delta_rows,
+            "delta_fraction": fraction,
+            "new_answers": new_answers,
+            "refresh_seconds": elapsed,
         }
         return result
 

@@ -30,9 +30,9 @@ STRATEGY_YANNAKAKIS = "direct-yannakakis"
 STRATEGY_GHD = "ghd-guided"
 STRATEGY_BACKTRACKING = "indexed-backtracking"
 
-#: Widest GHD the planner will evaluate through by default: bag
-#: materialisation costs ``O(||D||^k)``, so beyond a small ``k`` the indexed
-#: backtracking solver is the safer default on real databases.
+#: Widest GHD the planner will evaluate through: bag materialisation costs
+#: ``O(||D||^k)``, so beyond a small ``k`` the indexed backtracking solver is
+#: the safer choice on real databases.
 DEFAULT_MAX_GHD_WIDTH = 3
 
 
@@ -88,26 +88,19 @@ class QueryPlanner:
     ----------
     analyze:
         Callable mapping a hypergraph to a :class:`QueryAnalysis` (the
-        engine's cached analysis pass).
-    max_ghd_width:
-        Largest certified ghw upper bound for which the GHD-guided strategy
-        is preferred over indexed backtracking.
+        session's cached analysis pass).
     core_cache:
-        The :class:`~repro.engine.analysis.LRUCache` memoizing core
-        minimisation — the expensive part of semantic planning (retraction
-        searches).  Normally injected by the owning engine/session so cache
-        state stays session-scoped; a private one is created if omitted.
+        The owning session's :class:`~repro.engine.analysis.LRUCache`
+        memoizing core minimisation — the expensive part of semantic
+        planning (retraction searches).
+
+    The GHD-guided strategy is preferred over indexed backtracking up to a
+    certified ghw upper bound of :data:`DEFAULT_MAX_GHD_WIDTH`.
     """
 
-    def __init__(
-        self,
-        analyze,
-        max_ghd_width: int = DEFAULT_MAX_GHD_WIDTH,
-        core_cache: LRUCache | None = None,
-    ) -> None:
+    def __init__(self, analyze, core_cache: LRUCache) -> None:
         self._analyze = analyze
-        self.max_ghd_width = max_ghd_width
-        self._core_cache = core_cache if core_cache is not None else LRUCache(256)
+        self._core_cache = core_cache
 
     def plan(
         self,
@@ -184,28 +177,20 @@ class QueryPlanner:
                 "no non-empty edge (constant-only atoms): nothing to "
                 "decompose, indexed backtracking checks the facts" + note,
             )
-        if self.max_ghd_width < 2:
-            # Cyclic means ghw >= 2: the search cannot produce a usable
-            # decomposition, so skip it entirely.
-            return Plan(
-                STRATEGY_BACKTRACKING, query, analysis, None, None,
-                f"cyclic (ghw >= 2) with width limit {self.max_ghd_width}: "
-                "indexed-backtracking fallback, decomposition search skipped" + note,
-            )
-        # For wider limits the certified bound is only known after the search;
-        # the result is memoized on the analysis, so a high-width structure
-        # pays it once and forced-GHD plans reuse the witness.
+        # The certified bound is only known after the search; the result is
+        # memoized on the analysis, so a high-width structure pays it once
+        # and forced-GHD plans reuse the witness.
         bounds = analysis.ghw_bounds
-        if bounds.decomposition is not None and bounds.upper <= self.max_ghd_width:
+        if bounds.decomposition is not None and bounds.upper <= DEFAULT_MAX_GHD_WIDTH:
             return Plan(
                 STRATEGY_GHD, query, analysis, bounds.decomposition, bounds.upper,
                 f"cyclic with certified ghw <= {bounds.upper} "
-                f"(width limit {self.max_ghd_width}): GHD-guided evaluation, "
+                f"(width limit {DEFAULT_MAX_GHD_WIDTH}): GHD-guided evaluation, "
                 f"bag materialisation in O(||D||^{bounds.upper}) (Prop. 2.2)" + note,
             )
         return Plan(
             STRATEGY_BACKTRACKING, query, analysis, None, None,
-            f"no decomposition within the width limit {self.max_ghd_width} "
+            f"no decomposition within the width limit {DEFAULT_MAX_GHD_WIDTH} "
             f"(certified ghw upper bound {bounds.upper}): "
             "indexed-backtracking fallback" + note,
         )

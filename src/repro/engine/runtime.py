@@ -51,8 +51,9 @@ Serialization contract (what crosses the process boundary):
   from the same inputs through its warm session, which is cheaper than
   pickling a plan's decomposition and reproduces the coordinator's plan
   exactly because planning is deterministic.  Plans whose strategy the
-  planner cannot reproduce (hand-built plans for unregistered strategies)
-  are rejected by the worker rather than silently re-routed.
+  planner cannot reproduce (hand-built plans for a strategy the planner
+  does not know) are rejected by the worker rather than silently
+  re-routed.
 * **data** ships as the compact columnar wire form: ``payload`` is either
   ``None`` (steady state), ``("full", bytes)`` — a pre-pickled
   :class:`~repro.cq.columnar.DatabaseWire` (interned-id columns + one

@@ -1,7 +1,9 @@
-"""Engine sessions: batched evaluation over shared, session-scoped caches.
+"""The engine: analysis → plan → execute over session-scoped caches.
 
-An :class:`EngineSession` is an :class:`~repro.engine.executor.Engine` that
-additionally owns a **plan cache** and exposes a **batch API** —
+An :class:`EngineSession` analyses a query (cached per hypergraph), plans
+it (cached per query; :class:`~repro.engine.planner.QueryPlanner`), and
+executes the plan on the backend its strategy maps to.  On top of the
+single-query API it exposes a **batch API** —
 :meth:`EngineSession.answer_many` and friends.  A batch call
 
 * **deduplicates structurally-isomorphic queries** before planning: two
@@ -31,30 +33,29 @@ runtimes).
 
 All caching is *session-scoped*: the analysis cache, the planner's core
 cache, the plan cache, and the partition cache live on the session object,
-never at module level.  The module-level convenience API
-(``repro.engine.answer`` …) delegates to one lazily created default
-session, which tests can swap out wholesale with :func:`isolated_session` /
-:func:`set_default_session`.
+never at module level, and their bounds are this module's ``*_CACHE_SIZE``
+constants.  The module-level convenience API (``repro.engine.answer`` …)
+runs on one lazily created default session (:func:`default_session`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 from repro.cq.database import Database, shard_of
 from repro.cq.query import Constant, ConjunctiveQuery
 from repro.cq.statistics import join_ordering, join_record
-from repro.engine.analysis import LRUCache
+from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
+from repro.engine.backends import backend_for
 from repro.engine.executor import (
-    Engine,
     EvalResult,
     TASK_ANSWER,
     TASK_COUNT,
     TASK_SATISFIABLE,
 )
-from repro.engine.planner import DEFAULT_MAX_GHD_WIDTH, Plan
+from repro.engine.incremental import IncrementalView
+from repro.engine.planner import Plan, QueryPlanner
 from repro.engine.runtime import RuntimeTask, runtime_for
 from repro.engine.sharding import (
     SHARD_MODE_SINGLE,
@@ -62,6 +63,13 @@ from repro.engine.sharding import (
     ShardingSpec,
     sharding_spec,
 )
+
+#: Entry bounds of each session's LRU caches: structural analyses (keyed
+#: on the hypergraph), query cores, plans, and resident shard-piece sets.
+ANALYSIS_CACHE_SIZE = 256
+CORE_CACHE_SIZE = 256
+PLAN_CACHE_SIZE = 512
+PARTITION_CACHE_SIZE = 8
 
 
 def canonical_query_key(query: ConjunctiveQuery):
@@ -99,23 +107,23 @@ def canonical_query_key(query: ConjunctiveQuery):
     return ("iso", body, head)
 
 
-class EngineSession(Engine):
-    """An engine plus session-scoped plan cache, dedup, and batch execution.
+class EngineSession:
+    """The query engine: cached analysis, cached plans, execution, batches.
 
     Sessions are cheap to construct and own *all* their cache state (analysis
-    cache, core cache, plan cache) — constructing a fresh session is complete
-    cache isolation.  A session is safe to share across threads: every cache
+    cache, core cache, plan cache, partition cache) — constructing a fresh
+    session is complete cache isolation, and a cold engine is a fresh
+    session.  A session is safe to share across threads: every cache
     mutation happens inside :meth:`plan` or :meth:`analyze`, both of which
     serialize on the session (re-entrant) lock, and execution only reads
     plans and relations.
 
-    The single-query API additionally accepts ``shards=N``: the query is
-    evaluated per hash-shard of the database and the per-shard results are
-    combined exactly (see :mod:`repro.engine.sharding` for the
-    co-partitioned / broadcast / single-shard fallback ladder, which is
-    recorded in the returned plan's rationale and in
-    ``EvalResult.timings["sharding"]``).  ``runtime=`` — per call or as the
-    session default — selects *where* the fan-out work runs: an
+    The single-query API accepts ``shards=N``: the query is evaluated per
+    hash-shard of the database and the per-shard results are combined
+    exactly (see :mod:`repro.engine.sharding` for the co-partitioned /
+    broadcast / single-shard fallback ladder, which is recorded in the
+    returned plan's rationale and in ``EvalResult.timings["sharding"]``).
+    ``runtime=`` selects *where* the fan-out work runs: an
     :class:`~repro.engine.runtime.ExecutionRuntime` instance or a
     registered name (``"inline"``, the default, or ``"process"``).  The
     runtime decision and per-task worker timings land in the plan rationale
@@ -125,35 +133,22 @@ class EngineSession(Engine):
     pays for dispatch.
     """
 
-    def __init__(
-        self,
-        max_ghd_width: int = DEFAULT_MAX_GHD_WIDTH,
-        cache_size: int = 256,
-        core_cache_size: int = 256,
-        plan_cache_size: int = 512,
-        partition_cache_size: int = 8,
-        runtime=None,
-    ) -> None:
-        super().__init__(
-            max_ghd_width=max_ghd_width,
-            cache_size=cache_size,
-            core_cache_size=core_cache_size,
-        )
-        self.plan_cache = LRUCache(plan_cache_size)
+    def __init__(self) -> None:
+        self.cache = AnalysisCache(ANALYSIS_CACHE_SIZE)
+        self.core_cache = LRUCache(CORE_CACHE_SIZE)
+        self.planner = QueryPlanner(self.analyze, self.core_cache)
+        self.plan_cache = LRUCache(PLAN_CACHE_SIZE)
         #: Resident shard pieces per (database identity, sharding spec):
         #: partitioning is a full hash pass over the data, so a serving
         #: session pays it once and re-executes against the cached pieces —
         #: whose columnar stores stay warm, so repeated queries also skip
         #: the per-call scan/re-index of the stored tuples.
-        self._partition_cache = LRUCache(partition_cache_size)
-        #: The session-default runtime spec for fan-out work (``None`` =
-        #: the shared inline runtime).
-        self.runtime = runtime
+        self._partition_cache = LRUCache(PARTITION_CACHE_SIZE)
         self._lock = threading.RLock()
         self.dedup_hits = 0
         self.batches = 0
-        # Operator counters (satellite of the runtime layer): where did the
-        # fan-out work go, and which rungs of the sharding ladder ran.
+        # Operator counters: where did the fan-out work go, and which rungs
+        # of the sharding ladder ran.
         self.runtime_tasks = 0
         self.runtime_calls: dict = {}
         self.runtime_workers: set = set()
@@ -161,10 +156,6 @@ class EngineSession(Engine):
         self.sharding_modes: dict = {}
         #: Standing incremental views handed out by :meth:`incremental_view`.
         self.incremental_views = 0
-
-    def _resolve_runtime(self, runtime):
-        """The per-call runtime, falling back to the session default."""
-        return runtime_for(runtime if runtime is not None else self.runtime)
 
     # ------------------------------------------------------------------
     def _sharded_pieces(self, database: Database, target, spec) -> list:
@@ -252,41 +243,41 @@ class EngineSession(Engine):
         have produced it.
 
         The whole call runs under the session lock — including a miss's
-        ``super().plan(...)``, which mutates the (unsynchronized) analysis
-        and core caches.  Planning therefore serializes across threads; only
-        execution runs concurrently, which is where the time goes.
+        planning, which mutates the analysis and core caches.  Planning
+        therefore serializes across threads; only execution runs
+        concurrently, which is where the time goes.
         """
         key = (query, query.free_variables, use_core, force_strategy)
         with self._lock:
             plan = self.plan_cache.get(key)
             if plan is None:
-                plan = super().plan(
+                plan = self.planner.plan(
                     query, use_core=use_core, force_strategy=force_strategy
                 )
                 self.plan_cache.put(key, plan)
             return plan
 
-    def analyze(self, target):
-        """The cached structural analysis, serialized on the session lock.
+    def analyze(self, target) -> QueryAnalysis:
+        """The cached structural analysis of a query or hypergraph.
 
-        :meth:`Engine.analyze` mutates the analysis cache with no
-        synchronization — fine for a private engine, a data race on a shared
-        session.  The lock is re-entrant, so the planning path (which calls
-        ``analyze`` while already holding the lock inside :meth:`plan`) is
-        unaffected, and direct concurrent ``analyze`` calls now serialize
-        instead of corrupting the LRU structure.
+        Serialized on the session lock, so concurrent calls cannot corrupt
+        the LRU structure.  The lock is re-entrant: the planner reaches this
+        method while :meth:`plan` already holds it.
         """
+        if isinstance(target, ConjunctiveQuery):
+            target = target.hypergraph()
         with self._lock:
-            return super().analyze(target)
+            return self.cache.get_or_create(target)
 
     # ------------------------------------------------------------------
-    # Single-query API: the inherited signatures plus sharded execution
+    # Single-query API
     # ------------------------------------------------------------------
     def answer(
         self, query, database, plan=None, use_core=False,
         shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
-        """``q(D)``; with ``shards=N`` the union of exact per-shard answers.
+        """``q(D)`` (tuples over the free variables); with ``shards=N`` the
+        union of exact per-shard answers.
 
         ``cancel`` (a :class:`~repro.engine.runtime.CancellationToken`)
         makes the call abandonable: when the token fires, in-flight fan-out
@@ -297,7 +288,7 @@ class EngineSession(Engine):
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
-            return super().answer(query, database, plan=plan, use_core=use_core)
+            return self._run(TASK_ANSWER, query, database, plan, use_core)
         return self._run_sharded(
             TASK_ANSWER, query, database, plan, use_core,
             shards, shard_variable, runtime, cancel,
@@ -307,11 +298,12 @@ class EngineSession(Engine):
         self, query, database, plan=None, use_core=False,
         shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
-        """BCQ; with ``shards=N`` the disjunction of the per-shard questions."""
+        """BCQ: is the answer set non-empty?  With ``shards=N`` the
+        disjunction of the per-shard questions."""
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
-            return super().is_satisfiable(query, database, plan=plan, use_core=use_core)
+            return self._run(TASK_SATISFIABLE, query, database, plan, use_core)
         return self._run_sharded(
             TASK_SATISFIABLE, query, database, plan, use_core,
             shards, shard_variable, runtime, cancel,
@@ -321,35 +313,152 @@ class EngineSession(Engine):
         self, query, database, plan=None, use_core=False,
         shards=1, shard_variable=None, runtime=None, cancel=None,
     ) -> EvalResult:
-        """#CQ; with ``shards=N`` the sum of per-shard counts (shard variable
-        free: answer-disjoint shards) or the size of the per-shard answer
-        union (shard variable existential: shards may share projections)."""
+        """#CQ: ``|q(D)|`` for full queries, distinct projections otherwise.
+        With ``shards=N`` the sum of per-shard counts (shard variable free:
+        answer-disjoint shards) or the size of the per-shard answer union
+        (shard variable existential: shards may share projections)."""
         if cancel is not None:
             cancel.raise_if_cancelled()
         if shards == 1 and shard_variable is None and runtime is None:
-            return super().count(query, database, plan=plan, use_core=use_core)
+            return self._run(TASK_COUNT, query, database, plan, use_core)
         return self._run_sharded(
             TASK_COUNT, query, database, plan, use_core,
             shards, shard_variable, runtime, cancel,
         )
 
-    def incremental_view(self, query, database, threshold=None):
+    def incremental_view(self, query, database) -> IncrementalView:
         """A standing :class:`~repro.engine.incremental.IncrementalView`
         over ``database``: call ``refresh()`` after appends to bring its
         answer set up to date in delta time (semi-naive evaluation against
         the resident atom views, with an exact full-recompute fallback when
-        the delta fraction exceeds ``threshold``)."""
-        from repro.engine.incremental import (
-            DEFAULT_REFRESH_THRESHOLD,
-            IncrementalView,
-        )
-
-        if threshold is None:
-            threshold = DEFAULT_REFRESH_THRESHOLD
-        view = IncrementalView(self, query, database, threshold=threshold)
+        the delta fraction exceeds
+        :data:`~repro.engine.incremental.DEFAULT_REFRESH_THRESHOLD`)."""
+        view = IncrementalView(self, query, database)
         with self._lock:
             self.incremental_views += 1
         return view
+
+    # ------------------------------------------------------------------
+    def _planned(self, query, plan, use_core) -> tuple:
+        """``(plan, planning seconds)`` for one call: the cached plan when
+        the caller passed none, else the caller's plan after checking that
+        it was built for ``query``."""
+        if plan is None:
+            # Clock the planning work *this call* did: the cold analysis +
+            # planning cost on first sight of a query, near-zero on a plan
+            # cache hit (the plan object's own planning_seconds keeps the
+            # one-off cold cost).
+            started = time.perf_counter()
+            plan = self.plan(query, use_core=use_core)
+            return plan, time.perf_counter() - started
+        if use_core:
+            raise ValueError(
+                "use_core applies at planning time; pass it to plan() "
+                "(or omit plan=) instead of combining it with a pre-built plan"
+            )
+        if plan.source_query is not None and (
+            plan.source_query != query
+            # __eq__ compares free variables as a set; answer tuples follow
+            # their *order*, so a reordered projection is a different query.
+            or plan.source_query.free_variables != query.free_variables
+        ):
+            # A plan built for a different query would silently return that
+            # query's answers; hand-built plans (source_query=None) are exempt.
+            raise ValueError(
+                "the supplied plan was built for a different query; "
+                "re-plan or pass the query it was planned for"
+            )
+        return plan, 0.0
+
+    def _run(
+        self,
+        task: str,
+        query: ConjunctiveQuery,
+        database: Database,
+        plan: Plan | None,
+        use_core: bool,
+    ) -> EvalResult:
+        """One unsharded call on the calling thread: plan (unless given),
+        then run the plan's backend."""
+        plan, planning = self._planned(query, plan, use_core)
+        backend = backend_for(plan.strategy)
+        target = plan.query
+        start = time.perf_counter()
+        # Solver semantics: a relation absent from the database is empty, so
+        # a query mentioning it has no answers.  The ``target.atoms`` guard
+        # deliberately exempts the zero-atom query — the empty conjunction
+        # mentions no relation, is vacuously true, and must keep its single
+        # empty-tuple answer ({()} / count 1 / satisfiable) on ANY database;
+        # constants-only atoms take the normal path, where the backend checks
+        # the facts.  Pinned by tests/engine/test_executor.py::TestTrivialEdgeCases.
+        empty = bool(target.atoms) and any(
+            not database.has_relation(atom.relation) for atom in target.atoms
+        )
+        with join_record() as stats_record:
+            if task == TASK_ANSWER:
+                value = set() if empty else backend.answers(target, database, plan)
+            elif task == TASK_SATISFIABLE:
+                value = False if empty else backend.boolean(target, database, plan)
+            elif task == TASK_COUNT:
+                value = 0 if empty else backend.count(target, database, plan)
+            else:
+                raise ValueError(f"unknown task {task!r}")
+        result = EvalResult.of(
+            task, plan, value, planning, time.perf_counter() - start
+        )
+        if any(stats_record.values()):
+            stats_record["mode"] = join_ordering()
+            result.timings["stats"] = stats_record
+        return result
+
+    def _fan_out(self, jobs, use_core, runtime, cancel, parallel=None) -> tuple:
+        """Run ``jobs`` — ``(task, query, database, plan, label)`` tuples —
+        as independent tasks on the resolved runtime; returns the runtime
+        and one :class:`~repro.engine.runtime.TaskOutcome` per job.
+
+        In-process tasks execute their job's plan.  A process worker
+        re-plans from the shipped ``(query, use_core, strategy)`` triple, so
+        the triple carries the *plan's* provenance, not the call's
+        arguments: a pre-built plan arrives with ``use_core=False`` even
+        when it was planned for the core, and a worker re-planning the full
+        query under the core's forced strategy would fail (e.g. direct
+        Yannakakis forced on a cyclic query whose *core* is acyclic).  A
+        plan substituted a core exactly when its executed query differs
+        from its source query.
+        """
+        resolved = runtime_for(runtime)
+        tasks = [
+            RuntimeTask(
+                task, query, database,
+                use_core=use_core or (
+                    plan.source_query is not None and plan.query != plan.source_query
+                ),
+                force_strategy=plan.strategy,
+                label=label,
+            )
+            for task, query, database, plan, label in jobs
+        ]
+        plan_of = {id(item): plan for item, (_, _, _, plan, _) in zip(tasks, jobs)}
+
+        def run_local(item: RuntimeTask):
+            return self._run(
+                item.task, item.query, item.database, plan_of[id(item)], False
+            ).value
+
+        outcomes = resolved.run(tasks, run_local, parallel=parallel, cancel=cancel)
+        if cancel is not None:
+            # Every runtime drains its futures before raising, so reaching
+            # here with a fired token means all tasks finished anyway —
+            # still honour the caller's "stop" rather than hand back a
+            # result it stopped listening for.
+            cancel.raise_if_cancelled()
+        with self._lock:
+            self.runtime_tasks += len(tasks)
+            self.runtime_calls[resolved.name] = (
+                self.runtime_calls.get(resolved.name, 0) + 1
+            )
+            self.runtime_workers.update(outcome.worker for outcome in outcomes)
+        return resolved, outcomes
 
     def _run_sharded(
         self, task, query, database, plan, use_core, shards, shard_variable,
@@ -364,8 +473,7 @@ class EngineSession(Engine):
         per-shard plan executions fan out to the resolved
         :mod:`execution runtime <repro.engine.runtime>` — the calling
         thread, or persistent worker processes (which hold the pieces
-        resident and re-plan from the shipped ``(query, use_core,
-        strategy)`` triple through their own warm caches).  The results
+        resident and re-plan through their own warm caches).  The results
         combine exactly:
 
         * answers — set union (exact for every mode: the shards jointly
@@ -380,17 +488,7 @@ class EngineSession(Engine):
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if plan is not None and use_core:
-            raise ValueError(
-                "use_core applies at planning time; pass it to plan() "
-                "(or omit plan=) instead of combining it with a pre-built plan"
-            )
-        resolved = self._resolve_runtime(runtime)
-        planning_started = time.perf_counter()
-        planning = 0.0
-        if plan is None:
-            plan = self.plan(query, use_core=use_core)
-            planning = time.perf_counter() - planning_started
+        plan, planning = self._planned(query, plan, use_core)
         target = plan.query
         if (
             shard_variable is not None
@@ -423,58 +521,33 @@ class EngineSession(Engine):
             shard_task = (
                 TASK_ANSWER if task == TASK_COUNT and not count_via_sum else task
             )
-        # Ship the PLAN's provenance, not the call's arguments: a pre-built
-        # plan arrives with use_core=False even when it was planned for the
-        # core, and a worker re-planning the full query under the core's
-        # forced strategy would fail (e.g. direct Yannakakis forced on a
-        # cyclic query whose *core* is acyclic).  The plan itself records
-        # whether a core was substituted: its executed query differs from
-        # its source query exactly then.
-        ship_use_core = use_core or (
-            plan.source_query is not None and plan.query != plan.source_query
-        )
-        tasks = [
-            RuntimeTask(
-                shard_task, query, piece,
-                use_core=ship_use_core, force_strategy=plan.strategy,
-                label=f"shard:{index}",
-            )
+        jobs = [
+            (shard_task, query, piece, plan, f"shard:{index}")
             for index, piece in enumerate(pieces)
         ]
-
-        def run_local(item: RuntimeTask):
-            return self._run(item.task, item.query, item.database, plan, False).value
-
         # Inline pieces fold their join records into this call's; process
         # workers keep theirs.
         with join_record() as stats_record:
-            outcomes = resolved.run(tasks, run_local, cancel=cancel)
-        if cancel is not None:
-            # Every runtime drains its futures before raising, so reaching
-            # here with a fired token means all tasks finished anyway —
-            # still honour the caller's "stop" rather than hand back a
-            # result it stopped listening for.
-            cancel.raise_if_cancelled()
+            resolved, outcomes = self._fan_out(jobs, use_core, runtime, cancel)
         values = [outcome.value for outcome in outcomes]
-        result = EvalResult(task=task, plan=plan)
         if not spec.is_sharded:
-            if task == TASK_ANSWER:
-                result.rows = values[0]
-            elif task == TASK_SATISFIABLE:
-                result.satisfiable = values[0]
-            else:
-                result.count = values[0]
+            value = values[0]
         elif task == TASK_ANSWER:
-            result.rows = set().union(*values)
+            value = set().union(*values)
         elif task == TASK_SATISFIABLE:
-            result.satisfiable = any(values)
+            value = any(values)
         elif count_via_sum:
-            result.count = sum(values)
+            value = sum(values)
         else:
-            result.count = len(set().union(*values))
-        execution = time.perf_counter() - start
+            value = len(set().union(*values))
+        result = EvalResult.of(
+            task,
+            plan.with_note(f"sharding: {spec.rationale}; runtime: {resolved.name}"),
+            value,
+            planning,
+            time.perf_counter() - start,
+        )
         per_shard_seconds = [outcome.seconds for outcome in outcomes]
-        workers_used = sorted({outcome.worker for outcome in outcomes})
         sharding_record = {
             "mode": spec.mode,
             "shard_variable": spec.shard_variable,
@@ -485,32 +558,18 @@ class EngineSession(Engine):
         }
         if task == TASK_COUNT and spec.is_sharded:
             sharding_record["count_via"] = "sum" if count_via_sum else "union"
-        runtime_record = {
+        stats_record["mode"] = join_ordering()
+        result.timings["sharding"] = sharding_record
+        result.timings["runtime"] = {
             "name": resolved.name,
-            "tasks": len(tasks),
-            "workers": workers_used,
+            "tasks": len(outcomes),
+            "workers": sorted({outcome.worker for outcome in outcomes}),
             "per_task_seconds": per_shard_seconds,
         }
-        result.plan = plan.with_note(
-            f"sharding: {spec.rationale}; runtime: {resolved.name}"
-        )
-        stats_record["mode"] = join_ordering()
-        result.timings = {
-            "planning_seconds": planning,
-            "execution_seconds": execution,
-            "total_seconds": planning + execution,
-            "sharding": sharding_record,
-            "runtime": runtime_record,
-            "stats": stats_record,
-        }
+        result.timings["stats"] = stats_record
         with self._lock:
             self.sharded_calls += 1
             self.sharding_modes[spec.mode] = self.sharding_modes.get(spec.mode, 0) + 1
-            self.runtime_tasks += len(tasks)
-            self.runtime_calls[resolved.name] = (
-                self.runtime_calls.get(resolved.name, 0) + 1
-            )
-            self.runtime_workers.update(workers_used)
         return result
 
     # ------------------------------------------------------------------
@@ -580,7 +639,6 @@ class EngineSession(Engine):
             raise ValueError("parallel must be >= 1")
         if cancel is not None:
             cancel.raise_if_cancelled()
-        resolved = self._resolve_runtime(runtime)
         queries = [self._checked_query(query) for query in queries]
         keys = [canonical_query_key(query) for query in queries]
         representatives: dict = {}
@@ -593,55 +651,28 @@ class EngineSession(Engine):
             self.dedup_hits += len(queries) - len(representatives)
         # Planning stays sequential: it is cache-bound and mutates the
         # session caches, and one plan per *class* is already the cheap part.
-        plans: dict = {}
-        planning_seconds: dict = {}
+        planned: dict = {}
         for key, query in representatives.items():
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            planning_started = time.perf_counter()
-            plans[key] = self.plan(query, use_core=use_core)
-            planning_seconds[key] = time.perf_counter() - planning_started
+            planned[key] = self._planned(query, None, use_core)
         items = list(representatives.items())
-        tasks = [
-            RuntimeTask(
-                task, query, database,
-                use_core=use_core, force_strategy=plans[key].strategy,
-                label=f"class:{first_index[key]}",
-            )
+        jobs = [
+            (task, query, database, planned[key][0], f"class:{first_index[key]}")
             for key, query in items
         ]
-        plan_of = {id(item): plans[key] for item, (key, _) in zip(tasks, items)}
-
-        def run_local(item: RuntimeTask):
-            return self._run(
-                item.task, item.query, item.database, plan_of[id(item)], False
-            ).value
-
-        outcomes = resolved.run(tasks, run_local, parallel=parallel, cancel=cancel)
-        if cancel is not None:
-            cancel.raise_if_cancelled()
+        resolved, outcomes = self._fan_out(
+            jobs, use_core, runtime, cancel, parallel=parallel
+        )
         results: dict = {}
-        for (key, query), outcome in zip(items, outcomes):
-            result = EvalResult(task=task, plan=plans[key])
-            if task == TASK_ANSWER:
-                result.rows = outcome.value
-            elif task == TASK_SATISFIABLE:
-                result.satisfiable = outcome.value
-            else:
-                result.count = outcome.value
-            result.timings = {
-                "planning_seconds": planning_seconds[key],
-                "execution_seconds": outcome.seconds,
-                "total_seconds": planning_seconds[key] + outcome.seconds,
-                "runtime": {"name": resolved.name, "worker": outcome.worker},
+        for (key, _), outcome in zip(items, outcomes):
+            plan, planning = planned[key]
+            result = EvalResult.of(task, plan, outcome.value, planning, outcome.seconds)
+            result.timings["runtime"] = {
+                "name": resolved.name,
+                "worker": outcome.worker,
             }
             results[key] = result
-        with self._lock:
-            self.runtime_tasks += len(tasks)
-            self.runtime_calls[resolved.name] = (
-                self.runtime_calls.get(resolved.name, 0) + 1
-            )
-            self.runtime_workers.update(outcome.worker for outcome in outcomes)
         return [
             results[key]
             if index == first_index[key]
@@ -656,19 +687,14 @@ class EngineSession(Engine):
         so a caller mutating one result's ``rows`` cannot corrupt the class
         siblings, and the timings say what this query actually cost — nothing
         was executed for it — plus where its payload came from."""
-        return EvalResult(
-            task=representative.task,
-            plan=representative.plan,
-            rows=set(representative.rows) if representative.rows is not None else None,
-            satisfiable=representative.satisfiable,
-            count=representative.count,
-            timings={
-                "planning_seconds": 0.0,
-                "execution_seconds": 0.0,
-                "total_seconds": 0.0,
-                "dedup_of": representative_index,
-            },
+        value = representative.value
+        if representative.task == TASK_ANSWER:
+            value = set(value)
+        result = EvalResult.of(
+            representative.task, representative.plan, value, 0.0, 0.0
         )
+        result.timings["dedup_of"] = representative_index
+        return result
 
     @staticmethod
     def _checked_query(query) -> ConjunctiveQuery:
@@ -719,10 +745,10 @@ class EngineSession(Engine):
         post-clear hit rates must describe the fresh caches, not the
         discarded ones.
         """
-        super().clear_cache()
-        self.core_cache.clear()
-        self.plan_cache.clear()
         with self._lock:
+            self.cache.clear()
+            self.core_cache.clear()
+            self.plan_cache.clear()
             self._partition_cache.clear()
 
 
@@ -742,61 +768,11 @@ def default_session() -> EngineSession:
         return _default_session
 
 
-def set_default_session(session: EngineSession | None) -> EngineSession | None:
-    """Replace the process-default session; returns the previous one.
-
-    Passing ``None`` resets to "create a fresh default on next use".
-    """
-    global _default_session
-    with _default_session_lock:
-        previous = _default_session
-        _default_session = session
-        return previous
-
-
-def restore_default_session(expected: EngineSession, previous) -> bool:
-    """Compare-and-swap restore: reinstate ``previous`` only if the current
-    default is still ``expected``.  Returns whether the swap happened.
-
-    This is the exit path of :func:`isolated_session`: an unconditional
-    restore would clobber a default installed *during* the block — by the
-    block's own body, or by another thread — silently reviving a session
-    the process had already moved away from.
-    """
-    global _default_session
-    with _default_session_lock:
-        if _default_session is not expected:
-            return False
-        _default_session = previous
-        return True
-
-
-@contextmanager
-def isolated_session(**session_kwargs):
-    """Run a block against a fresh default session (cache-state isolation).
-
-    On exit the previous default comes back **only if the block's session
-    is still the default** (see :func:`restore_default_session`): a default
-    swapped mid-block — by the body itself or by a concurrent thread — is
-    deliberately left in place rather than clobbered.
-
-    >>> with isolated_session() as session:          # doctest: +SKIP
-    ...     repro.engine.answer(query, database)     # uses `session`
-    """
-    session = EngineSession(**session_kwargs)
-    previous = set_default_session(session)
-    try:
-        yield session
-    finally:
-        restore_default_session(session, previous)
-
-
 def answer_many(
-    queries, database, parallel: int = 1, use_core: bool = False, session=None,
-    runtime=None,
+    queries, database, parallel: int = 1, use_core: bool = False, runtime=None,
 ) -> list[EvalResult]:
     """Batch ``q(D)`` through the default session (see
     :meth:`EngineSession.answer_many`)."""
-    return (session or default_session()).answer_many(
+    return default_session().answer_many(
         queries, database, parallel=parallel, use_core=use_core, runtime=runtime
     )

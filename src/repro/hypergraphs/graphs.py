@@ -39,11 +39,6 @@ class Graph(Hypergraph):
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return frozenset({u, v}) in self.edges
 
-    def add_graph_edge(self, u: Vertex, v: Vertex) -> "Graph":
-        if u == v:
-            raise ValueError("self-loops are not supported")
-        return Graph(self.vertices, set(self.edges) | {frozenset({u, v})})
-
     def contract_edge(self, u: Vertex, v: Vertex, merged_name: Vertex | None = None) -> "Graph":
         """Contract the edge ``{u, v}``: the constructive minor operation.
 

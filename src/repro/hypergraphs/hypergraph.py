@@ -389,9 +389,6 @@ class Hypergraph:
                     queue.append(u)
         return None
 
-    def are_connected(self, source: Vertex, target: Vertex) -> bool:
-        return self.find_path(source, target) is not None
-
     def edges_connected(self, edges: Iterable[frozenset]) -> bool:
         """True if the given edges form a connected subhypergraph
         (edges overlap transitively)."""

@@ -23,8 +23,8 @@ Topology (one request, left to right)::
   fan-out (shards / batch) cancels at the next task boundary; the admission
   slot is held until the engine call actually unwinds.
 * **Metrics** — ``GET /stats`` returns the service counters plus every
-  tenant session's engine counters (cache hit rates, runtime shipping
-  ledger, sharding modes) as one JSON document.
+  tenant session's own engine counters (cache hit rates, fan-out tasks per
+  runtime, sharding modes) as one JSON document.
 
 Endpoints: ``POST /answer`` | ``/count`` | ``/is_satisfiable`` |
 ``/batch``, ``GET /stats`` | ``/healthz``; the write path adds
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.engine.runtime import CancellationToken, RunCancelled, runtime_for
-from repro.engine.session import EngineSession
 from repro.service.admission import AdmissionController, Overloaded
 from repro.service.codec import (
     CodecError,
@@ -95,9 +94,6 @@ class ServiceConfig:
     max_tenants: int = 64
     max_body_bytes: int = 8 * 1024 * 1024
     max_batch_queries: int = 1024
-    #: Session-default execution runtime for fan-out calls (``None`` =
-    #: engine default, i.e. the shared inline runtime).
-    default_runtime: str | None = None
     #: Enables the ``_sleep_ms`` request field (deterministic slow requests
     #: for tests and load harnesses).  Never enable in production.
     debug_hooks: bool = False
@@ -111,12 +107,9 @@ class QueryService:
     :meth:`run_forever` as a blocking main.
     """
 
-    def __init__(self, config: ServiceConfig | None = None, session_factory=None):
+    def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        if session_factory is None:
-            runtime = self.config.default_runtime
-            session_factory = partial(EngineSession, runtime=runtime)
-        self.sessions = TenantSessions(self.config.max_tenants, session_factory)
+        self.sessions = TenantSessions(self.config.max_tenants)
         self.datasets = DatasetRegistry()
         self.admission = AdmissionController(
             self.config.max_concurrent,
@@ -171,13 +164,19 @@ class QueryService:
 
         Closing the listening socket leaves keep-alive connections open, so
         each is closed here: an idle handler reads EOF and returns, a busy
-        one answers into the closed stream first.
+        one answers into the closed stream first.  A connection accepted
+        just before the close starts its handler a few loop iterations
+        later, so closing and waiting repeat until a pass finds none.
         """
         if self._server is not None:
             self._server.close()
-            for writer in self._connections.values():
-                writer.close()
-            await asyncio.gather(*self._connections, return_exceptions=True)
+            while True:
+                await asyncio.sleep(0.01)
+                if not self._connections:
+                    break
+                for writer in self._connections.values():
+                    writer.close()
+                await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -260,7 +259,6 @@ class QueryService:
                     "max_concurrent": self.config.max_concurrent,
                     "max_queue": self.config.max_queue,
                     "default_deadline_seconds": self.config.default_deadline_seconds,
-                    "default_runtime": self.config.default_runtime,
                 },
             },
         )
@@ -380,24 +378,21 @@ class QueryService:
 
     async def _handle_subscribe(self, request: Request) -> Response:
         """Register a standing query; the response carries the initial
-        answer set as the first delta (later polls return only growth)."""
+        answer set as the first delta (later polls return only growth).
+        A registry at its ``max_subscriptions`` answers 503."""
         payload = self._payload(request)
         tenant = self._tenant_of(payload, request)
         dataset = self._field(payload, "dataset")
         if not isinstance(dataset, str):
             raise HttpError(400, f"dataset must be a string, got {dataset!r}")
         query = query_from_json(self._field(payload, "query"))
-        threshold = payload.get("threshold")
-        if threshold is not None and (
-            not isinstance(threshold, (int, float))
-            or isinstance(threshold, bool)
-            or not 0.0 <= threshold <= 1.0
-        ):
-            raise HttpError(400, f"threshold must be in [0, 1], got {threshold!r}")
         session = self.sessions.get(tenant)
         database = self.datasets.get(tenant, dataset)
-        view = session.incremental_view(query, database, threshold=threshold)
-        subscription = self.subscriptions.register(tenant, dataset, query, view)
+        view = session.incremental_view(query, database)
+        try:
+            subscription = self.subscriptions.register(tenant, dataset, query, view)
+        except OverflowError as exc:
+            return Response.error(503, str(exc))
         return await self._execute(
             payload,
             lambda cancel=None: subscription.poll(),

@@ -13,6 +13,21 @@ import json
 
 from repro.service.codec import database_to_json, query_to_json
 
+#: The requests a dropped connection may send again: reads, whose repeat
+#: returns the same answer.  A poll advances its subscription's cursor, a
+#: subscribe registers a subscription and ``POST /facts`` appends rows, so
+#: a lost response to one of those raises instead of repeating it.
+_SAFE_TO_REPEAT = frozenset(
+    {
+        ("POST", "/answer"),
+        ("POST", "/count"),
+        ("POST", "/is_satisfiable"),
+        ("POST", "/batch"),
+        ("GET", "/healthz"),
+        ("GET", "/stats"),
+    }
+)
+
 
 class ServiceError(Exception):
     """A non-2xx response from the service."""
@@ -62,7 +77,11 @@ class ServiceClient:
         payload: dict | None = None,
         headers: dict | None = None,
     ) -> dict:
-        """One round trip; raises :class:`ServiceError` on non-2xx."""
+        """One round trip; raises :class:`ServiceError` on non-2xx.
+
+        After a transport error (a dropped keep-alive connection, a
+        timeout) a read is sent once more on a fresh connection; any other
+        request raises the error."""
         body = None
         headers = dict(headers or {})
         if payload is not None:
@@ -74,9 +93,9 @@ class ServiceClient:
             response = connection.getresponse()
             raw = response.read()
         except (http.client.HTTPException, ConnectionError, OSError):
-            # A dropped keep-alive connection is not an API error: reconnect
-            # once and retry (requests here are idempotent reads).
             self.close()
+            if (method, path) not in _SAFE_TO_REPEAT:
+                raise
             connection = self._connect()
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
@@ -138,13 +157,12 @@ class ServiceClient:
         }
         return self.request("POST", "/facts", payload)
 
-    def subscribe(self, query, dataset: str, tenant=None, threshold=None):
+    def subscribe(self, query, dataset: str, tenant=None):
         """Register a standing query; the response's ``delta`` is the
         initial answer set, and its ``subscription`` id keys later polls."""
-        payload = self._payload(query, None, dataset, tenant)
-        if threshold is not None:
-            payload["threshold"] = threshold
-        return self.request("POST", "/subscriptions", payload)
+        return self.request(
+            "POST", "/subscriptions", self._payload(query, None, dataset, tenant)
+        )
 
     def poll(self, subscription_id: str, tenant=None):
         """The answers derived since the previous poll of a subscription."""

@@ -101,6 +101,23 @@ def query_to_json(query: ConjunctiveQuery) -> dict:
     }
 
 
+def _rows_from_json(name: str, rows: list) -> list:
+    """One relation's rows as tuples: lists of JSON scalars of one length."""
+    arity = None
+    tuples = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise CodecError(f"rows of {name!r} must be lists, got {row!r}")
+        if arity is None:
+            arity = len(row)
+        elif len(row) != arity:
+            raise CodecError(
+                f"relation {name!r} mixes arities {arity} and {len(row)}"
+            )
+        tuples.append(tuple(_scalar(value, f"relation {name!r}") for value in row))
+    return tuples
+
+
 def database_from_json(obj) -> Database:
     if not isinstance(obj, dict):
         raise CodecError(
@@ -110,19 +127,8 @@ def database_from_json(obj) -> Database:
     for name, rows in obj.items():
         if not isinstance(name, str) or not isinstance(rows, list):
             raise CodecError(f"relation {name!r} must map to a list of rows")
-        tuples = []
-        arity = None
-        for row in rows:
-            if not isinstance(row, list):
-                raise CodecError(f"rows of {name!r} must be lists, got {row!r}")
-            if arity is None:
-                arity = len(row)
-            elif len(row) != arity:
-                raise CodecError(
-                    f"relation {name!r} mixes arities {arity} and {len(row)}"
-                )
-            tuples.append(tuple(_scalar(value, f"relation {name!r}") for value in row))
-        database.add_relation(Relation(name, arity if arity is not None else 0, tuples))
+        tuples = _rows_from_json(name, rows)
+        database.add_relation(Relation(name, len(tuples[0]) if tuples else 0, tuples))
     return database
 
 
@@ -142,21 +148,7 @@ def facts_from_json(obj) -> dict:
             raise CodecError(
                 f"relation {name!r} must map to a non-empty list of rows"
             )
-        arity = None
-        tuples = []
-        for row in rows:
-            if not isinstance(row, list):
-                raise CodecError(f"rows of {name!r} must be lists, got {row!r}")
-            if arity is None:
-                arity = len(row)
-            elif len(row) != arity:
-                raise CodecError(
-                    f"relation {name!r} mixes arities {arity} and {len(row)}"
-                )
-            tuples.append(
-                tuple(_scalar(value, f"relation {name!r}") for value in row)
-            )
-        facts[name] = tuples
+        facts[name] = _rows_from_json(name, rows)
     return facts
 
 

@@ -9,8 +9,8 @@
   uptime);
 * **admission** — the bounded queue (in-flight, queued, shed);
 * **tenants** — each live tenant session's own ``stats()``: the engine's
-  LRU cache hit rates, runtime dispatch/shipping ledgers, and
-  sharding-ladder counters, exactly as the library reports them.
+  LRU cache hit rates, fan-out tasks per runtime, and sharding-ladder
+  counters, exactly as the library reports them.
 
 Everything is plain ints/floats/strings so ``json.dumps`` needs no help.
 """

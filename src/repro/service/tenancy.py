@@ -36,8 +36,7 @@ class UnknownDataset(KeyError):
 class TenantSessions:
     """An LRU-bounded pool of per-tenant engine sessions."""
 
-    def __init__(self, max_tenants: int = 64, session_factory=None) -> None:
-        self._factory = session_factory or EngineSession
+    def __init__(self, max_tenants: int = 64) -> None:
         self._sessions = LRUCache(max_tenants)
         # The compound get-or-create must be atomic: two concurrent first
         # requests for one tenant must not each install a session (the
@@ -50,7 +49,7 @@ class TenantSessions:
         with self._lock:
             session = self._sessions.get(tenant)
             if session is None:
-                session = self._factory()
+                session = EngineSession()
                 self._sessions.put(tenant, session)
                 self.created += 1
             return session

@@ -362,9 +362,9 @@ class TestDatabaseWire:
 
 
 def _tree_for(query, database):
-    from repro.engine import Engine
+    from repro.engine import EngineSession
 
-    plan = Engine().plan(query)
+    plan = EngineSession().plan(query)
     return build_columnar_bag_tree(query, database, plan.decomposition)
 
 
@@ -374,9 +374,9 @@ class TestColumnarEvaluation:
         query = cqgen.cycle_query(length)
         database = cqgen.random_database(query, 8, 60, seed=length)
         tree = _tree_for(query, database)
-        from repro.engine import Engine
+        from repro.engine import EngineSession
 
-        decomposition = Engine().plan(query).decomposition
+        decomposition = EngineSession().plan(query).decomposition
         assert columnar_boolean_answer(query, database, decomposition) == bool(
             naive_enumerate_answers(query, database)
         )
@@ -391,9 +391,9 @@ class TestColumnarEvaluation:
     def test_projected_query_matches_naive(self):
         query = cqgen.cycle_query(4).project(["x0", "x2"])
         database = cqgen.random_database(query, 7, 50, seed=11)
-        from repro.engine import Engine
+        from repro.engine import EngineSession
 
-        decomposition = Engine().plan(query).decomposition
+        decomposition = EngineSession().plan(query).decomposition
         assert columnar_enumerate_answers(
             query, database, decomposition
         ) == naive_enumerate_answers(query, database)
@@ -403,9 +403,9 @@ class TestColumnarEvaluation:
     def test_acyclic_chain_matches_naive(self):
         query = cqgen.chain_query(5)
         database = cqgen.random_database(query, 6, 40, seed=23)
-        from repro.engine import Engine
+        from repro.engine import EngineSession
 
-        decomposition = Engine().plan(query).decomposition
+        decomposition = EngineSession().plan(query).decomposition
         assert columnar_enumerate_answers(
             query, database, decomposition
         ) == naive_enumerate_answers(query, database)
@@ -417,9 +417,9 @@ class TestColumnarEvaluation:
         query = ConjunctiveQuery(
             (Atom("E", ["x", "y"]), Atom("E", ["y", "y"]))
         )
-        from repro.engine import Engine
+        from repro.engine import EngineSession
 
-        decomposition = Engine().plan(query).decomposition
+        decomposition = EngineSession().plan(query).decomposition
         assert columnar_enumerate_answers(
             query, database, decomposition
         ) == naive_enumerate_answers(query, database)
@@ -429,9 +429,9 @@ class TestColumnarEvaluation:
         database.add_fact("E", (1, 2))
         database.add_fact("F", (3, 4))
         query = ConjunctiveQuery((Atom("E", ["x", "y"]), Atom("F", ["y", "z"])))
-        from repro.engine import Engine
+        from repro.engine import EngineSession
 
-        decomposition = Engine().plan(query).decomposition
+        decomposition = EngineSession().plan(query).decomposition
         assert not columnar_boolean_answer(query, database, decomposition)
         assert columnar_enumerate_answers(query, database, decomposition) == set()
         assert columnar_count_answers(query, database, decomposition) == 0

@@ -13,7 +13,6 @@ import pytest
 from repro.cq import generators as cqgen
 from repro.engine import (
     AnalysisCache,
-    Engine,
     EngineSession,
     backend_for,
 )
@@ -23,7 +22,7 @@ from repro.hypergraphs import Hypergraph
 
 @pytest.fixture
 def engine():
-    return Engine()
+    return EngineSession()
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ class TestMemoization:
         first = engine.analyze(triangle)
         second = engine.analyze(triangle)
         assert first is second
-        info = engine.cache_info()
+        info = engine.stats()["analysis_cache"]
         assert info["hits"] == 1
         assert info["misses"] == 1
 
@@ -142,7 +141,7 @@ class TestCacheBounds:
     def test_clear(self, engine, triangle):
         engine.analyze(triangle)
         engine.clear_cache()
-        assert engine.cache_info()["size"] == 0
+        assert engine.stats()["analysis_cache"]["size"] == 0
 
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
@@ -164,7 +163,7 @@ class TestSessionPlanCache:
         assert warm is cold
         assert session.plan_cache.hits == 1
         # No second analysis happened either: one structural key, one miss.
-        assert session.cache_info()["misses"] == 1
+        assert session.stats()["analysis_cache"]["misses"] == 1
         # Re-planning would have re-clocked itself; the cached object still
         # carries the one-off cold timing.
         assert warm.planning_seconds == cold.planning_seconds
@@ -184,7 +183,7 @@ class TestSessionPlanCache:
         assert fresh.strategy != stale.strategy
         assert session.plan_cache.hits == 0
         assert session.plan_cache.misses == 2
-        assert session.cache_info()["misses"] == 2
+        assert session.stats()["analysis_cache"]["misses"] == 2
         assert fresh.decomposition.is_valid_for(closed.hypergraph())
 
     def test_sessions_do_not_share_cache_state(self):
@@ -193,7 +192,7 @@ class TestSessionPlanCache:
         first.plan(cqgen.cycle_query(4))
         assert len(first.plan_cache) == 1
         assert len(second.plan_cache) == 0
-        assert second.cache_info()["misses"] == 0
+        assert second.stats()["analysis_cache"]["misses"] == 0
 
 
 class TestBackendReplacement:

@@ -12,6 +12,7 @@ import time
 from repro.cq import generators as cqgen
 from repro.cq.statistics import ORDERING_COST, ORDERING_STATIC, forced_join_ordering
 from repro.engine import EngineSession, LRUCache
+import repro.engine.session as session_module
 
 
 def _clique3():
@@ -91,12 +92,17 @@ def test_a_forced_ordering_stays_on_its_thread():
     assert forced_records[0]["cost_joins"] == 0
 
 
-def test_a_session_holds_no_more_than_its_cache_bounds():
+def test_a_session_holds_no_more_than_its_cache_bounds(monkeypatch):
     # 1,000 short-lived databases, each answered plainly and as a sharded
     # count: nothing the session keeps may grow with the database count.
-    session = EngineSession(
-        cache_size=16, core_cache_size=16, plan_cache_size=16, partition_cache_size=4
-    )
+    for name, size in (
+        ("ANALYSIS_CACHE_SIZE", 16),
+        ("CORE_CACHE_SIZE", 16),
+        ("PLAN_CACHE_SIZE", 16),
+        ("PARTITION_CACHE_SIZE", 4),
+    ):
+        monkeypatch.setattr(session_module, name, size)
+    session = EngineSession()
     query = cqgen.hub_cycle_query(3)
     for seed in range(1000):
         database = cqgen.random_database(query, 4, 6, seed=seed)

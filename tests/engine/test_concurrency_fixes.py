@@ -1,14 +1,12 @@
 """Concurrency/lifetime regressions exposed by the query service front door.
 
-Four bugfixes, each with a test that fails on the pre-fix code:
+Three bugfixes, each with a test that fails on the pre-fix code:
 
 * ``ProcessRuntime._token_for`` retained every database it ever tokenised
   (strong refs in the token map) — now weakrefs plus an id-reuse guard;
 * ``LRUCache`` raced under concurrent access — now every operation locks;
 * ``runtime_for`` handed out **closed** shared runtimes after
-  ``shutdown_runtimes`` (or any ``close()``) — now lazily revived;
-* ``isolated_session`` unconditionally restored the previous default on
-  exit, clobbering a default swapped mid-block — now a CAS restore.
+  ``shutdown_runtimes`` (or any ``close()``) — now lazily revived.
 
 Plus the cancellation layer the service's deadlines hang off:
 ``CancellationToken`` / ``RunCancelled`` through every runtime and the
@@ -33,16 +31,10 @@ from repro.engine import (
     ProcessRuntime,
     RunCancelled,
     RuntimeTask,
-    restore_default_session,
     runtime_for,
 )
 from repro.engine.analysis import LRUCache
 from repro.engine.runtime import shutdown_runtimes
-from repro.engine.session import (
-    default_session,
-    isolated_session,
-    set_default_session,
-)
 import repro.engine.runtime as runtime_module
 
 
@@ -186,45 +178,6 @@ class TestRuntimeRegistryRevival:
         runtime_for("inline").close()
         result = session.answer(query, database, shards=2, runtime="inline")
         assert result.rows == expected
-
-
-# ----------------------------------------------------------------------
-# Satellite 4: isolated_session must restore with compare-and-swap
-# ----------------------------------------------------------------------
-class TestIsolatedSessionRestore:
-    def setup_method(self):
-        self._saved = set_default_session(None)
-
-    def teardown_method(self):
-        set_default_session(self._saved)
-
-    def test_plain_block_restores_previous_default(self):
-        outer = default_session()
-        with isolated_session() as session:
-            assert default_session() is session
-            assert session is not outer
-        assert default_session() is outer
-
-    def test_default_swapped_mid_block_is_not_clobbered(self):
-        default_session()
-        replacement = EngineSession()
-        with isolated_session() as session:
-            assert default_session() is session
-            set_default_session(replacement)
-        # Pre-fix: exit blindly reinstated the pre-block default, silently
-        # reviving a session the process had moved away from.
-        assert default_session() is replacement
-
-    def test_restore_reports_whether_it_swapped(self):
-        original = default_session()
-        mine = EngineSession()
-        previous = set_default_session(mine)
-        assert previous is original
-        assert restore_default_session(mine, previous)
-        assert default_session() is original
-        # Now the default is `original`, not `mine`: CAS must refuse.
-        assert not restore_default_session(mine, previous)
-        assert default_session() is original
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.cq.homomorphism import (
 )
 from repro.cq.query import Constant
 from repro.engine import (
-    Engine,
+    EngineSession,
     EvaluationBackend,
     Plan,
     backend_for,
@@ -23,7 +23,7 @@ from repro.engine.backends import BACKENDS
 
 @pytest.fixture
 def engine():
-    return Engine()
+    return EngineSession()
 
 
 @pytest.fixture
@@ -77,6 +77,17 @@ class TestPlanReuse:
         plan = engine.plan(cqgen.chain_query(3))
         with pytest.raises(ValueError, match="different query"):
             engine.answer(query, database, plan=plan)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("method", ["answer", "count", "is_satisfiable"])
+    def test_plan_with_use_core_rejected(self, engine, cycle_instance, method, shards):
+        # One check guards the unsharded and the sharded path of every task.
+        query, database = cycle_instance
+        plan = engine.plan(query)
+        with pytest.raises(ValueError, match="use_core applies at planning time"):
+            getattr(engine, method)(
+                query, database, plan=plan, use_core=True, shards=shards
+            )
 
     def test_plan_for_reordered_projection_rejected(self, engine):
         # Same atoms, same free-variable *set*, different order: answer
@@ -132,7 +143,7 @@ class TestEdgeCases:
 
 class TestTrivialEdgeCases:
     """Pin the missing-relation fast path's exemptions: the zero-atom query
-    and constants-only atoms.  The fast path (`Engine._run`) must never
+    and constants-only atoms.  The fast path (`EngineSession._run`) must never
     short-circuit the empty conjunction — it mentions no relation, so it is
     trivially satisfiable with the single empty-tuple answer on ANY database
     — and constants-only atoms must take the normal path, where the backend

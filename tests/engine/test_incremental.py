@@ -25,7 +25,6 @@ from repro.cq.query import Atom, Constant, ConjunctiveQuery
 from repro.engine import (
     DEFAULT_REFRESH_THRESHOLD,
     EngineSession,
-    IncrementalView,
     MODE_FULL,
     MODE_INCREMENTAL,
     MODE_INITIAL,
@@ -139,11 +138,9 @@ class TestIncrementalView:
         assert result.incremental["mode"] == MODE_INCREMENTAL
         assert result.rows == {(2, 3, 9)}
 
-    def test_threshold_validated_and_counted_in_session_stats(self):
+    def test_views_counted_in_session_stats(self):
         query, database, _ = _chain_instance(edges=20)
         session = EngineSession()
-        with pytest.raises(ValueError):
-            IncrementalView(session, query, database, threshold=1.5)
         session.incremental_view(query, database)
         assert session.stats()["incremental_views"] == 1
 

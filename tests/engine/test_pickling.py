@@ -18,7 +18,7 @@ from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
 from repro.cq.query import Constant
 from repro.cq.relational import NamedRelation
-from repro.engine import Engine, EngineSession
+from repro.engine import EngineSession
 from repro.hypergraphs.hypergraph import Hypergraph
 
 
@@ -78,7 +78,7 @@ class TestPlanRoundTrip:
         # without re-planning and agrees with the original.
         database = cqgen.random_database(query, 5, 14, seed=3)
         assert (
-            Engine().answer(query, database, plan=copy).rows
+            EngineSession().answer(query, database, plan=copy).rows
             == session.answer(query, database, plan=plan).rows
         )
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cq import Atom, ConjunctiveQuery
 from repro.cq import generators as cqgen
 from repro.cq.homomorphism import _solve_naive
+from repro.engine import planner as planner_module
 from repro.engine import (
-    Engine,
+    EngineSession,
     STRATEGY_BACKTRACKING,
     STRATEGY_GHD,
     STRATEGY_TRIVIAL,
@@ -27,7 +28,7 @@ def naive_answers(query, database):
 
 @pytest.fixture
 def engine():
-    return Engine()
+    return EngineSession()
 
 
 class TestDispatch:
@@ -65,12 +66,14 @@ class TestDispatch:
         assert plan.decomposition is None
         assert "fallback" in plan.rationale
 
-    def test_width_limit_is_configurable(self):
-        narrow = Engine(max_ghd_width=1)
-        plan = narrow.plan(cqgen.cycle_query(4))
+    def test_width_limit_bounds_ghd_dispatch(self, monkeypatch):
+        # The 4-cycle's certified ghw is 2: under a width limit of 1 its
+        # decomposition exists but is too wide, so the planner falls back.
+        monkeypatch.setattr(planner_module, "DEFAULT_MAX_GHD_WIDTH", 1)
+        plan = EngineSession().plan(cqgen.cycle_query(4))
         assert plan.strategy == STRATEGY_BACKTRACKING
-        # Cyclic implies ghw >= 2, so a width-1 limit never pays for a search.
-        assert plan.analysis.searched_decomposition is False
+        assert plan.decomposition is None
+        assert "width limit 1" in plan.rationale
 
     def test_constant_only_query_gets_honest_rationale(self, engine):
         from repro.cq.query import Constant
@@ -189,7 +192,7 @@ def planner_instance(draw):
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_naive_solver(instance):
     query, database, expected = instance
-    engine = Engine()
+    engine = EngineSession()
     expected_rows = naive_answers(query, database)
 
     result = engine.answer(query, database)

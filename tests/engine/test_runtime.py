@@ -159,21 +159,8 @@ class TestSessionIntegration:
         assert record["workers"] == ["inline"]
         # The sharded record still carries the per-shard timings.
         assert result.sharding["per_shard_seconds"] == record["per_task_seconds"]
-
-    def test_session_default_runtime_applies_to_fan_out(self, wheel_instance):
-        class Tagged(InlineRuntime):
-            name = "tagged"
-
-        query, database = wheel_instance
-        session = EngineSession(runtime=Tagged())
-        result = session.answer(query, database, shards=2)
-        assert result.runtime["name"] == "tagged"
-        # ... and an explicit per-call runtime overrides the default.
-        override = session.answer(query, database, shards=2, runtime="inline")
-        assert override.runtime["name"] == "inline"
         # The plain single-query fast path bypasses dispatch entirely.
-        plain = session.answer(query, database)
-        assert plain.runtime is None
+        assert session.answer(query, database).runtime is None
 
     def test_batch_routes_through_runtime(self, wheel_instance):
         query, database = wheel_instance

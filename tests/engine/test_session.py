@@ -1,12 +1,13 @@
 """EngineSession: session-scoped plan caching, isomorphism dedup, batch
-execution (sequential and parallel), and the default-session machinery
-behind the module-level API."""
+execution (sequential and parallel), and the default session behind the
+module-level API."""
 
 import threading
 
 import pytest
 
 import repro.engine as engine_module
+import repro.engine.session as session_module
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq.query import Constant
 from repro.cq import generators as cqgen
@@ -18,8 +19,6 @@ from repro.engine import (
     answer_many,
     canonical_query_key,
     default_session,
-    isolated_session,
-    set_default_session,
 )
 
 
@@ -170,7 +169,7 @@ class TestPlanCache:
         session.clear_cache()
         assert len(session.plan_cache) == 0
         assert len(session.core_cache) == 0
-        assert session.cache_info()["size"] == 0
+        assert session.stats()["analysis_cache"]["size"] == 0
 
 
 class TestAnswerMany:
@@ -311,8 +310,8 @@ class TestAnswerMany:
 
 class TestAnalyzeThreadSafety:
     def test_analyze_serializes_on_the_session_lock(self, session):
-        # Regression: the inherited Engine.analyze mutated the analysis
-        # cache outside the session lock.  The override must hold it.
+        # Regression: analyze once mutated the analysis cache outside the
+        # session lock.
         query = cqgen.cycle_query(4)
 
         class TrackingLock:
@@ -335,11 +334,13 @@ class TestAnalyzeThreadSafety:
             session._lock = tracking.inner
         assert tracking.entries, "analyze() never took the session lock"
 
-    def test_concurrent_analyze_and_answer_many_stress(self, session):
+    def test_concurrent_analyze_and_answer_many_stress(self, monkeypatch):
         # Hammer one session from analysis threads and batch threads at
         # once: the tiny cache forces constant LRU eviction, so an
         # unsynchronized analyze would race the planner's cache mutations.
-        stress = EngineSession(cache_size=4)
+        monkeypatch.setattr(session_module, "ANALYSIS_CACHE_SIZE", 4)
+        stress = EngineSession()
+        assert stress.stats()["analysis_cache"]["maxsize"] == 4
         queries, database = workloads.mixed_batch(seed=5, copies=2, distinct=8)
         analysis_targets = [
             cqgen.cycle_query(n) for n in (4, 5, 6)
@@ -497,32 +498,18 @@ class TestShardedExecution:
 class TestDefaultSession:
     def test_module_api_delegates_to_default_session(self, cycle_instance):
         query, database = cycle_instance
-        with isolated_session() as session:
-            engine_module.answer(query, database)
-            assert session.cache_info()["misses"] == 1
-            assert default_session() is session
+        session = default_session()
+        before = session.stats()["plan_cache"]
+        engine_module.answer(query, database)
+        engine_module.count(query, database)
+        after = session.stats()["plan_cache"]
+        assert default_session() is session
+        assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
 
     def test_answer_many_module_level(self, cycle_instance):
         query, database = cycle_instance
-        with isolated_session() as session:
-            results = answer_many([query, query], database)
-            assert results[0].rows == results[1].rows
-            assert results[1].timings["dedup_of"] == 0
-            assert session.batches == 1
-
-    def test_isolated_session_restores_previous(self):
-        before = default_session()
-        with isolated_session():
-            assert default_session() is not before
-        assert default_session() is before
-
-    def test_set_default_session_roundtrip(self):
-        replacement = EngineSession()
-        previous = set_default_session(replacement)
-        try:
-            assert default_session() is replacement
-        finally:
-            set_default_session(previous)
-
-    def test_default_engine_alias_is_the_default_session(self):
-        assert engine_module.DEFAULT_ENGINE is default_session()
+        batches = default_session().batches
+        results = answer_many([query, query], database)
+        assert results[0].rows == results[1].rows
+        assert results[1].timings["dedup_of"] == 0
+        assert default_session().batches == batches + 1

@@ -10,6 +10,7 @@ from repro.service import (
     CodecError,
     database_from_json,
     database_to_json,
+    facts_from_json,
     query_from_json,
     query_to_json,
     result_to_json,
@@ -88,6 +89,24 @@ class TestDatabases:
     def test_malformed_databases_raise_codec_error(self, bad):
         with pytest.raises(CodecError):
             database_from_json(bad)
+
+    def test_facts_parse_to_row_tuples(self):
+        facts = facts_from_json({"R": [[1, "a"], [2, "b"]], "S": [[True]]})
+        assert facts == {"R": [(1, "a"), (2, "b")], "S": [(True,)]}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1,)], "rows of 'R' must be lists, got (1,)"),
+            ([[1], [1, 2]], "relation 'R' mixes arities 1 and 2"),
+            ([[{"nested": 1}]], "relation 'R' values must be JSON scalars, got dict"),
+        ],
+    )
+    def test_row_errors_read_the_same_for_databases_and_facts(self, rows, message):
+        for parse in (database_from_json, facts_from_json):
+            with pytest.raises(CodecError) as raised:
+                parse({"R": rows})
+            assert str(raised.value) == message
 
 
 class TestResults:

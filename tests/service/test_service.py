@@ -14,11 +14,15 @@ concurrent ``http.client`` connections:
   header;
 * **shutdown** — stopping a service that holds idle keep-alive connections
   closes them and waits for their handlers, leaving nothing for asyncio to
-  log.
+  log; stopping one under load drains the admitted work;
+* **client retries** — after a dropped connection the client repeats only
+  the reads.
 """
 
 import gc
+import http.client
 import logging
+import socket
 import sys
 import threading
 import time
@@ -434,3 +438,147 @@ class TestShutdown:
         logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
         assert logged == []
         assert [repr(item.exc_value) for item in unraisable] == []
+
+    def test_stop_under_load_drains_admitted_work(self, workload, caplog):
+        # Two requests run, two queue and two are shed when stop() lands.
+        # stop() must return promptly, every client must end with a
+        # response or a connection error, and admission must drain: nothing
+        # left in flight, every admitted request completed.  Every request
+        # reaches admission first: on Python 3.11 a connection that the
+        # listener accepts as it closes fails an assertion inside asyncio
+        # (``Server._attach``) and is never answered or closed.
+        _, database = workload
+        service = QueryService(
+            ServiceConfig(max_concurrent=2, max_queue=2, debug_hooks=True)
+        )
+        service.register_dataset("bench", database)
+        query = cqgen.chain_query(2)
+        outcomes = {}
+
+        def post(index, port):
+            try:
+                with ServiceClient("127.0.0.1", port, timeout=30) as client:
+                    client.count(query, dataset="bench", _sleep_ms=400)
+                outcomes[index] = 200
+            except ServiceError as exc:
+                outcomes[index] = exc.status
+            except (http.client.HTTPException, OSError) as exc:
+                outcomes[index] = type(exc).__name__
+
+        def arrived():
+            stats = service.admission.stats()
+            return stats["admitted"] + stats["queued"] + stats["shed"]
+
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        threads = []
+        try:
+            # Errors only: debug mode (``-X dev``) also warns about any
+            # loop step slower than 100 ms, which a busy host produces.
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                handle = serve_in_thread(service)
+                try:
+                    threads = [
+                        threading.Thread(target=post, args=(index, handle.port))
+                        for index in range(6)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    deadline = time.monotonic() + 10
+                    while arrived() < 6:
+                        assert time.monotonic() < deadline, "requests never arrived"
+                        time.sleep(0.005)
+                    assert service.admission.in_flight == 2
+                    started = time.monotonic()
+                    handle.stop()
+                    stop_seconds = time.monotonic() - started
+                finally:
+                    handle.stop()
+                    for thread in threads:
+                        thread.join(10)
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+        assert stop_seconds < 5.0
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == list(range(6))
+        stats = service.admission.stats()
+        assert stats["in_flight"] == 0
+        assert stats["admitted"] == stats["completed"]
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert logged == []
+        assert [repr(item.exc_value) for item in unraisable] == []
+
+
+class _DroppingServer:
+    """A socket that reads each request in full and closes the connection
+    without answering; ``requests`` holds every request line it read."""
+
+    def __init__(self) -> None:
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        # accept() wakes up every 50 ms to see whether close() was called.
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self.requests: list = []
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._closed.is_set():
+            try:
+                connection, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            connection.settimeout(10)
+            with connection:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = connection.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+                head, _, body = data.partition(b"\r\n\r\n")
+                lines = head.decode("latin-1").split("\r\n")
+                length = 0
+                for line in lines[1:]:
+                    name, _, value = line.partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                while len(body) < length:
+                    chunk = connection.recv(65536)
+                    if not chunk:
+                        break
+                    body += chunk
+                self.requests.append(lines[0].rsplit(" ", 1)[0])
+
+    def close(self) -> None:
+        self._closed.set()
+        self._thread.join(5)
+        self._listener.close()
+
+
+class TestClientRetry:
+    def test_only_reads_are_sent_again_after_a_dropped_connection(self):
+        # A poll advances its subscription's cursor, a subscribe registers
+        # a subscription and an append adds rows: repeating one whose
+        # response was lost would drop a delta or act twice.
+        query = cqgen.chain_query(2)
+        dropping = _DroppingServer()
+        try:
+            calls = [
+                (lambda c: c.poll("sub-1"), "GET /subscriptions/sub-1", 1),
+                (lambda c: c.subscribe(query, dataset="d"), "POST /subscriptions", 1),
+                (lambda c: c.unsubscribe("sub-1"), "DELETE /subscriptions/sub-1", 1),
+                (lambda c: c.add_facts("d", {"E": [[1, 2]]}), "POST /facts", 1),
+                (lambda c: c.count(query, dataset="d"), "POST /count", 2),
+            ]
+            for call, request_line, sends in calls:
+                dropping.requests.clear()
+                with ServiceClient("127.0.0.1", dropping.port, timeout=10) as client:
+                    with pytest.raises((http.client.HTTPException, OSError)):
+                        call(client)
+                assert dropping.requests == [request_line] * sends
+        finally:
+            dropping.close()

@@ -251,11 +251,25 @@ class TestSubscriptions:
                 client.subscribe(query, dataset="missing")
             assert err.value.status == 404
             with pytest.raises(ServiceError) as err:
-                client.subscribe(query, dataset="graph", threshold=2.0)
+                client.subscribe(query, dataset=7)
             assert err.value.status == 400
             with pytest.raises(ServiceError) as err:
                 client.poll("no-such-id")
             assert err.value.status == 404
+
+    def test_a_full_registry_answers_503(self, server):
+        server.service.subscriptions.max_subscriptions = 1
+        query = _path_query()
+        with _client(server) as client:
+            first = client.subscribe(query, dataset="graph")
+            with pytest.raises(ServiceError) as err:
+                client.subscribe(query, dataset="graph")
+            assert err.value.status == 503
+            assert "limit of 1" in str(err.value)
+            client.add_facts("graph", {"E": [[300, 301], [301, 302]]})
+            poll = client.poll(first["subscription"])
+            assert poll["delta"] == [[300, 301, 302]]
+            assert client.stats()["subscriptions"]["active"] == 1
 
     def test_stats_report_subscriptions(self, server):
         query = _path_query()

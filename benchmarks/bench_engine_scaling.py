@@ -60,8 +60,9 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   ``shipment_bytes``, owner-routing counters) so the baseline pins down
   how many bytes a cold start ships and that the warm path ships zero.
 * ``shipping_bytes`` — the wire-format acceptance numbers: for each
-  sharded-scale database, the pickled size of the compact columnar
-  :class:`DatabaseWire` next to the pickled size of the tuple-set
+  sharded-scale database, the pickled size of its full copy (the
+  :class:`~repro.cq.columnar.DatabaseDelta` from version zero,
+  ``Database.to_wire()``) next to the pickled size of the tuple-set
   ``Database`` it replaces.  The gate fails if the wire form ever stops
   being smaller or grows past 2x its recorded size.
 * ``skewed_answer`` — the skew-ordering acceptance numbers: the hot-pair
@@ -525,7 +526,7 @@ def bench_affinity_sharded() -> list[dict]:
     """Owner-routed residency: warm serving cost plus the shipping ledger.
 
     The cold first call partitions, assigns owners, and push-ships every
-    shard as compact wire bytes; the timed runs are the warm steady state,
+    shard's full copy; the timed runs are the warm steady state,
     where each worker already holds its shards and the coordinator sends
     token-only tasks.  The runtime's own counters are recorded so the
     baseline documents the cold shipping cost (``shipment_bytes``) and
@@ -574,8 +575,8 @@ def bench_affinity_sharded() -> list[dict]:
 def bench_shipping_bytes() -> list[dict]:
     """Wire-format sizes: what a shard shipment costs on the wire.
 
-    No timings — the point records the pickled size of the compact
-    columnar wire form next to the pickled tuple-set ``Database``, on the
+    No timings — the point records the pickled size of the full copy
+    (``Database.to_wire()``) next to the pickled tuple-set ``Database``, on the
     same databases the sharded benchmarks evaluate.  Deterministic, so the
     gate can hold the ratio rather than skip the family as noise.
     """

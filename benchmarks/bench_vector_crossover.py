@@ -150,7 +150,9 @@ def _dense_sweep() -> None:
         for ratio in SWEEP_RATIOS:
             domain = ratio * rows
             rng = np.random.default_rng(domain)
-            interner = ValueInterner.from_values(range(domain))
+            interner = ValueInterner()
+            for value in range(domain):
+                interner.intern(value)
             base = len(interner)
 
             def relation(column):

@@ -75,8 +75,11 @@ The engine dispatches the decomposition strategies here through
 caching live at the :class:`~repro.cq.database.Database` layer
 (``Database.columnar_view``) behind the relations' version seam: appends
 through the storage API are interned onto the id tables instead of
-invalidating anything, and :class:`DatabaseDelta` ships only the appended
-rows to workers that already hold a piece resident.
+invalidating anything.  One shipment form crosses to process workers:
+:class:`DatabaseDelta`, the rows appended after a base version as id
+columns over one dictionary, whose delta from version zero is a full copy;
+applying it interns the dictionary once and extends the receiver's id
+tables, so the copy never re-interns a stored row.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from repro.cq.bags import (
     atoms_by_scope,
     root_tree,
 )
+from repro.cq.database import Relation
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.relational import NamedRelation, atom_shape, natural_join_all
 from repro.cq.yannakakis import JoinTree, yannakakis_boolean, yannakakis_full
@@ -121,6 +125,10 @@ _VECTOR_MIN_ROWS = 512
 #: and 20k rows every dense operator wins up to 4 slots per row, and the
 #: join stops winning at 8.
 _DENSE_FACTOR = 4
+
+#: Atom patterns whose resident snapshots one :class:`ColumnarStore` keeps,
+#: least recently used evicted first.
+VIEW_CACHE_SIZE = 256
 
 #: The largest int64; packed keys and count weights above it would wrap.
 _INT64_MAX = (1 << 63) - 1
@@ -221,19 +229,6 @@ class ValueInterner:
     def id_of(self, value: Hashable) -> int | None:
         """The id of an already-interned value, ``None`` if never seen."""
         return self._ids.get(value)
-
-    @classmethod
-    def from_values(cls, values) -> "ValueInterner":
-        """Rebuild an interner from a decode table (wire payloads ship the
-        table; ids are the indices).  The table must be duplicate-free under
-        Python equality — which :func:`encode_database` guarantees, since it
-        produced the table by interning."""
-        interner = cls()
-        for value in values:
-            interner.intern(value)
-        if len(interner) != len(values):
-            raise ValueError("wire dictionary contains equal values")
-        return interner
 
     def __len__(self) -> int:
         return len(self.values)
@@ -888,11 +883,9 @@ class _IdTable:
 
     __slots__ = ("buffers", "length")
 
-    def __init__(self, width: int, data=(), length: int = 0) -> None:
-        self.buffers = tuple(np.array(vector, dtype=np.int64) for vector in data)
-        if not self.buffers:
-            self.buffers = tuple(np.empty(0, dtype=np.int64) for _ in range(width))
-        self.length = length
+    def __init__(self, width: int) -> None:
+        self.buffers = tuple(np.empty(0, dtype=np.int64) for _ in range(width))
+        self.length = 0
 
     def append(self, data: tuple, added: int) -> None:
         """Append ``added`` rows: one id vector per column."""
@@ -934,8 +927,8 @@ class ColumnarStore:
 
     **Id tables.**  Each relation's stored rows are interned exactly once,
     in log order, under the store's lock, into one append-only
-    :class:`_IdTable` per relation.  A wire decode adopts its id columns as
-    the tables (:meth:`adopt_table`).
+    :class:`_IdTable` per relation.  :meth:`DatabaseDelta.apply` extends
+    them with a shipment's id columns, interning its dictionary once.
 
     **Snapshots.**  :meth:`view` serves an atom as an immutable
     :class:`ColumnarRelation` over its relation at the version it reads:
@@ -958,18 +951,19 @@ class ColumnarStore:
     **Deltas.**  :meth:`delta` is the semi-naive refresh's delta side: the
     table rows between two versions, through the same id-level selection.
 
-    The view cache is a bounded :class:`~repro.engine.analysis.LRUCache`
-    whose hit/miss counters :meth:`info` reports.  The store is derived
-    data: ``Database.__getstate__`` drops it.
+    The view cache is a :class:`~repro.engine.analysis.LRUCache` of
+    :data:`VIEW_CACHE_SIZE` atom patterns whose hit/miss counters
+    :meth:`info` reports.  The store is derived data:
+    ``Database.__getstate__`` drops it.
     """
 
-    def __init__(self, maxsize: int = 256, interner: ValueInterner | None = None) -> None:
+    def __init__(self) -> None:
         # Imported lazily: repro.engine depends on repro.cq, not vice versa;
         # by the time a store exists the engine package is importable.
         from repro.engine.analysis import LRUCache
 
-        self.interner = interner if interner is not None else ValueInterner()
-        self.views = LRUCache(maxsize)
+        self.interner = ValueInterner()
+        self.views = LRUCache(VIEW_CACHE_SIZE)
         self._lock = threading.Lock()
         #: Number of times a cached view advanced to a new version instead
         #: of being built (coverage guard for the incremental differential
@@ -977,12 +971,6 @@ class ColumnarStore:
         self.extensions = 0
         #: relation name -> :class:`_IdTable`.
         self._tables: dict = {}
-
-    def adopt_table(self, name: str, data, length: int) -> None:
-        """Adopt pre-interned id columns (one per argument position, over
-        *this store's* interner) as the id table of the relation ``name``
-        at version ``length`` (the wire decode path)."""
-        self._tables[name] = _IdTable(len(data), data, length)
 
     def _table(self, relation, version: int) -> _IdTable:
         """The relation's id table, caught up to at least ``version`` by
@@ -1084,72 +1072,12 @@ class ColumnarStore:
 
 
 # ----------------------------------------------------------------------
-# Compact wire format (what the process runtime ships to workers)
+# Shipping: a database copy as the rows appended after a base version
 # ----------------------------------------------------------------------
-class DatabaseWire:
-    """A database encoded for shipping: id columns + one shared dictionary.
-
-    Pickling a tuple-set :class:`~repro.cq.database.Database` pays the
-    per-object price on every cell — each value serialises at every
-    occurrence, wrapped in a tuple per row inside a set per relation.  The
-    wire form stores each **distinct** value once (``dictionary``, the
-    interner's decode table) and each relation as parallel id columns in the
-    narrowest unsigned ``array`` typecode that holds the dictionary (one,
-    two, four or eight bytes per cell), which pickle as flat byte buffers.
-    The receiving side
-    rebuilds the interner from the dictionary (ids are list indices, so the
-    bijection survives the trip) and adopts the columns as the id tables of
-    a warm :class:`ColumnarStore` — the first query over a shipped piece
-    never re-scans or re-interns the stored tuples.
-    """
-
-    __slots__ = ("relations", "dictionary")
-
-    def __init__(self, relations: dict, dictionary: list) -> None:
-        #: relation name -> (arity, tuple of id-column arrays, rows).
-        self.relations = relations
-        #: id -> value decode table (duplicate-free; produced by interning).
-        self.dictionary = dictionary
-
-    def __repr__(self) -> str:
-        return (
-            f"DatabaseWire(relations={len(self.relations)}, "
-            f"dictionary={len(self.dictionary)})"
-        )
-
-    def decode(self):
-        """Rebuild a :class:`~repro.cq.database.Database` with a warm
-        columnar store: tuple sets decode through the dictionary (one list
-        comprehension per column), and the id columns are adopted as the
-        store's id tables, so columnar views build by id-level selection."""
-        from repro.cq.database import Database, Relation
-
-        interner = ValueInterner.from_values(self.dictionary)
-        values = interner.values
-        database = Database()
-        store = ColumnarStore(interner=interner)
-        for name in sorted(self.relations):
-            arity, data, length = self.relations[name]
-            if arity == 0:
-                rows = [()] if length else []
-            elif length:
-                decoded = [[values[ident] for ident in column] for column in data]
-                rows = list(zip(*decoded))
-            else:
-                rows = []
-            # _trusted keeps the version seam coherent: the decoded relation
-            # reports version == row count, matching a relation grown row by
-            # row, so delta shipping can resume from the decoded state.
-            database.add_relation(Relation._trusted(name, arity, rows))
-            store.adopt_table(name, data, length)
-        database.attach_columnar_store(store)
-        return database
-
-
 def _id_typecode(dictionary_size: int) -> str:
     """The narrowest unsigned ``array`` typecode holding every id
-    ``0 <= id < dictionary_size`` — the wire spends 1/2/4/8 bytes per cell
-    instead of pickling each value occurrence."""
+    ``0 <= id < dictionary_size`` — a shipment spends 1/2/4/8 bytes per
+    cell instead of pickling each value occurrence."""
     if dictionary_size <= 1 << 8:
         return "B"
     if dictionary_size <= 1 << 16:
@@ -1159,138 +1087,123 @@ def _id_typecode(dictionary_size: int) -> str:
     return "Q"
 
 
-def encode_database(database) -> DatabaseWire:
-    """Encode ``database`` into a :class:`DatabaseWire`.
-
-    Interns column-wise over one fresh dictionary shared by every relation
-    (relation names in sorted order, so equal databases encode identically),
-    then packs the id columns in the narrowest typecode the final dictionary
-    size allows.  The source database's own columnar store — if any — is
-    deliberately not reused: its dictionary may contain values interned for
-    *other* relations or constants, and the wire should carry exactly the
-    active domain.
-    """
-    interner = ValueInterner()
-    intern = interner.intern
-    staged: dict = {}
-    for name in sorted(database.relations):
-        relation = database.relations[name]
-        rows = list(relation)  # the version-cached sorted order
-        if relation.arity and rows:
-            columns = tuple(
-                [intern(value) for value in column] for column in zip(*rows)
-            )
-        else:
-            columns = tuple(() for _ in range(relation.arity))
-        staged[name] = (relation.arity, columns, len(rows))
-    typecode = _id_typecode(len(interner))
-    relations = {
-        name: (arity, tuple(array(typecode, column) for column in columns), rows)
-        for name, (arity, columns, rows) in staged.items()
-    }
-    return DatabaseWire(relations, interner.values)
-
-
 class DeltaMismatchError(ValueError):
-    """A :class:`DatabaseDelta` was applied to a database whose versions do
-    not match the delta's base — the receiver is missing rows the sender
-    assumed resident.  Callers fall back to shipping the full wire form."""
+    """A :class:`DatabaseDelta` met a receiver that does not hold every
+    relation at the delta's base version.  Nothing was appended; the sender
+    ships the delta from version zero instead."""
 
 
 class DatabaseDelta:
-    """The delta form of :class:`DatabaseWire`: only the rows appended after
-    a base version, with their own mini-dictionary.
+    """A database shipment: the rows each relation appended after a base
+    version, as id columns over one dictionary.
 
-    An appended shard ships to the worker that already holds it resident as
-    just the ``delta_since`` rows of each grown relation, encoded exactly
-    like the full wire (id columns over a dictionary holding only the values
-    the delta touches).  Each relation carries the base version the delta
-    starts from; :meth:`apply` refuses (``DeltaMismatchError``) when the
-    resident copy is not at that version, so a desynchronised worker falls
-    back to a full ship instead of silently diverging.
+    ``base`` is the whole base map the sender assumed (relation name ->
+    version; a name it lacks is at version 0), so the delta from ``{}`` is
+    a full copy (:meth:`~repro.cq.database.Database.to_wire`) and a later
+    shipment to a resident copy carries only the rows it lacks.  Pickling a
+    tuple-set database pays the per-object price on every cell; a delta
+    stores each distinct value once (``dictionary``) and each relation's
+    rows, in log order, as parallel id columns in the narrowest unsigned
+    ``array`` typecode that holds the dictionary (one, two, four or eight
+    bytes per cell), which pickle as flat byte buffers.
     """
 
-    __slots__ = ("relations", "dictionary")
+    __slots__ = ("base", "relations", "dictionary")
 
-    def __init__(self, relations: dict, dictionary: list) -> None:
-        #: name -> (arity, tuple of id-column arrays, rows, base_version).
+    def __init__(self, base: dict, relations: dict, dictionary: list) -> None:
+        #: relation name -> the version the receiver must hold it at.
+        self.base = base
+        #: relation name -> (arity, tuple of id-column arrays, rows), for
+        #: every relation that grew past its base or that the base lacks.
         self.relations = relations
-        #: id -> value decode table for the delta rows only.
+        #: id -> value decode table, duplicate-free (built by interning).
         self.dictionary = dictionary
 
     def __repr__(self) -> str:
         rows = sum(entry[2] for entry in self.relations.values())
         return (
-            f"DatabaseDelta(relations={len(self.relations)}, rows={rows}, "
+            f"DatabaseDelta(base={len(self.base)}, "
+            f"relations={len(self.relations)}, rows={rows}, "
             f"dictionary={len(self.dictionary)})"
         )
 
-    def apply(self, database) -> int:
-        """Append the delta rows to ``database`` through the versioned
-        storage API (so every resident cache layer extends in place on its
-        next use).  Returns the number of rows appended."""
-        values = self.dictionary
-        applied = 0
-        for name in sorted(self.relations):
-            arity, data, length, base_version = self.relations[name]
-            if database.has_relation(name):
-                relation = database.relation(name)
-            else:
-                from repro.cq.database import Relation
+    def versions(self) -> dict:
+        """The relation versions a receiver holds once :meth:`apply` has
+        run: the base map, advanced by each relation's shipped rows."""
+        versions = dict(self.base)
+        for name, (_, _, rows) in self.relations.items():
+            versions[name] = self.base.get(name, 0) + rows
+        return versions
 
-                relation = Relation(name, arity)
-                database.add_relation(relation)
-            if relation.version != base_version:
+    def apply(self, database):
+        """Append the delta to ``database`` and return it.
+
+        Raises :class:`DeltaMismatchError`, before appending anything, when
+        ``database`` does not hold every relation at its base version (0
+        for a relation it lacks).  The rows go through the versioned storage
+        API; their id columns, remapped by interning the dictionary once
+        into the database's columnar store, extend the relations' id
+        tables, so the copy's next atom view interns nothing."""
+        relations = database.relations
+        for name in self.base.keys() | self.relations.keys():
+            held = relations[name].version if name in relations else 0
+            if held != self.base.get(name, 0):
                 raise DeltaMismatchError(
-                    f"relation {name!r} is at version {relation.version}, "
-                    f"delta starts at {base_version}"
+                    f"relation {name!r} is at version {held}, "
+                    f"the delta starts at {self.base.get(name, 0)}"
                 )
-            if arity == 0:
-                rows = [()] if length else []
-            else:
+        values = self.dictionary
+        store = database.columnar_store()
+        with store._lock:
+            ids = np.fromiter(
+                map(store.interner.intern, values), np.int64, len(values)
+            )
+            for name, (arity, data, length) in self.relations.items():
+                if name not in relations:
+                    database.add_relation(Relation(name, arity))
+                relation = relations[name]
+                base = relation.version
+                table = store._table(relation, base)
                 decoded = [[values[ident] for ident in column] for column in data]
-                rows = list(zip(*decoded))
-            for row in rows:
-                relation.add(row)
-            applied += length
-        return applied
+                for row in zip(*decoded) if arity else [()] * length:
+                    relation.add(row)
+                # A receiver whose rows differ from the sender's at the same
+                # version may drop a row as a duplicate; its table then
+                # catches up from the log instead.
+                if relation.version == base + length:
+                    table.append(
+                        tuple(ids[np.asarray(column)] for column in data), length
+                    )
+        return database
 
 
 def encode_delta(database, since: dict) -> DatabaseDelta:
-    """Encode the rows of ``database`` appended after ``since`` (a relation
-    name -> version map, e.g. the versions a worker's resident copy was last
-    synced at) into a :class:`DatabaseDelta`.
+    """Encode the rows of ``database`` appended after the versions in
+    ``since`` (relation name -> version, e.g. what a worker's resident copy
+    was last synced to) into a :class:`DatabaseDelta`.
 
-    Relations absent from ``since`` are encoded from version 0 (the receiver
-    creates them).  Relations with no new rows are omitted entirely.
+    A relation absent from ``since`` ships whole, even when empty (the
+    receiver creates it); one with no rows past its base ships only its
+    base version.  ``encode_delta(database, {})`` is a full copy.
     """
     interner = ValueInterner()
     intern = interner.intern
     staged: dict = {}
-    for name in sorted(database.relations):
-        relation = database.relations[name]
-        base_version = since.get(name, 0)
-        rows = relation.delta_since(base_version)
-        if not rows:
-            continue
-        if relation.arity:
-            columns = tuple(
-                [intern(value) for value in column] for column in zip(*rows)
+    for name, relation in database.relations.items():
+        rows = relation.delta_since(since.get(name, 0))
+        if rows or name not in since:
+            columns = list(zip(*rows)) or [()] * relation.arity
+            staged[name] = (
+                relation.arity,
+                [[intern(value) for value in column] for column in columns],
+                len(rows),
             )
-        else:
-            columns = ()
-        staged[name] = (relation.arity, columns, len(rows), base_version)
     typecode = _id_typecode(len(interner))
     relations = {
-        name: (
-            arity,
-            tuple(array(typecode, column) for column in columns),
-            rows,
-            base_version,
-        )
-        for name, (arity, columns, rows, base_version) in staged.items()
+        name: (arity, tuple(array(typecode, column) for column in columns), rows)
+        for name, (arity, columns, rows) in staged.items()
     }
-    return DatabaseDelta(relations, interner.values)
+    return DatabaseDelta(dict(since), relations, interner.values)
 
 
 # ----------------------------------------------------------------------

@@ -179,7 +179,7 @@ class Relation:
     @classmethod
     def _trusted(cls, name: str, arity: int, rows: Iterable[tuple]) -> "Relation":
         """Bulk-load pre-validated, distinct tuples without per-row checks
-        (partitioning, wire decode, copies).  Version state is coherent: the
+        (partitioning, copies).  Version state is coherent: the
         log holds every row, so ``delta_since`` and the version counter
         behave exactly as if the rows had been appended one by one."""
         relation = cls.__new__(cls)
@@ -322,33 +322,23 @@ class Database:
         """Drop the columnar store (views *and* interned dictionary)."""
         self._columnar = None
 
-    def attach_columnar_store(self, store) -> "Database":
-        """Adopt a pre-built :class:`~repro.cq.columnar.ColumnarStore` as
-        this database's columnar cache (the wire-decode path); returns
-        ``self``.  The caller owns the invariant that the store's id tables
-        describe this database's relations."""
-        self._columnar = store
-        return self
-
     # ------------------------------------------------------------------
     def to_wire(self):
-        """Encode into the compact :class:`~repro.cq.columnar.DatabaseWire`
-        form (interned-id columns + one shared dictionary) — what the
-        process runtime ships instead of pickling the tuple sets."""
-        from repro.cq.columnar import encode_database
+        """This database as one shipment: the
+        :class:`~repro.cq.columnar.DatabaseDelta` from version zero, what
+        the process runtime ships instead of pickling the tuple sets."""
+        from repro.cq.columnar import encode_delta
 
-        return encode_database(self)
+        return encode_delta(self, {})
 
     @staticmethod
     def from_wire(wire) -> "Database":
-        """Decode a :class:`~repro.cq.columnar.DatabaseWire` back into a
-        database with a warm columnar store."""
-        return wire.decode()
+        """A new database holding a shipment, with its id tables built."""
+        return wire.apply(Database())
 
     def __getstate__(self) -> dict:
-        # Shards ship as raw tuples: the columnar store is derived data that
-        # the receiving worker rebuilds against its own access pattern (each
-        # worker interns into its own dictionary).
+        # A pickle carries the relations only: the columnar store is derived
+        # data, which the receiving process rebuilds over its own dictionary.
         state = self.__dict__.copy()
         state["_columnar"] = None
         return state

@@ -105,7 +105,7 @@ class LRUCache:
     a duplicated pure computation, never corruption.)
     """
 
-    def __init__(self, maxsize: int = 256) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"{type(self).__name__} needs maxsize >= 1")
         self.maxsize = maxsize

@@ -41,9 +41,11 @@ still exact after later refreshes — instead of a copy of the answer set.
 When the delta is a large fraction of the stored data (more than
 :data:`DEFAULT_REFRESH_THRESHOLD`), re-joining delta against full views
 stops being cheaper than a fresh evaluation, so :meth:`refresh` falls back
-to one exact full recompute through the owning session.  The
-decision is recorded in the returned plan's rationale and in
-``EvalResult.timings["incremental"]``.
+to one exact full recompute through the owning session.  A view's first
+refresh is that full recompute from version zero, reported as mode
+``initial``; the view adopts the session's fresh answer set instead of
+copying it.  The decision is recorded in the returned plan's rationale and
+in ``EvalResult.timings["incremental"]``.
 """
 
 from __future__ import annotations
@@ -157,8 +159,9 @@ class IncrementalView:
         }
         self.refreshes = 0
         self.refresh_modes: dict = {}
+        #: The plan of the last full evaluation; ``None`` until the first
+        #: refresh, which is the full refresh from version zero.
         self._plan = None
-        self._initialized = False
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -181,14 +184,15 @@ class IncrementalView:
         module docstring for the semi-naive rule and the fallback ladder."""
         with self._lock:
             started = time.perf_counter()
-            if not self._initialized:
-                return self._initial(started)
+            # Captured *before* evaluating: an append racing the evaluation
+            # may or may not be reflected in the rows, and folding it again
+            # on the next refresh is harmless (the union dedups).
             current = self._current_versions()
-            if current == self.versions:
+            if self._plan is not None and current == self.versions:
                 return self._result(MODE_NOOP, 0, 0.0, 0, started)
             delta_rows, total_rows = self._delta_size(current)
             fraction = (delta_rows / total_rows) if total_rows else 1.0
-            if fraction > DEFAULT_REFRESH_THRESHOLD:
+            if self._plan is None or fraction > DEFAULT_REFRESH_THRESHOLD:
                 return self._full(current, delta_rows, fraction, started)
             return self._incremental(current, delta_rows, fraction, started)
 
@@ -214,49 +218,27 @@ class IncrementalView:
         return delta, total
 
     # ------------------------------------------------------------------
-    def _initial(self, started: float) -> EvalResult:
-        # Capture versions *before* evaluating: an append racing the
-        # evaluation may or may not be reflected in the rows, and folding
-        # it again on the next refresh is harmless (the union dedups).
-        current = self._current_versions()
-        result = self.session.answer(self.query, self.database)
-        # The session's answer set is a fresh set: adopt it, do not copy it.
-        self.rows = result.rows
-        self._log.extend(self.rows)
-        self.versions = current
-        self._plan = result.plan
-        self._initialized = True
-        self._record(MODE_INITIAL)
-        elapsed = time.perf_counter() - started
-        result.plan = result.plan.with_note("incremental view: initial full evaluation")
-        result.rows = self._snapshot()
-        result.timings["incremental"] = {
-            "mode": MODE_INITIAL,
-            "delta_rows": sum(
-                len(self.database.relation(n).tuples)
-                for n in self.versions
-                if self.database.has_relation(n)
-            ),
-            "delta_fraction": 1.0,
-            "new_answers": len(self.rows),
-            "refresh_seconds": elapsed,
-        }
-        return result
-
     def _full(self, current, delta_rows, fraction, started) -> EvalResult:
+        """One exact evaluation through the session: the first refresh
+        (mode ``initial``, from version zero) or a delta past the
+        threshold (mode ``full``)."""
+        if self._plan is None:
+            mode, note = MODE_INITIAL, "initial full evaluation"
+        else:
+            mode, note = MODE_FULL, (
+                f"delta fraction {fraction:.2f} > threshold "
+                f"{DEFAULT_REFRESH_THRESHOLD:.2f}, full recompute"
+            )
         result = self.session.answer(self.query, self.database)
         new_answers = self._absorb(result.rows)
         self.versions = current
         self._plan = result.plan
-        self._record(MODE_FULL)
+        self._record(mode)
         elapsed = time.perf_counter() - started
-        result.plan = result.plan.with_note(
-            f"incremental view: delta fraction {fraction:.2f} > "
-            f"threshold {DEFAULT_REFRESH_THRESHOLD:.2f}, full recompute"
-        )
+        result.plan = result.plan.with_note(f"incremental view: {note}")
         result.rows = self._snapshot()
         result.timings["incremental"] = {
-            "mode": MODE_FULL,
+            "mode": mode,
             "delta_rows": delta_rows,
             "delta_fraction": fraction,
             "new_answers": new_answers,
@@ -295,10 +277,14 @@ class IncrementalView:
 
     def _absorb(self, answers: set) -> int:
         """Extend the log and the live set by the answers in ``answers``
-        not held yet; returns how many there were."""
-        new = answers - self.rows
+        not held yet; returns how many there were.  ``answers`` is a fresh
+        set, so a view holding none adopts it instead of copying it."""
+        if self.rows:
+            new = answers - self.rows
+            self.rows |= new
+        else:
+            new = self.rows = answers
         self._log.extend(new)
-        self.rows |= new
         return len(new)
 
     def _snapshot(self) -> AnswerSnapshot:

@@ -54,19 +54,16 @@ Serialization contract (what crosses the process boundary):
   planner cannot reproduce (hand-built plans for a strategy the planner
   does not know) are rejected by the worker rather than silently
   re-routed.
-* **data** ships as the compact columnar wire form: ``payload`` is either
-  ``None`` (steady state), ``("full", bytes)`` — a pre-pickled
-  :class:`~repro.cq.columnar.DatabaseWire` (interned-id columns + one
-  shared value dictionary — see
-  :func:`repro.cq.columnar.encode_database`), which the worker decodes
-  straight into a database with a **warm**
-  :class:`~repro.cq.columnar.ColumnarStore` — or ``("delta", bytes)`` — a
-  pickled :class:`~repro.cq.columnar.DatabaseDelta` carrying only the
-  rows appended since the worker's copy was last synced, which the worker
-  applies to its resident piece through the versioned storage API (so the
-  piece's caches extend in place).  The coordinator pickles the payloads
-  itself, so ``shipment_bytes`` / ``delta_bytes`` account the exact cost
-  and replicas reuse one encoding.
+* **data** ships as one form: ``payload`` is ``None`` (steady state) or
+  the pickled :class:`~repro.cq.columnar.DatabaseDelta` of the rows the
+  worker's copy lacks (interned-id columns over one value dictionary, plus
+  the base versions the copy must hold).  The delta from ``{}`` is the
+  full copy.  The worker applies it to its resident piece, or to a new
+  database when it holds none, through the versioned storage API, and
+  extends the piece's id tables with the shipped id columns, so its first
+  query never re-interns a stored row.  The coordinator pickles each
+  payload once per call, so ``shipment_bytes`` / ``delta_bytes`` account
+  the exact cost and replicas reuse one encoding.
 * **results** return as ``(value, seconds, pid)`` — the answer payload
   (rows / bool / count), the worker-side execution time, and the worker
   identity for the ``timings["runtime"]`` record.
@@ -272,11 +269,12 @@ _WORKER_RESIDENT_CAP = 256
 _REPLY_OK = "ok"
 _REPLY_NEED_DATA = "need-data"
 
-#: Payload kinds a task message can carry: ``None`` (token only), a full
-#: :class:`~repro.cq.columnar.DatabaseWire`, or a
-#: :class:`~repro.cq.columnar.DatabaseDelta` of just the appended rows.
-_SHIP_FULL = "full"
-_SHIP_DELTA = "delta"
+#: Coordinator-side bound on the pieces one :class:`ProcessRuntime` tracks
+#: as resident, dropped least-recently-used with their residency records.
+#: It must comfortably exceed ``concurrent datasets x shards``: a sharded
+#: call whose pieces overflow it re-mints tokens and re-ships every piece
+#: on every call.  256 covers every engine workload.
+MAX_DATASETS = 256
 
 
 def _worker_session():
@@ -293,43 +291,30 @@ def _worker_session():
 def _worker_execute(message: tuple) -> tuple:
     """Run one task message inside a pool worker (module-level: must pickle).
 
-    ``payload`` is either ``None`` (steady state: the token names a piece
-    this worker already holds) or the pickled
-    :class:`~repro.cq.columnar.DatabaseWire` bytes to decode and adopt.
-    Returns ``(_REPLY_OK, value, seconds, pid)`` or — when the message named
-    a dataset this worker does not hold and carried no payload —
-    ``(_REPLY_NEED_DATA, token, pid)`` so the coordinator can re-ship to
-    this worker (the recovery path: residency was lost to a restart or the
-    worker-side cache bound).
+    ``payload`` is ``None`` (steady state: the token names a piece this
+    worker holds) or pickled :class:`~repro.cq.columnar.DatabaseDelta`
+    bytes, applied to the resident piece or, when the worker holds none,
+    to a new :class:`~repro.cq.database.Database`.  Returns ``(_REPLY_OK,
+    value, seconds, pid)``, or ``(_REPLY_NEED_DATA, token, pid)`` when the
+    delta does not fit the copy (which is dropped rather than left to
+    diverge) or there is nothing to run on, so the coordinator ships the
+    full copy (the recovery path: residency was lost to a restart, the
+    worker-side cache bound or a desync).
     """
     token, payload, task, query, use_core, force_strategy = message
-    database = _WORKER_RESIDENT.get(token)
-    if database is None:
-        if payload is None or payload[0] != _SHIP_FULL:
-            # Nothing resident and no full payload: a bare token or a delta
-            # cannot (re)build the piece — ask the coordinator to ship.
+    database = _WORKER_RESIDENT.pop(token, None)
+    if payload is not None:
+        try:
+            database = pickle.loads(payload).apply(
+                Database() if database is None else database
+            )
+        except DeltaMismatchError:
             return (_REPLY_NEED_DATA, token, os.getpid())
-        database = pickle.loads(payload[1]).decode()
-        _WORKER_RESIDENT[token] = database
-        while len(_WORKER_RESIDENT) > _WORKER_RESIDENT_CAP:
-            _WORKER_RESIDENT.popitem(last=False)
-    else:
-        _WORKER_RESIDENT.move_to_end(token)
-        if payload is not None:
-            if payload[0] == _SHIP_FULL:
-                # The coordinator chose a full re-ship (e.g. recovery after
-                # a need-data reply): replace the resident piece outright.
-                database = pickle.loads(payload[1]).decode()
-                _WORKER_RESIDENT[token] = database
-            else:
-                delta = pickle.loads(payload[1])
-                try:
-                    delta.apply(database)
-                except DeltaMismatchError:
-                    # The resident copy is not at the delta's base version —
-                    # drop it and ask for a full ship rather than diverge.
-                    del _WORKER_RESIDENT[token]
-                    return (_REPLY_NEED_DATA, token, os.getpid())
+    if database is None:
+        return (_REPLY_NEED_DATA, token, os.getpid())
+    _WORKER_RESIDENT[token] = database
+    while len(_WORKER_RESIDENT) > _WORKER_RESIDENT_CAP:
+        _WORKER_RESIDENT.popitem(last=False)
     session = _worker_session()
     started = time.perf_counter()
     plan = session.plan(query, use_core=use_core, force_strategy=force_strategy)
@@ -347,8 +332,8 @@ class _WorkerSlot:
     the piece was last synced to on that worker (marked at submit time —
     submissions to one slot execute FIFO, so a later token-only task can
     never overtake the shipment in front of it).  A database whose versions
-    moved past the recorded map ships only a
-    :class:`~repro.cq.columnar.DatabaseDelta` of the appended rows.
+    moved past the recorded map ships the
+    :class:`~repro.cq.columnar.DatabaseDelta` from them.
     ``generation`` makes recovery idempotent: every future remembers the
     generation it was submitted against, and only the first failure
     observer actually replaces the slot.
@@ -373,30 +358,23 @@ class ProcessRuntime(ExecutionRuntime):
         degenerates to one worker, which measured no faster than inline.
         Workers start by ``fork`` where the platform offers it (fast
         startup, inherits loaded modules), by ``spawn`` elsewhere.
-    max_datasets:
-        Coordinator-side bound on tracked resident *pieces*, dropped
-        least-recently-used together with their residency records.  Must
-        comfortably exceed ``concurrent datasets x shards`` — a sharded
-        call whose pieces overflow the bound re-mints tokens every call
-        and re-ships every piece, silently losing the steady state this
-        runtime exists for.  The default (256) covers every engine
-        workload; raise it for wider fan-outs.
 
     Dataset identity: a piece is resident under a token minted for the
     database *object* (checked by identity through a weakref).  Growth
     through the versioned storage API (``add_fact`` / ``Relation.add`` —
     the only mutators; there is no removal API) keeps the token: the
     coordinator records the relation versions each worker's copy was last
-    synced to, and a grown piece ships a
+    synced to, and a grown piece ships the
     :class:`~repro.cq.columnar.DatabaseDelta` of just its appended rows to
-    the owning worker instead of re-shipping the piece (counted by
-    ``delta_shipments`` / ``delta_bytes`` in the ledger).  A worker whose
-    resident copy cannot accept a delta (it desynced, restarted, or aged
-    the piece out) answers need-data and gets a full re-ship.  Callers
+    the owning worker instead of the delta from ``{}``, the full copy
+    (counted by ``delta_shipments`` / ``delta_bytes``, full copies by
+    ``shipments`` / ``shipment_bytes``).  A worker whose resident copy
+    cannot accept a delta (it desynced, restarted, or aged the piece out)
+    answers need-data and gets a full copy.  Callers
     mutating ``Relation.tuples`` directly are off-API and on their own.
 
     The token map holds each served database through a **weak** reference:
-    a long-lived runtime must not keep up to ``max_datasets`` large
+    a long-lived runtime must not keep up to :data:`MAX_DATASETS` large
     databases alive after every caller dropped them (the map used to pin
     them, a real leak for a serving process cycling tenants).  The id-reuse
     hazard that pinning papered over is guarded explicitly instead: a
@@ -409,8 +387,8 @@ class ProcessRuntime(ExecutionRuntime):
     Placement: tokens are minted as consecutive integers and a token's
     owner is its mint index mod ``max_workers`` — the pieces of one sharded
     call are minted together, so they spread exactly ±1-evenly — and the
-    piece ships, as pickled :class:`~repro.cq.columnar.DatabaseWire` bytes,
-    together with the first task routed to the owner.  The pool never
+    piece's full copy ships together with the first task routed to the
+    owner.  The pool never
     changes size (a dead worker is replaced at its own index), so the owner
     of a token never moves.  In steady state a piece is resident on exactly
     one worker and a message carries a token, not data.
@@ -423,18 +401,14 @@ class ProcessRuntime(ExecutionRuntime):
     #: retried, so >1 only loses to a task that keeps killing its worker.
     _SUBMIT_ATTEMPTS = 3
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        max_datasets: int = 256,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or max(1, os.cpu_count() or 1)
         self._slots: list[_WorkerSlot] | None = None
         self._lock = threading.Lock()
         self._datasets: OrderedDict = OrderedDict()
-        self._max_datasets = max_datasets
+        self._max_datasets = MAX_DATASETS
         self._next_token = 0
         self.tasks_dispatched = 0
         self.tasks_owner_routed = 0
@@ -596,32 +570,22 @@ class ProcessRuntime(ExecutionRuntime):
             cancel.raise_if_cancelled()
         tokens = [self._token_for(task.database) for task in tasks]
         targets = self._route(tokens, parallel)
-        # One wire encoding per token per call, shared by every shipment of
-        # the piece in this call (replicas, recovery retries).  Delta blobs
-        # memoize per (token, base versions): workers synced at the same
-        # point share one encoding.
-        blobs: dict[int, bytes] = {}
-        delta_blobs: dict[tuple, bytes] = {}
+        # One encoding per (token, base versions) per call: every shipment
+        # of a piece from the same base in this call (replicas, recovery
+        # retries, full copies from ``{}``) shares it, with the versions it
+        # brings a copy to.
+        blobs: dict[tuple, tuple] = {}
 
-        def blob_for(token: int, database: Database) -> bytes:
-            blob = blobs.get(token)
-            if blob is None:
-                blob = pickle.dumps(
-                    database.to_wire(), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                blobs[token] = blob
-            return blob
-
-        def delta_blob_for(token: int, database: Database, since: dict) -> bytes:
+        def blob_for(token: int, database: Database, since: dict) -> tuple:
             key = (token, tuple(sorted(since.items())))
-            blob = delta_blobs.get(key)
-            if blob is None:
-                blob = pickle.dumps(
-                    encode_delta(database, since),
-                    protocol=pickle.HIGHEST_PROTOCOL,
+            entry = blobs.get(key)
+            if entry is None:
+                delta = encode_delta(database, since)
+                entry = blobs[key] = (
+                    pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL),
+                    delta.versions(),
                 )
-                delta_blobs[key] = blob
-            return blob
+            return entry
 
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
         #: future -> (task index, slot index, generation, token)
@@ -629,9 +593,7 @@ class ProcessRuntime(ExecutionRuntime):
         #: task index -> workers lost under it in this call
         deaths: dict[int, int] = {}
         for index, (task, token, target) in enumerate(zip(tasks, tokens, targets)):
-            future, meta = self._submit(
-                index, task, token, target, False, blob_for, delta_blob_for
-            )
+            future, meta = self._submit(index, task, token, target, False, blob_for)
             pending[future] = meta
         # Collect with a FIRST_COMPLETED loop — never in submission order —
         # so a need-data re-shipment or a death retry launches the moment
@@ -667,8 +629,7 @@ class ProcessRuntime(ExecutionRuntime):
                             "times; giving up on the call"
                         ) from exc
                     future, meta = self._submit(
-                        index, tasks[index], token, slot_index, False,
-                        blob_for, delta_blob_for,
+                        index, tasks[index], token, slot_index, False, blob_for
                     )
                     pending[future] = meta
                     continue
@@ -678,8 +639,7 @@ class ProcessRuntime(ExecutionRuntime):
                     with self._lock:
                         self.recovery_reships += 1
                     future, meta = self._submit(
-                        index, tasks[index], token, slot_index, True,
-                        blob_for, delta_blob_for,
+                        index, tasks[index], token, slot_index, True, blob_for
                     )
                     pending[future] = meta
                     continue
@@ -728,39 +688,29 @@ class ProcessRuntime(ExecutionRuntime):
         target: int,
         force_ship: bool,
         blob_for,
-        delta_blob_for,
     ) -> tuple:
-        """Submit one task to one worker, shipping what the worker's copy is
-        missing: the full wire form when the coordinator does not believe
-        the piece resident there (or when ``force_ship`` says the worker
-        just told us otherwise), only a :class:`~repro.cq.columnar
-        .DatabaseDelta` of the appended rows when the copy is resident but
-        its synced versions lag the database, and nothing in steady state.
-        A broken worker at submit time is replaced at its index and the
-        submission retried, a bounded number of times."""
+        """Submit one task to one worker with what the worker's copy lacks:
+        the delta from ``{}``, a full copy, when the coordinator does not
+        believe the piece resident there (or when ``force_ship`` says the
+        worker just told us otherwise); the delta from the synced versions
+        when the copy lags the database; nothing in steady state.  A broken
+        worker at submit time is replaced at its index and the submission
+        retried, a bounded number of times."""
+        database = task.database
+
+        def shipment(synced):
+            if synced is None:
+                return blob_for(token, database, {})
+            if synced != self._versions(database):
+                return blob_for(token, database, synced)
+            return None, synced
+
         for attempt in range(self._SUBMIT_ATTEMPTS):
-            current = self._versions(task.database)
             with self._lock:
                 slots = self._ensure_slots_locked()
-                slot = slots[target]
-                generation = slot.generation
-                synced = None if force_ship else slot.resident.get(token)
-            if synced is None:
-                kind = _SHIP_FULL
-                payload = (_SHIP_FULL, blob_for(token, task.database))
-            elif synced != current:
-                kind = _SHIP_DELTA
-                payload = (
-                    _SHIP_DELTA,
-                    delta_blob_for(token, task.database, synced),
-                )
-            else:
-                kind = None
-                payload = None
-            message = (
-                token, payload, task.task, task.query,
-                task.use_core, task.force_strategy,
-            )
+                generation = slots[target].generation
+                synced = None if force_ship else slots[target].resident.get(token)
+            payload, synced_to = shipment(synced)
             try:
                 with self._lock:
                     slot = slots[target]
@@ -768,19 +718,21 @@ class ProcessRuntime(ExecutionRuntime):
                         # Lost a race with recovery: re-evaluate shipping
                         # against the fresh (empty-residency) slot.
                         generation = slot.generation
-                        if kind != _SHIP_FULL and token not in slot.resident:
-                            kind = _SHIP_FULL
-                            payload = (_SHIP_FULL, blob_for(token, task.database))
-                            message = message[:1] + (payload,) + message[2:]
-                    future = slot.pool.submit(_worker_execute, message)
-                    if kind is not None:
-                        slot.resident[token] = current
-                        if kind == _SHIP_FULL:
+                        synced = slot.resident.get(token)
+                        payload, synced_to = shipment(synced)
+                    future = slot.pool.submit(
+                        _worker_execute,
+                        (token, payload, task.task, task.query,
+                         task.use_core, task.force_strategy),
+                    )
+                    if payload is not None:
+                        slot.resident[token] = synced_to
+                        if synced is None:
                             self.shipments += 1
-                            self.shipment_bytes += len(payload[1])
+                            self.shipment_bytes += len(payload)
                         else:
                             self.delta_shipments += 1
-                            self.delta_bytes += len(payload[1])
+                            self.delta_bytes += len(payload)
                 return future, (index, target, generation, token)
             except BrokenProcessPool:
                 self._recover_worker(target, generation)

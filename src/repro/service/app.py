@@ -123,8 +123,12 @@ class QueryService:
         )
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        #: Open connections: each handler task and its stream writer.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Open connections: each handler task and its stream writer, or
+        #: ``None`` while the handler holds a parsed request.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter | None] = {}
+        #: Set by :meth:`stop`: a handler answers the request it holds with
+        #: ``Connection: close`` and ends.
+        self._stopping = False
         self._router = Router()
         self.subscriptions = SubscriptionRegistry()
         #: Serializes dataset appends (``POST /facts``): each request's rows
@@ -162,12 +166,15 @@ class QueryService:
     async def stop(self) -> None:
         """Stop serving; returns once every connection handler has finished.
 
-        Closing the listening socket leaves keep-alive connections open, so
-        each is closed here: an idle handler reads EOF and returns, a busy
-        one answers into the closed stream first.  A connection accepted
-        just before the close starts its handler a few loop iterations
-        later, so closing and waiting repeat until a pass finds none.
+        Closing the listening socket leaves keep-alive connections open.
+        Each idle one is closed here, so its handler reads EOF and returns;
+        a handler holding a parsed request answers it with ``Connection:
+        close`` and returns, so admitted work reaches its client.  A
+        connection accepted just before the close starts its handler a few
+        loop iterations later, so closing and waiting repeat until a pass
+        finds none.
         """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
             while True:
@@ -175,7 +182,8 @@ class QueryService:
                 if not self._connections:
                     break
                 for writer in self._connections.values():
-                    writer.close()
+                    if writer is not None:
+                        writer.close()
                 await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
@@ -205,6 +213,7 @@ class QueryService:
                     return
                 if request is None:
                     return
+                self._connections[task] = None
                 started = time.perf_counter()
                 try:
                     response = await self._router.dispatch(request)
@@ -221,11 +230,12 @@ class QueryService:
                 self.metrics.record(
                     request.path, response.status, time.perf_counter() - started
                 )
-                keep_alive = not request.wants_close
+                keep_alive = not (request.wants_close or self._stopping)
                 writer.write(response.encode(keep_alive))
                 await writer.drain()
-                if not keep_alive:
+                if not keep_alive or self._stopping:
                     return
+                self._connections[task] = writer
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -388,9 +398,11 @@ class QueryService:
         query = query_from_json(self._field(payload, "query"))
         session = self.sessions.get(tenant)
         database = self.datasets.get(tenant, dataset)
-        view = session.incremental_view(query, database)
         try:
-            subscription = self.subscriptions.register(tenant, dataset, query, view)
+            subscription = self.subscriptions.register(
+                tenant, dataset, query,
+                partial(session.incremental_view, query, database),
+            )
         except OverflowError as exc:
             return Response.error(503, str(exc))
         return await self._execute(

@@ -93,7 +93,10 @@ class SubscriptionRegistry:
         self._counter = 0
         self.created = 0
 
-    def register(self, tenant, dataset, query, view) -> Subscription:
+    def register(self, tenant, dataset, query, make_view) -> Subscription:
+        """Register a standing query whose view ``make_view()`` builds.  A
+        full registry raises ``OverflowError`` before the view exists, so a
+        refused subscription leaves nothing behind."""
         with self._lock:
             if len(self._subscriptions) >= self.max_subscriptions:
                 raise OverflowError(
@@ -105,7 +108,7 @@ class SubscriptionRegistry:
             # alone is unique.
             subscription_id = f"sub-{int(time.time())}-{self._counter}"
             subscription = Subscription(
-                subscription_id, tenant, dataset, query, view
+                subscription_id, tenant, dataset, query, make_view()
             )
             self._subscriptions[subscription_id] = subscription
             self.created += 1

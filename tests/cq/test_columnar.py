@@ -256,8 +256,9 @@ class TestColumnarStore:
         database.drop_columnar()
         assert database.columnar_cache is None
 
-    def test_view_cache_is_bounded(self):
-        store = ColumnarStore(maxsize=2)
+    def test_view_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(kernel, "VIEW_CACHE_SIZE", 2)
+        store = ColumnarStore()
         relation = Relation("R", 1, [(1,)])
         for name in "abc":
             store.view(Atom("R", [name]), relation)
@@ -293,7 +294,7 @@ class TestDatabaseWire:
         store = back.columnar_cache
         assert store is not None
         assert len(store.interner) == len(wire.dictionary)
-        # The wire's id columns are adopted as the relation's id table.
+        # The shipped id columns become the relation's id table.
         table = store._tables["R"]
         assert table.length == 4
         assert [buffer[:4].tolist() for buffer in table.buffers] == [
@@ -328,7 +329,7 @@ class TestDatabaseWire:
         before = back.columnar_view(atom)
         back.add_fact("R", (7, "fresh"))
         after = back.columnar_view(atom)
-        # The appended row is interned onto the adopted id table; the
+        # The appended row is interned onto the shipped id table; the
         # snapshot taken before keeps its rows, the wire stays unmutated.
         assert after is not before
         assert (7, "fresh") in after.decode_rows()
@@ -355,10 +356,6 @@ class TestDatabaseWire:
             pickle.dumps(database, protocol=pickle.HIGHEST_PROTOCOL)
         )
         assert wire_bytes < plain_bytes
-
-    def test_from_values_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="equal values"):
-            ValueInterner.from_values([1, True])
 
 
 def _tree_for(query, database):

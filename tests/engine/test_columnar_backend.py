@@ -19,12 +19,7 @@ from repro.engine import (
     TASK_ANSWER,
     backend_for,
 )
-from repro.engine.runtime import (
-    _REPLY_OK,
-    _SHIP_FULL,
-    _WORKER_RESIDENT,
-    _worker_execute,
-)
+from repro.engine.runtime import _REPLY_OK, _WORKER_RESIDENT, _worker_execute
 
 
 @pytest.fixture
@@ -144,16 +139,13 @@ def test_sharded_execution_is_columnar_per_shard(session, acyclic):
 def test_worker_execution_path_is_columnar(acyclic):
     # _worker_execute is the exact function a process-pool worker runs;
     # calling it in-process shows shards evaluate columnar-side on workers
-    # too.  The payload is what the coordinator ships on first routing: a
-    # full-ship tag over pickled DatabaseWire bytes, decoded straight into
-    # a warm columnar store.
+    # too.  The payload is what the coordinator ships on first routing:
+    # the pickled delta from version zero, applied to a new database whose
+    # id tables it builds.
     import pickle
 
     query, database = acyclic
-    payload = (
-        _SHIP_FULL,
-        pickle.dumps(database.to_wire(), protocol=pickle.HIGHEST_PROTOCOL),
-    )
+    payload = pickle.dumps(database.to_wire(), protocol=pickle.HIGHEST_PROTOCOL)
     reply = _worker_execute(
         ("token-columnar-test", payload, TASK_ANSWER, query, False,
          STRATEGY_YANNAKAKIS)

@@ -80,8 +80,9 @@ class TestTokenRetention:
         # The live entry now answers for the key.
         assert runtime._token_for(database) == token
 
-    def test_eviction_still_bounded(self):
-        runtime = ProcessRuntime(max_workers=1, max_datasets=4)
+    def test_eviction_still_bounded(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_DATASETS", 4)
+        runtime = ProcessRuntime(max_workers=1)
         keep = [_database(seed=10 + i, tuples=5) for i in range(8)]
         for database in keep:
             runtime._token_for(database)

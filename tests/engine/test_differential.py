@@ -58,6 +58,7 @@ from repro.engine import (
     runtime_for,
     sharding_spec,
 )
+from repro.engine import runtime as runtime_module
 from repro.engine.backends import BACKENDS
 
 
@@ -433,10 +434,13 @@ AFFINITY_CASES = [
 @pytest.fixture(scope="module")
 def affinity_runtime():
     # A dedicated runtime so the coverage guard below reads counters that
-    # only this pass produced.  max_datasets is raised above the pass's
-    # total token count — eviction re-mints tokens and re-ships, which
-    # would trip the guard for bookkeeping rather than routing reasons.
-    runtime = ProcessRuntime(max_workers=2, max_datasets=4096)
+    # only this pass produced.  Its dataset bound is raised above the
+    # pass's total token count — eviction re-mints tokens and re-ships,
+    # which would trip the guard for bookkeeping rather than routing
+    # reasons.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime_module, "MAX_DATASETS", 4096)
+        runtime = ProcessRuntime(max_workers=2)
     yield runtime
     runtime.close()
 

@@ -138,6 +138,41 @@ class TestIncrementalView:
         assert result.incremental["mode"] == MODE_INCREMENTAL
         assert result.rows == {(2, 3, 9)}
 
+    def test_first_refresh_over_missing_relations_is_initial(self):
+        # The first refresh is the full evaluation from version zero, even
+        # when every version it captures is still zero.
+        query = ConjunctiveQuery([Atom("A", ("x", "y")), Atom("B", ("y", "z"))])
+        database = Database()
+        view = EngineSession().incremental_view(query, database)
+        first = view.refresh()
+        assert first.incremental["mode"] == MODE_INITIAL
+        assert first.rows == set()
+        assert view.refresh().incremental["mode"] == MODE_NOOP
+        database.add_fact("A", (1, 2))
+        database.add_fact("B", (2, 3))
+        assert view.refresh().rows == {(1, 2, 3)}
+        assert view.refresh_modes == {MODE_INITIAL: 1, MODE_NOOP: 1, MODE_FULL: 1}
+
+    def test_first_refresh_adopts_the_sessions_answer_set(self, monkeypatch):
+        query, database, _ = _chain_instance()
+        session = EngineSession()
+        answered = []
+        answer = session.answer
+
+        def spy(*args, **kwargs):
+            result = answer(*args, **kwargs)
+            answered.append(result.rows)
+            return result
+
+        monkeypatch.setattr(session, "answer", spy)
+        view = session.incremental_view(query, database)
+        first = view.refresh()
+        assert first.incremental["delta_rows"] == sum(
+            len(relation) for relation in database.relations.values()
+        )
+        assert first.incremental["delta_fraction"] == 1.0
+        assert view.rows is answered[0]
+
     def test_views_counted_in_session_stats(self):
         query, database, _ = _chain_instance(edges=20)
         session = EngineSession()

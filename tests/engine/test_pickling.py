@@ -108,8 +108,8 @@ class TestDerivedStateDropped:
 
 class TestWireRoundTrip:
     """The compact shipping form the process runtime actually uses: a
-    database crosses the boundary as pickled DatabaseWire bytes and decodes
-    into an equal database with a *warm* columnar store."""
+    database crosses the boundary as the pickled delta from version zero
+    and applies into an equal database with a *warm* columnar store."""
 
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
     def test_wire_roundtrip_preserves_answers(self, name, query):

@@ -528,6 +528,65 @@ class TestProcessRuntime:
                 assert max(counts) - min(counts) <= 1, (workers, pieces, counts)
             assert runtime.stats()["pool_live"] is False
 
+    def test_a_database_with_no_relations_ships_once_and_answers(self):
+        # Resident at ``{}`` is not "not resident": the second call ships
+        # nothing and the worker runs on the copy it holds.
+        runtime = ProcessRuntime(max_workers=1)
+        try:
+            session = EngineSession()
+            database = Database()
+            for _ in range(2):
+                result = session.answer(ConjunctiveQuery([]), database, runtime=runtime)
+                assert result.rows == {()}
+            stats = runtime.stats()
+            assert stats["shipments"] == 1
+            assert stats["delta_shipments"] == 0
+            assert stats["recovery_reships"] == 0
+        finally:
+            runtime.close()
+
+    def test_a_replica_records_the_versions_of_the_encoding_it_got(
+        self, monkeypatch
+    ):
+        # An append lands after a piece is encoded and before its replica's
+        # shipment in the same call, which reuses that encoding.  The
+        # coordinator must record the versions the encoding holds, not the
+        # database's, or the next call ships the replica nothing and it
+        # answers from a copy that lacks the row.
+        database = Database()
+        for row in ((0, 1), (1, 2)):
+            database.add_fact("E", row)
+        queries = [
+            ConjunctiveQuery([Atom("E", ("x", "y"))]),
+            ConjunctiveQuery([Atom("E", ("x", "y")), Atom("E", ("y", "z"))]),
+        ]
+        encode = runtime_module.encode_delta
+        appended = []
+
+        def encode_then_append(db, since):
+            delta = encode(db, since)
+            if not appended:
+                appended.append(True)
+                db.add_fact("E", (2, 3))
+            return delta
+
+        runtime = ProcessRuntime(max_workers=2)
+        try:
+            session = EngineSession()
+            monkeypatch.setattr(runtime_module, "encode_delta", encode_then_append)
+            session.answer_many(queries, database, parallel=2, runtime=runtime)
+            monkeypatch.undo()
+            assert runtime.stats()["shipments"] == 2
+            results = session.answer_many(
+                queries, database, parallel=2, runtime=runtime
+            )
+            assert [r.rows for r in results] == [
+                naive_enumerate_answers(query, database) for query in queries
+            ]
+            assert runtime.stats()["delta_shipments"] == 2
+        finally:
+            runtime.close()
+
     def test_worker_death_before_a_delta_shipment_reships_in_full(
         self, wheel_instance
     ):

@@ -26,6 +26,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -441,9 +442,9 @@ class TestShutdown:
 
     def test_stop_under_load_drains_admitted_work(self, workload, caplog):
         # Two requests run, two queue and two are shed when stop() lands.
-        # stop() must return promptly, every client must end with a
-        # response or a connection error, and admission must drain: nothing
-        # left in flight, every admitted request completed.  Every request
+        # stop() must return promptly, every admitted request must complete
+        # and reach its client (200), the shed ones keep their 503, and
+        # admission must drain: nothing left in flight.  Every request
         # reaches admission first: on Python 3.11 a connection that the
         # listener accepts as it closes fails an assertion inside asyncio
         # (``Server._attach``) and is never answered or closed.
@@ -503,6 +504,7 @@ class TestShutdown:
         assert stop_seconds < 5.0
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(outcomes) == list(range(6))
+        assert Counter(outcomes.values()) == {200: 4, 503: 2}, outcomes
         stats = service.admission.stats()
         assert stats["in_flight"] == 0
         assert stats["admitted"] == stats["completed"]

@@ -260,12 +260,21 @@ class TestSubscriptions:
     def test_a_full_registry_answers_503(self, server):
         server.service.subscriptions.max_subscriptions = 1
         query = _path_query()
+
+        def views(client):
+            tenants = client.stats()["tenants"]
+            return tenants.get("public", {}).get("incremental_views", 0)
+
         with _client(server) as client:
+            before = views(client)
             first = client.subscribe(query, dataset="graph")
-            with pytest.raises(ServiceError) as err:
-                client.subscribe(query, dataset="graph")
-            assert err.value.status == 503
-            assert "limit of 1" in str(err.value)
+            for _ in range(3):
+                with pytest.raises(ServiceError) as err:
+                    client.subscribe(query, dataset="graph")
+                assert err.value.status == 503
+                assert "limit of 1" in str(err.value)
+            # A refused subscription builds no standing view.
+            assert views(client) == before + 1
             client.add_facts("graph", {"E": [[300, 301], [301, 302]]})
             poll = client.poll(first["subscription"])
             assert poll["delta"] == [[300, 301, 302]]

@@ -31,6 +31,20 @@ snapshot's sort order either re-sorts all n + k keys or merges the k
 appended ones into the previous snapshot's order (``searchsorted`` slots,
 then ``np.insert``), as ``ColumnarRelation._sorted_keys`` does.
 
+A sixth table times a bag tree's two forms on a 6-cycle (the
+``cyclic_analytics`` shape: bags of three variables) over domains of d
+values, whose relations hold each pair with probability 1/c, so c cells
+per row: bag materialisation, the upward pass with the projection onto
+``x0``, and the counting DP, warm atom views, with ``_VECTOR_MIN_ROWS`` at
+0 for both forms.  The row form is a tree of :class:`ColumnarRelation`
+bags (``_BAG_ARRAY_CELLS`` at 0), the array form one of
+:class:`BagArray` bags (density test out of reach).  Each bag's array has
+d**3 cells.  The last column names the faster form per task: an answer
+(build + upward pass) and a count (build + DP).  ``_BAG_ARRAY_CELLS`` is
+the largest size the table runs at every density, up to the 4 cells per
+row the density test admits; past it the count's int64 weights (8 bytes
+a cell) cost memory.
+
 Prints the median microseconds per call and the fastest path.  The
 kernel's threshold is the smallest size from which the NumPy path wins
 every row of the tables.  Run with::
@@ -46,14 +60,18 @@ import time
 import numpy as np
 
 from repro.cq import columnar
+from repro.cq import generators as cqgen
 from repro.cq.columnar import (
     ColumnarRelation,
     ValueInterner,
     _BoundedMemo,
+    build_columnar_bag_tree,
     columnar_count_join_tree,
 )
+from repro.cq.database import Database, Relation
 from repro.cq.relational import NamedRelation
-from repro.cq.yannakakis import JoinTree
+from repro.cq.yannakakis import JoinTree, yannakakis_full
+from repro.engine import EngineSession
 
 SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 #: Build-side rows of the cross-product table (probe side: 40 rows).
@@ -65,11 +83,18 @@ SWEEP_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 #: Resident rows and appended keys of the sort-order maintenance table.
 MERGE_ROWS = (1000, 20000, 80000)
 MERGE_APPENDS = (1, 60, 600)
+#: Domain sizes and cells per row of the bag-form table, and the largest
+#: bag (in rows) it builds in row form.
+BAG_DOMAINS = (16, 32, 48, 64, 96, 128)
+BAG_CELLS_PER_ROW = (1, 2, 4)
+BAG_MAX_ROWS = 1_100_000
 REPEATS = 15
 #: The kernel's dense factor, and the settings at which every keyed
 #: NumPy operator sorts, or none does.
 FACTOR = columnar._DENSE_FACTOR
 SORTED, DENSE = 0, 10**9
+#: The kernel's bag cell bound.
+BAG_CELLS = columnar._BAG_ARRAY_CELLS
 
 
 def _relation(columns, rows, domain, rng, interner) -> ColumnarRelation:
@@ -213,6 +238,65 @@ def _order_maintenance() -> None:
             print(f"{rows:>6} {added:>4} {cells:>16}")
 
 
+def _bag_forms() -> None:
+    print(
+        "bag forms, 6-cycle: row / array ms (build, upward pass + "
+        "projection, count DP); faster form per task"
+    )
+    print(
+        f"{'d':>4} {'cells/row':>9} {'bag_cells':>9} {'bag_rows':>8} "
+        f"{'build':>13} {'reduce':>13} {'count':>13}  answer / count"
+    )
+    query = cqgen.cycle_query(6)
+    ghd = EngineSession().plan(query).decomposition
+    forms = (
+        {"_BAG_ARRAY_CELLS": 0},
+        {"_BAG_ARRAY_CELLS": 10**12, "_DENSE_FACTOR": 10**9},
+    )
+    for domain in BAG_DOMAINS:
+        for per_row in BAG_CELLS_PER_ROW:
+            if domain**3 // per_row > BAG_MAX_ROWS:
+                continue  # the largest bag holds about d**3 / c rows
+            rng = np.random.default_rng(100 * domain + per_row)
+            database = Database()
+            for atom in query.atoms:
+                pairs = np.argwhere(rng.random((domain, domain)) < 1 / per_row)
+                database.add_relation(
+                    Relation(atom.relation, 2, map(tuple, pairs.tolist()))
+                )
+            timings = []
+            for form in forms:
+                columnar._VECTOR_MIN_ROWS = 0
+                for name, value in form.items():
+                    setattr(columnar, name, value)
+                tree = build_columnar_bag_tree(query, database, ghd)
+                rows = max(map(len, tree.relations.values()))
+                timings.append((
+                    _median_us(lambda: build_columnar_bag_tree(query, database, ghd)),
+                    _median_us(lambda: yannakakis_full(tree, ("x0",))),
+                    _median_us(lambda: columnar_count_join_tree(tree)),
+                ))
+                columnar._BAG_ARRAY_CELLS = BAG_CELLS
+                columnar._DENSE_FACTOR = FACTOR
+            cells = [
+                f"{row / 1e3:.2f} / {array / 1e3:.2f}"
+                for row, array in zip(*timings)
+            ]
+            (build, reduce, count), (array_build, array_reduce, array_count) = timings
+            faster = [
+                "array" if array < row else "rows"
+                for row, array in (
+                    (build + reduce, array_build + array_reduce),
+                    (build + count, array_build + array_count),
+                )
+            ]
+            print(
+                f"{domain:>4} {per_row:>9} {domain**3:>9} {rows:>8} "
+                f"{cells[0]:>13} {cells[1]:>13} {cells[2]:>13}  "
+                f"{faster[0]} / {faster[1]}"
+            )
+
+
 def main() -> None:
     threshold = columnar._VECTOR_MIN_ROWS
     try:
@@ -240,9 +324,11 @@ def main() -> None:
         _cross_products()
         _dense_sweep()
         _order_maintenance()
+        _bag_forms()
     finally:
         columnar._VECTOR_MIN_ROWS = threshold
         columnar._DENSE_FACTOR = FACTOR
+        columnar._BAG_ARRAY_CELLS = BAG_CELLS
 
 
 if __name__ == "__main__":

@@ -55,15 +55,25 @@ set.  This module removes that price structurally:
   vectors and packed keys (table or sorted segment sums on the NumPy
   path), so ``count()`` on full acyclic/GHD plans never materializes a
   result row;
+* **bags as arrays** — when the largest atom view reaches
+  :data:`_VECTOR_MIN_ROWS` rows, every relation of every bag pool is dense
+  (at most :data:`_DENSE_FACTOR` cells per row in an array sized from its
+  largest ids) and every bag's array stays within
+  :data:`_BAG_ARRAY_CELLS` cells, a bag tree holds each bag as a boolean
+  :class:`BagArray` over the ids instead of rows: a semijoin is a mask, a
+  projection an ``any`` reduction and the counting DP a sum-product.  A
+  join runs on the row kernel over both sides' ``np.nonzero`` rows, and a
+  count past int64 reruns the exact DP on the bags' rows;
 * **decode once at the boundary** — ids are decoded back to values only
   when an answer set leaves the kernel (:meth:`ColumnarRelation
   .decode_rows`), one list comprehension per output column.
 
 The tree-walking logic is *not* duplicated: :func:`build_columnar_bag_tree`
-arranges :class:`ColumnarRelation` objects along the decomposition exactly
-like :func:`repro.cq.bags.build_bag_join_tree`, and the resulting
-:class:`~repro.cq.yannakakis.JoinTree` runs through the existing
-``yannakakis_boolean`` / ``yannakakis_full`` / ``semijoin_reduce`` passes
+arranges :class:`ColumnarRelation` (or :class:`BagArray`) objects along the
+decomposition exactly like :func:`repro.cq.bags.build_bag_join_tree`, and
+the resulting :class:`~repro.cq.yannakakis.JoinTree` runs through the
+existing ``yannakakis_boolean`` / ``yannakakis_full`` /
+``semijoin_reduce`` passes
 unchanged — they are duck-typed over the relation interface (``columns``,
 ``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project``,
 ``__len__``).  Only the counting DP needs a columnar twin
@@ -85,6 +95,7 @@ tables, so the copy never re-interns a stored row.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from array import array
 from collections.abc import Hashable, Sequence
@@ -125,6 +136,15 @@ _VECTOR_MIN_ROWS = 512
 #: and 20k rows every dense operator wins up to 4 slots per row, and the
 #: join stops winning at 8.
 _DENSE_FACTOR = 4
+
+#: A bag tree is held as boolean arrays (:class:`BagArray`) only while each
+#: bag's array, over its pool's variables, has at most this many cells.
+#: The measured table (docs/PERFORMANCE.md): on 6-cycle bags of d**3 cells
+#: at 1 to 4 cells per pool row, the array form wins both the answer (build
+#: + upward pass) and the count (build + DP) at every size up to d = 128,
+#: 2**21 cells.  The bound stops there, where the count's int64 weights
+#: take 16 MB per bag.
+_BAG_ARRAY_CELLS = 1 << 21
 
 #: Atom patterns whose resident snapshots one :class:`ColumnarStore` keeps,
 #: least recently used evicted first.
@@ -613,6 +633,35 @@ class ColumnarRelation:
             self._vector_cache.store(cache_key, degrees)
         return degrees
 
+    def _id_bounds(self) -> tuple:
+        """Each column's largest id + 1 (0 on an empty relation): the
+        smallest shape of the relation's boolean array.  One ``max`` per
+        column, memoized with the NumPy path's keys."""
+        bounds = self._vector_cache.lookup(("bounds",))
+        if bounds is None:
+            bounds = tuple(
+                int(self._column_array(p).max()) + 1 if self._length else 0
+                for p in range(len(self._data))
+            )
+            self._vector_cache.store(("bounds",), bounds)
+        return bounds
+
+    def _bag_array(self, shape: tuple) -> np.ndarray:
+        """The relation as a read-only boolean array of ``shape`` (at least
+        :meth:`_id_bounds` on every axis): cell ``(i, j, ...)`` is set iff
+        the row of ids ``(i, j, ...)`` is held.  Memoized per shape."""
+        cache_key = ("array", shape)
+        array = self._vector_cache.lookup(cache_key)
+        if array is None:
+            array = np.zeros(shape, dtype=bool)
+            if self._data:
+                array[tuple(map(self._column_array, range(len(self._data))))] = True
+            else:
+                array[()] = self._length > 0
+            array.flags.writeable = False
+            self._vector_cache.store(cache_key, array)
+        return array
+
     def _taken(self, indexes) -> tuple:
         """The columns gathered at ``indexes``: an int64 index array takes
         the NumPy gather (results below :data:`_VECTOR_MIN_ROWS` rows go
@@ -665,7 +714,7 @@ class ColumnarRelation:
         return projected
 
     def _vector_project(self, columns, positions, base) -> "ColumnarRelation | None":
-        if self._length < _VECTOR_MIN_ROWS:
+        if self._length < _VECTOR_MIN_ROWS or not self._length:
             return None
         entry = self._sorted_keys(columns, base)
         if entry is None:
@@ -706,6 +755,8 @@ class ColumnarRelation:
         len(other)`` pairs it gathers, so that product, not the probe side
         alone, selects the NumPy path (both crossovers are measured in
         docs/PERFORMANCE.md)."""
+        if isinstance(other, BagArray):
+            other = other.rows()
         if self.interner is not other.interner:
             raise ValueError("cannot join relations over different interners")
         shared = [c for c in self.columns if c in other._positions]
@@ -1140,9 +1191,10 @@ class DatabaseDelta:
 
         Raises :class:`DeltaMismatchError`, before appending anything, when
         ``database`` does not hold every relation at its base version (0
-        for a relation it lacks).  The rows go through the versioned storage
-        API; their id columns, remapped by interning the dictionary once
-        into the database's columnar store, extend the relations' id
+        for a relation it lacks), and ``ValueError`` when a relation's arity
+        differs from the shipped one.  The rows go through the versioned
+        storage API; their id columns, remapped by interning the dictionary
+        once into the database's columnar store, extend the relations' id
         tables, so the copy's next atom view interns nothing."""
         relations = database.relations
         for name in self.base.keys() | self.relations.keys():
@@ -1151,6 +1203,12 @@ class DatabaseDelta:
                 raise DeltaMismatchError(
                     f"relation {name!r} is at version {held}, "
                     f"the delta starts at {self.base.get(name, 0)}"
+                )
+        for name, (arity, _, _) in self.relations.items():
+            if name in relations and relations[name].arity != arity:
+                raise ValueError(
+                    f"relation {name!r} has arity {relations[name].arity}, "
+                    f"the delta ships arity {arity}"
                 )
         values = self.dictionary
         store = database.columnar_store()
@@ -1238,6 +1296,150 @@ def _push_bag_projections(pool: list, bag) -> list:
     return reduced
 
 
+def _aligned(array: np.ndarray, columns: Sequence, target: Sequence) -> np.ndarray:
+    """A view of ``array``, whose axes are named ``columns``, with those
+    axes in ``target``'s order and a length-1 axis for each target column it
+    lacks: it broadcasts against any array over ``target``."""
+    rank = {c: i for i, c in enumerate(target)}
+    order = sorted(range(len(columns)), key=lambda i: rank[columns[i]])
+    present = set(columns)
+    index = tuple(slice(None) if c in present else None for c in target)
+    return array.transpose(order)[index] if index else array
+
+
+class BagArray:
+    """A bag relation held as a boolean array over interned ids.
+
+    Axis ``i`` is column ``columns[i]``, and cell ``(a, b, ...)`` is set
+    iff the row of ids ``(a, b, ...)`` is in the relation.  Every array of
+    one bag tree gives a column the same axis size (:func:`_bag_axis_sizes`),
+    so two bags broadcast against each other once their axes are aligned.
+    It implements what the Yannakakis passes and the counting DP read of a
+    relation: a semijoin masks by the other bag's marginal (its ``any``
+    over the columns this bag lacks), a projection is an ``any``
+    reduction, and the length a ``count_nonzero``.  A natural join runs on
+    the row kernel over both sides' :meth:`rows`: the one point where the
+    two forms meet.
+    """
+
+    __slots__ = ("columns", "interner", "array", "_positions")
+
+    def __init__(self, columns: Sequence[Hashable], interner: ValueInterner, array) -> None:
+        self.columns = tuple(columns)
+        self.interner = interner
+        # A 0-d operation returns a NumPy scalar: keep an array.
+        self.array = np.asarray(array)
+        self._positions = {c: i for i, c in enumerate(self.columns)}
+
+    @classmethod
+    def from_pool(cls, pool: list, bag, sizes: dict, interner: ValueInterner) -> "BagArray":
+        """``π_bag(⋈ pool)``: the AND of the pool's arrays, broadcast over
+        the pool's variables, ``any``-reduced onto those in ``bag``."""
+        variables = tuple(dict.fromkeys(c for relation in pool for c in relation.columns))
+        kept = tuple(c for c in variables if c in bag)
+        axes = kept + tuple(c for c in variables if c not in bag)
+        views = [
+            _aligned(
+                relation._bag_array(tuple(sizes[c] for c in relation.columns)),
+                relation.columns, axes,
+            )
+            for relation in pool
+        ]
+        cells = np.empty([sizes[c] for c in axes], dtype=bool)
+        cells[...] = views[0]
+        for view in views[1:]:
+            np.logical_and(cells, view, out=cells)
+        if len(axes) > len(kept):
+            cells = cells.any(axis=tuple(range(len(kept), len(axes))))
+        cells.flags.writeable = False
+        return cls(kept, interner, cells)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array))
+
+    def __bool__(self) -> bool:
+        return bool(self.array.any())
+
+    def __repr__(self) -> str:
+        return f"BagArray(columns={self.columns!r}, shape={self.array.shape})"
+
+    column_index = ColumnarRelation.column_index
+
+    def rows(self) -> ColumnarRelation:
+        """The row form: the set cells' ids as columns (``np.nonzero``)."""
+        if not self.columns:
+            return ColumnarRelation._trusted((), self.interner, (), int(bool(self.array)))
+        ids = np.nonzero(self.array)
+        return ColumnarRelation._trusted(
+            self.columns, self.interner, _stored(ids, len(ids[0])), len(ids[0])
+        )
+
+    def decode_rows(self) -> set[tuple]:
+        return self.rows().decode_rows()
+
+    def _marginal(self, other: "BagArray") -> np.ndarray:
+        """``other``'s array reduced onto the columns it shares with this
+        bag, aligned to this bag's axes."""
+        drop = tuple(i for i, c in enumerate(other.columns) if c not in self._positions)
+        shared = tuple(c for c in other.columns if c in self._positions)
+        array = other.array.any(axis=drop) if drop else other.array
+        return _aligned(array, shared, self.columns)
+
+    def semijoin(self, other: "BagArray") -> "BagArray":
+        return BagArray(self.columns, self.interner, self.array & self._marginal(other))
+
+    def semijoin_inplace(self, other: "BagArray") -> "BagArray":
+        self.array = np.asarray(self.array & self._marginal(other))
+        return self
+
+    def project(self, columns: Sequence[Hashable]) -> "BagArray":
+        columns = tuple(columns)
+        if columns == self.columns:
+            return self
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"duplicate column names: {columns!r}")
+        positions = {self.column_index(c) for c in columns}
+        drop = tuple(i for i in range(len(self.columns)) if i not in positions)
+        array = self.array.any(axis=drop) if drop else self.array
+        kept = [c for c in self.columns if c in columns]
+        return BagArray(
+            columns, self.interner, array.transpose([kept.index(c) for c in columns])
+        )
+
+    def natural_join(self, other) -> ColumnarRelation:
+        return self.rows().natural_join(other)
+
+
+def _bag_axis_sizes(views, pools: dict) -> dict | None:
+    """Each variable's axis size when a bag tree goes dense, else ``None``.
+
+    Decided once per tree, before any join runs, and cheapest test first:
+    the query's largest atom view holds at least :data:`_VECTOR_MIN_ROWS`
+    rows; every relation of every pushed-down pool is dense by the rule of
+    :func:`_dense_size` (its array, one axis per column sized from the
+    largest id the column holds, has at most :data:`_DENSE_FACTOR` cells
+    per row); and every pool's array, over its variables, has at most
+    :data:`_BAG_ARRAY_CELLS` cells.  The pool relations are tested smallest
+    first: a small relation over a wide id range fails at the cost of a
+    few rows, before any large relation is scanned.  A variable's axis
+    size is its largest id bound in any pool relation.
+    """
+    if max(map(len, views), default=0) < _VECTOR_MIN_ROWS or not all(pools.values()):
+        return None
+    sizes: dict = {}
+    for relation in sorted((r for pool in pools.values() for r in pool), key=len):
+        bounds = relation._id_bounds()
+        if math.prod(bounds) > _DENSE_FACTOR * len(relation):
+            return None
+        for column, bound in zip(relation.columns, bounds):
+            sizes[column] = max(bound, sizes.get(column, 0))
+    for pool in pools.values():
+        variables = {c for relation in pool for c in relation.columns}
+        if math.prod(sizes[c] for c in variables) > _BAG_ARRAY_CELLS:
+            return None
+    return sizes
+
+
 def build_columnar_bag_tree(
     query: ConjunctiveQuery, database, ghd
 ) -> JoinTree:
@@ -1252,6 +1454,9 @@ def build_columnar_bag_tree(
     (:func:`_push_bag_projections`), which the final ``π_bag`` makes
     semantically invisible.  The store is read once, so every view and the
     interner come from one store even if ``drop_columnar`` runs meanwhile.
+    Every pool is gathered before any join runs, so the whole tree takes
+    one form: :class:`BagArray` bags when :func:`_bag_axis_sizes` finds
+    them dense, joined rows otherwise.
     """
     scope_atoms = atoms_by_scope(query)
     assignment = assign_atoms_to_nodes(query, ghd)
@@ -1264,7 +1469,7 @@ def build_columnar_bag_tree(
             materialised[atom] = database.columnar_view(atom, store)
         return materialised[atom]
 
-    bag_relations: dict = {}
+    pools: dict = {}
     for node, bag in ghd.bags.items():
         atoms: list = []
         for cover_edge in sorted(ghd.covers[node], key=lambda e: sorted(map(repr, e))):
@@ -1274,21 +1479,26 @@ def build_columnar_bag_tree(
         for atom in assignment[node]:
             if atom not in atoms:
                 atoms.append(atom)
-        if not atoms:
-            if bag:
-                bag_relations[node] = ColumnarRelation(
-                    tuple(sorted(bag, key=repr)), interner,
-                    tuple([] for _ in bag), 0,
-                )
-            else:
-                bag_relations[node] = ColumnarRelation((), interner, (), 1)
-            continue
-        pool = _push_bag_projections(
+        pools[node] = _push_bag_projections(
             [relation_for(atom) for atom in atoms], bag
         )
-        joined = natural_join_all(pool)
-        keep = [c for c in joined.columns if c in bag]
-        bag_relations[node] = joined.project(keep)
+    sizes = _bag_axis_sizes(materialised.values(), pools)
+    bag_relations: dict = {}
+    for node, bag in ghd.bags.items():
+        pool = pools[node]
+        if sizes is not None:
+            bag_relations[node] = BagArray.from_pool(pool, bag, sizes, interner)
+        elif pool:
+            joined = natural_join_all(pool)
+            keep = [c for c in joined.columns if c in bag]
+            bag_relations[node] = joined.project(keep)
+        elif bag:
+            bag_relations[node] = ColumnarRelation(
+                tuple(sorted(bag, key=repr)), interner,
+                tuple([] for _ in bag), 0,
+            )
+        else:
+            bag_relations[node] = ColumnarRelation((), interner, (), 1)
     return JoinTree(bag_relations, root_tree(ghd, query))
 
 
@@ -1310,7 +1520,40 @@ def _fits(weights: np.ndarray, factor: int) -> bool:
     """Whether ``max(weights) * factor`` fits int64 — the bound on any sum
     of ``factor`` of these (non-negative) weights, or on any product of
     one of them with a value at most ``factor``."""
-    return not len(weights) or int(weights.max()) * factor <= _INT64_MAX
+    return not weights.size or int(weights.max()) * factor <= _INT64_MAX
+
+
+def _count_bag_arrays(tree: JoinTree) -> int:
+    """The counting DP over bag arrays, as sum-products.
+
+    A bag's weight array starts as its boolean array; per child, the
+    child's weights are summed over its axes outside the bag and
+    broadcast-multiplied in, so a cell's weight counts the solutions of
+    its subtree that extend it.  Every sum and every product is checked
+    against int64 first (:func:`_fits`), as in the row DP."""
+    weights: dict = {}
+    for node in reversed(tree.topological_order()):
+        bag = tree.relations[node]
+        node_weights = bag.array
+        for child in tree.children[node]:
+            child_bag = tree.relations[child]
+            sums = weights.pop(child)
+            drop = tuple(
+                i for i, c in enumerate(child_bag.columns) if c not in bag._positions
+            )
+            if drop:
+                if not _fits(sums, math.prod(sums.shape[i] for i in drop)):
+                    raise _Int64Overflow
+                sums = sums.sum(axis=drop, dtype=np.int64)
+            if not _fits(node_weights, int(sums.max()) if sums.size else 0):
+                raise _Int64Overflow
+            shared = tuple(c for c in child_bag.columns if c in bag._positions)
+            node_weights = node_weights * _aligned(sums, shared, bag.columns)
+        weights[node] = node_weights
+    root = weights[tree.root]
+    if _fits(root, root.size):
+        return int(root.sum(dtype=np.int64))
+    return int(root.sum(dtype=object))
 
 
 def _vector_child_sums(relation, child_relation, shared, child_weights, base):
@@ -1354,6 +1597,8 @@ def _vector_child_sums(relation, child_relation, shared, child_weights, base):
 
 
 def _count_join_tree(tree: JoinTree, vectorise: bool) -> int:
+    if isinstance(tree.relations[tree.root], BagArray):
+        return _count_bag_arrays(tree)
     weights: dict = {}
     order = tree.topological_order()
     for node in reversed(order):
@@ -1373,7 +1618,7 @@ def _count_join_tree(tree: JoinTree, vectorise: bool) -> int:
                 sums = _vector_child_sums(
                     relation, child_relation, shared, weights[child], base
                 )
-                if not _fits(node_weights, int(sums.max())):
+                if not _fits(node_weights, int(sums.max()) if sums.size else 0):
                     raise _Int64Overflow
                 node_weights = node_weights * sums
                 continue
@@ -1405,13 +1650,19 @@ def columnar_count_join_tree(tree: JoinTree) -> int:
     (Proposition 4.14): a row's weight is the product over children of the
     summed weights of compatible child rows; the answer count is the summed
     weight at the root.  A node of at least :data:`_VECTOR_MIN_ROWS` rows
-    runs on int64 arrays; if a packed key or a weight could leave int64
-    (checked from the observed maxima before every sum and product), the
-    whole DP reruns on exact Python ints.
+    runs on int64 arrays, and a tree of :class:`BagArray` bags on their
+    cells (:func:`_count_bag_arrays`); if a packed key or a weight could
+    leave int64 (checked before every sum and product), the whole DP
+    reruns on exact Python ints, over the bags' rows.
     """
     try:
         return _count_join_tree(tree, vectorise=True)
     except _Int64Overflow:
+        if isinstance(tree.relations[tree.root], BagArray):
+            tree = JoinTree(
+                {node: bag.rows() for node, bag in tree.relations.items()},
+                tree.parent,
+            )
         return _count_join_tree(tree, vectorise=False)
 
 

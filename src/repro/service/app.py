@@ -169,13 +169,20 @@ class QueryService:
         Closing the listening socket leaves keep-alive connections open.
         Each idle one is closed here, so its handler reads EOF and returns;
         a handler holding a parsed request answers it with ``Connection:
-        close`` and returns, so admitted work reaches its client.  A
-        connection accepted just before the close starts its handler a few
-        loop iterations later, so closing and waiting repeat until a pass
-        finds none.
+        close`` and returns, so admitted work reaches its client.  Accepting
+        stops first: the listening sockets leave the selector, and one loop
+        turn lets every connection already accepted attach its transport
+        (on Python 3.11 one attached after ``Server.close()`` fails an
+        assertion and is never answered or closed).  A connection accepted
+        just before the close starts its handler a few loop iterations
+        later, so closing and waiting repeat until a pass finds none.
         """
         self._stopping = True
         if self._server is not None:
+            loop = asyncio.get_running_loop()
+            for listener in self._server.sockets:
+                loop.remove_reader(listener.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             while True:
                 await asyncio.sleep(0.01)

@@ -23,6 +23,7 @@ from repro.cq import generators as cqgen
 from repro.cq.bags import root_tree
 from repro.cq.columnar import (
     _VECTOR_MIN_ROWS,
+    BagArray,
     ColumnarRelation,
     ValueInterner,
     columnar_enumerate_answers,
@@ -57,21 +58,33 @@ def small_path_instance():
     return query, database
 
 
-KERNELS = ("tuple-set", "columnar")
+KERNELS = ("tuple-set", "columnar", "bag-array")
 
 
 def _in_kernel(relations: dict, kernel: str) -> dict:
+    """The relations in one kernel's form.  Bag arrays give each column one
+    axis size across the tree, its largest id bound in any relation."""
     if kernel == "tuple-set":
         return dict(relations)
     interner = ValueInterner()
-    return {
+    columnar = {
         node: ColumnarRelation.from_named(relation, interner)
         for node, relation in relations.items()
+    }
+    if kernel == "columnar":
+        return columnar
+    sizes: dict = {}
+    for relation in columnar.values():
+        for column, bound in zip(relation.columns, relation._id_bounds()):
+            sizes[column] = max(bound, sizes.get(column, 0))
+    return {
+        node: BagArray.from_pool([relation], relation.columns, sizes, interner)
+        for node, relation in columnar.items()
     }
 
 
 def _rows(relation) -> set:
-    if isinstance(relation, ColumnarRelation):
+    if isinstance(relation, (ColumnarRelation, BagArray)):
         return relation.decode_rows()
     return set(relation.rows)
 
@@ -103,9 +116,9 @@ def brute_force_join(relations: dict, output) -> set:
 
 def _spy_relational_calls(monkeypatch) -> dict:
     """Record ``(self.columns, other.columns)`` of every join and semijoin
-    either kernel runs."""
+    any kernel runs."""
     calls = {"natural_join": [], "semijoin": [], "semijoin_inplace": []}
-    for owner in (NamedRelation, ColumnarRelation):
+    for owner in (NamedRelation, ColumnarRelation, BagArray):
         for name, seen in calls.items():
             original = getattr(owner, name)
 

@@ -11,6 +11,7 @@ every scenario this harness runs:
   scenario's structure (forcing Yannakakis on a cyclic query correctly
   raises — that is applicability, not disagreement),
 * the semantic ``use_core=True`` route,
+* the forced-GHD plans again with bag arrays forced on and forced off,
 * the session *batch* path,
 * the *sharded* path at shard counts {1, 2, 4, 8} — the scenario's
   designated shard variable when the workload provides one (the ``sharded``
@@ -43,7 +44,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cq import workloads
+from repro.cq import columnar, workloads
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.engine import (
     EngineSession,
@@ -155,6 +156,68 @@ def test_all_strategies_agree_with_naive(session, route, seed, scenario):
     assert count == expected_count, f"{scenario.name}: {route} disagrees on count"
     sat = session.is_satisfiable(query, database, plan=plan).satisfiable
     assert sat == bool(expected_rows), f"{scenario.name}: {route} disagrees on BCQ"
+
+
+# ----------------------------------------------------------------------
+# The bag forms: the forced-GHD slice again with bag arrays forced on
+# (``_VECTOR_MIN_ROWS`` at 0, ``_DENSE_FACTOR`` out of reach, so every tree
+# within the cell bound holds its bags as arrays) and forced off
+# (``_DENSE_FACTOR`` at 0: row bags on the NumPy kernel's sort branches;
+# a negative cell bound also keeps a tree of empty relations, whose arrays
+# have no cell, in row form).
+# ----------------------------------------------------------------------
+BAG_FORMS = {
+    "arrays": {"_VECTOR_MIN_ROWS": 0, "_DENSE_FACTOR": 10**9},
+    "rows": {"_VECTOR_MIN_ROWS": 0, "_DENSE_FACTOR": 0, "_BAG_ARRAY_CELLS": -1},
+}
+GHD_CASES = [
+    (form, seed, scenario)
+    for form in sorted(BAG_FORMS)
+    for route, seed, scenario in STRATEGY_CASES
+    if route == STRATEGY_GHD
+]
+
+
+@pytest.fixture(scope="module")
+def bag_trees():
+    """Bag form -> the root bag type of every tree its pass built."""
+    return {form: [] for form in BAG_FORMS}
+
+
+@pytest.mark.parametrize(
+    "form,seed,scenario",
+    GHD_CASES,
+    ids=[f"bags-{form}/{s.name}" for form, _, s in GHD_CASES],
+)
+def test_forced_ghd_agrees_with_naive_in_both_bag_forms(
+    form, seed, scenario, bag_trees, monkeypatch
+):
+    for name, value in BAG_FORMS[form].items():
+        monkeypatch.setattr(columnar, name, value)
+    build = columnar.build_columnar_bag_tree
+
+    def spied(query, database, ghd):
+        tree = build(query, database, ghd)
+        bag_trees[form].append(type(tree.relations[tree.root]))
+        return tree
+
+    monkeypatch.setattr(columnar, "build_columnar_bag_tree", spied)
+    query, database = scenario.query, scenario.database
+    expected_rows, expected_count = _expected(scenario)
+    session = EngineSession()
+    plan = session.plan(query, force_strategy=STRATEGY_GHD)
+    assert session.answer(query, database, plan=plan).rows == expected_rows
+    assert session.count(query, database, plan=plan).count == expected_count
+    assert session.is_satisfiable(query, database, plan=plan).satisfiable == bool(
+        expected_rows
+    )
+
+
+def test_bag_form_coverage_guard(bag_trees):
+    # Runs after the pass above (file order): the forced-on pass held its
+    # bags as arrays, and the forced-off pass only as rows.
+    assert columnar.BagArray in bag_trees["arrays"], "no bag array was built"
+    assert set(bag_trees["rows"]) == {columnar.ColumnarRelation}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -203,3 +203,17 @@ def test_a_receiver_with_other_rows_keeps_its_table_on_its_log():
     assert receiver.relation("R").version == 1
     receiver.add_fact("R", (3,))
     assert receiver.columnar_view(atom).decode_rows() == {(2,), (3,)}
+
+
+def test_a_shipped_arity_that_differs_is_refused_before_any_append():
+    # A ships first and is new to the receiver; B is held at another arity.
+    # The arity check runs before any relation appends, so A is not made.
+    sender = Database()
+    sender.add_fact("A", (1,))
+    sender.add_fact("B", (1, 2))
+    receiver = Database()
+    receiver.add_relation(Relation("B", 3))
+    with pytest.raises(ValueError, match="arity"):
+        encode_delta(sender, {"B": 0}).apply(receiver)
+    assert not receiver.has_relation("A")
+    assert receiver.relation("B").version == 0

@@ -19,6 +19,7 @@ concurrent ``http.client`` connections:
   the reads.
 """
 
+import asyncio
 import gc
 import http.client
 import logging
@@ -511,6 +512,37 @@ class TestShutdown:
         logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
         assert logged == []
         assert [repr(item.exc_value) for item in unraisable] == []
+
+    @pytest.mark.parametrize("spins", [0, 1, 2, 3])
+    def test_a_connection_accepted_as_the_listener_closes_is_not_left_open(
+        self, spins
+    ):
+        # The client connects while the loop is busy, then the loop turns
+        # ``spins`` times before stop(): the listener may have accepted the
+        # connection without attaching its transport yet.  On Python 3.11 a
+        # transport attached after the listener closed failed an assertion
+        # in ``Server._attach`` and its socket was neither answered nor
+        # closed, so the client hung.  Every client must see a response,
+        # an EOF or a reset within the timeout.
+        async def scenario():
+            service = QueryService(ServiceConfig(host="127.0.0.1", port=0))
+            await service.start()
+            client = socket.create_connection(("127.0.0.1", service.port))
+            try:
+                client.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                for _ in range(spins):
+                    await asyncio.sleep(0)
+                await service.stop()
+                client.settimeout(2.0)
+                try:
+                    while client.recv(65536):
+                        pass
+                except ConnectionResetError:
+                    pass
+            finally:
+                client.close()
+
+        asyncio.run(scenario())
 
 
 class _DroppingServer:

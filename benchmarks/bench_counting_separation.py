@@ -9,14 +9,12 @@ cycles) and checks parsimony of the counting reduction (Theorem 4.15).
 import time
 
 from repro.cq import generators as cqgen
-from repro.cq.counting import count_answers_via_join_tree
-from repro.cq.decomposition_eval import build_bag_join_tree, decomposition_count_answers
+from repro.cq.decomposition_eval import decomposition_count_answers
 from repro.cq.homomorphism import count_answers
 from repro.dilutions import DilutionSequence, MergeOnVertex
 from repro.hypergraphs import Hypergraph
 from repro.reductions import counting_reduction
 from repro.reductions.parsimonious import verify_parsimony
-from repro.widths.ghw import ghw_upper_bound
 
 CYCLE_LENGTHS = [4, 5, 6]
 COLOURS = 3

@@ -8,9 +8,10 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   real work).  Both the indexed engine and the naive reference solver are
   timed, so the JSON records the speedup the hash-indexed engine delivers.
 * ``semijoin_reduce`` — the two Yannakakis semijoin passes over a chain join
-  tree of large random relations.
+  tree of large random columnar relations over one interner.
 * ``ghd_eval`` — end-to-end GHD-guided Boolean evaluation (bag
-  materialisation + Yannakakis) on cycle queries over large databases.
+  materialisation + Yannakakis, ``decomposition_boolean_answer`` with the
+  decomposition computed per call) on cycle queries over large databases.
 * ``engine_answer`` — the full unified-engine pipeline
   (``repro.engine.answer``: cached analysis + planning + execution) on the
   same cycle workloads, so the planner's end-to-end overhead over the raw
@@ -18,12 +19,8 @@ and writes the results to ``benchmarks/BENCH_engine.json``:
   one-off analysis + planning cost before the cache is warm.
 * ``columnar_answer`` / ``columnar_count`` — the columnar relational kernel
   (:mod:`repro.cq.columnar`, the default backend for the decomposition
-  strategies) on the ``engine_answer`` workloads: projected enumeration and
-  the factorized counting DP.  Each point records the columnar time (the
-  gated number) plus ``tupleset_seconds``, the same decomposition through
-  the tuple-set reference evaluator (:mod:`repro.cq.decomposition_eval`),
-  and the resulting ``speedup`` — the acceptance number for the columnar
-  kernel.
+  strategies) on the ``engine_answer`` workloads, with the plan passed in:
+  projected enumeration and the factorized counting DP.
 * ``batch_answer_many`` — the session batch path
   (``EngineSession.answer_many``) on seeded mixed workloads
   (``repro.cq.workloads.mixed_batch``: all four regimes, repeated and
@@ -118,11 +115,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cq import generators as cqgen  # noqa: E402
 from repro.cq import workloads  # noqa: E402
-from repro.cq.decomposition_eval import (  # noqa: E402
-    decomposition_boolean_answer,
-    decomposition_count_answers,
-    decomposition_enumerate_answers,
-)
+from repro.cq.columnar import ColumnarRelation, ValueInterner  # noqa: E402
+from repro.cq.decomposition_eval import decomposition_boolean_answer  # noqa: E402
 from repro.cq.homomorphism import _solve, _solve_naive  # noqa: E402
 from repro.cq.relational import NamedRelation  # noqa: E402
 from repro.cq.yannakakis import JoinTree, semijoin_reduce  # noqa: E402
@@ -277,6 +271,7 @@ def _chain_join_tree(tuples: int) -> JoinTree:
     import random
 
     rng = random.Random(tuples)
+    interner = ValueInterner()
     relations = {}
     parent = {}
     for i in range(SEMIJOIN_CHAIN):
@@ -284,7 +279,9 @@ def _chain_join_tree(tuples: int) -> JoinTree:
             (rng.randrange(tuples // 4), rng.randrange(tuples // 4))
             for _ in range(tuples)
         }
-        relations[i] = NamedRelation((f"x{i}", f"x{i + 1}"), rows)
+        relations[i] = ColumnarRelation.from_named(
+            NamedRelation((f"x{i}", f"x{i + 1}"), rows), interner
+        )
         parent[i] = i - 1 if i else None
     return JoinTree(relations, parent)
 
@@ -348,15 +345,13 @@ def bench_engine_answer() -> list[dict]:
     return points
 
 
-def bench_columnar_answer(include_tupleset: bool = True) -> list[dict]:
+def bench_columnar_answer() -> list[dict]:
     """The columnar kernel on the engine_answer workloads.
 
     ``indexed_seconds`` (the gated number) is the engine's default dispatch,
-    which now evaluates the decomposition strategies columnar-side:
+    which evaluates the decomposition strategies columnar-side:
     interned-id hash joins plus the memoized columnar atom views — the
-    steady-state serving cost.  ``tupleset_seconds`` runs the same
-    decomposition through the tuple-set reference evaluator for the
-    recorded speedup (historical context, like the naive solver elsewhere).
+    steady-state serving cost.
     """
     points = []
     for label, length, domain, tuples in ENGINE_SCALES:
@@ -364,33 +359,24 @@ def bench_columnar_answer(include_tupleset: bool = True) -> list[dict]:
         database = cqgen.random_database(query, domain, tuples, seed=97)
         engine = EngineSession()
         plan = engine.plan(query)
-        columnar = _timed(lambda: engine.answer(query, database, plan=plan))
-        point = {
-            "scale": label,
-            "query": f"cycle{length}",
-            "domain": domain,
-            "tuples_per_relation": tuples,
-            "indexed_seconds": columnar,
-        }
-        if include_tupleset:
-            tupleset = _timed(
-                lambda: decomposition_enumerate_answers(
-                    plan.query, database, plan.decomposition
-                )
-            )
-            point["tupleset_seconds"] = tupleset
-            point["speedup"] = tupleset / columnar if columnar else float("inf")
-        points.append(point)
+        points.append(
+            {
+                "scale": label,
+                "query": f"cycle{length}",
+                "domain": domain,
+                "tuples_per_relation": tuples,
+                "indexed_seconds": _timed(
+                    lambda: engine.answer(query, database, plan=plan)
+                ),
+            }
+        )
     return points
 
 
-def bench_columnar_count(include_tupleset: bool = True) -> list[dict]:
-    """The factorized columnar counting DP on the full cycle queries.
-
-    Full queries take the Proposition 4.14 DP in both kernels — the
-    comparison isolates the representation (packed-int key grouping over
-    weight vectors vs tuple-keyed dicts over row sets); neither side ever
-    materialises the combinatorial answer set.
+def bench_columnar_count() -> list[dict]:
+    """The factorized columnar counting DP on the full cycle queries: the
+    Proposition 4.14 DP over packed-int key groupings of weight vectors,
+    which never materialises the combinatorial answer set.
     """
     points = []
     for label, length, domain, tuples in ENGINE_SCALES:
@@ -398,23 +384,17 @@ def bench_columnar_count(include_tupleset: bool = True) -> list[dict]:
         database = cqgen.random_database(query, domain, tuples, seed=97)
         engine = EngineSession()
         plan = engine.plan(query)
-        columnar = _timed(lambda: engine.count(query, database, plan=plan))
-        point = {
-            "scale": label,
-            "query": f"cycle{length}",
-            "domain": domain,
-            "tuples_per_relation": tuples,
-            "indexed_seconds": columnar,
-        }
-        if include_tupleset:
-            tupleset = _timed(
-                lambda: decomposition_count_answers(
-                    plan.query, database, plan.decomposition
-                )
-            )
-            point["tupleset_seconds"] = tupleset
-            point["speedup"] = tupleset / columnar if columnar else float("inf")
-        points.append(point)
+        points.append(
+            {
+                "scale": label,
+                "query": f"cycle{length}",
+                "domain": domain,
+                "tuples_per_relation": tuples,
+                "indexed_seconds": _timed(
+                    lambda: engine.count(query, database, plan=plan)
+                ),
+            }
+        )
     return points
 
 
@@ -828,21 +808,15 @@ def bench_skewed_sharded_answer(include_single: bool = True) -> list[dict]:
 
 #: Family name -> its runner, in run order.  A runner takes
 #: ``include_naive``: whether to also time the comparison paths (naive
-#: solver, tuple-set evaluator, cold loops, unsharded runs), which are
-#: recorded context, never gated.
+#: solver, cold loops, unsharded runs), which are recorded context, never
+#: gated.
 FAMILIES = {
     "solver_boolean": lambda include_naive: bench_solver(include_naive=include_naive),
     "semijoin_reduce": lambda include_naive: bench_semijoin(),
     "ghd_eval": lambda include_naive: bench_ghd_eval(),
     "engine_answer": lambda include_naive: bench_engine_answer(),
-    # The columnar kernel on the engine workloads; the tuple-set
-    # comparison numbers are context, only the columnar time gates.
-    "columnar_answer": lambda include_naive: bench_columnar_answer(
-        include_tupleset=include_naive
-    ),
-    "columnar_count": lambda include_naive: bench_columnar_count(
-        include_tupleset=include_naive
-    ),
+    "columnar_answer": lambda include_naive: bench_columnar_answer(),
+    "columnar_count": lambda include_naive: bench_columnar_count(),
     # The comparison loop is historical context like the naive solver:
     # only the batch time itself is gated.
     "batch_answer_many": lambda include_naive: bench_batch_answer(
@@ -933,11 +907,6 @@ def main(argv=None) -> int:
             extra = ""
             if "naive_seconds" in point:
                 extra = f"  (naive {point['naive_seconds']:.3f}s, {point['speedup']:.1f}x speedup)"
-            elif "tupleset_seconds" in point:
-                extra = (
-                    f"  (tuple-set {point['tupleset_seconds']:.3f}s, "
-                    f"{point['speedup']:.1f}x speedup)"
-                )
             elif "loop_seconds" in point:
                 extra = f"  (cold loop {point['loop_seconds']:.3f}s, {point['speedup']:.1f}x speedup)"
             elif "static_seconds" in point:

@@ -5,7 +5,7 @@ about: Boolean conjunctive query answering (BCQ), answer enumeration, and
 answer counting (#CQ), each available both through a generic backtracking
 solver (the ground-truth baseline) and through decomposition-guided evaluation
 (the Proposition 2.2 / 4.14 upper bounds that make bounded ghw classes
-tractable).
+tractable), which runs on the columnar kernel of :mod:`repro.cq.columnar`.
 """
 
 from repro.cq.query import Atom, ConjunctiveQuery
@@ -21,10 +21,9 @@ from repro.cq.decomposition_eval import (
     decomposition_count_answers,
     decomposition_enumerate_answers,
 )
-from repro.cq.counting import count_answers_via_join_tree
 from repro.cq.core import core_of, find_homomorphism_between_queries, queries_equivalent
 from repro.cq.semantic_width import semantic_ghw
-from repro.cq.bags import DecompositionMismatchError, build_bag_join_tree
+from repro.cq.bags import DecompositionMismatchError
 from repro.cq import generators
 from repro.cq import workloads
 
@@ -58,13 +57,11 @@ __all__ = [
     "decomposition_boolean_answer",
     "decomposition_count_answers",
     "decomposition_enumerate_answers",
-    "count_answers_via_join_tree",
     "core_of",
     "find_homomorphism_between_queries",
     "queries_equivalent",
     "semantic_ghw",
     "DecompositionMismatchError",
-    "build_bag_join_tree",
     "generators",
     "EvalResult",
     "Plan",

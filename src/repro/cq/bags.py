@@ -1,12 +1,13 @@
-"""Bag materialisation: from (query, database, GHD) to a ready join tree.
+"""The decomposition side of bag materialisation: atom grouping, atom
+placement and the rooting of the decomposition tree.
 
-This is stage 1 of the Proposition 2.2 evaluation scheme, shared by every
-decomposition-guided strategy of the engine (:mod:`repro.engine`): for each
-decomposition node, join the relations of its cover ``lambda_u`` together
-with every atom assigned to the node, and project onto the bag.  The bag
-relations arranged along the decomposition tree form an acyclic instance
-equivalent to the original query, which Yannakakis (or the counting DP of
-:mod:`repro.cq.counting`) finishes in polynomial time.
+Stage 1 of the Proposition 2.2 evaluation scheme materialises, for each
+decomposition node, the join of the relations of its cover ``lambda_u``
+together with every atom assigned to the node, projected onto the bag.  The
+bag relations arranged along the decomposition tree form an acyclic instance
+equivalent to the original query, which Yannakakis (or the counting DP)
+finishes in polynomial time.  The columnar kernel builds that tree
+(:func:`repro.cq.columnar.build_columnar_bag_tree`) from the helpers here.
 
 Duplicate variable scopes are handled by joining *all* atoms sharing a scope
 into every bag whose cover uses that scope as an edge: two atoms over the
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.cq.database import Database
 from repro.cq.query import Atom, ConjunctiveQuery
-from repro.cq.relational import NamedRelation, from_atom, natural_join_all
-from repro.cq.yannakakis import JoinTree
+
+# ``natural_join_all`` is unused here but stays bound by name:
+# perfbench/tracing.py wraps the join in this module's namespace.
+from repro.cq.relational import natural_join_all  # noqa: F401
 from repro.widths.ghd import GeneralizedHypertreeDecomposition
 
 Node = Hashable
@@ -108,40 +110,3 @@ def root_tree(
                     parent[neighbour] = current
                     frontier.append(neighbour)
     return parent
-
-
-def build_bag_join_tree(
-    query: ConjunctiveQuery, database: Database, ghd: GeneralizedHypertreeDecomposition
-) -> JoinTree:
-    """Materialise bag relations and arrange them along the decomposition tree."""
-    scope_atoms = atoms_by_scope(query)
-    assignment = assign_atoms_to_nodes(query, ghd)
-    # One atom may be materialised at several nodes (cover edge here, assigned
-    # atom there): build its named relation once and share it — the cached key
-    # indexes on the shared relation then serve every bag join that probes it.
-    materialised: dict[Atom, NamedRelation] = {}
-
-    def relation_for(atom: Atom) -> NamedRelation:
-        if atom not in materialised:
-            materialised[atom] = from_atom(atom, database)
-        return materialised[atom]
-
-    bag_relations: dict[Node, NamedRelation] = {}
-    for node, bag in ghd.bags.items():
-        atoms: list[Atom] = []
-        for cover_edge in sorted(ghd.covers[node], key=lambda e: sorted(map(repr, e))):
-            for atom in scope_atoms.get(frozenset(cover_edge), ()):
-                if atom not in atoms:
-                    atoms.append(atom)
-        for atom in assignment[node]:
-            if atom not in atoms:
-                atoms.append(atom)
-        if not atoms:
-            bag_relations[node] = NamedRelation(tuple(sorted(bag, key=repr)), set())
-            if not bag:
-                bag_relations[node] = NamedRelation((), {()})
-            continue
-        joined = natural_join_all([relation_for(atom) for atom in atoms])
-        keep = [c for c in joined.columns if c in bag]
-        bag_relations[node] = joined.project(keep)
-    return JoinTree(bag_relations, root_tree(ghd, query))

@@ -1,7 +1,10 @@
 """Columnar relational kernel: interned value ids + array-backed relations.
 
-The tuple-set kernel (:mod:`repro.cq.relational`) pays Python's per-object
-price on every row it touches: a join builds a key *tuple* per probe, hashes
+This is the one evaluator of the decomposition-guided scheme (Proposition
+2.2, and the counting DP of Proposition 4.14): the engine's decomposition
+strategies and the paper-level functions of :mod:`repro.cq.decomposition_eval`
+both run it.  A tuple-set kernel would pay Python's per-object price on
+every row it touches: a join builds a key *tuple* per probe, hashes
 arbitrary values, concatenates row tuples, and inserts each result into a
 set.  This module removes that price structurally:
 
@@ -68,17 +71,14 @@ set.  This module removes that price structurally:
   when an answer set leaves the kernel (:meth:`ColumnarRelation
   .decode_rows`), one list comprehension per output column.
 
-The tree-walking logic is *not* duplicated: :func:`build_columnar_bag_tree`
-arranges :class:`ColumnarRelation` (or :class:`BagArray`) objects along the
-decomposition exactly like :func:`repro.cq.bags.build_bag_join_tree`, and
-the resulting :class:`~repro.cq.yannakakis.JoinTree` runs through the
-existing ``yannakakis_boolean`` / ``yannakakis_full`` /
-``semijoin_reduce`` passes
-unchanged — they are duck-typed over the relation interface (``columns``,
+:func:`build_columnar_bag_tree` arranges :class:`ColumnarRelation` (or
+:class:`BagArray`) objects along the decomposition with the atom placement
+and rooting of :mod:`repro.cq.bags`, and the resulting
+:class:`~repro.cq.yannakakis.JoinTree` runs through the generic
+``yannakakis_boolean`` / ``yannakakis_full`` / ``semijoin_reduce`` passes,
+which are duck-typed over the relation interface (``columns``,
 ``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project``,
-``__len__``).  Only the counting DP needs a columnar twin
-(:func:`columnar_count_join_tree`), because the tuple-set DP iterates
-``relation.rows`` directly.
+``__len__``).  The counting DP is :func:`columnar_count_join_tree`.
 
 The engine dispatches the decomposition strategies here through
 :class:`repro.engine.backends.ColumnarBackend`; conversion and
@@ -427,7 +427,7 @@ class ColumnarRelation:
     def from_named(
         cls, relation: NamedRelation, interner: ValueInterner
     ) -> "ColumnarRelation":
-        """Intern a tuple-set relation into columns over ``interner``."""
+        """Intern a named relation into columns over ``interner``."""
         rows = relation.rows
         if not relation.columns:
             return cls._trusted((), interner, (), 1 if rows else 0)
@@ -442,7 +442,7 @@ class ColumnarRelation:
         return cls._trusted(relation.columns, interner, data, len(rows))
 
     def to_named(self) -> NamedRelation:
-        """Decode back to a tuple-set :class:`NamedRelation`."""
+        """Decode back to a :class:`NamedRelation`."""
         return NamedRelation._trusted(self.columns, self.decode_rows())
 
     def decode_rows(self) -> set[tuple]:
@@ -1043,6 +1043,14 @@ class ColumnarStore:
 
     def view(self, atom, relation) -> ColumnarRelation:
         """The snapshot of ``atom`` over ``relation`` at its current version."""
+        if len(atom.terms) != relation.arity:
+            # Only a relation without rows reaches here at another arity
+            # (:meth:`~repro.cq.database.Database.atom_relation`): the atom
+            # reads nothing, and the relation has no id table of its width.
+            shape = atom_shape(atom)
+            return self._relation(
+                shape, tuple(np.empty(0, np.int64) for _ in shape[0]), 0
+            )
         key = (atom.relation, atom.terms)
         with self._lock:
             version = relation.version
@@ -1445,12 +1453,12 @@ def build_columnar_bag_tree(
 ) -> JoinTree:
     """Bag materialisation along the decomposition with columnar relations.
 
-    Mirrors :func:`repro.cq.bags.build_bag_join_tree` — same atom
-    assignment, same duplicate-scope handling, same overlap-first multi-way
-    join (the shared :func:`~repro.cq.relational.natural_join_all`, which is
-    duck-typed over the relation interface) — but every relation is the
-    database's memoized :meth:`~repro.cq.database.Database.columnar_view`,
-    and single-use out-of-bag columns are projected away *below* the joins
+    Each bag joins every atom of its cover's scopes and every atom
+    assigned to it (:mod:`repro.cq.bags`, which explains the duplicate-scope
+    rule) with :func:`~repro.cq.relational.natural_join_all`, and projects
+    onto the bag.  Every relation is the database's memoized
+    :meth:`~repro.cq.database.Database.columnar_view`, and single-use
+    out-of-bag columns are projected away *below* the joins
     (:func:`_push_bag_projections`), which the final ``π_bag`` makes
     semantically invisible.  The store is read once, so every view and the
     interner come from one store even if ``drop_columnar`` runs meanwhile.
@@ -1646,14 +1654,15 @@ def columnar_count_join_tree(tree: JoinTree) -> int:
     factorized: weights are per-row int vectors, child weights group by
     packed key, and no result row is ever materialized.
 
-    Same recurrence as :func:`repro.cq.counting.count_answers_via_join_tree`
-    (Proposition 4.14): a row's weight is the product over children of the
-    summed weights of compatible child rows; the answer count is the summed
-    weight at the root.  A node of at least :data:`_VECTOR_MIN_ROWS` rows
-    runs on int64 arrays, and a tree of :class:`BagArray` bags on their
-    cells (:func:`_count_bag_arrays`); if a packed key or a weight could
-    leave int64 (checked before every sum and product), the whole DP
-    reruns on exact Python ints, over the bags' rows.
+    The recurrence of Proposition 4.14 (Pichler and Skritek), exact on a
+    join tree by running intersection: a row's weight is the product over
+    children of the summed weights of compatible child rows; the answer
+    count is the summed weight at the root.  A node of at least
+    :data:`_VECTOR_MIN_ROWS` rows runs on int64 arrays, and a tree of
+    :class:`BagArray` bags on their cells (:func:`_count_bag_arrays`); if a
+    packed key or a weight could leave int64 (checked before every sum and
+    product), the whole DP reruns on exact Python ints, over the bags'
+    rows.
     """
     try:
         return _count_join_tree(tree, vectorise=True)

@@ -263,6 +263,19 @@ class Database:
     def has_relation(self, name: str) -> bool:
         return name in self.relations
 
+    def atom_relation(self, atom) -> Relation:
+        """The stored relation ``atom`` reads.  Raises ``ValueError`` when the
+        relation holds rows whose arity differs from the atom's term count;
+        a relation without rows answers empty at any arity (an inline JSON
+        relation ``"R": []`` gets arity 0)."""
+        relation = self.relation(atom.relation)
+        if relation.arity != len(atom.terms) and relation.tuples:
+            raise ValueError(
+                f"atom {atom!r} has {len(atom.terms)} terms but relation "
+                f"{relation.name!r} has arity {relation.arity}"
+            )
+        return relation
+
     def add_fact(self, name: str, row: Iterable[Value]) -> None:
         row = tuple(row)
         if name not in self.relations:
@@ -316,7 +329,7 @@ class Database:
         """
         if store is None:
             store = self.columnar_store()
-        return store.view(atom, self.relation(atom.relation))
+        return store.view(atom, self.atom_relation(atom))
 
     def drop_columnar(self) -> None:
         """Drop the columnar store (views *and* interned dictionary)."""
@@ -395,7 +408,9 @@ class Database:
                 raise KeyError(f"relation {name!r} not in database")
         for name, column in key_columns.items():
             arity = self.relations[name].arity
-            if not 0 <= column < arity:
+            # A relation without rows partitions into empty pieces at any
+            # column (an inline JSON relation "R": [] has arity 0).
+            if self.relations[name].tuples and not 0 <= column < arity:
                 raise ValueError(
                     f"partition column {column} out of range for relation "
                     f"{name!r} (arity {arity})"

@@ -1,23 +1,19 @@
-"""A zero-copy, hash-indexed relational-algebra kernel over named columns.
+"""Named relations, the multi-way join order, and atom views.
 
-The decomposition-guided evaluators (Yannakakis, GHD evaluation, counting)
-work on *named relations*: a :class:`NamedRelation` is a set of rows over an
-ordered tuple of column names (query variables).  Joins and semijoins are
-hash-based, so a single join costs time proportional to the sizes of the
-inputs plus the output — which is what makes the Proposition 2.2 upper bound
-(polynomial-time BCQ for bounded ghw) come out in the experiments.
+Three pieces every evaluator shares:
 
-Three engineering rules keep the constant factors down:
-
-* **cached column positions** — ``column_index`` is a dict lookup, never a
-  ``tuple.index`` scan;
-* **memoized key indexes** — the hash index a join or semijoin builds over a
-  key-column set is cached on the relation and reused by every later
-  operation over the same key (the Yannakakis passes hit the same parent
-  relation once per child); any mutation invalidates the caches;
-* **zero-copy results** — operations that cannot change the row set
-  (projection onto all columns, a semijoin that filters nothing, a rename)
-  return ``self`` or share the underlying row set instead of copying it.
+* :class:`NamedRelation` — a set of value rows over an ordered tuple of
+  column names (query variables).  It is the decoded value of an atom over
+  a database: :func:`from_atom` hands it to the backtracking solver, and
+  :meth:`repro.cq.columnar.ColumnarRelation.from_named` /
+  :meth:`~repro.cq.columnar.ColumnarRelation.to_named` convert it to and
+  from the columnar kernel.  It runs no relational operator; joins,
+  semijoins and projections are the columnar kernel's
+  (:mod:`repro.cq.columnar`);
+* :func:`natural_join_all` — the multi-way join of one bag's pool, with its
+  cost-based or static pair order;
+* :func:`atom_shape` / :func:`from_atom` — the selection and projection
+  recipe an atom induces on its relation.
 """
 
 from __future__ import annotations
@@ -35,14 +31,11 @@ from repro.cq.statistics import (  # noqa: F401
     record_static_join,
 )
 
-Value = Hashable
-
-_ALL_ROWS = object()  # sentinel index key for the trivial (no-column) key
 
 class NamedRelation:
-    """An in-memory relation with named columns."""
+    """A set of value rows over named columns."""
 
-    __slots__ = ("columns", "rows", "_positions", "_indexes")
+    __slots__ = ("columns", "rows", "_positions")
 
     def __init__(self, columns: Sequence[Hashable], rows: Iterable[tuple] = ()) -> None:
         self.columns: tuple = tuple(columns)
@@ -50,7 +43,6 @@ class NamedRelation:
         if len(self._positions) != len(self.columns):
             raise ValueError(f"duplicate column names: {self.columns!r}")
         self.rows: set[tuple] = set()
-        self._indexes: dict = {}
         width = len(self.columns)
         for row in rows:
             row = tuple(row)
@@ -66,24 +58,8 @@ class NamedRelation:
         relation.columns = columns
         relation._positions = {c: i for i, c in enumerate(columns)}
         relation.rows = rows
-        relation._indexes = {}
         return relation
 
-    def __getstate__(self):
-        # Serialization contract (process-runtime workers): ship columns and
-        # raw rows only.  The memoized key indexes are derived data — often
-        # larger than the rows themselves — and are rebuilt on the receiving
-        # side on first use, against whatever operations actually run there.
-        return (self.columns, self.rows)
-
-    def __setstate__(self, state) -> None:
-        columns, rows = state
-        self.columns = columns
-        self._positions = {c: i for i, c in enumerate(columns)}
-        self.rows = rows
-        self._indexes = {}
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -94,23 +70,18 @@ class NamedRelation:
         return bool(self.rows)
 
     def __eq__(self, other: object) -> bool:
+        """Equal row sets up to column order."""
         if other is self:
             return True
         if not isinstance(other, NamedRelation):
             return NotImplemented
         if self.columns == other.columns:
-            # Identical column tuples: compare row sets directly, with an
-            # identity short-circuit first — zero-copy operations (an
-            # unfiltering semijoin, a no-op projection, a rename) share the
-            # rows object, so no set comparison is needed at all.
-            return self.rows is other.rows or self.rows == other.rows
+            return self.rows == other.rows
         if set(self.columns) != set(other.columns):
             return False
         if len(self.rows) != len(other.rows):
             return False
-        # Column-permutation index mapping: remap each row of ``other`` into
-        # this relation's column order and test membership — no materialised
-        # projections.
+        # Remap each row of ``other`` into this relation's column order.
         mapping = tuple(other._positions[c] for c in self.columns)
         return all(
             tuple(row[i] for i in mapping) in self.rows for row in other.rows
@@ -125,130 +96,11 @@ class NamedRelation:
         except KeyError:
             raise ValueError(f"{column!r} is not a column of {self.columns!r}") from None
 
-    # ------------------------------------------------------------------
-    # Key indexes (memoized)
-    # ------------------------------------------------------------------
-    def key_index(self, columns: Sequence[Hashable]) -> dict:
-        """The hash index ``key tuple -> tuple of rows`` over the given key
-        columns, built once and cached until the relation is mutated."""
-        positions = tuple(self._positions[c] for c in columns)
-        cache_key = positions if positions else _ALL_ROWS
-        index = self._indexes.get(cache_key)
-        if index is None:
-            index = {}
-            for row in self.rows:
-                index.setdefault(tuple(row[i] for i in positions), []).append(row)
-            self._indexes[cache_key] = index
-        return index
 
-    def invalidate_indexes(self) -> None:
-        """Drop the memoized key indexes (call after any direct mutation of
-        ``rows``; the in-place operations below do it automatically)."""
-        self._indexes.clear()
-
-    @property
-    def cached_index_keys(self) -> tuple:
-        """The key-column position tuples currently memoized (for tests)."""
-        return tuple(k for k in self._indexes if k is not _ALL_ROWS)
-
-    # ------------------------------------------------------------------
-    def project(self, columns: Sequence[Hashable]) -> "NamedRelation":
-        """Projection onto the given columns (duplicates collapse)."""
-        columns = tuple(columns)
-        if columns == self.columns:
-            return self
-        if len(set(columns)) != len(columns):
-            raise ValueError(f"duplicate column names: {columns!r}")
-        indexes = [self.column_index(c) for c in columns]
-        projected = {tuple(row[i] for i in indexes) for row in self.rows}
-        return NamedRelation._trusted(columns, projected)
-
-    def select_equal(self, column: Hashable, value: Value) -> "NamedRelation":
-        index = self.column_index(column)
-        return NamedRelation._trusted(
-            self.columns, {row for row in self.rows if row[index] == value}
-        )
-
-    def rename(self, mapping: dict) -> "NamedRelation":
-        new_columns = tuple(mapping.get(c, c) for c in self.columns)
-        if len(set(new_columns)) != len(new_columns):
-            raise ValueError(f"duplicate column names: {new_columns!r}")
-        if new_columns == self.columns:
-            return self
-        # Rows are shared (never mutated through a renamed view): in-place
-        # operations rebind ``rows`` to a fresh set instead of mutating it.
-        return NamedRelation._trusted(new_columns, self.rows)
-
-    # ------------------------------------------------------------------
-    def natural_join(self, other: "NamedRelation") -> "NamedRelation":
-        """Hash-based natural join on the shared columns (reusing the cached
-        key index of ``other`` when one exists)."""
-        shared = [c for c in self.columns if c in other._positions]
-        other_only = [c for c in other.columns if c not in self._positions]
-        result_columns = self.columns + tuple(other_only)
-        if not shared:
-            other_only_indexes = [other._positions[c] for c in other_only]
-            rows = {
-                left + tuple(right[i] for i in other_only_indexes)
-                for left in self.rows
-                for right in other.rows
-            }
-            return NamedRelation._trusted(result_columns, rows)
-        left_key_indexes = [self._positions[c] for c in shared]
-        other_only_indexes = [other._positions[c] for c in other_only]
-        buckets = other.key_index(shared)
-        rows = set()
-        for left in self.rows:
-            key = tuple(left[i] for i in left_key_indexes)
-            for right in buckets.get(key, ()):
-                rows.add(left + tuple(right[i] for i in other_only_indexes))
-        return NamedRelation._trusted(result_columns, rows)
-
-    def semijoin(self, other: "NamedRelation") -> "NamedRelation":
-        """Keep the rows of ``self`` that join with at least one row of
-        ``other`` (the Yannakakis filtering primitive).  Returns ``self``
-        unchanged (no copy) when nothing is filtered out."""
-        rows = self._semijoin_rows(other)
-        if rows is self.rows:
-            return self
-        return NamedRelation._trusted(self.columns, rows)
-
-    def semijoin_inplace(self, other: "NamedRelation") -> "NamedRelation":
-        """Like :meth:`semijoin` but updates this relation, invalidating its
-        cached indexes only when rows were actually removed.  Returns ``self``
-        for chaining."""
-        rows = self._semijoin_rows(other)
-        if rows is not self.rows:
-            self.rows = rows
-            self.invalidate_indexes()
-        return self
-
-    def _semijoin_rows(self, other: "NamedRelation") -> set:
-        """The surviving row set of a semijoin; returns ``self.rows`` (the
-        very object) when every row survives."""
-        shared = [c for c in self.columns if c in other._positions]
-        if not shared:
-            return self.rows if other.rows else set()
-        left_key_indexes = [self._positions[c] for c in shared]
-        right_keys = other.key_index(shared)
-        rows = {
-            row for row in self.rows
-            if tuple(row[i] for i in left_key_indexes) in right_keys
-        }
-        if len(rows) == len(self.rows):
-            return self.rows
-        return rows
-
-    def cross_product(self, other: "NamedRelation") -> "NamedRelation":
-        if set(self.columns) & set(other.columns):
-            raise ValueError("cross product requires disjoint columns")
-        return self.natural_join(other)
-
-
-def natural_join_all(
-    relations: Sequence[NamedRelation], trace: list | None = None
-) -> NamedRelation:
-    """Multi-way natural join, cost-ordered where ordering has leverage.
+def natural_join_all(relations: Sequence, trace: list | None = None):
+    """Multi-way natural join of columnar relations
+    (:class:`~repro.cq.columnar.ColumnarRelation`), cost-ordered where
+    ordering has leverage.
 
     **Static order** (the historical behaviour, and still the path for pools
     of two — where there is no ordering decision to make): greedy
@@ -267,8 +119,8 @@ def natural_join_all(
     selection used to flip the one-column/two-column choice on per-shard
     size jitter, blowing intermediates up by the domain factor.)
 
-    **Cost-based order** (the default mode, for columnar pools of three or
-    more): pick the overlapping pair with the smallest *estimated* output
+    **Cost-based order** (the default mode, for pools of three or more):
+    pick the overlapping pair with the smallest *estimated* output
     (:func:`~repro.cq.statistics.estimate_join_rows`, which is exact on one
     shared column: the dot product of the two columns' degree vectors).
     The structure-only static heuristic is exactly what Zipfian data
@@ -277,21 +129,14 @@ def natural_join_all(
     the static criteria (more shared columns, then smaller combined size).
     Every decision records its estimate against the actual output in the
     calling engine call's join record (`EvalResult.timings["stats"]`).
-    Tuple-set relations keep no degree vectors, so tuple-set pools
-    (reference code) always take the static order.
 
-    Both kernels flow through this one function; ``trace``, when given,
-    receives the intermediate result size after each pairwise join (the
+    ``trace``, when given, receives the intermediate result size after each pairwise join (the
     regression harness compares orders with it).
     """
     pool = list(relations)
     if not pool:
         raise ValueError("natural_join_all requires at least one relation")
-    cost_mode = (
-        len(pool) >= 3
-        and join_ordering() == ORDERING_COST
-        and hasattr(pool[0], "degrees")
-    )
+    cost_mode = len(pool) >= 3 and join_ordering() == ORDERING_COST
     while len(pool) > 1:
         if cost_mode:
             joined = _cost_join_step(pool)
@@ -303,7 +148,7 @@ def natural_join_all(
     return pool[0]
 
 
-def _static_join_step(pool: list) -> NamedRelation:
+def _static_join_step(pool: list):
     """One overlap-greedy join step: pop the chosen pair, return the join."""
     pool.sort(key=len)
     pair = None
@@ -378,7 +223,7 @@ def atom_shape(atom) -> tuple:
     """The selection/projection recipe an atom induces on its relation:
     ``(columns, keep_indexes, constant_checks, equality_checks)``.
 
-    Shared by the tuple-set atom views (:func:`from_atom`) and the columnar
+    Shared by the decoded atom views (:func:`from_atom`) and the columnar
     store's id-level selection, which serves both its atom views and the
     semi-naive refresh's deltas, so every consumer filters rows through
     exactly the same recipe.
@@ -416,7 +261,7 @@ def from_atom(atom, database) -> NamedRelation:
     """
     columns, keep_indexes, constant_checks, equality_checks = atom_shape(atom)
     rows = set()
-    for row in database.relation(atom.relation).tuples:
+    for row in database.atom_relation(atom).tuples:
         if any(row[i] != value for i, value in constant_checks):
             continue
         if any(row[i] != row[anchor] for i, anchor in equality_checks):

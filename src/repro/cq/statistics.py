@@ -15,9 +15,7 @@ column's exact degree vector (:meth:`repro.cq.columnar.ColumnarRelation
   shared column, the exact join size (the dot product of the two degree
   vectors) and the exact surviving fraction (the degree mass on ids the
   other side holds).  Several shared columns multiply their single-column
-  selectivities (the independence assumption).  Only columnar relations
-  keep degree vectors; tuple-set pools, reference code, take the static
-  order;
+  selectivities (the independence assumption);
 * the **join-ordering mode** (:func:`forced_join_ordering`, read by
   :func:`join_ordering`), scoped to the calling thread or task, and the
   **join record** of each engine call (:func:`join_record`): its cost and
@@ -73,7 +71,7 @@ def estimate_semijoin_fraction(left, right, shared: Sequence[Hashable]) -> float
     one shared column, exactly the degree mass of ``left`` on the ids
     ``right`` holds, over ``len(left)``; on several, the product of those
     fractions.  With no shared column every row survives a non-empty
-    ``right`` and none an empty one, as in both kernels' ``semijoin``."""
+    ``right`` and none an empty one, as in the columnar ``semijoin``."""
     rows = len(left)
     if rows == 0 or len(right) == 0:
         return 0.0

@@ -4,9 +4,13 @@ Yannakakis' algorithm answers acyclic CQs in polynomial time: materialise one
 relation per join-tree node, run an upward semijoin pass (bottom-up
 filtering), a downward pass, and finally join along the tree.  Together with
 join trees for width-1 GHDs it is the algorithmic core of Proposition 2.2's
-upper bound; the GHD-guided evaluator in
-:mod:`repro.cq.decomposition_eval` reduces bounded-ghw queries to exactly this
-routine after materialising bag relations (:mod:`repro.cq.bags`).
+upper bound; the columnar kernel (:mod:`repro.cq.columnar`) reduces
+bounded-ghw queries to exactly this routine after materialising bag
+relations.  The passes are duck-typed over the relation interface
+(``columns``, ``natural_join``, ``semijoin``, ``semijoin_inplace``,
+``project``, ``__len__``), which the kernel's
+:class:`~repro.cq.columnar.ColumnarRelation` and
+:class:`~repro.cq.columnar.BagArray` implement.
 
 Enumeration is task-aware: it runs only the passes its output columns ``F``
 need (Yannakakis, VLDB 1981, as free-connex evaluation uses it: Bagan,
@@ -41,8 +45,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 
-from repro.cq.relational import NamedRelation
-
 # ``estimate_semijoin_fraction`` is unused here but stays bound by name:
 # perfbench/tracing.py wraps the estimators in this module's namespace.
 from repro.cq.statistics import estimate_semijoin_fraction  # noqa: F401
@@ -56,15 +58,15 @@ class JoinTree:
     Parameters
     ----------
     relations:
-        Mapping node -> :class:`NamedRelation`.
+        Mapping node -> relation (a columnar relation or bag array).
     parent:
         Mapping node -> parent node (``None`` for the root).  Exactly one root
         is required; forests should be connected beforehand (or evaluated per
         tree and combined by the caller).
     """
 
-    def __init__(self, relations: Mapping[Node, NamedRelation], parent: Mapping[Node, Node | None]) -> None:
-        self.relations: dict[Node, NamedRelation] = dict(relations)
+    def __init__(self, relations: Mapping, parent: Mapping[Node, Node | None]) -> None:
+        self.relations: dict = dict(relations)
         self.parent: dict[Node, Node | None] = dict(parent)
         roots = [n for n, p in self.parent.items() if p is None]
         if len(roots) != 1:
@@ -135,7 +137,7 @@ def _downward_pass(tree: JoinTree, relations: dict, owned: set, nodes: list) -> 
                 _filter(relations, owned, child, node)
 
 
-def semijoin_reduce(tree: JoinTree) -> dict[Node, NamedRelation]:
+def semijoin_reduce(tree: JoinTree) -> dict:
     """The two full semijoin passes of Yannakakis; returns the reduced
     relations.
 
@@ -178,7 +180,7 @@ def pruned_tree(tree: JoinTree, output_columns) -> list[Node]:
     return [node for node in order if node in keep]
 
 
-def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = None) -> NamedRelation:
+def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = None):
     """Enumeration via Yannakakis: the upward pass over the whole tree, then
     the downward pass and the bottom-up joins over the pruned tree ``T_F``
     only (:func:`pruned_tree`), projecting each intermediate result onto the
@@ -213,7 +215,7 @@ def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = 
     wanted = set(output)
     partial: dict = {}
 
-    def joined(node: Node) -> NamedRelation:
+    def joined(node: Node):
         result = relations[node]
         for child in tree.children[node]:
             if child in partial:

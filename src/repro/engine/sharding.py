@@ -205,6 +205,9 @@ class ShardedDatabase:
             spec = sharding_spec(query, shards, shard_variable=shard_variable)
         if not spec.is_sharded:
             return cls(spec, [database])
+        for atom in query.atoms:
+            if database.has_relation(atom.relation):
+                database.atom_relation(atom)  # refuses an arity mismatch
         present = {
             name: column
             for name, column in spec.partition_columns.items()

@@ -44,6 +44,7 @@ name their tenant via the ``X-Tenant`` header.  See
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -412,11 +413,20 @@ class QueryService:
             )
         except OverflowError as exc:
             return Response.error(503, str(exc))
-        return await self._execute(
-            payload,
-            lambda cancel=None: subscription.poll(),
-            self._poll_to_json,
-        )
+        response = None
+        try:
+            response = await self._execute(
+                payload,
+                lambda cancel=None: subscription.poll(),
+                self._poll_to_json,
+            )
+        finally:
+            # Only a 200 tells the client the id: any other outcome would
+            # leave a view and a registry slot that nobody can poll or remove.
+            if response is None or response.status != 200:
+                with contextlib.suppress(UnknownSubscription):
+                    self.subscriptions.remove(tenant, subscription.id)
+        return response
 
     async def _handle_poll(self, request: Request) -> Response:
         """Refresh one subscription and return the undelivered answers."""

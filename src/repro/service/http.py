@@ -24,6 +24,15 @@ from urllib.parse import urlsplit
 _MAX_LINE_BYTES = 16 * 1024
 _MAX_HEADER_COUNT = 100
 
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+#: Python's decoder also accepts ``NaN``, ``Infinity`` and ``-Infinity``,
+#: which are not JSON; request bodies refuse them.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
 REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -60,7 +69,9 @@ class Request:
         if not self.body:
             return None
         try:
-            return json.loads(self.body)
+            return _DECODER.decode(
+                self.body.decode(json.detect_encoding(self.body), "surrogatepass")
+            )
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from None
 

@@ -1,4 +1,5 @@
-"""Bag materialisation regressions (repro.cq.bags).
+"""Bag materialisation regressions (repro.cq.bags and the columnar bag
+tree built from it).
 
 The load-bearing invariant: atoms sharing a variable scope but carrying
 different relation symbols must *all* be joined into every bag whose cover
@@ -14,7 +15,8 @@ import sys
 import pytest
 
 from repro.cq import Atom, ConjunctiveQuery, Database, Relation
-from repro.cq.bags import atoms_by_scope, build_bag_join_tree
+from repro.cq.bags import atoms_by_scope
+from repro.cq.columnar import build_columnar_bag_tree
 from repro.cq.decomposition_eval import (
     decomposition_count_answers,
     decomposition_enumerate_answers,
@@ -52,12 +54,12 @@ def test_every_covering_bag_joins_all_same_scope_atoms(same_scope_instance):
     edge = frozenset({"x", "y"})
     decomposition = TreeDecomposition({"a": edge, "b": edge}, [("a", "b")])
     ghd = GeneralizedHypertreeDecomposition(decomposition, {"a": [edge], "b": [edge]})
-    tree = build_bag_join_tree(query, database, ghd)
+    tree = build_columnar_bag_tree(query, database, ghd)
     for node in ("a", "b"):
         relation = tree.relations[node]
         assert set(relation.columns) == {"x", "y"}
         x, y = relation.column_index("x"), relation.column_index("y")
-        assert {(row[x], row[y]) for row in relation.rows} == {(1, 2)}
+        assert {(row[x], row[y]) for row in relation.decode_rows()} == {(1, 2)}
 
 
 def test_same_scope_evaluation_matches_naive(same_scope_instance):
@@ -101,16 +103,14 @@ def test_same_scope_different_variable_order():
 
 _ROOT_SCRIPT = """
 from repro.cq import generators as cqgen
-from repro.cq.bags import build_bag_join_tree
 from repro.cq.columnar import build_columnar_bag_tree
 from repro.engine import EngineSession
 
 query = cqgen.star_query(3).project(["c", "x0"])
 database = cqgen.hub_database(query, 20, 30, seed=97, hot_values=2)
 ghd = EngineSession().plan(query).decomposition
-for build in (build_bag_join_tree, build_columnar_bag_tree):
-    tree = build(query, database, ghd)
-    print(" ".join(sorted(tree.relations[tree.root].columns)))
+tree = build_columnar_bag_tree(query, database, ghd)
+print(" ".join(sorted(tree.relations[tree.root].columns)))
 """
 
 
@@ -130,6 +130,6 @@ def test_join_tree_root_holds_the_free_variables_under_any_hash_seed(hash_seed):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     roots = completed.stdout.splitlines()
-    assert len(roots) == 2
+    assert len(roots) == 1
     for root_columns in roots:
         assert "x0" in root_columns.split(), root_columns

@@ -1,4 +1,4 @@
-"""The columnar kernel's NumPy path against the tuple-set reference.
+"""The columnar kernel's NumPy path against set comprehensions.
 
 Operators whose probe side holds at least ``_VECTOR_MIN_ROWS`` rows run on
 int64 arrays; smaller ones keep the dict/list code.  On the NumPy path a
@@ -6,9 +6,9 @@ join, semijoin or count-DP edge addresses a dense key domain directly and
 sorts a sparse one (``_DENSE_FACTOR``).  These tests build relations on
 both sides of the row threshold and pin every vectorised operator —
 ``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project`` and the
-counting DP — on both NumPy branches to :class:`NamedRelation` after
-decoding, then check the same through the engine on databases large enough
-that each vectorised operator and each branch fires.  The last group
+counting DP — on both NumPy branches to set comprehensions over the decoded
+rows, then check the engine against the backtracking solver on databases
+large enough that each vectorised operator and each branch fires.  The last group
 covers the exactness guards: int64 would wrap silently where Python ints
 grow, so each test below fails if the guard it names is removed.
 """
@@ -29,12 +29,8 @@ from repro.cq.columnar import (
     ValueInterner,
     columnar_count_join_tree,
 )
-from repro.cq.counting import count_answers_via_join_tree
 from repro.cq.database import Database
-from repro.cq.decomposition_eval import (
-    decomposition_count_answers,
-    decomposition_enumerate_answers,
-)
+from repro.cq.homomorphism import count_answers, enumerate_answers
 from repro.cq.query import Atom
 from repro.cq.relational import NamedRelation
 from repro.cq.yannakakis import JoinTree
@@ -56,6 +52,37 @@ def random_relation(columns, rows, domain, rng) -> NamedRelation:
             row.append(value)
         found.add(tuple(row))
     return NamedRelation(columns, found)
+
+
+def _key(relation, row, columns) -> tuple:
+    return tuple(row[relation.column_index(c)] for c in columns)
+
+
+def join(left, right) -> NamedRelation:
+    """``left ⋈ right`` over named rows, by a grouping on the shared key."""
+    shared = [c for c in left.columns if c in right.columns]
+    extra = tuple(c for c in right.columns if c not in left.columns)
+    grouped: dict = {}
+    for row in right:
+        grouped.setdefault(_key(right, row, shared), []).append(
+            _key(right, row, extra)
+        )
+    return NamedRelation(left.columns + extra, {
+        row + tail for row in left for tail in grouped.get(_key(left, row, shared), ())
+    })
+
+
+def semijoin(left, right) -> NamedRelation:
+    """``left ⋉ right``: the rows of ``left`` whose shared key ``right`` holds."""
+    shared = [c for c in left.columns if c in right.columns]
+    keys = {_key(right, row, shared) for row in right}
+    return NamedRelation(
+        left.columns, {row for row in left if _key(left, row, shared) in keys}
+    )
+
+
+def project(relation, columns) -> NamedRelation:
+    return NamedRelation(columns, {_key(relation, row, columns) for row in relation})
 
 
 def is_vector(relation: ColumnarRelation) -> bool:
@@ -84,7 +111,7 @@ def relation_pairs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(pair=relation_pairs())
-def test_vectorised_operators_match_the_tuple_set_reference(pair):
+def test_vectorised_operators_match_set_comprehensions(pair):
     """Each draw runs twice: as is (its narrow domains mostly take the
     dense branch), and with ``_DENSE_FACTOR`` at 0, where every keyed
     NumPy operator sorts."""
@@ -99,36 +126,35 @@ def _check_operators(left, right):
     cleft = ColumnarRelation.from_named(left, interner)
     cright = ColumnarRelation.from_named(right, interner)
 
+    expected = join(left, right)
     joined = cleft.natural_join(cright)
-    assert joined.to_named() == left.natural_join(right)
-    assert cright.natural_join(cleft).to_named() == right.natural_join(left)
+    assert joined.to_named() == expected
+    assert cright.natural_join(cleft).to_named() == join(right, left)
 
-    assert cleft.semijoin(cright).to_named() == left.semijoin(right)
+    assert cleft.semijoin(cright).to_named() == semijoin(left, right)
     target = ColumnarRelation.from_named(left, interner)
     assert target.semijoin_inplace(cright) is target
-    assert target.to_named() == left.semijoin(right)
+    assert target.to_named() == semijoin(left, right)
     assert not is_vector(target) or len(target) >= N
 
     for columns in (("a",), ("x", "a"), left.columns[:-1]):
         projected = cleft.project(columns)
-        assert projected.to_named() == left.project(columns)
+        assert projected.to_named() == project(left, columns)
         assert not is_vector(projected) or len(projected) >= N
     if len(joined) >= N:
         # A vectorised result feeding the next operator.
         columns = ("y", "a")
-        expected = left.natural_join(right).project(columns)
-        assert joined.project(columns).to_named() == expected
+        assert joined.project(columns).to_named() == project(expected, columns)
 
     tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
-    reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
-    assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
+    assert columnar_count_join_tree(tree) == len(expected)
 
 
 @pytest.mark.parametrize(
     "left_rows, right_rows",
     [(4, N // 4 - 1), (4, N // 4), (1, N), (40, 3 * N // 4)],
 )
-def test_cross_products_match_the_tuple_set_reference(left_rows, right_rows):
+def test_cross_products_match_set_comprehensions(left_rows, right_rows):
     """Cross products take the NumPy path from ``N`` output pairs, on a
     probe side of any size: both sides of that bound, plus a few dozen
     rows times a whole relation (the shape of the cross products in the
@@ -139,14 +165,12 @@ def test_cross_products_match_the_tuple_set_reference(left_rows, right_rows):
     interner = ValueInterner()
     cleft = ColumnarRelation.from_named(left, interner)
     cright = ColumnarRelation.from_named(right, interner)
+    expected = NamedRelation(("a", "b", "c"), {a + bc for a in left for bc in right})
     joined = cleft.natural_join(cright)
-    assert joined.to_named() == left.natural_join(right)
-    assert joined.project(("c", "a")).to_named() == left.natural_join(
-        right
-    ).project(("c", "a"))
+    assert joined.to_named() == expected
+    assert joined.project(("c", "a")).to_named() == project(expected, ("c", "a"))
     tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
-    reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
-    assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
+    assert columnar_count_join_tree(tree) == left_rows * right_rows
 
 
 @pytest.fixture
@@ -191,11 +215,11 @@ def test_sparse_key_domains_take_the_sort_path(key_width, dense_sizes):
     left, right = draw(key + ("x",)), draw(key + ("y",))
     cleft = ColumnarRelation.from_named(left, interner)
     cright = ColumnarRelation.from_named(right, interner)
-    assert cleft.natural_join(cright).to_named() == left.natural_join(right)
-    assert cleft.semijoin(cright).to_named() == left.semijoin(right)
+    expected = join(left, right)
+    assert cleft.natural_join(cright).to_named() == expected
+    assert cleft.semijoin(cright).to_named() == semijoin(left, right)
     tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
-    reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
-    assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
+    assert columnar_count_join_tree(tree) == len(expected)
     assert dense_sizes == [None] * 3
 
 
@@ -250,16 +274,11 @@ def test_engine_answers_and_counts_on_the_vector_path(
     plan = session.plan(query)
     assert plan.decomposition is not None
     answers = session.answer(query, database).rows
-    assert answers == decomposition_enumerate_answers(
-        query, database, plan.decomposition
-    )
-    assert session.count(query, database).count == decomposition_count_answers(
-        query, database, plan.decomposition
-    )
+    assert answers == enumerate_answers(query, database)
+    assert session.count(query, database).count == count_answers(query, database)
     projected = query.project(sorted(query.variables, key=repr)[:1])
-    projected_plan = session.plan(projected)
-    assert session.answer(projected, database).rows == decomposition_enumerate_answers(
-        projected, database, projected_plan.decomposition
+    assert session.answer(projected, database).rows == enumerate_answers(
+        projected, database
     )
     assert all(count > 0 for count in vector_calls.values()), vector_calls
     fired = {"sort" if size is None else "dense" for size in dense_sizes}
@@ -380,15 +399,15 @@ def test_four_column_keys_stay_exact_when_packing_cannot_fit():
     cright = ColumnarRelation.from_named(right, interner)
     assert len(interner) == base
 
-    assert cleft.natural_join(cright).to_named() == left.natural_join(right)
-    assert cleft.semijoin(cright).to_named() == left.semijoin(right)
+    expected = join(left, right)
+    assert cleft.natural_join(cright).to_named() == expected
+    assert cleft.semijoin(cright).to_named() == semijoin(left, right)
     both = NamedRelation(columns, left_rows | right_rows)
     assert ColumnarRelation.from_named(both, interner).project(
         columns[::-1]
-    ).to_named() == both.project(columns[::-1])
+    ).to_named() == project(both, columns[::-1])
     tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
-    reference = JoinTree({0: left, 1: right}, {0: None, 1: 0})
-    assert columnar_count_join_tree(tree) == count_answers_via_join_tree(reference)
+    assert columnar_count_join_tree(tree) == len(expected)
 
 
 def test_resident_view_sees_appends_after_a_vectorised_operation():

@@ -1,8 +1,10 @@
-"""Tests for the relational-algebra kernel."""
+"""Tests for repro.cq.relational: the named relation that atoms decode to,
+atom views, and the multi-way join order over columnar pools."""
 
 import pytest
 
 from repro.cq import Database
+from repro.cq.columnar import ColumnarRelation, ValueInterner
 from repro.cq.query import Atom, Constant
 from repro.cq.relational import NamedRelation, from_atom, natural_join_all
 
@@ -26,54 +28,40 @@ class TestNamedRelation:
         with pytest.raises(ValueError):
             NamedRelation(("x",), {(1, 2)})
 
-    def test_projection(self, left):
-        projected = left.project(["x"])
-        assert projected.rows == {(1,), (2,)}
+    def test_length_iteration_and_truth(self, left):
+        assert len(left) == 3
+        assert set(left) == {(1, 2), (1, 3), (2, 3)}
+        assert left and not NamedRelation(("x",), set())
 
-    def test_projection_onto_nothing(self, left):
-        assert left.project([]).rows == {()}
-
-    def test_select_equal(self, left):
-        assert left.select_equal("x", 1).rows == {(1, 2), (1, 3)}
-
-    def test_rename(self, left):
-        renamed = left.rename({"x": "a"})
-        assert renamed.columns == ("a", "y")
-
-    def test_natural_join(self, left, right):
-        joined = left.natural_join(right)
-        assert set(joined.columns) == {"x", "y", "z"}
-        assert (1, 2, 5) in joined.rows
-        assert (2, 3, 6) in joined.rows
-        assert len(joined) == 3
-
-    def test_join_without_shared_columns_is_product(self):
-        a = NamedRelation(("x",), {(1,), (2,)})
-        b = NamedRelation(("y",), {(7,)})
-        assert len(a.natural_join(b)) == 2
-
-    def test_semijoin(self, left, right):
-        filtered = left.semijoin(NamedRelation(("y",), {(2,)}))
-        assert filtered.rows == {(1, 2)}
-
-    def test_semijoin_no_shared_columns(self, left):
-        empty_other = NamedRelation(("q",), set())
-        assert len(left.semijoin(empty_other)) == 0
-        nonempty_other = NamedRelation(("q",), {(1,)})
-        assert left.semijoin(nonempty_other).rows == left.rows
-
-    def test_cross_product_requires_disjoint(self, left):
+    def test_column_index_is_cached_lookup(self, left):
+        assert left.column_index("y") == 1
         with pytest.raises(ValueError):
-            left.cross_product(left)
+            left.column_index("nope")
 
     def test_equality_is_column_order_insensitive(self):
         a = NamedRelation(("x", "y"), {(1, 2)})
         b = NamedRelation(("y", "x"), {(2, 1)})
         assert a == b
 
-    def test_natural_join_all(self, left, right):
-        result = natural_join_all([left, right])
-        assert len(result) == 3
+
+class TestEquality:
+    def test_permutation_equality(self):
+        a = NamedRelation(("x", "y"), {(1, 2), (3, 4)})
+        b = NamedRelation(("y", "x"), {(2, 1), (4, 3)})
+        assert a == b
+
+    def test_permutation_inequality(self):
+        a = NamedRelation(("x", "y"), {(1, 2)})
+        b = NamedRelation(("y", "x"), {(1, 2)})
+        assert a != b
+
+    def test_length_shortcut(self):
+        a = NamedRelation(("x", "y"), {(1, 2)})
+        b = NamedRelation(("y", "x"), {(2, 1), (4, 3)})
+        assert a != b
+
+    def test_different_column_sets(self):
+        assert NamedRelation(("x",), {(1,)}) != NamedRelation(("y",), {(1,)})
 
 
 class TestFromAtom:
@@ -104,3 +92,50 @@ class TestFromAtom:
         db.add_fact("Flag", ())
         relation = from_atom(Atom("Flag", []), db)
         assert relation.rows == {()}
+
+
+class TestJoinPlanner:
+    """``natural_join_all`` over columnar pools, checked on decoded rows."""
+
+    @pytest.fixture
+    def interner(self):
+        return ValueInterner()
+
+    def test_natural_join_all(self, left, right, interner):
+        pool = [ColumnarRelation.from_named(r, interner) for r in (left, right)]
+        assert natural_join_all(pool).to_named() == NamedRelation(
+            ("x", "y", "z"), {(1, 2, 5), (1, 3, 6), (2, 3, 6)}
+        )
+
+    def test_natural_join_all_matches_pairwise(self, left, right, interner):
+        tail = NamedRelation(("z", "w"), {(5, 0), (6, 1), (7, 2)})
+        pool = [ColumnarRelation.from_named(r, interner) for r in (tail, left, right)]
+        expected = {
+            (x, y, z, w)
+            for x, y in left for y2, z in right for z2, w in tail
+            if y == y2 and z == z2
+        }
+        assert natural_join_all(pool).to_named() == NamedRelation(
+            ("x", "y", "z", "w"), expected
+        )
+
+    def test_planner_prefers_shared_columns_over_cross_product(self, interner):
+        a = NamedRelation(("x",), {(i,) for i in range(3)})
+        b = NamedRelation(("y",), {(i,) for i in range(3)})
+        ab = NamedRelation(("x", "y"), {(0, 0), (1, 1)})
+        trace: list = []
+        result = natural_join_all(
+            [ColumnarRelation.from_named(r, interner) for r in (a, b, ab)], trace
+        )
+        assert set(result.columns) == {"x", "y"}
+        assert result.to_named() == ab
+        # No intermediate result grew past the pair: no cross product ran.
+        assert max(trace) == len(ab)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            natural_join_all([])
+
+    def test_single_relation_returned_unchanged(self, left, interner):
+        relation = ColumnarRelation.from_named(left, interner)
+        assert natural_join_all([relation]) is relation

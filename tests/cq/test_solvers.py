@@ -26,11 +26,12 @@ from repro.cq.columnar import (
     BagArray,
     ColumnarRelation,
     ValueInterner,
+    build_columnar_bag_tree,
+    columnar_count_join_tree,
     columnar_enumerate_answers,
 )
-from repro.cq.counting import count_answers_via_join_tree, naive_count
 from repro.cq.database import Relation
-from repro.cq.decomposition_eval import build_bag_join_tree, DecompositionMismatchError
+from repro.cq.decomposition_eval import DecompositionMismatchError
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.cq.relational import NamedRelation
 from repro.cq.yannakakis import (
@@ -58,14 +59,13 @@ def small_path_instance():
     return query, database
 
 
-KERNELS = ("tuple-set", "columnar", "bag-array")
+KERNELS = ("columnar", "bag-array")
 
 
 def _in_kernel(relations: dict, kernel: str) -> dict:
-    """The relations in one kernel's form.  Bag arrays give each column one
-    axis size across the tree, its largest id bound in any relation."""
-    if kernel == "tuple-set":
-        return dict(relations)
+    """The named relations in one kernel's form.  Bag arrays give each
+    column one axis size across the tree, its largest id bound in any
+    relation."""
     interner = ValueInterner()
     columnar = {
         node: ColumnarRelation.from_named(relation, interner)
@@ -81,12 +81,6 @@ def _in_kernel(relations: dict, kernel: str) -> dict:
         node: BagArray.from_pool([relation], relation.columns, sizes, interner)
         for node, relation in columnar.items()
     }
-
-
-def _rows(relation) -> set:
-    if isinstance(relation, (ColumnarRelation, BagArray)):
-        return relation.decode_rows()
-    return set(relation.rows)
 
 
 def _columns(relations: dict) -> tuple:
@@ -118,7 +112,7 @@ def _spy_relational_calls(monkeypatch) -> dict:
     """Record ``(self.columns, other.columns)`` of every join and semijoin
     any kernel runs."""
     calls = {"natural_join": [], "semijoin": [], "semijoin_inplace": []}
-    for owner in (NamedRelation, ColumnarRelation, BagArray):
+    for owner in (ColumnarRelation, BagArray):
         for name, seen in calls.items():
             original = getattr(owner, name)
 
@@ -254,42 +248,43 @@ class TestBacktrackingSolver:
 
 
 class TestYannakakis:
-    def _tree(self):
-        relations = {
-            "top": NamedRelation(("x", "y"), {(1, 2), (2, 3)}),
-            "left": NamedRelation(("y", "z"), {(2, 5), (3, 6)}),
-            "right": NamedRelation(("y", "w"), {(2, 7)}),
-        }
+    RELATIONS = {
+        "top": _R(("x", "y"), {(1, 2), (2, 3)}),
+        "left": _R(("y", "z"), {(2, 5), (3, 6)}),
+        "right": _R(("y", "w"), {(2, 7)}),
+    }
+
+    def _tree(self, kernel="columnar"):
         parent = {"top": None, "left": "top", "right": "top"}
-        return JoinTree(relations, parent)
+        return JoinTree(_in_kernel(self.RELATIONS, kernel), parent)
 
     def test_join_tree_requires_single_root(self):
         with pytest.raises(ValueError):
-            JoinTree({"a": NamedRelation(("x",), set())}, {"a": "a"})
+            JoinTree({"a": _R(("x",), set())}, {"a": "a"})
 
     def test_boolean_answer(self):
         assert yannakakis_boolean(self._tree())
 
     def test_boolean_false_when_branch_empty(self):
         tree = self._tree()
-        tree.relations["right"] = NamedRelation(("y", "w"), set())
+        tree.relations["right"] = ColumnarRelation.from_named(
+            _R(("y", "w"), set()), tree.relations["top"].interner
+        )
         assert not yannakakis_boolean(tree)
 
     def test_full_enumeration_matches_naive_join(self):
-        tree = self._tree()
-        full = yannakakis_full(tree)
+        full = yannakakis_full(self._tree())
         assert set(full.columns) == {"x", "y", "z", "w"}
+        assert full.decode_rows() == brute_force_join(self.RELATIONS, full.columns)
         assert len(full) == 1
-        assert naive_count(tree) == 1
 
     def test_projection_output(self):
-        tree = self._tree()
-        result = yannakakis_full(tree, output_columns=("x",))
-        assert result.rows == {(1,)}
+        result = yannakakis_full(self._tree(), output_columns=("x",))
+        assert result.decode_rows() == {(1,)}
 
     def test_counting_dp_matches_naive(self):
-        tree = self._tree()
-        assert count_answers_via_join_tree(tree) == naive_count(tree)
+        expected = brute_force_join(self.RELATIONS, _columns(self.RELATIONS))
+        assert columnar_count_join_tree(self._tree()) == len(expected) == 1
 
     # ------------------------------------------------------------------
     # The pruned tree T_F: after the upward pass, only the root, the nodes
@@ -304,7 +299,7 @@ class TestYannakakis:
         result = yannakakis_full(tree, output_columns=output)
         columns = output or _columns(relations)
         assert result.columns == tuple(columns)
-        assert _rows(result) == brute_force_join(relations, columns)
+        assert result.decode_rows() == brute_force_join(relations, columns)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_free_subtree_with_an_empty_relation_leaves_no_answers(self, kernel):
@@ -337,7 +332,7 @@ class TestYannakakis:
         columns = output or _columns(relations)
         assert set(pruned_tree(tree, columns)) == expected_nodes
         result = yannakakis_full(tree, output_columns=output)
-        assert _rows(result) == brute_force_join(relations, columns)
+        assert result.decode_rows() == brute_force_join(relations, columns)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_free_variables_in_the_root_skip_the_downward_pass_and_joins(
@@ -347,7 +342,7 @@ class TestYannakakis:
         tree = JoinTree(_in_kernel(relations, kernel), parent)
         calls = _spy_relational_calls(monkeypatch)
         result = yannakakis_full(tree, output_columns=output)
-        assert _rows(result) == brute_force_join(relations, output)
+        assert result.decode_rows() == brute_force_join(relations, output)
         assert not calls["natural_join"]
         edges = {
             (relations[child].columns, relations[up].columns)
@@ -371,12 +366,12 @@ class TestYannakakis:
         reduced = semijoin_reduce(tree)
         assert set(reduced) == set(relations)
         for node, relation in relations.items():
-            assert _rows(reduced[node]) == brute_force_join(
+            assert reduced[node].decode_rows() == brute_force_join(
                 relations, relation.columns
             ), node
         # The reducer works on copies: the tree keeps its input relations.
         for node, relation in relations.items():
-            assert _rows(tree.relations[node]) == set(relation.rows), node
+            assert tree.relations[node].decode_rows() == relation.rows, node
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_an_empty_child_sharing_no_column_empties_every_node(self, kernel):
@@ -400,9 +395,7 @@ class TestYannakakis:
     def test_unknown_output_column_is_rejected_before_any_semijoin(
         self, kernel, monkeypatch
     ):
-        tree = JoinTree(
-            _in_kernel(self._tree().relations, kernel), self._tree().parent
-        )
+        tree = self._tree(kernel)
         calls = _spy_relational_calls(monkeypatch)
         with pytest.raises(ValueError, match="do not occur"):
             yannakakis_full(tree, output_columns=("x", "nowhere"))
@@ -502,11 +495,13 @@ class TestDecompositionGuidedEvaluation:
         database = cqgen.grid_constraint_database(query, colours=3)
         foreign_ghd = ghw_upper_bound(other.hypergraph()).decomposition
         with pytest.raises(DecompositionMismatchError):
-            build_bag_join_tree(query, database, foreign_ghd)
+            build_columnar_bag_tree(query, database, foreign_ghd)
+        with pytest.raises(DecompositionMismatchError):
+            decomposition_boolean_answer(query, database, foreign_ghd)
 
     def test_bag_join_tree_structure(self):
         query = cqgen.cycle_query(5)
         database = cqgen.grid_constraint_database(query, colours=3)
         ghd = ghw_upper_bound(query.hypergraph()).decomposition
-        tree = build_bag_join_tree(query, database, ghd)
+        tree = build_columnar_bag_tree(query, database, ghd)
         assert set(tree.relations) == set(ghd.bags)

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.cq.statistics`: the columnar degree vectors
 (also on resident views, at each pinned version) and the estimators over
-them (several shared columns, an empty side), the static order of
-tuple-set pools, the caller-scoped ordering mode, and the join records."""
+them (several shared columns, an empty side), the two join orders of one
+pool, the caller-scoped ordering mode, and the join records."""
 
 from collections import Counter
 
@@ -91,21 +91,28 @@ def test_several_shared_columns_multiply_their_selectivities():
     )
 
 
-def test_tuple_set_pools_take_the_static_order():
+@pytest.mark.parametrize(
+    "mode, cost_joins, static_joins",
+    [(ORDERING_COST, 1, 1), (ORDERING_STATIC, 0, 2)],
+)
+def test_a_pool_takes_the_callers_join_order(mode, cost_joins, static_joins):
+    # A triangle: the first step picks among three overlapping pairs, the
+    # second has one pair left, so only the first is a cost decision.
+    interner = ValueInterner()
     pool = [
-        NamedRelation(("x", "y"), {(1, 2), (2, 3)}),
-        NamedRelation(("y", "z"), {(2, 5), (3, 6)}),
-        NamedRelation(("x", "z"), {(1, 5)}),
+        _columnar(("x", "y"), [(1, 2), (2, 3)], interner),
+        _columnar(("y", "z"), [(2, 5), (3, 6)], interner),
+        _columnar(("x", "z"), [(1, 5)], interner),
     ]
-    with join_record() as moved:
+    with forced_join_ordering(mode), join_record() as moved:
         joined = natural_join_all(pool)
-    assert joined == pool[0].natural_join(pool[1]).natural_join(pool[2])
-    assert moved["cost_joins"] == 0 and moved["static_joins"] == 2
+    assert joined.to_named() == NamedRelation(("x", "y", "z"), {(1, 2, 5)})
+    assert moved["cost_joins"] == cost_joins and moved["static_joins"] == static_joins
 
 
 def test_semijoin_fraction_against_an_empty_relation_is_zero():
-    # Both kernels' semijoin keeps nothing of ``left`` against an empty
-    # relation, whether or not the two share a column.
+    # A semijoin keeps nothing of ``left`` against an empty relation,
+    # whether or not the two share a column.
     interner = ValueInterner()
     left = _columnar(("x",), [(1,), (2,)], interner)
     for right, shared in [

@@ -3,9 +3,8 @@ historical overlap-greedy order on the existing workloads.
 
 For every scenario of the workload seeds, the full multi-way join pool of
 the query (one columnar view per atom, :meth:`Database.columnar_view`; the
-cost path reads the columnar kernel's degree vectors, and tuple-set pools
-always take the static order) is evaluated under both ordering modes with
-a step trace.  Two contracts:
+cost path reads the columnar kernel's degree vectors) is evaluated under
+both ordering modes with a step trace.  Two contracts:
 
 * **per scenario** — the cost-based order's intermediates never *blow up*
   relative to static: greedy-by-estimate optimises one step at a time, so

@@ -3,9 +3,9 @@
 A hard prerequisite of the process runtime: every task the coordinator
 ships (:class:`ConjunctiveQuery`, sometimes a :class:`Database` piece) and
 everything a worker could send back must survive ``pickle.dumps``/``loads``
-with unchanged semantics.  Memoized derived state — key indexes on
-relations, incidence/adjacency maps and hashes on hypergraphs, the
-columnar store on databases — must be *dropped* in transit: it is rebuilt
+with unchanged semantics.  Memoized derived state — incidence/adjacency
+maps and hashes on hypergraphs, the columnar store on databases — must be
+*dropped* in transit: it is rebuilt
 on the receiving side, and shipping it would both bloat the payload and
 risk resurrecting stale caches.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
 from repro.cq.query import Constant
-from repro.cq.relational import NamedRelation
 from repro.engine import EngineSession
 from repro.hypergraphs.hypergraph import Hypergraph
 
@@ -91,19 +90,6 @@ class TestPlanRoundTrip:
         assert hash(copy) == hash(hypergraph)
         assert copy._incidence is None
         assert copy._adjacency is None
-
-
-class TestDerivedStateDropped:
-    def test_named_relation_roundtrip_drops_key_indexes(self):
-        relation = NamedRelation(("a", "b"), {(1, 2), (3, 4)})
-        relation.key_index(("b",))
-        assert relation.cached_index_keys
-        copy = roundtrip(relation)
-        assert copy == relation
-        assert copy.cached_index_keys == ()
-        # ... and the rebuilt positions still serve every operation.
-        assert copy.column_index("b") == 1
-        assert copy.project(("b",)).rows == {(2,), (4,)}
 
 
 class TestWireRoundTrip:

@@ -8,7 +8,7 @@ import pytest
 
 import repro.engine as engine_module
 import repro.engine.session as session_module
-from repro.cq import Atom, ConjunctiveQuery, Database
+from repro.cq import Atom, ConjunctiveQuery, Database, Relation
 from repro.cq.query import Constant
 from repro.cq import generators as cqgen
 from repro.cq import workloads
@@ -16,6 +16,7 @@ from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.cq.statistics import ORDERING_COST, ORDERING_STATIC, forced_join_ordering
 from repro.engine import (
     EngineSession,
+    ProcessRuntime,
     answer_many,
     canonical_query_key,
     default_session,
@@ -513,3 +514,58 @@ class TestDefaultSession:
         assert results[0].rows == results[1].rows
         assert results[1].timings["dedup_of"] == 0
         assert default_session().batches == batches + 1
+
+
+class TestAtomArity:
+    """An atom whose term count differs from its stored relation's arity is
+    refused with a ``ValueError`` on every path; a relation without rows
+    answers empty at any arity."""
+
+    MISMATCHED = [("x", "y", "z"), ("x",)]
+
+    @pytest.fixture
+    def database(self):
+        return Database([Relation("R", 2, {(1, 2), (2, 3)})])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("terms", MISMATCHED, ids=["long", "short"])
+    def test_calls_refuse_a_mismatched_atom(self, session, database, terms, shards):
+        query = ConjunctiveQuery([Atom("R", terms)])
+        for call in (session.answer, session.count, session.is_satisfiable):
+            with pytest.raises(ValueError, match=r"R\(x.*has arity 2"):
+                call(query, database, shards=shards)
+
+    @pytest.mark.parametrize("terms", MISMATCHED, ids=["long", "short"])
+    def test_batches_and_standing_views_refuse_a_mismatched_atom(
+        self, session, database, terms
+    ):
+        query = ConjunctiveQuery([Atom("R", terms)])
+        with pytest.raises(ValueError, match="has arity 2"):
+            session.answer_many([query], database)
+        with pytest.raises(ValueError, match="has arity 2"):
+            session.incremental_view(query, database).refresh()
+
+    def test_process_workers_refuse_a_mismatched_atom(self, session, database):
+        runtime = ProcessRuntime(max_workers=1)
+        try:
+            for terms in self.MISMATCHED:
+                query = ConjunctiveQuery([Atom("R", terms)])
+                with pytest.raises(ValueError, match="has arity 2"):
+                    session.answer_many([query, query], database, runtime=runtime)
+        finally:
+            runtime.close()
+
+    def test_a_relation_without_rows_answers_empty(self, session):
+        # An inline JSON relation ``"R": []`` gets arity 0.
+        database = Database([Relation("R", 0), Relation("S", 2, {(1, 2)})])
+        for atoms in (
+            [Atom("R", ["x", "y"])],
+            [Atom("R", ["x", "y", "z"]), Atom("R", ["x"])],
+            [Atom("R", [Constant(1)])],
+            [Atom("R", ["x", "y"]), Atom("S", ["x", "y"])],
+        ):
+            query = ConjunctiveQuery(atoms)
+            for shards in (1, 2):
+                assert session.answer(query, database, shards=shards).rows == set()
+                assert session.count(query, database, shards=shards).count == 0
+            assert session.incremental_view(query, database).refresh().rows == set()

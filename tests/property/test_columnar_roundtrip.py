@@ -1,4 +1,4 @@
-"""Property tests pinning the columnar kernel to the tuple-set kernel.
+"""Property tests pinning the columnar kernel to set comprehensions.
 
 Two invariants, over random relations:
 
@@ -7,8 +7,8 @@ Two invariants, over random relations:
   types within a column and the zero-column units;
 * **operation agreement** — joins (and semijoins / projections, which the
   join passes are built from) computed columnar-side decode to exactly what
-  ``NamedRelation`` computes tuple-set-side, with both relations interned
-  into one shared dictionary, in either argument order.
+  a set comprehension over the named rows gives, with both relations
+  interned into one shared dictionary, in either argument order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,20 @@ from repro.cq.relational import NamedRelation
 # mixed-type values exercise interning across Python equality classes.
 VALUES = st.sampled_from([0, 1, 2, 3, True, "a", "b", "zz", 1.5, None, (1, 2)])
 COLUMN_POOL = ("u", "v", "w", "x", "y", "z")
+
+
+def _key(relation, row, columns) -> tuple:
+    return tuple(row[relation.column_index(c)] for c in columns)
+
+
+def join(left, right) -> NamedRelation:
+    """``left ⋈ right``: every pair of rows agreeing on the shared columns."""
+    shared = [c for c in left.columns if c in right.columns]
+    extra = tuple(c for c in right.columns if c not in left.columns)
+    return NamedRelation(left.columns + extra, {
+        row + _key(right, other, extra) for row in left for other in right
+        if _key(left, row, shared) == _key(right, other, shared)
+    })
 
 
 def relations(min_width=0, max_width=4):
@@ -53,30 +67,35 @@ def test_round_trip_is_identity(relation):
 
 @settings(max_examples=200, deadline=None)
 @given(left=relations(min_width=1), right=relations(min_width=1))
-def test_natural_join_agrees_with_tuple_set_kernel(left, right):
+def test_natural_join_agrees_with_set_comprehensions(left, right):
     interner = ValueInterner()
     columnar_left = ColumnarRelation.from_named(left, interner)
     columnar_right = ColumnarRelation.from_named(right, interner)
-    expected = left.natural_join(right)
+    expected = join(left, right)
     joined = columnar_left.natural_join(columnar_right)
     assert joined.columns == expected.columns
     assert joined.to_named() == expected
     # Join is commutative up to column order; both orders must decode right.
-    assert columnar_right.natural_join(columnar_left).to_named() == right.natural_join(left)
+    assert columnar_right.natural_join(columnar_left).to_named() == join(right, left)
 
 
 @settings(max_examples=200, deadline=None)
 @given(left=relations(min_width=1), right=relations(min_width=1))
-def test_semijoin_agrees_with_tuple_set_kernel(left, right):
+def test_semijoin_agrees_with_set_comprehensions(left, right):
     interner = ValueInterner()
     columnar_left = ColumnarRelation.from_named(left, interner)
     columnar_right = ColumnarRelation.from_named(right, interner)
-    assert columnar_left.semijoin(columnar_right).to_named() == left.semijoin(right)
+    shared = [c for c in left.columns if c in right.columns]
+    keys = {_key(right, row, shared) for row in right}
+    expected = {row for row in left if _key(left, row, shared) in keys}
+    assert columnar_left.semijoin(columnar_right).to_named() == NamedRelation(
+        left.columns, expected
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(relation=relations(min_width=1), data=st.data())
-def test_projection_agrees_with_tuple_set_kernel(relation, data):
+def test_projection_agrees_with_set_comprehensions(relation, data):
     keep = data.draw(
         st.permutations(relation.columns).flatmap(
             lambda order: st.integers(0, len(order)).map(lambda n: tuple(order[:n]))
@@ -84,4 +103,6 @@ def test_projection_agrees_with_tuple_set_kernel(relation, data):
     )
     interner = ValueInterner()
     columnar = ColumnarRelation.from_named(relation, interner)
-    assert columnar.project(keep).to_named() == relation.project(keep)
+    assert columnar.project(keep).to_named() == NamedRelation(
+        keep, {_key(relation, row, keep) for row in relation}
+    )

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.cq import generators as cqgen
-from repro.cq.bags import build_bag_join_tree
+from repro.cq.columnar import build_columnar_bag_tree
 from repro.cq.decomposition_eval import (
     decomposition_boolean_answer,
     decomposition_count_answers,
@@ -99,7 +99,7 @@ def _pruned_shape(query, database) -> str:
     """Which part of the engine's bag tree the join pass keeps for the
     query's free variables: the root only, part of the tree, or all of it."""
     decomposition = EngineSession().plan(query).decomposition
-    tree = build_bag_join_tree(query, database, decomposition)
+    tree = build_columnar_bag_tree(query, database, decomposition)
     kept = len(pruned_tree(tree, query.free_variables))
     if kept == 1:
         return "root"

@@ -35,6 +35,7 @@ from repro.cq import generators as cqgen
 from repro.cq.database import Database
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.engine import EngineSession
+from repro.service.codec import query_to_json
 from repro.service import (
     QueryService,
     ServiceClient,
@@ -164,6 +165,48 @@ class TestEndpoints:
             with pytest.raises(ServiceError) as info:
                 client.request("POST", "/nope", {})
             assert info.value.status == 404
+
+    def test_an_atom_of_another_arity_answers_400(self, server):
+        database = Database()
+        database.add_fact("E", (1, 2))
+        with _client(server) as client:
+            for terms in (("x", "y", "z"), ("x",)):
+                query = ConjunctiveQuery([Atom("E", terms)])
+                for call in (client.answer, client.count):
+                    with pytest.raises(ServiceError) as info:
+                        call(query, database=database)
+                    assert info.value.status == 400
+                    assert "has arity 2" in str(info.value)
+                with pytest.raises(ServiceError) as info:
+                    client.batch([query], database=database)
+                assert info.value.status == 400
+            # A relation without rows answers empty at any arity: the
+            # inline relation "E": [] gets arity 0.
+            query = ConjunctiveQuery([Atom("E", ("x", "y"))])
+            served = client.request(
+                "POST", "/answer",
+                {"query": query_to_json(query), "database": {"E": []}},
+            )
+            assert served["rows"] == []
+
+    @pytest.mark.parametrize(
+        "path, extra",
+        [
+            ("/answer", {"deadline_ms": float("nan")}),
+            ("/facts", {"facts": {"R0": [[float("inf"), 1]]}}),
+        ],
+        ids=["deadline-nan", "facts-infinity"],
+    )
+    def test_non_json_constants_answer_400(self, server, workload, path, extra):
+        queries, database = workload
+        version = database.version
+        payload = {"dataset": "bench", "query": query_to_json(queries[0]), **extra}
+        with _client(server) as client:
+            with pytest.raises(ServiceError) as info:
+                client.request("POST", path, payload)
+        assert info.value.status == 400
+        assert "request body is not valid JSON" in str(info.value)
+        assert database.version == version
 
     def test_stats_shape(self, server, workload):
         queries, _ = workload

@@ -26,6 +26,7 @@ from repro.service import (
     ServiceError,
     serve_in_thread,
 )
+from repro.service.codec import query_to_json
 from repro.service.subscriptions import Subscription
 
 
@@ -279,6 +280,29 @@ class TestSubscriptions:
             poll = client.poll(first["subscription"])
             assert poll["delta"] == [[300, 301, 302]]
             assert client.stats()["subscriptions"]["active"] == 1
+
+    def test_a_refused_first_poll_leaves_no_subscription(self):
+        service = QueryService(ServiceConfig(max_concurrent=2, debug_hooks=True))
+        service.register_dataset("graph", _graph((i, i + 1) for i in range(10)))
+        refusals = [
+            # The deadline fires during the first poll: 504.
+            ({"query": query_to_json(_path_query()), "deadline_ms": 20,
+              "_sleep_ms": 200}, 504),
+            # An atom of another arity than its relation: 400.
+            ({"query": query_to_json(ConjunctiveQuery([Atom("E", ("x", "y", "z"))]))},
+             400),
+        ]
+        with serve_in_thread(service) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                active = client.stats()["subscriptions"]["active"]
+                for payload, status in refusals:
+                    with pytest.raises(ServiceError) as err:
+                        client.request(
+                            "POST", "/subscriptions", {"dataset": "graph", **payload}
+                        )
+                    assert err.value.status == status
+                    assert len(service.subscriptions) == 0
+                    assert client.stats()["subscriptions"]["active"] == active == 0
 
     def test_stats_report_subscriptions(self, server):
         query = _path_query()

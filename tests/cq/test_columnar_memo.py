@@ -1,6 +1,8 @@
 """The bounded derived-key memos of the columnar kernel: LRU behaviour at
-the cap, hit/miss/eviction counters, and where those process totals are
-reported (``memo_counters()``, not ``EngineSession.stats()``)."""
+the cap, hit/miss/eviction counters, where those process totals are
+reported (``memo_counters()``, not ``EngineSession.stats()``), and the dict
+path's hash buckets: memoized per key column set, reused by every join
+that builds on them, and dropped only when an in-place semijoin filters."""
 
 import itertools
 
@@ -91,3 +93,67 @@ def test_memo_and_ordering_counters_report_from_their_owners():
         assert field in ledger
     stats = EngineSession().stats()
     assert "columnar_memo" not in stats and "join_ordering" not in stats
+
+
+def _relation(columns, rows, interner) -> ColumnarRelation:
+    return ColumnarRelation.from_named(NamedRelation(columns, set(rows)), interner)
+
+
+def _decoded_buckets(relation, columns, base) -> dict:
+    """The hash buckets of ``columns`` as ``value -> row set``, decoded."""
+    values = relation.interner.values
+    rows = list(relation.id_rows())
+    return {
+        values[key]: {tuple(values[i] for i in rows[index]) for index in indexes}
+        for key, indexes in relation._buckets(columns, base).value.items()
+    }
+
+
+def test_hash_buckets_are_memoized():
+    interner = ValueInterner()
+    left = _relation(("x", "y"), {(1, 2), (1, 3), (2, 3)}, interner)
+    base = len(interner)
+    first = left._buckets(("x",), base)
+    assert left._buckets(("x",), base) is first
+    assert _decoded_buckets(left, ("x",), base) == {
+        1: {(1, 2), (1, 3)},
+        2: {(2, 3)},
+    }
+
+
+def test_distinct_key_columns_get_distinct_buckets():
+    interner = ValueInterner()
+    left = _relation(("x", "y"), {(1, 2), (1, 3), (2, 3)}, interner)
+    base = len(interner)
+    by_x = left._buckets(("x",), base)
+    by_y = left._buckets(("y",), base)
+    assert by_x is not by_y
+    assert len(left._bucket_cache) == 2
+
+
+def test_a_join_builds_and_reuses_the_other_sides_buckets():
+    interner = ValueInterner()
+    left = _relation(("x", "y"), {(1, 2), (1, 3), (2, 3)}, interner)
+    right = _relation(("y", "z"), {(2, 5), (3, 6)}, interner)
+    base = len(interner)
+    expected = {(1, 2, 5), (1, 3, 6), (2, 3, 6)}
+    assert left.natural_join(right).decode_rows() == expected
+    cached = right._buckets(("y",), base)
+    assert left.natural_join(right).decode_rows() == expected
+    assert right._buckets(("y",), base) is cached
+    assert not left._bucket_cache, "the probe side builds no buckets"
+
+
+def test_semijoin_inplace_drops_the_memos_only_when_it_filters():
+    interner = ValueInterner()
+    left = _relation(("x", "y"), {(1, 2), (1, 3), (2, 3)}, interner)
+    right = _relation(("y", "z"), {(2, 5), (3, 6)}, interner)
+    base = len(interner)
+    stale = left._buckets(("x",), base)
+    assert left.semijoin_inplace(right) is left
+    assert left.decode_rows() == {(1, 2), (1, 3), (2, 3)}  # nothing filtered...
+    assert left._buckets(("x",), base) is stale  # ...so the memo survives
+    assert left.semijoin_inplace(_relation(("y",), {(2,)}, interner)) is left
+    assert left.decode_rows() == {(1, 2)}
+    assert left._buckets(("x",), base) is not stale  # filtering dropped it
+    assert _decoded_buckets(left, ("x",), base) == {1: {(1, 2)}}

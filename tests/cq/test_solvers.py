@@ -19,6 +19,7 @@ from repro.cq import (
     decomposition_enumerate_answers,
     enumerate_answers,
 )
+from repro.cq import columnar
 from repro.cq import generators as cqgen
 from repro.cq.bags import root_tree
 from repro.cq.columnar import (
@@ -59,7 +60,18 @@ def small_path_instance():
     return query, database
 
 
-KERNELS = ("columnar", "bag-array")
+KERNELS = ("columnar", "numpy", "bag-array")
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """One of :data:`KERNELS`, passed with ``indirect=True``.  ``numpy`` is
+    the columnar kernel with ``_VECTOR_MIN_ROWS`` at 0, so every join,
+    semijoin and projection takes its NumPy path however few rows the
+    hand-built cases hold."""
+    if request.param == "numpy":
+        monkeypatch.setattr(columnar, "_VECTOR_MIN_ROWS", 0)
+    return request.param
 
 
 def _in_kernel(relations: dict, kernel: str) -> dict:
@@ -67,19 +79,19 @@ def _in_kernel(relations: dict, kernel: str) -> dict:
     column one axis size across the tree, its largest id bound in any
     relation."""
     interner = ValueInterner()
-    columnar = {
+    rows = {
         node: ColumnarRelation.from_named(relation, interner)
         for node, relation in relations.items()
     }
-    if kernel == "columnar":
-        return columnar
+    if kernel != "bag-array":
+        return rows
     sizes: dict = {}
-    for relation in columnar.values():
+    for relation in rows.values():
         for column, bound in zip(relation.columns, relation._id_bounds()):
             sizes[column] = max(bound, sizes.get(column, 0))
     return {
         node: BagArray.from_pool([relation], relation.columns, sizes, interner)
-        for node, relation in columnar.items()
+        for node, relation in rows.items()
     }
 
 
@@ -290,7 +302,7 @@ class TestYannakakis:
     # The pruned tree T_F: after the upward pass, only the root, the nodes
     # adding an output column and their ancestors are joined.
     # ------------------------------------------------------------------
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_pruned_answers_match_brute_force(self, case, kernel):
         relations, parent, output, expected_nodes = PRUNING_CASES[case]
@@ -301,14 +313,14 @@ class TestYannakakis:
         assert result.columns == tuple(columns)
         assert result.decode_rows() == brute_force_join(relations, columns)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_free_subtree_with_an_empty_relation_leaves_no_answers(self, kernel):
         relations, parent, output, _ = PRUNING_CASES["empty-filter"]
         tree = JoinTree(_in_kernel(relations, kernel), parent)
         assert len(yannakakis_full(tree, output_columns=output)) == 0
         assert not yannakakis_boolean(tree)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize(
         "output,expected_nodes",
         [(("x",), {"r"}), (("x", "z"), {"r", "m"}), (None, {"r", "m", "l", "s"})],
@@ -334,7 +346,7 @@ class TestYannakakis:
         result = yannakakis_full(tree, output_columns=output)
         assert result.decode_rows() == brute_force_join(relations, columns)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_free_variables_in_the_root_skip_the_downward_pass_and_joins(
         self, kernel, monkeypatch
     ):
@@ -356,7 +368,7 @@ class TestYannakakis:
     # ------------------------------------------------------------------
     # The full reducer: both passes, every node consistent with the rest
     # ------------------------------------------------------------------
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_semijoin_reduce_keeps_exactly_the_rows_of_global_solutions(
         self, case, kernel
@@ -373,7 +385,7 @@ class TestYannakakis:
         for node, relation in relations.items():
             assert tree.relations[node].decode_rows() == relation.rows, node
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_an_empty_child_sharing_no_column_empties_every_node(self, kernel):
         # The empty child shares no column with the parent, yet its semijoin
         # keeps nothing: the query has no solution, so nothing survives.
@@ -391,7 +403,7 @@ class TestYannakakis:
         assert not yannakakis_boolean(tree)
         assert len(yannakakis_full(tree, output_columns=("x", "y"))) == 0
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_unknown_output_column_is_rejected_before_any_semijoin(
         self, kernel, monkeypatch
     ):

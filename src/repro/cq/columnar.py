@@ -147,8 +147,11 @@ _DENSE_FACTOR = 4
 _BAG_ARRAY_CELLS = 1 << 21
 
 #: Atom patterns whose resident snapshots one :class:`ColumnarStore` keeps,
-#: least recently used evicted first.
-VIEW_CACHE_SIZE = 256
+#: least recently used evicted first.  The engine evaluates canonical
+#: spellings, so the patterns are those of its query classes; 512 holds the
+#: service benchmark's 504 (docs/PERFORMANCE.md → Canonical query
+#: identity).
+VIEW_CACHE_SIZE = 512
 
 #: The largest int64; packed keys and count weights above it would wrap.
 _INT64_MAX = (1 << 63) - 1

@@ -19,7 +19,8 @@ The pipeline has three layers, each reusable on its own:
   indexed-backtracking, with the witnessing decomposition and a cost
   rationale);
 * :mod:`repro.engine.session` — :class:`EngineSession`, the engine: the
-  analysis and core caches, a plan cache, execution on the plan's backend,
+  analysis and core caches, a plan cache, execution on the plan's backend
+  (of the query's :func:`canonical_form`, so renamed spellings share it),
   the batch API (:meth:`~EngineSession.answer_many`: isomorphism dedup →
   plan reuse → execution on a runtime), and sharded single-query execution
   (``answer(..., shards=N)``);
@@ -92,6 +93,7 @@ from repro.engine.runtime import (
 from repro.engine.session import (
     EngineSession,
     answer_many,
+    canonical_form,
     canonical_query_key,
     default_session,
 )
@@ -120,6 +122,7 @@ __all__ = [
     "QueryAnalysis",
     "EngineSession",
     "answer_many",
+    "canonical_form",
     "canonical_query_key",
     "default_session",
     "CancellationToken",

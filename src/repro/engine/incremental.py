@@ -304,14 +304,19 @@ class IncrementalView:
         mentioning a relation the database still lacks has an empty view in
         every term, so the loop naturally contributes nothing for it.
         """
-        query = self.query
         database = self.database
-        atoms = query.atoms
-        if any(not database.has_relation(atom.relation) for atom in atoms):
+        if any(not database.has_relation(atom.relation) for atom in self.query.atoms):
             # A missing relation is empty, so the whole answer set is empty
             # now and stays empty until it appears — at which point its
             # tracked version 0 makes its entire contents the delta.
             return set()
+        for atom in self.query.atoms:
+            database.atom_relation(atom)  # refuses a mismatched atom as spelled
+        # The spelling the session planned (the canonical form): its atom
+        # views are the ones the full refreshes keep resident.  Answers are
+        # positional, so they need no renaming back.
+        query = self._plan.source_query
+        atoms = query.atoms
         # One store for the whole refresh: the full views are its snapshots
         # at the relations' current versions, and each grown atom's delta
         # is the id-table rows in [seen, current) — a row appended after

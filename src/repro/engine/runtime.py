@@ -633,6 +633,11 @@ class ProcessRuntime(ExecutionRuntime):
                     )
                     pending[future] = meta
                     continue
+                except Exception:
+                    # The task raised: settle the rest of the call as a
+                    # cancellation does, then hand the error to the caller.
+                    self._abandon(pending)
+                    raise
                 if reply[0] == _REPLY_NEED_DATA:
                     # Recovery path: the worker lost the piece (restart or
                     # its own cache bound).  Re-ship to the same worker.
@@ -660,7 +665,8 @@ class ProcessRuntime(ExecutionRuntime):
         return outcomes  # type: ignore[return-value]
 
     def _abandon(self, pending: dict) -> None:
-        """Settle every outstanding future of a cancelled call.
+        """Settle every outstanding future of a call that stops early: it
+        was cancelled, a task kept killing its workers, or a task raised.
 
         Queued futures cancel outright (single-worker pools execute FIFO, so
         a cancelled future never starts); a future already executing on a

@@ -2,18 +2,27 @@
 
 An :class:`EngineSession` analyses a query (cached per hypergraph), plans
 it (cached per query; :class:`~repro.engine.planner.QueryPlanner`), and
-executes the plan on the backend its strategy maps to.  On top of the
-single-query API it exposes a **batch API** —
+executes the plan on the backend its strategy maps to.
+
+A call that brings no plan plans and executes the query's **canonical
+form** (:func:`canonical_form`): a self-join-free query with its atoms
+sorted by relation and its variables renamed by first occurrence.  Every
+spelling of one query — any variable names, any atom order, the same
+free-variable order — therefore shares one plan-cache entry, one analysis
+and, in the database's columnar store, one set of atom views.  Answers are
+positional tuples, so they need no mapping back; the result's plan notes
+the renaming when the caller's spelling differs.
+
+On top of the single-query API the session exposes a **batch API** —
 :meth:`EngineSession.answer_many` and friends.  A batch call
 
-* **deduplicates structurally-isomorphic queries** before planning: two
-  queries that coincide after a variable renaming (same relations, same term
-  order, same free-variable order — see :func:`canonical_query_key`) have
+* **deduplicates renamed queries** before planning: queries with one
+  canonical form and head order (:func:`canonical_query_key`) have
   identical answer sets over any shared database, so only one representative
   per class is planned and executed;
 * **reuses plans** across the batch and across batches through the
-  session-scoped plan cache (keyed on the query, its free-variable *order*,
-  and the planning options);
+  session-scoped plan cache (keyed on the canonical form, its free-variable
+  *order*, and the planning options);
 * **executes the class representatives** as independent tasks through an
   :mod:`execution runtime <repro.engine.runtime>` — inline on the calling
   thread (the default), or on a pool of persistent worker *processes*.
@@ -42,9 +51,10 @@ from __future__ import annotations
 
 import threading
 import time
+from operator import attrgetter
 
 from repro.cq.database import Database, shard_of
-from repro.cq.query import Constant, ConjunctiveQuery
+from repro.cq.query import Atom, Constant, ConjunctiveQuery
 from repro.cq.statistics import join_ordering, join_record
 from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
 from repro.engine.backends import backend_for
@@ -72,39 +82,71 @@ PLAN_CACHE_SIZE = 512
 PARTITION_CACHE_SIZE = 8
 
 
-def canonical_query_key(query: ConjunctiveQuery):
-    """A hashable key under which two queries collide exactly when one is a
-    variable renaming of the other.
+def canonical_form(query: ConjunctiveQuery) -> tuple:
+    """``(form, renaming)``: the canonical spelling of ``query``, and the
+    variable renaming that carries ``query`` onto it.
 
-    For **self-join-free** queries (every relation name appears in one atom)
-    the key is a true canonical form: atoms are sorted by their unique
-    relation name and variables renamed by first occurrence along that fixed
-    order.  Equal keys then give a variable bijection preserving relation
-    names, term positions, constants, and the free-variable order — so the
-    answer sets over any one database are identical and the batch layer may
-    evaluate a single representative.
+    For a **self-join-free** query (every relation name appears in one atom)
+    the form has its atoms sorted by their unique relation name and its
+    variables renamed ``v0``, ``v1``, … by first occurrence along that
+    order; its head is the caller's head, renamed, in the caller's order.
+    Two queries have equal forms and head orders exactly when one is a
+    variable renaming of the other, and then their answer tuples over any
+    database coincide.  A query already spelled canonically is its own form
+    (the same object).
 
-    Queries with self-joins fall back to an exact key (atom *set* plus the
-    ordered head): canonicalising them is graph canonisation, which the
-    batch path does not attempt.  Exact duplicates still deduplicate.
+    A query with self-joins is its own form, with the identity renaming:
+    canonicalising it is graph canonisation, which the engine does not
+    attempt.
     """
     if query.has_self_joins():
-        return ("exact", frozenset(query.atoms), query.free_variables)
-    rename: dict = {}
+        return query, {variable: variable for variable in query.variables}
+    renaming: dict = {}
+    atoms = []
+    for atom in sorted(query.atoms, key=attrgetter("relation")):
+        terms = []
+        for term in atom.terms:
+            if not isinstance(term, Constant):
+                if term not in renaming:
+                    renaming[term] = f"v{len(renaming)}"
+                term = renaming[term]
+            terms.append(term)
+        atoms.append(Atom(atom.relation, terms))
+    head = tuple(renaming[variable] for variable in query.free_variables)
+    if tuple(atoms) == query.atoms and head == query.free_variables:
+        return query, renaming
+    return ConjunctiveQuery(atoms, head), renaming
 
-    def term_key(term):
-        if isinstance(term, Constant):
-            return ("c", term.value)
-        if term not in rename:
-            rename[term] = len(rename)
-        return ("v", rename[term])
 
-    body = tuple(
-        (atom.relation, tuple(term_key(term) for term in atom.terms))
-        for atom in sorted(query.atoms, key=lambda atom: atom.relation)
-    )
-    head = tuple(term_key(variable) for variable in query.free_variables)
-    return ("iso", body, head)
+def canonical_query_key(query: ConjunctiveQuery) -> tuple:
+    """The hashable key of :func:`canonical_form`: the form plus its head
+    order (``ConjunctiveQuery`` equality compares the head as a set).  Two
+    queries share a key exactly when one is a variable renaming of the
+    other; a query with self-joins keeps its exact key (tag ``"exact"``)."""
+    return _form_key(canonical_form(query)[0])
+
+
+def _form_key(form: ConjunctiveQuery) -> tuple:
+    return ("exact" if form.has_self_joins() else "iso", form, form.free_variables)
+
+
+def _as_called(plan: Plan, renaming: dict | None) -> Plan:
+    """``plan`` as the caller sees it: a copy whose rationale names the
+    ``renaming`` from the caller's variables onto the plan's, or the plan
+    itself when the caller spelled the query as the plan does."""
+    if renaming is None:
+        return plan
+    pairs = ", ".join(f"{caller} -> {planned}" for caller, planned in renaming.items())
+    return plan.with_note(f"planned for a renamed spelling: {pairs}")
+
+
+def _check_arities(query: ConjunctiveQuery, database: Database) -> None:
+    """Refuse an atom of ``query`` whose term count differs from its stored
+    relation's arity, naming the caller's atom: a call that runs another
+    spelling would otherwise name that spelling's atom."""
+    for atom in query.atoms:
+        if database.has_relation(atom.relation):
+            database.atom_relation(atom)
 
 
 class EngineSession:
@@ -240,7 +282,8 @@ class EngineSession:
         The key includes the free-variable *order* (answer-tuple column
         order, which ``ConjunctiveQuery.__eq__`` ignores) and both planning
         options, so a cached plan is only ever replayed for calls that would
-        have produced it.
+        have produced it.  This plans ``query`` as spelled; the calls that
+        bring no plan reach it with their query's :func:`canonical_form`.
 
         The whole call runs under the session lock — including a miss's
         planning, which mutates the analysis and core caches.  Planning
@@ -339,36 +382,62 @@ class EngineSession:
         return view
 
     # ------------------------------------------------------------------
-    def _planned(self, query, plan, use_core) -> tuple:
-        """``(plan, planning seconds)`` for one call: the cached plan when
-        the caller passed none, else the caller's plan after checking that
-        it was built for ``query``."""
+    def _planned(self, query, plan, use_core, database) -> tuple:
+        """``(plan, planning seconds, renaming)`` for one call.
+
+        Without a plan, the cached plan of ``query``'s canonical form;
+        with one, the caller's plan after checking that it was built for a
+        spelling of ``query``.  ``renaming`` carries the caller's variables
+        onto the plan's spelling, and is ``None`` when the two are the
+        same; otherwise the returned plan is a copy noting the renaming
+        (the cached plan is never mutated)."""
         if plan is None:
-            # Clock the planning work *this call* did: the cold analysis +
-            # planning cost on first sight of a query, near-zero on a plan
-            # cache hit (the plan object's own planning_seconds keeps the
-            # one-off cold cost).
-            started = time.perf_counter()
-            plan = self.plan(query, use_core=use_core)
-            return plan, time.perf_counter() - started
+            form, renaming = canonical_form(query)
+            plan, planning = self._plan_form(query, form, use_core, database)
+            if form is query:
+                renaming = None
+            return _as_called(plan, renaming), planning, renaming
         if use_core:
             raise ValueError(
                 "use_core applies at planning time; pass it to plan() "
                 "(or omit plan=) instead of combining it with a pre-built plan"
             )
-        if plan.source_query is not None and (
-            plan.source_query != query
+        source = plan.source_query
+        if source is None or source is query or (
             # __eq__ compares free variables as a set; answer tuples follow
             # their *order*, so a reordered projection is a different query.
-            or plan.source_query.free_variables != query.free_variables
+            source == query and source.free_variables == query.free_variables
         ):
+            # Hand-built plans (source_query=None) are exempt.
+            return plan, 0.0, None
+        form, renaming = canonical_form(query)
+        source_form, source_renaming = canonical_form(source)
+        if _form_key(form) != _form_key(source_form):
             # A plan built for a different query would silently return that
-            # query's answers; hand-built plans (source_query=None) are exempt.
+            # query's answers.
             raise ValueError(
                 "the supplied plan was built for a different query; "
                 "re-plan or pass the query it was planned for"
             )
-        return plan, 0.0
+        _check_arities(query, database)
+        # The caller's variables onto the plan's, through the shared form.
+        spelled = {canonical: variable for variable, canonical in source_renaming.items()}
+        renaming = {variable: spelled[canonical] for variable, canonical in renaming.items()}
+        return _as_called(plan, renaming), 0.0, renaming
+
+    def _plan_form(self, query, form, use_core, database) -> tuple:
+        """``(plan, planning seconds)``: the cached plan of ``form``, the
+        canonical form of ``query``, after refusing an atom of the wrong
+        arity in the caller's own terms."""
+        if form is not query:
+            _check_arities(query, database)
+        # Clock the planning work *this call* did: the cold analysis +
+        # planning cost on first sight of a query, near-zero on a plan
+        # cache hit (the plan object's own planning_seconds keeps the
+        # one-off cold cost).
+        started = time.perf_counter()
+        plan = self.plan(form, use_core=use_core)
+        return plan, time.perf_counter() - started
 
     def _run(
         self,
@@ -380,7 +449,7 @@ class EngineSession:
     ) -> EvalResult:
         """One unsharded call on the calling thread: plan (unless given),
         then run the plan's backend."""
-        plan, planning = self._planned(query, plan, use_core)
+        plan, planning, _ = self._planned(query, plan, use_core, database)
         backend = backend_for(plan.strategy)
         target = plan.query
         start = time.perf_counter()
@@ -412,9 +481,10 @@ class EngineSession:
         return result
 
     def _fan_out(self, jobs, use_core, runtime, cancel, parallel=None) -> tuple:
-        """Run ``jobs`` — ``(task, query, database, plan, label)`` tuples —
-        as independent tasks on the resolved runtime; returns the runtime
-        and one :class:`~repro.engine.runtime.TaskOutcome` per job.
+        """Run ``jobs`` — ``(task, query, database, plan, label)`` tuples,
+        ``query`` spelled as the plan's — as independent tasks on the
+        resolved runtime; returns the runtime and one
+        :class:`~repro.engine.runtime.TaskOutcome` per job.
 
         In-process tasks execute their job's plan.  A process worker
         re-plans from the shipped ``(query, use_core, strategy)`` triple, so
@@ -488,23 +558,34 @@ class EngineSession:
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        plan, planning = self._planned(query, plan, use_core)
+        plan, planning, renaming = self._planned(query, plan, use_core, database)
         target = plan.query
+        # The spelling the plan was made for; the shard variable is renamed
+        # onto it, and the record names the caller's variable again.
+        spelled, variable = query, shard_variable
+        if renaming is not None:
+            spelled = plan.source_query
+            if shard_variable is not None:
+                if shard_variable not in renaming:
+                    raise ValueError(
+                        f"shard variable {shard_variable!r} does not occur in the query"
+                    )
+                variable = renaming[shard_variable]
         if (
-            shard_variable is not None
-            and shard_variable not in target.variables
-            and shard_variable in query.variables
+            variable is not None
+            and variable not in target.variables
+            and variable in spelled.variables
         ):
             # The core folded the requested shard variable away: the executed
             # query cannot be partitioned on it.  Fall back rather than raise —
             # the caller asked for a legal variable of *their* query.
             spec = ShardingSpec(
-                shard_variable, shards, SHARD_MODE_SINGLE, {}, (),
+                variable, shards, SHARD_MODE_SINGLE, {}, (),
                 f"shard variable {shard_variable!r} folded away by the core: "
                 "single-shard fallback",
             )
         else:
-            spec = sharding_spec(target, shards, shard_variable=shard_variable)
+            spec = sharding_spec(target, shards, shard_variable=variable)
         start = time.perf_counter()
         # Counts add across shards only when the per-shard answer sets are
         # provably disjoint: the shard variable must be free.
@@ -522,7 +603,7 @@ class EngineSession:
                 TASK_ANSWER if task == TASK_COUNT and not count_via_sum else task
             )
         jobs = [
-            (shard_task, query, piece, plan, f"shard:{index}")
+            (shard_task, spelled, piece, plan, f"shard:{index}")
             for index, piece in enumerate(pieces)
         ]
         # Inline pieces fold their join records into this call's; process
@@ -548,9 +629,10 @@ class EngineSession:
             time.perf_counter() - start,
         )
         per_shard_seconds = [outcome.seconds for outcome in outcomes]
+        caller_names = {spelt: name for name, spelt in (renaming or {}).items()}
         sharding_record = {
             "mode": spec.mode,
-            "shard_variable": spec.shard_variable,
+            "shard_variable": caller_names.get(spec.shard_variable, spec.shard_variable),
             "shards": len(pieces),
             "requested_shards": shards,
             "per_shard_seconds": per_shard_seconds,
@@ -617,18 +699,22 @@ class EngineSession:
     ) -> list[EvalResult]:
         """The batch pipeline: dedup → plan once per class → execute.
 
-        Class representatives execute as independent tasks on the resolved
-        :mod:`execution runtime <repro.engine.runtime>` (inline by default;
-        on the process runtime ``parallel`` caps how many workers the
-        database is replicated to, and workers re-plan each class from its
-        shipped ``(query, use_core, strategy)`` triple and hold the
-        database resident between batches).
+        A class is a canonical form and head order
+        (:func:`canonical_query_key`); each class runs its form, as a single
+        call would.  Class representatives execute as independent tasks on
+        the resolved :mod:`execution runtime <repro.engine.runtime>` (inline
+        by default; on the process runtime ``parallel`` caps how many
+        workers the database is replicated to, and workers re-plan each
+        class from its shipped ``(query, use_core, strategy)`` triple and
+        hold the database resident between batches).
 
         Returns one :class:`EvalResult` per input query, in input order —
         always a **distinct object per query**, even within an isomorphism
         class.  Each class is still evaluated exactly once (the point of the
         dedup pass); the duplicates receive copies that share the class's
-        plan but carry their own answer payload and their own ``timings``,
+        plan (noting their own renaming when their spelling differs from
+        the representative's) but carry their own answer payload and their
+        own ``timings``,
         with a ``dedup_of`` marker naming the batch index of the
         representative that actually executed.  (Results used to be aliased
         across a class, so mutating one query's ``rows`` silently corrupted
@@ -640,59 +726,73 @@ class EngineSession:
         if cancel is not None:
             cancel.raise_if_cancelled()
         queries = [self._checked_query(query) for query in queries]
-        keys = [canonical_query_key(query) for query in queries]
-        representatives: dict = {}
+        # One canonical form per query, for the dedup key and the plan.
+        forms = [canonical_form(query) for query in queries]
+        keys = [_form_key(form) for form, _ in forms]
         first_index: dict = {}
-        for index, (key, query) in enumerate(zip(keys, queries)):
-            representatives.setdefault(key, query)
+        for index, key in enumerate(keys):
             first_index.setdefault(key, index)
         with self._lock:
             self.batches += 1
-            self.dedup_hits += len(queries) - len(representatives)
+            self.dedup_hits += len(queries) - len(first_index)
         # Planning stays sequential: it is cache-bound and mutates the
         # session caches, and one plan per *class* is already the cheap part.
         planned: dict = {}
-        for key, query in representatives.items():
+        for key, index in first_index.items():
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            planned[key] = self._planned(query, None, use_core)
-        items = list(representatives.items())
+            planned[key] = self._plan_form(
+                queries[index], forms[index][0], use_core, database
+            )
         jobs = [
-            (task, query, database, planned[key][0], f"class:{first_index[key]}")
-            for key, query in items
+            (task, forms[index][0], database, planned[key][0], f"class:{index}")
+            for key, index in first_index.items()
         ]
         resolved, outcomes = self._fan_out(
             jobs, use_core, runtime, cancel, parallel=parallel
         )
+
+        def as_called(index: int) -> Plan:
+            form, renaming = forms[index]
+            plan = planned[keys[index]][0]
+            return _as_called(plan, None if form is queries[index] else renaming)
+
         results: dict = {}
-        for (key, _), outcome in zip(items, outcomes):
-            plan, planning = planned[key]
-            result = EvalResult.of(task, plan, outcome.value, planning, outcome.seconds)
+        for (key, index), outcome in zip(first_index.items(), outcomes):
+            result = EvalResult.of(
+                task, as_called(index), outcome.value, planned[key][1], outcome.seconds
+            )
             result.timings["runtime"] = {
                 "name": resolved.name,
                 "worker": outcome.worker,
             }
             results[key] = result
-        return [
-            results[key]
-            if index == first_index[key]
-            else self._dedup_copy(results[key], first_index[key])
-            for index, key in enumerate(keys)
-        ]
+        copies = []
+        for index, key in enumerate(keys):
+            first = first_index[key]
+            if index == first:
+                copies.append(results[key])
+                continue
+            # A duplicate spelled like its representative shares its plan.
+            same = forms[index][1] == forms[first][1]
+            plan = results[key].plan if same else as_called(index)
+            copies.append(self._dedup_copy(results[key], first, plan))
+        return copies
 
     @staticmethod
-    def _dedup_copy(representative: EvalResult, representative_index: int) -> EvalResult:
+    def _dedup_copy(
+        representative: EvalResult, representative_index: int, plan: Plan
+    ) -> EvalResult:
         """A duplicate's result: the representative's payload in a fresh
-        object.  The answer set is copied (a frozen scalar payload is shared)
-        so a caller mutating one result's ``rows`` cannot corrupt the class
-        siblings, and the timings say what this query actually cost — nothing
-        was executed for it — plus where its payload came from."""
+        object, with the duplicate's own ``plan``.  The answer set is copied
+        (a frozen scalar payload is shared) so a caller mutating one
+        result's ``rows`` cannot corrupt the class siblings, and the timings
+        say what this query actually cost — nothing was executed for it —
+        plus where its payload came from."""
         value = representative.value
         if representative.task == TASK_ANSWER:
             value = set(value)
-        result = EvalResult.of(
-            representative.task, representative.plan, value, 0.0, 0.0
-        )
+        result = EvalResult.of(representative.task, plan, value, 0.0, 0.0)
         result.timings["dedup_of"] = representative_index
         return result
 

@@ -6,7 +6,9 @@ of the paper — acyclic, bounded-ghw, core-reducible, hard — each over
 satisfiable, planted, unsatisfiable, and proper-colouring databases.  For
 every scenario this harness runs:
 
-* the planner's *default dispatch* (answer / count / is_satisfiable),
+* the planner's *default dispatch* (answer / count / is_satisfiable), on
+  the scenario as generated and on a renamed, atom-permuted spelling of it
+  (both run one canonical form on the warm session),
 * every strategy in the backend registry that is *forceable* on the
   scenario's structure (forcing Yannakakis on a cyclic query correctly
   raises — that is applicability, not disagreement),
@@ -39,12 +41,13 @@ on one seed (``WORKLOAD_SEEDS=n``, default 0).
 
 import functools
 import os
+import random
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cq import columnar, workloads
+from repro.cq import Atom, ConjunctiveQuery, columnar, workloads
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.engine import (
     EngineSession,
@@ -117,6 +120,25 @@ STRATEGY_CASES = _strategy_cases()
 _EXPECTED = {}
 
 
+def _respelled(query, seed):
+    """``query`` with its variables renamed onto fresh names and its atoms
+    permuted, both drawn from ``seed``; the head keeps its order, so the
+    answer tuples are the original's."""
+    rng = random.Random(seed)
+    fresh = [f"s{i}" for i in range(len(query.variables))]
+    rng.shuffle(fresh)
+    rename = dict(zip(query.variables, fresh))
+    atoms = list(query.atoms)
+    rng.shuffle(atoms)
+    return ConjunctiveQuery(
+        [
+            Atom(atom.relation, [rename.get(term, term) for term in atom.terms])
+            for atom in atoms
+        ],
+        free_variables=[rename[variable] for variable in query.free_variables],
+    )
+
+
 def _expected(scenario):
     """The naive solver's rows and count, computed once per scenario."""
     if scenario.name not in _EXPECTED:
@@ -140,13 +162,21 @@ def test_all_strategies_agree_with_naive(session, route, seed, scenario):
         assert _forceable_strategies(session, query), (
             f"no strategy applies to {scenario.name}"
         )
-        assert session.answer(query, database).rows == expected_rows, scenario.name
-        assert session.count(query, database).count == expected_count
-        assert session.is_satisfiable(query, database).satisfiable == bool(
-            expected_rows
-        )
-        # The semantic route (plans for the core; must be answer-invariant).
-        assert session.answer(query, database, use_core=True).rows == expected_rows
+        # The scenario as generated, then renamed with its atoms permuted,
+        # on the same warm session: both spellings run one canonical form,
+        # sharing its plan and atom views.
+        for spelling in (query, _respelled(query, scenario.name)):
+            assert session.answer(spelling, database).rows == expected_rows, (
+                f"{scenario.name}: {spelling}"
+            )
+            assert session.count(spelling, database).count == expected_count
+            assert session.is_satisfiable(spelling, database).satisfiable == bool(
+                expected_rows
+            )
+            # The semantic route (plans for the core; answer-invariant).
+            assert (
+                session.answer(spelling, database, use_core=True).rows == expected_rows
+            )
         return
 
     plan = session.plan(query, force_strategy=route)

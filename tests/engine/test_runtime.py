@@ -673,3 +673,38 @@ class TestProcessRuntime:
             assert result.runtime["name"] == "process"
         finally:
             runtime.close()
+
+    def test_a_task_that_raises_settles_the_call(self, monkeypatch):
+        # One task refuses its atom (three terms over a binary relation)
+        # beside slower backtracking counts on two workers.  The error
+        # reaches the caller only after the call's other futures settled.
+        slow = cqgen.clique_query(7)
+        database = cqgen.random_database(slow, 6, 30, seed=7)
+        failing = ConjunctiveQuery([Atom("E0", ("a", "b", "c"))])
+        tasks = [RuntimeTask("count", failing, database, label="failing")] + [
+            RuntimeTask("count", slow, database, label=f"slow{i}") for i in range(3)
+        ]
+        submitted = []
+        submit = ProcessRuntime._submit
+
+        def recorded(self, *args):
+            future, meta = submit(self, *args)
+            submitted.append(future)
+            return future, meta
+
+        monkeypatch.setattr(ProcessRuntime, "_submit", recorded)
+        runtime = ProcessRuntime(max_workers=2)
+        try:
+            with pytest.raises(ValueError, match="has arity 2"):
+                runtime.run(tasks, None)
+            assert len(submitted) == len(tasks)
+            assert all(future.done() for future in submitted)
+            # The failing task's worker still held a slow task behind it.
+            assert 1 <= runtime.tasks_cancelled <= len(tasks) - 1
+            assert runtime.tasks_dispatched == 0
+            # The next call on the same runtime answers exactly.
+            path = ConjunctiveQuery([Atom("E0", ("a", "b")), Atom("E1", ("b", "c"))])
+            outcomes = runtime.run([RuntimeTask("count", path, database)], None)
+            assert outcomes[0].value == naive_count_answers(path, database)
+        finally:
+            runtime.close()

@@ -18,6 +18,7 @@ from repro.engine import (
     EngineSession,
     ProcessRuntime,
     answer_many,
+    canonical_form,
     canonical_query_key,
     default_session,
 )
@@ -104,6 +105,85 @@ class TestCanonicalQueryKey:
         assert canonical_query_key(query) != canonical_query_key(renamed(query))
 
 
+def respelled(query, suffix="_r"):
+    """A renamed copy with its atoms listed in reverse; the head order is
+    kept, so the answer tuples stay the original's."""
+    copy = renamed(query, suffix)
+    return ConjunctiveQuery(copy.atoms[::-1], free_variables=copy.free_variables)
+
+
+class TestCanonicalIdentity:
+    """Every spelling of a query runs its canonical form: one plan, one
+    analysis and one atom view per atom, whatever the variables are called
+    and in whatever order the atoms come."""
+
+    def test_the_form_sorts_atoms_and_renames_by_first_occurrence(self):
+        query = ConjunctiveQuery(
+            [Atom("S", ["b", Constant(1), "c"]), Atom("R", ["a", "b", "a"])],
+            free_variables=["c", "a"],
+        )
+        form, renaming = canonical_form(query)
+        assert form.atoms == (
+            Atom("R", ["v0", "v1", "v0"]), Atom("S", ["v1", Constant(1), "v2"])
+        )
+        assert form.free_variables == ("v2", "v0")
+        assert renaming == {"a": "v0", "b": "v1", "c": "v2"}
+        assert canonical_form(form)[0] is form
+        self_join = cqgen.zigzag_cycle_query(4)
+        assert canonical_form(self_join)[0] is self_join
+
+    def test_variants_share_one_plan_one_analysis_and_one_view_per_atom(
+        self, session
+    ):
+        query = cqgen.cycle_query(5).project(["x3", "x0"])
+        database = cqgen.random_database(query, 6, 40, seed=2)
+        expected = naive_enumerate_answers(query, database)
+        first, second = respelled(query, "_a"), respelled(query, "_b")
+        assert session.answer(first, database).rows == expected
+        result = session.answer(second, database)
+        assert result.rows == expected
+        stats = session.stats()
+        assert (stats["plan_cache"]["misses"], stats["plan_cache"]["hits"]) == (1, 1)
+        assert stats["analysis_cache"]["misses"] == 1
+        views = database.columnar_cache.info()
+        assert (views["size"], views["misses"]) == (len(query.atoms),) * 2
+        # The shared plan explains itself in the second caller's variables,
+        # and the cached plan itself carries no caller's names.
+        for variable in second.variables:
+            assert f"{variable} -> " in result.plan.rationale
+        assert "_b" not in session.plan(canonical_form(second)[0]).rationale
+
+    def test_a_variant_shards_on_its_own_variable_name(self, session):
+        query = cqgen.cycle_query(5)
+        database = cqgen.random_database(query, 8, 40, seed=4)
+        expected = naive_enumerate_answers(query, database)
+        base = session.answer(query, database, shards=2, shard_variable="x0")
+        variant = session.answer(
+            respelled(query), database, shards=2, shard_variable="x0_r"
+        )
+        assert base.rows == variant.rows == expected
+        assert variant.sharding["mode"] == base.sharding["mode"] == "broadcast"
+        assert variant.sharding["shard_variable"] == "x0_r"
+        # A canonical name the caller's query does not use is no variable
+        # of it.
+        with pytest.raises(ValueError, match="does not occur"):
+            session.answer(respelled(query), database, shards=2, shard_variable="v0")
+
+    def test_a_caller_plan_serves_another_spelling(self, session):
+        query = cqgen.chain_query(3).project(["x2", "x0"])
+        database = cqgen.random_database(query, 5, 20, seed=1)
+        plan = session.plan(query)
+        variant = respelled(query)
+        result = session.answer(variant, database, plan=plan)
+        assert result.rows == naive_enumerate_answers(query, database)
+        assert "x0_r -> x0" in result.plan.rationale
+        sharded = session.count(
+            variant, database, plan=plan, shards=2, shard_variable="x1_r"
+        )
+        assert sharded.count == len(result.rows)
+        assert sharded.sharding["shard_variable"] == "x1_r"
+
+
 class TestPlanCache:
     def test_repeat_plan_is_served_from_cache(self, session):
         query = cqgen.cycle_query(4)
@@ -138,7 +218,10 @@ class TestPlanCache:
         query, database = cycle_instance
         cold = session.answer(query, database)
         warm = session.answer(query, database)
-        assert warm.plan is cold.plan
+        # Each result carries its own renaming-noted copy of the one cached
+        # plan: the warm call was a plan-cache hit.
+        assert session.plan_cache.hits == 1
+        assert warm.plan.planning_seconds == cold.plan.planning_seconds
         # The cold call paid (and reported) the real analysis+planning cost;
         # the warm call only did a cache lookup and must not re-report the
         # plan's one-off cost as its own.

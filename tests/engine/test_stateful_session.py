@@ -3,7 +3,8 @@
 A Hypothesis state machine drives one :class:`EngineSession` over one
 growing :class:`Database` through arbitrary interleavings of appends
 (including to relations the database lacks at first), plain and sharded
-``answer`` / ``count`` / ``is_satisfiable`` calls, and standing views that
+``answer`` / ``count`` / ``is_satisfiable`` calls on random spellings of
+the queries (renamed variables, permuted atoms), and standing views that
 are opened and refreshed.  After every step each result, and each refreshed
 view, must equal the naive solver on the current data.  The fixed query set
 covers the three strategies — acyclic, width-2 cyclic, and a 7-clique past
@@ -59,6 +60,20 @@ QUERIES = [
     ConjunctiveQuery(_clique("K", 7), free_variables=("v0", "v1")),
 ]
 
+def respelled(query: ConjunctiveQuery, rng) -> ConjunctiveQuery:
+    """``query`` with its variables renamed onto fresh names and its atoms
+    permuted by ``rng``; the head keeps its order."""
+    fresh = [f"r{i}" for i in range(len(query.variables))]
+    rng.shuffle(fresh)
+    rename = dict(zip(query.variables, fresh))
+    atoms = list(query.atoms)
+    rng.shuffle(atoms)
+    return ConjunctiveQuery(
+        [Atom(atom.relation, [rename.get(t, t) for t in atom.terms]) for atom in atoms],
+        free_variables=[rename[v] for v in query.free_variables],
+    )
+
+
 #: Values each relation draws from.
 DOMAINS = {"E": 4, "F": 4, "K": 2}
 
@@ -95,9 +110,13 @@ class WarmSession(RuleBasedStateMachine):
         index=st.integers(0, len(QUERIES) - 1),
         task=st.sampled_from(["answer", "count", "is_satisfiable"]),
         shards=st.sampled_from([1, 2]),
+        rng=st.randoms(use_true_random=False),
     )
-    def call(self, index, task, shards):
-        query, expected = QUERIES[index], self.expected(index)
+    def call(self, index, task, shards, rng):
+        # A random spelling of the query: the session runs one canonical
+        # form for all of them, so plans and views are shared across
+        # spellings and across appends.
+        query, expected = respelled(QUERIES[index], rng), self.expected(index)
         if task == "answer":
             got = self.session.answer(query, self.database, shards=shards).rows
             assert got == expected

@@ -1091,6 +1091,14 @@ class ColumnarStore:
             table = self._table(relation, stop)
             return self._relation(shape, *self._select(table, shape, start, stop))
 
+    def column_ids(self, relation, column: int, start: int, stop: int) -> np.ndarray:
+        """The interned ids in ``column`` of ``relation``'s log rows
+        ``[start, stop)``, read off its id table: what
+        :meth:`~repro.cq.database.Database.partition` and the session's
+        piece extension route rows by."""
+        with self._lock:
+            return self._table(relation, stop).buffers[column][start:stop]
+
     def _select(self, table: _IdTable, shape: tuple, start: int, stop: int) -> tuple:
         """``(kept id columns, rows)`` of the table rows ``[start, stop)``
         that match an :func:`~repro.cq.relational.atom_shape` pattern.  The

@@ -10,10 +10,7 @@ relations.
 
 from __future__ import annotations
 
-import decimal
-import numbers
 import threading
-import zlib
 from collections.abc import Hashable, Iterable, Mapping
 
 Value = Hashable
@@ -21,98 +18,6 @@ Value = Hashable
 #: Guards the lazy creation of a database's columnar store (rare: once per
 #: database), so concurrent first callers cannot each install a store.
 _COLUMNAR_STORE_LOCK = threading.Lock()
-
-
-def _shard_key(value: Hashable):
-    """A representative of ``value``'s equality class, safe to ``repr``.
-
-    Sharding is only correct when **equal values land in the same shard**
-    (the disjointness argument routes every fact of a satisfying assignment
-    by one shared value).  Python equality crosses types — ``True == 1 ==
-    1.0 == Decimal(1)`` — but their reprs differ, so numbers are normalised
-    to a canonical member of the class (int when integral, float otherwise)
-    before hashing, mirroring the guarantee the builtin ``hash`` gives.
-    Containers that compare by content are canonalised recursively, with
-    frozensets ordered (their iteration order is salt-dependent for string
-    elements).  Unequal values may still *collide* into one repr — that only
-    costs shard balance, never correctness.  Custom value types are required
-    to define ``__repr__`` consistently with ``__eq__`` (equal values, equal
-    reprs); values stuck with the identity-based default repr are rejected
-    loudly rather than silently misrouted.
-    """
-    if isinstance(value, str):
-        # Plain strings pass through; str subclasses (str-mixin Enums) that
-        # compare equal to the underlying string are flattened onto it.
-        # str.__str__ directly, because subclasses override __str__ (an
-        # enum's str() is its member name on Python >= 3.11).
-        return str.__str__(value)
-    if isinstance(value, numbers.Integral):  # includes bool and IntEnum
-        return int(value)
-    if isinstance(value, numbers.Rational) and value.denominator == 1:
-        # Exact, NOT through float: Fraction(10**30) == 10**30 but
-        # float() would round one and not the other.
-        return int(value.numerator)
-    if isinstance(value, numbers.Real):
-        try:
-            as_float = float(value)
-        except (OverflowError, ValueError):
-            # No float equals this value (an equal float would BE its own
-            # float()), so staying un-normalised cannot split an equality
-            # class across shards.
-            return value
-        return int(as_float) if as_float.is_integer() else as_float
-    if isinstance(value, numbers.Complex) and value.imag == 0:
-        return _shard_key(value.real)
-    if isinstance(value, decimal.Decimal):
-        # Decimal deliberately stays outside the numbers tower, but it DOES
-        # compare equal across it (Decimal(1) == 1, Decimal("0.5") == 0.5).
-        if value.is_finite() and value == value.to_integral_value():
-            return int(value)
-        try:
-            return float(value)
-        except (OverflowError, ValueError):
-            return value
-    if isinstance(value, tuple):
-        return tuple(_shard_key(item) for item in value)
-    if isinstance(value, frozenset):
-        return "fs{" + ",".join(sorted(repr(_shard_key(item)) for item in value)) + "}"
-    if isinstance(value, bytes):
-        return bytes(value)
-    if isinstance(value, range):
-        # range compares as a sequence: range(0) == range(5, 5), and the
-        # step is irrelevant below two elements.
-        return (
-            "range",
-            len(value),
-            value[0] if len(value) else None,
-            value.step if len(value) > 1 else None,
-        )
-    if type(value).__repr__ is object.__repr__:
-        # The default repr embeds the memory address: equal instances would
-        # route to different shards (silently losing answers) and routing
-        # would change between runs.  Refusing loudly beats wrong results.
-        raise TypeError(
-            f"cannot shard a value of type {type(value).__name__}: its "
-            "identity-based default repr is not stable across equal "
-            "instances or runs; define __repr__ consistently with __eq__"
-        )
-    return value
-
-
-def shard_of(value: Hashable, shards: int) -> int:
-    """The shard (``0 <= shard < shards``) a domain value hashes to.
-
-    Deliberately *not* Python's builtin ``hash``: that is salted per process
-    (``PYTHONHASHSEED``), and shard assignment must be reproducible across
-    runs so a benchmark or a failing differential seed replays identically.
-    CRC32 of the canonical repr (see :func:`_shard_key`) is stable, cheap,
-    and spreads the small integer domains the generators use.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards == 1:
-        return 0
-    return zlib.crc32(repr(_shard_key(value)).encode("utf-8")) % shards
 
 
 class Relation:
@@ -378,22 +283,31 @@ class Database:
         key_columns: Mapping[str, int],
         shards: int,
         broadcast: Iterable[str] = (),
+        store=None,
     ) -> list["Database"]:
-        """Hash-partition the database into ``shards`` disjoint-plus-broadcast
+        """Partition the database into ``shards`` disjoint-plus-broadcast
         pieces.
 
         ``key_columns`` maps relation names to the column to partition on:
-        each tuple of such a relation lands in exactly one shard, chosen by
-        :func:`shard_of` on the value in that column.  Relations named in
-        ``broadcast`` are replicated into every shard.  Relations in neither
-        collection are omitted — the caller decides what the shards need
-        (the engine passes exactly the relations of the query being sharded).
+        each row of such a relation lands in exactly one shard, the
+        interned id of its value in that column modulo ``shards``.  The ids
+        come from ``store``, this database's columnar store (read once when
+        not given), whose interner gives equal values one id: equal values
+        share a shard whatever their types.  A store built after
+        :meth:`drop_columnar` may number values differently, so a caller
+        that extends the pieces later routes its rows through the same
+        store.  Each relation's version is read before its rows, and the
+        cut takes the rows up to it.  Relations named in ``broadcast`` are
+        replicated into every shard.  Relations in neither collection are
+        omitted — the caller decides what the shards need (the engine
+        passes exactly the relations of the query being sharded).
 
         The partitioned relations reconstruct the original exactly: every
         tuple appears in precisely one shard, so the shard databases are a
         partition of the partitioned relations and a replication of the
         broadcast ones.  A heavy-hitter key lands all its rows on one shard;
-        that costs balance, never exactness.
+        that costs balance, never exactness.  The same data interned in the
+        same order gives the same cut.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -415,12 +329,17 @@ class Database:
                     f"partition column {column} out of range for relation "
                     f"{name!r} (arity {arity})"
                 )
+        if store is None:
+            store = self.columnar_store()
         pieces = [Database() for _ in range(shards)]
         for name, column in key_columns.items():
             relation = self.relations[name]
+            version = relation.version
             buckets: list[list[tuple]] = [[] for _ in range(shards)]
-            for row in relation._log:
-                buckets[shard_of(row[column], shards)].append(row)
+            if version:
+                routes = store.column_ids(relation, column, 0, version) % shards
+                for row, shard in zip(relation.rows_at(version), routes.tolist()):
+                    buckets[shard].append(row)
             for piece, bucket in zip(pieces, buckets):
                 piece.add_relation(Relation._trusted(name, relation.arity, bucket))
         for name in broadcast:

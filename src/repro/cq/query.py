@@ -92,29 +92,31 @@ class ConjunctiveQuery:
         free_variables: Iterable[Term] | None = None,
     ) -> None:
         self.atoms: tuple[Atom, ...] = tuple(atoms)
-        all_variables = self._collect_variables()
+        #: All variables, in order of first occurrence.
+        self.variables: tuple = tuple(
+            dict.fromkeys(
+                variable for atom in self.atoms for variable in atom.variables()
+            )
+        )
         if free_variables is None:
-            self.free_variables: tuple = all_variables
+            self.free_variables: tuple = self.variables
         else:
             free = tuple(dict.fromkeys(free_variables))
-            unknown = set(free) - set(all_variables)
+            unknown = set(free) - set(self.variables)
             if unknown:
                 raise ValueError(f"free variables {sorted(map(repr, unknown))} do not occur in the query")
             self.free_variables = free
+        # The identity __eq__ and __hash__ read: the head compared as a set.
+        self._atom_set = frozenset(self.atoms)
+        self._head_set = frozenset(self.free_variables)
+        #: ``(form, renaming)`` memo of :func:`repro.engine.session.canonical_form`.
+        self._canonical = None
 
-    # ------------------------------------------------------------------
-    def _collect_variables(self) -> tuple:
-        seen: list = []
-        for atom in self.atoms:
-            for variable in atom.variables():
-                if variable not in seen:
-                    seen.append(variable)
-        return tuple(seen)
-
-    @property
-    def variables(self) -> tuple:
-        """All variables, in order of first occurrence."""
-        return self._collect_variables()
+    def __getstate__(self) -> dict:
+        # The canonical-form memo is derived; a receiver rebuilds its own.
+        state = self.__dict__.copy()
+        state["_canonical"] = None
+        return state
 
     @property
     def existential_variables(self) -> tuple:
@@ -187,13 +189,10 @@ class ConjunctiveQuery:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented
-        return (
-            frozenset(self.atoms) == frozenset(other.atoms)
-            and frozenset(self.free_variables) == frozenset(other.free_variables)
-        )
+        return self._atom_set == other._atom_set and self._head_set == other._head_set
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.atoms), frozenset(self.free_variables)))
+        return hash((self._atom_set, self._head_set))
 
     def __repr__(self) -> str:
         body = " AND ".join(repr(atom) for atom in self.atoms)

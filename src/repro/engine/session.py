@@ -53,7 +53,7 @@ import threading
 import time
 from operator import attrgetter
 
-from repro.cq.database import Database, shard_of
+from repro.cq.database import Database
 from repro.cq.query import Atom, Constant, ConjunctiveQuery
 from repro.cq.statistics import join_ordering, join_record
 from repro.engine.analysis import AnalysisCache, LRUCache, QueryAnalysis
@@ -98,7 +98,19 @@ def canonical_form(query: ConjunctiveQuery) -> tuple:
     A query with self-joins is its own form, with the identity renaming:
     canonicalising it is graph canonisation, which the engine does not
     attempt.
+
+    The pair is memoised on the query object (a query is immutable), never
+    by equality: ``q.project(["x", "y"]) == q.project(["y", "x"])``, yet
+    their forms differ in head order.  Each call returns its own copy of
+    the renaming.
     """
+    if query._canonical is None:
+        query._canonical = _canonicalise(query)
+    form, renaming = query._canonical
+    return form, dict(renaming)
+
+
+def _canonicalise(query: ConjunctiveQuery) -> tuple:
     if query.has_self_joins():
         return query, {variable: variable for variable in query.variables}
     renaming: dict = {}
@@ -181,7 +193,7 @@ class EngineSession:
         self.planner = QueryPlanner(self.analyze, self.core_cache)
         self.plan_cache = LRUCache(PLAN_CACHE_SIZE)
         #: Resident shard pieces per (database identity, sharding spec):
-        #: partitioning is a full hash pass over the data, so a serving
+        #: partitioning is a full pass over the data, so a serving
         #: session pays it once and re-executes against the cached pieces —
         #: whose columnar stores stay warm, so repeated queries also skip
         #: the per-call scan/re-index of the stored tuples.
@@ -211,15 +223,21 @@ class EngineSession:
         :attr:`~repro.cq.database.Relation.version` of every relation the
         spec touches.  When versions have moved since the pieces were cut,
         only the ``delta_since`` rows are routed — partitioned relations
-        hash each appended row to its owning piece, broadcast relations
-        append to every piece — so resident pieces (and the columnar
-        stores living on them) extend instead of being rebuilt.
-        Versions are read *before* the rows they cover: a row appended
-        while the pieces are cut or extended lies past the recorded
-        version, so the next call routes it (a row the cut already took
-        routes again as a no-op ``Relation.add``) instead of losing it.
-        The identity check on the cached entry guards against ``id`` reuse
-        after garbage collection.  The pieces are session-owned.
+        send each appended row to the piece its interned id picks,
+        broadcast relations append to every piece — so resident pieces
+        (and the columnar stores living on them) extend instead of being
+        rebuilt.  Versions are read *before* the rows they cover: a row
+        appended while the pieces are cut or extended lies past the
+        recorded version, so the next call routes it (a row the cut already
+        took routes again as a no-op ``Relation.add``) instead of losing it.
+
+        Ids belong to a columnar store, and a store built after
+        ``drop_columnar`` may number values differently, so the entry
+        records the store the cut routed by and every extension routes
+        through it; a database whose store is no longer that one is cut
+        again.  The identity check on the cached entry guards against
+        ``id`` reuse after garbage collection.  The pieces are
+        session-owned.
         """
         relevant = tuple(sorted(set(spec.partition_columns) | set(spec.broadcast_relations)))
         key = (
@@ -230,26 +248,34 @@ class EngineSession:
         )
         with self._lock:
             entry = self._partition_cache.get(key)
-            if entry is not None and entry[0] is database:
-                pieces, versions = entry[1], entry[2]
-                self._extend_pieces(database, pieces, versions, spec, relevant)
+            if (
+                entry is not None
+                and entry[0] is database
+                and entry[3] is database.columnar_cache
+            ):
+                _, pieces, versions, store = entry
+                self._extend_pieces(database, store, pieces, versions, spec, relevant)
                 return pieces
+        store = database.columnar_store()
         versions = {
             name: database.relations[name].version
             for name in relevant
             if database.has_relation(name)
         }
-        pieces = ShardedDatabase.partition(database, target, spec.shards, spec=spec).shards
+        pieces = ShardedDatabase.partition(
+            database, target, spec.shards, spec=spec, store=store
+        ).shards
         with self._lock:
-            self._partition_cache.put(key, (database, pieces, versions))
+            self._partition_cache.put(key, (database, pieces, versions, store))
         return pieces
 
     @staticmethod
-    def _extend_pieces(database, pieces, versions, spec, relevant) -> None:
+    def _extend_pieces(database, store, pieces, versions, spec, relevant) -> None:
         """Catch resident pieces up with exactly the rows between the
         recorded and the current version of each relation (called under the
-        session lock).  The version is read first, so a row appended
-        meanwhile stays past it for the next call to route."""
+        session lock), routing partitioned rows by their ids in ``store``.
+        The version is read first, so a row appended meanwhile stays past
+        it for the next call to route."""
         for name in relevant:
             if not database.has_relation(name):
                 continue
@@ -261,9 +287,9 @@ class EngineSession:
             delta = relation.delta_since(seen)[: version - seen]
             if name in spec.partition_columns:
                 column = spec.partition_columns[name]
-                shards = len(pieces)
-                for row in delta:
-                    pieces[shard_of(row[column], shards)].add_fact(name, row)
+                routes = store.column_ids(relation, column, seen, version) % len(pieces)
+                for row, shard in zip(delta, routes.tolist()):
+                    pieces[shard].add_fact(name, row)
             else:
                 for piece in pieces:
                     for row in delta:

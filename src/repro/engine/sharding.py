@@ -1,10 +1,13 @@
 """Hash-sharded execution: partition-aware evaluation behind the session.
 
 A query whose every atom contains one shared **shard variable** ``x`` can be
-evaluated shard-at-a-time: hash-partition every relation on the column where
-``x`` occurs, and any satisfying assignment ``a`` — which uses only facts
-carrying the value ``a(x)`` in that column — is confined to the shard
-``shard_of(a(x))``.  Hence
+evaluated shard-at-a-time: partition every relation on the column where
+``x`` occurs, routing each row by the interned id of its value there modulo
+the shard count (:meth:`~repro.cq.database.Database.partition`).  The
+database's value interner gives equal values one id, so every fact carrying
+a value ``v`` in its partition column lies in one shard, ``shard(v)``, and
+any satisfying assignment ``a`` — which uses only facts carrying the value
+``a(x)`` in that column — is confined to the shard ``shard(a(x))``.  Hence
 
 * ``answers(q, D) = union over s of answers(q, D_s)`` (exact for every
   query: the shard databases jointly contain every fact);
@@ -16,7 +19,7 @@ carrying the value ``a(x)`` in that column — is confined to the shard
 Atoms that do *not* contain the shard variable are handled with the classic
 **broadcast** fallback: their relations are replicated into every shard, so
 the containment argument above still goes through (partitioned atoms pin the
-assignment to ``shard_of(a(x))``; broadcast facts are available everywhere).
+assignment to ``shard(a(x))``; broadcast facts are available everywhere).
 When no relation can be partitioned consistently, the ladder bottoms out at
 **single-shard** execution — the unsharded plan, recorded as such.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cq.database import Database, shard_of
+from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
 
 SHARD_MODE_COPARTITIONED = "co-partitioned"
@@ -46,7 +49,7 @@ def choose_shard_variable(query: ConjunctiveQuery):
     Picks the variable occurring in the most atoms (ties broken by ``repr``
     for determinism) — the variable most likely to co-partition every
     relation, and failing that, the one that minimises the broadcast set.
-    The choice reads the query only: a hub value hashes to one shard, which
+    The choice reads the query only: a hub value routes to one shard, which
     costs balance, never exactness.  Returns ``None`` when the query has no
     variables (zero-atom or constants-only queries cannot shard).
     """
@@ -193,13 +196,16 @@ class ShardedDatabase:
         shards: int,
         shard_variable=None,
         spec: ShardingSpec | None = None,
+        store=None,
     ) -> "ShardedDatabase":
         """Partition ``database`` for ``query`` along the fallback ladder.
 
         On the single-shard rung the one "shard" is the database itself
         (no copy): sharded execution degrades gracefully to the plain path.
         A caller that already walked the ladder passes its ``spec`` to skip
-        recomputing it (the session's sharded path does).
+        recomputing it, and the columnar ``store`` it routes by
+        (:meth:`~repro.cq.database.Database.partition`), to extend the cut
+        later through the same ids (the session's sharded path does both).
         """
         if spec is None:
             spec = sharding_spec(query, shards, shard_variable=shard_variable)
@@ -216,12 +222,10 @@ class ShardedDatabase:
         broadcast = tuple(
             name for name in spec.broadcast_relations if database.has_relation(name)
         )
-        pieces = database.partition(present, spec.shards, broadcast=broadcast)
+        pieces = database.partition(
+            present, spec.shards, broadcast=broadcast, store=store
+        )
         return cls(spec, pieces)
 
     def total_tuples(self) -> int:
         return sum(piece.total_tuples() for piece in self.shards)
-
-    def shard_for(self, value) -> Database:
-        """The shard a given shard-variable value routes to."""
-        return self.shards[shard_of(value, len(self.shards))]

@@ -125,7 +125,7 @@ def test_sharded_execution_is_columnar_per_shard(session, acyclic):
     # (1 + 2 + 4 databases): the database itself, then the cached pieces.
     pieces = [database] + [
         piece
-        for _key, (_database, shard_pieces, _versions) in session._partition_cache.snapshot()
+        for _key, (_database, shard_pieces, _versions, _store) in session._partition_cache.snapshot()
         for piece in shard_pieces
     ]
     assert len(pieces) == 7

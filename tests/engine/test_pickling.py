@@ -17,7 +17,7 @@ import pytest
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
 from repro.cq.query import Constant
-from repro.engine import EngineSession
+from repro.engine import EngineSession, canonical_form
 from repro.hypergraphs.hypergraph import Hypergraph
 
 
@@ -46,10 +46,18 @@ class TestQueryRoundTrip:
     def test_query_equal_and_head_order_preserved(self, name, query):
         copy = roundtrip(query)
         assert copy == query
+        assert hash(copy) == hash(query)
         # __eq__ compares the head as a set; the answer-tuple column order
         # must survive too.
         assert copy.free_variables == query.free_variables
         assert copy.atoms == query.atoms
+
+    def test_the_canonical_form_memo_is_not_shipped(self):
+        for _, query in QUERIES:
+            fresh = ConjunctiveQuery(query.atoms, query.free_variables)
+            shipped = len(pickle.dumps(fresh))
+            canonical_form(fresh)  # memoised on the query object
+            assert len(pickle.dumps(fresh)) == shipped
 
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
     def test_answers_identical_pre_and_post_roundtrip(self, name, query):

@@ -183,6 +183,31 @@ class TestCanonicalIdentity:
         assert sharded.count == len(result.rows)
         assert sharded.sharding["shard_variable"] == "x1_r"
 
+    def test_one_query_object_builds_its_form_once(self, session, monkeypatch):
+        built = []
+        canonicalise = session_module._canonicalise
+
+        def spy(query):
+            built.append(query)
+            return canonicalise(query)
+
+        monkeypatch.setattr(session_module, "_canonicalise", spy)
+        query = respelled(cqgen.chain_query(3).project(["x2", "x0"]))
+        database = cqgen.random_database(query, 5, 20, seed=1)
+        expected = naive_enumerate_answers(query, database)
+        assert session.answer(query, database).rows == expected
+        assert session.answer(query, database).rows == expected
+        assert len(built) == 1 and built[0] is query
+        # The memo is the object's, not its equality class's: an equal
+        # query with another head order has its own form.
+        reordered = query.project(reversed(query.free_variables))
+        assert reordered == query
+        assert canonical_form(reordered)[0].free_variables == ("v0", "v2")
+        assert canonical_form(query)[0].free_variables == ("v2", "v0")
+        # A caller cannot change the memo through the renaming it gets.
+        canonical_form(query)[1]["x0_r"] = "tampered"
+        assert canonical_form(query)[1]["x0_r"] == "v0"
+
 
 class TestPlanCache:
     def test_repeat_plan_is_served_from_cache(self, session):

@@ -7,11 +7,12 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.cq import Atom, ConjunctiveQuery, Database
 from repro.cq import generators as cqgen
-from repro.cq.database import Relation, shard_of
+from repro.cq.database import Relation
 from repro.cq.homomorphism import naive_enumerate_answers
 from repro.engine import (
     SHARD_MODE_BROADCAST,
@@ -32,26 +33,87 @@ class _IntColour(enum.IntEnum):
     BLUE = 3
 
 
-class TestShardOf:
-    def test_in_range_and_deterministic(self):
-        for shards in (1, 2, 4, 8):
-            for value in [0, 1, 17, "a", "xyz", (1, 2), None]:
-                shard = shard_of(value, shards)
-                assert 0 <= shard < shards
-                assert shard == shard_of(value, shards)
+class _Money:
+    """A user value equal to (and hashing like) the plain number it wraps."""
 
-    def test_single_shard_is_always_zero(self):
-        assert shard_of("anything", 1) == 0
+    def __init__(self, amount):
+        self.amount = amount
+
+    def __eq__(self, other):
+        return self.amount == (other.amount if isinstance(other, _Money) else other)
+
+    def __hash__(self):
+        return hash(self.amount)
+
+    def __repr__(self):
+        return f"_Money({self.amount})"
+
+
+class _Opaque:
+    """Every instance equal, with the default identity-based repr."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Opaque)
+
+    def __hash__(self):
+        return 7
+
+
+class _Token:
+    """Compared by identity: each instance is its own value."""
+
+
+def _pieces_holding(pieces, name, predicate) -> set:
+    """The indexes of the pieces holding a row of ``name`` that satisfies
+    ``predicate``."""
+    return {
+        index
+        for index, piece in enumerate(pieces)
+        if any(predicate(row) for row in piece.relation(name).tuples)
+    }
+
+
+class TestRoutingByInternedId:
+    """``Database.partition`` sends a row to the interned id of its key
+    value modulo the shard count: equal values share one id, so they share
+    a piece whatever their types."""
+
+    def test_one_database_and_call_order_give_one_cut(self):
+        query = cqgen.hub_cycle_query(3)
+        first = cqgen.random_database(query, 10, 50, seed=13)
+        second = cqgen.random_database(query, 10, 50, seed=13)
+        for shards in (2, 3, 4, 8):
+            cut = first.partition({"H0": 0, "H1": 1}, shards)
+            assert cut == first.partition({"H0": 0, "H1": 1}, shards)
+            assert cut == second.partition({"H0": 0, "H1": 1}, shards)
+
+    def test_a_single_shard_holds_every_row(self):
+        query = cqgen.hub_cycle_query(3)
+        database = cqgen.random_database(query, 10, 50, seed=13)
+        (piece,) = database.partition({"H0": 0}, 1)
+        assert piece.relation("H0").tuples == database.relation("H0").tuples
 
     def test_spreads_small_integer_domains(self):
-        # The generators draw values from range(domain); a hash that lumped
-        # them into one shard would make sharding a no-op silently.
-        buckets = {shard_of(value, 4) for value in range(32)}
-        assert len(buckets) == 4
+        # The generators draw values from range(domain); a rule that lumped
+        # them into one shard would make sharding a no-op silently.  The
+        # key column is interned after a column of other values.
+        database = Database()
+        for value in range(32):
+            database.add_fact("R", (f"s{value}", value))
+        pieces = database.partition({"R": 1}, 4)
+        assert all(len(piece.relation("R")) == 8 for piece in pieces)
 
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError, match="shards"):
-            shard_of(1, 0)
+    def test_rejects_a_shard_count_below_one(self):
+        database = Database()
+        database.add_fact("R", (1, 2))
+        for shards in (0, -1):
+            with pytest.raises(ValueError, match="shards"):
+                database.partition({"R": 0}, shards)
+            with pytest.raises(ValueError, match="shards"):
+                EngineSession().answer(
+                    ConjunctiveQuery([Atom("R", ["x", "y"])]), database, shards=shards
+                )
+        assert database.columnar_cache is None, "a refused cut interned nothing"
 
     def test_equal_values_share_a_shard_across_types(self):
         # Python equality crosses the numeric tower (True == 1 == 1.0) and
@@ -60,43 +122,50 @@ class TestShardOf:
         from decimal import Decimal
         from fractions import Fraction
 
+        for group in (
+            [True, 1, 1.0, Decimal(1), Fraction(1)],
+            [False, 0, 0.0],
+            [0.5, Fraction(1, 2), Decimal("0.5")],
+            [(1, True), (1, 1), (1.0, 1)],
+            [10**30, Fraction(10**30), Decimal(10**30)],
+            # Subclass values that compare equal to their base value.
+            [_StrColour.RED, "red"],
+            [_IntColour.BLUE, 3, 3.0],
+            [range(0), range(5, 5)],
+            [range(2, 8, 2), range(2, 7, 2)],
+            [np.True_, 1, _Money(1)],
+        ):
+            database = Database()
+            for index, value in enumerate(group):
+                database.add_fact("R", (value, index))
+            for shards in (2, 3, 4, 8):
+                pieces = database.partition({"R": 0}, shards)
+                assert sum(len(piece.relation("R")) for piece in pieces) == len(group)
+                assert len(_pieces_holding(pieces, "R", lambda row: True)) == 1, (
+                    group, shards
+                )
+
+    def test_values_compared_by_identity_or_a_user_eq_shard_exactly(self):
+        # Routing never reads a repr: an identity-compared value is its own
+        # class, and instances a user __eq__ unifies share one id.
+        query = ConjunctiveQuery([Atom("R", ["h", "x"]), Atom("S", ["h", "y"])])
+        tokens = [_Token() for _ in range(6)]
+        database = Database()
+        for index, token in enumerate(tokens):
+            database.add_fact("R", (token, f"r{index}"))
+            database.add_fact("S", (tokens[index // 2 * 2], f"s{index}"))
+        database.add_fact("R", (_Opaque(), "ra"))
+        database.add_fact("S", (_Opaque(), "sa"))
+        expected = naive_enumerate_answers(query, database)
+        assert len(expected) == 7
+        session = EngineSession()
         for shards in (2, 3, 4, 8):
-            for group in (
-                [True, 1, 1.0, Decimal(1), Fraction(1)],
-                [False, 0, 0.0],
-                [0.5, Fraction(1, 2), Decimal("0.5")],
-                [(1, True), (1, 1), (1.0, 1)],
-                # Exact large integers must not round-trip through float.
-                [10**30, Fraction(10**30), Decimal(10**30)],
-                # Subclass values that compare equal to their base value.
-                [_StrColour.RED, "red"],
-                [_IntColour.BLUE, 3, 3.0],
-                [range(0), range(5, 5)],
-                [range(2, 8, 2), range(2, 7, 2)],
-            ):
-                routes = {shard_of(value, shards) for value in group}
-                assert len(routes) == 1, (group, shards)
-
-    def test_identity_repr_values_rejected_loudly(self):
-        # An object with __eq__ but the default (address-based) repr cannot
-        # be routed consistently: equal instances would land in different
-        # shards and silently lose answers.  Refusal beats wrong results.
-        class Opaque:
-            def __eq__(self, other):
-                return isinstance(other, Opaque)
-
-            def __hash__(self):
-                return 7
-
-        with pytest.raises(TypeError, match="identity-based"):
-            shard_of(Opaque(), 4)
+            assert session.answer(query, database, shards=shards).rows == expected
+            assert session.count(query, database, shards=shards).count == 7
 
     def test_mixed_type_equal_hub_values_answer_exactly(self):
         # End-to-end regression: a satisfying assignment whose facts spell
         # the same hub value as True, 1, and 1.0 must survive sharding.
-        from repro.cq.homomorphism import naive_enumerate_answers
-        from repro.engine import EngineSession
-
         query = cqgen.hub_cycle_query(3)
         database = Database()
         database.add_fact("H0", (True, "a", "b"))
@@ -108,6 +177,24 @@ class TestShardOf:
         for shards in (2, 3, 4, 8):
             assert session.answer(query, database, shards=shards).rows == expected
             assert session.is_satisfiable(query, database, shards=shards).satisfiable
+
+    @pytest.mark.parametrize(
+        "hub,other", [(np.True_, 1), (_Money(5), 5)], ids=["numpy-bool", "user-type"]
+    )
+    def test_values_equal_across_types_join_at_every_shard_count(self, hub, other):
+        # A value equal to an int of another type, whose repr differs:
+        # routing by repr put np.True_ and 1 on different shards at 4 and
+        # 8 shards, and _Money(5) and 5 at 3 and 8.
+        query = ConjunctiveQuery([Atom("R", ["h", "x"]), Atom("S", ["h", "y"])])
+        database = Database()
+        database.add_fact("R", (hub, "a"))
+        database.add_fact("S", (other, "b"))
+        expected = naive_enumerate_answers(query, database)
+        assert len(expected) == 1
+        session = EngineSession()
+        for shards in (2, 3, 4, 8):
+            assert session.answer(query, database, shards=shards).rows == expected
+            assert session.count(query, database, shards=shards).count == 1
 
 
 class TestChooseShardVariable:
@@ -206,9 +293,10 @@ class TestDatabasePartition:
 
     def test_tuples_routed_by_key_column(self, database):
         pieces = database.partition({"H0": 1}, 3)
+        ids = database.columnar_cache.interner
         for index, piece in enumerate(pieces):
             for row in piece.relation("H0").tuples:
-                assert shard_of(row[1], 3) == index
+                assert ids.id_of(row[1]) % 3 == index
 
     def test_broadcast_relations_replicated(self, database):
         pieces = database.partition({"H0": 0}, 3, broadcast=("H1", "H2"))
@@ -262,18 +350,20 @@ class TestShardedDatabase:
         for piece in sharded:
             assert not piece.has_relation("H1")
 
-    def test_shard_for_routes_by_value(self):
+    def test_each_hub_value_lives_in_one_piece(self):
+        # Co-partitioning: every fact carrying a hub value, in any of the
+        # query's relations, lives in the one piece its id picks.
         query = cqgen.hub_cycle_query(3)
         database = cqgen.random_database(query, 10, 50, seed=13)
         sharded = ShardedDatabase.partition(database, query, 4)
+        ids = database.columnar_cache.interner
         for value in range(10):
-            piece = sharded.shard_for(value)
-            assert piece is sharded.shards[shard_of(value, 4)]
-            # Every H0 fact carrying `value` in the hub column lives there.
-            for other in sharded.shards:
-                if other is piece:
-                    continue
-                assert all(row[0] != value for row in other.relation("H0").tuples)
+            holders = set()
+            for name in ("H0", "H1", "H2"):
+                holders |= _pieces_holding(
+                    sharded.shards, name, lambda row: row[0] == value
+                )
+            assert holders == {ids.id_of(value) % 4}
 
 
 def _plant_wheel(database, hub) -> None:
@@ -347,6 +437,36 @@ class TestResidentPiecesUnderAppends:
         expected = naive_enumerate_answers(query, database)
         assert len(expected) == 3
         assert session.answer(query, database, shards=2).rows == expected
+
+    def test_a_dropped_store_cuts_the_pieces_again(self, monkeypatch):
+        # Ids belong to a store: after drop_columnar() the next store may
+        # number the hub values differently, so routing an appended row by
+        # it would send the row away from its partners' piece.
+        query = ConjunctiveQuery([Atom("R", ["h", "x"]), Atom("S", ["h", "y"])])
+        database = Database()
+        for hub in range(4):
+            database.add_fact("R", (hub, f"r{hub}"))
+            database.add_fact("S", (hub, f"s{hub}"))
+        cut = ShardedDatabase.partition.__func__
+        cuts = []
+
+        def counted(cls, *args, **kwargs):
+            cuts.append(kwargs["store"])
+            return cut(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedDatabase, "partition", classmethod(counted))
+        session = EngineSession()
+        session.answer(query, database, shards=2)
+        database.drop_columnar()
+        for hub in reversed(range(4)):
+            database.add_fact("T", (hub,))
+        database.columnar_view(Atom("T", ["z"]))
+        database.add_fact("S", (0, "late"))
+        expected = naive_enumerate_answers(query, database)
+        assert (0, "r0", "late") in expected
+        assert session.answer(query, database, shards=2).rows == expected
+        assert len(cuts) == 2
+        assert cuts[1] is database.columnar_cache is not cuts[0]
 
     def test_sharded_readers_racing_an_appender_stay_exact(self):
         query, database = self._wheel()

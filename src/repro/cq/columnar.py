@@ -77,8 +77,8 @@ and rooting of :mod:`repro.cq.bags`, and the resulting
 :class:`~repro.cq.yannakakis.JoinTree` runs through the generic
 ``yannakakis_boolean`` / ``yannakakis_full`` / ``semijoin_reduce`` passes,
 which are duck-typed over the relation interface (``columns``,
-``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project``,
-``__len__``).  The counting DP is :func:`columnar_count_join_tree`.
+``natural_join``, ``semijoin``, ``project``, ``__len__``) and never change
+a relation.  The counting DP is :func:`columnar_count_join_tree`.
 
 The engine dispatches the decomposition strategies here through
 :class:`repro.engine.backends.ColumnarBackend`; conversion and
@@ -335,8 +335,7 @@ class ColumnarRelation:
     ``{()}``) keep their cardinality.  Columns are ``array('q')``/lists, or
     int64 ``ndarray``s on relations of at least :data:`_VECTOR_MIN_ROWS`
     rows produced by a vectorised operator or served by a
-    :class:`ColumnarStore`.  A relation never changes once built, except
-    through :meth:`semijoin_inplace` on one an evaluator owns.
+    :class:`ColumnarStore`.  A relation never changes once built.
     """
 
     __slots__ = (
@@ -614,14 +613,6 @@ class ColumnarRelation:
         self._publish(self._order_cache, cache_key, _Covering(n, value))
         return value
 
-    def _invalidate(self) -> None:
-        self._key_cache.clear()
-        self._bucket_cache.clear()
-        self._keyset_cache.clear()
-        self._order_cache.clear()
-        self._project_cache.clear()
-        self._vector_cache.clear()
-
     def degrees(self, column: Hashable) -> np.ndarray:
         """The exact degree vector of one column: entry ``k`` counts the
         rows holding id ``k`` there (one ``np.bincount``; ids past its end
@@ -884,16 +875,6 @@ class ColumnarRelation:
         return ColumnarRelation._trusted(
             self.columns, self.interner, self._taken(survivors), len(survivors)
         )
-
-    def semijoin_inplace(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """Like :meth:`semijoin` but rebinds this relation's columns,
-        invalidating its memoized keys only when rows were removed."""
-        survivors = self._semijoin_survivors(other)
-        if survivors is not None:
-            self._data = self._taken(survivors)
-            self._length = len(survivors)
-            self._invalidate()
-        return self
 
     def _semijoin_survivors(self, other: "ColumnarRelation"):
         """Surviving row indexes (an int64 array on the NumPy path, a list
@@ -1406,10 +1387,6 @@ class BagArray:
 
     def semijoin(self, other: "BagArray") -> "BagArray":
         return BagArray(self.columns, self.interner, self.array & self._marginal(other))
-
-    def semijoin_inplace(self, other: "BagArray") -> "BagArray":
-        self.array = np.asarray(self.array & self._marginal(other))
-        return self
 
     def project(self, columns: Sequence[Hashable]) -> "BagArray":
         columns = tuple(columns)

@@ -36,14 +36,29 @@ class Constant:
 
 @dataclass(frozen=True)
 class Atom:
-    """A relational atom ``R(t_1, ..., t_n)``."""
+    """A relational atom ``R(t_1, ..., t_n)``.
+
+    An atom computes its variables once; equality and hashing read only
+    the two fields ``relation`` and ``terms``."""
 
     relation: str
     terms: tuple
 
     def __init__(self, relation: str, terms: Iterable[Term]) -> None:
+        terms = tuple(terms)
+        # A list scan beats a dict over the few terms an atom has.
+        variables = []
+        for term in terms:
+            if not isinstance(term, Constant) and term not in variables:
+                variables.append(term)
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_variables", tuple(variables))
+        object.__setattr__(self, "_variable_set", frozenset(variables))
+
+    def __reduce__(self):
+        # Ship the two fields; a receiver derives the variables again.
+        return type(self), (self.relation, self.terms)
 
     @property
     def arity(self) -> int:
@@ -51,16 +66,10 @@ class Atom:
 
     def variables(self) -> tuple:
         """The variables of the atom, in order of first occurrence."""
-        seen = []
-        for term in self.terms:
-            if isinstance(term, Constant):
-                continue
-            if term not in seen:
-                seen.append(term)
-        return tuple(seen)
+        return self._variables
 
     def variable_set(self) -> frozenset:
-        return frozenset(self.variables())
+        return self._variable_set
 
     def has_repeated_variables(self) -> bool:
         variables = [t for t in self.terms if not isinstance(t, Constant)]

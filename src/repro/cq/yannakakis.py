@@ -7,10 +7,11 @@ join trees for width-1 GHDs it is the algorithmic core of Proposition 2.2's
 upper bound; the columnar kernel (:mod:`repro.cq.columnar`) reduces
 bounded-ghw queries to exactly this routine after materialising bag
 relations.  The passes are duck-typed over the relation interface
-(``columns``, ``natural_join``, ``semijoin``, ``semijoin_inplace``,
-``project``, ``__len__``), which the kernel's
-:class:`~repro.cq.columnar.ColumnarRelation` and
-:class:`~repro.cq.columnar.BagArray` implement.
+(``columns``, ``natural_join``, ``semijoin``, ``project``, ``__len__``),
+which the kernel's :class:`~repro.cq.columnar.ColumnarRelation` and
+:class:`~repro.cq.columnar.BagArray` implement.  They never change a
+relation: each filter binds its node to the semijoin's result in a
+dictionary of their own, so a tree's relations can be shared.
 
 Enumeration is task-aware: it runs only the passes its output columns ``F``
 need (Yannakakis, VLDB 1981, as free-connex evaluation uses it: Bagan,
@@ -89,24 +90,15 @@ class JoinTree:
         return order
 
 
-def _filter(relations: dict, owned: set, node: Node, against: Node) -> None:
-    """Semijoin-filter ``relations[node]`` by ``relations[against]``.
-
-    Relations created here (``owned``) are filtered in place; the caller's
-    relations are only replaced, never mutated.  Either way the semijoins
-    reuse the key indexes cached on the probe side — the downward pass hits
-    each parent's index once per child."""
-    current = relations[node]
-    if node in owned:
-        current.semijoin_inplace(relations[against])
-        return
-    filtered = current.semijoin(relations[against])
-    if filtered is not current:
-        relations[node] = filtered
-        owned.add(node)
+def _filter(relations: dict, node: Node, against: Node) -> None:
+    """Semijoin-filter ``relations[node]`` by ``relations[against]``,
+    replacing the entry, never changing a relation.  The semijoins reuse
+    the key indexes cached on the probe side — the downward pass hits each
+    parent's index once per child."""
+    relations[node] = relations[node].semijoin(relations[against])
 
 
-def _upward_pass(tree: JoinTree, relations: dict, owned: set) -> bool:
+def _upward_pass(tree: JoinTree, relations: dict) -> bool:
     """Filter parents by children, leaves first: a node's children all
     precede it in the reversed topological order.  The filters commute, so
     each parent consumes its children in the tree's order.
@@ -119,22 +111,22 @@ def _upward_pass(tree: JoinTree, relations: dict, owned: set) -> bool:
     """
     for node in reversed(tree.topological_order()):
         for child in tree.children[node]:
-            _filter(relations, owned, node, child)
+            _filter(relations, node, child)
         if not relations[node]:
             if node != tree.root:
-                _filter(relations, owned, tree.root, node)
+                _filter(relations, tree.root, node)
             return False
     return True
 
 
-def _downward_pass(tree: JoinTree, relations: dict, owned: set, nodes: list) -> None:
+def _downward_pass(tree: JoinTree, relations: dict, nodes: list) -> None:
     """Filter children by parents, root first, over ``nodes`` (a subtree
     holding the root, listed parents before children)."""
     members = set(nodes)
     for node in nodes:
         for child in tree.children[node]:
             if child in members:
-                _filter(relations, owned, child, node)
+                _filter(relations, child, node)
 
 
 def semijoin_reduce(tree: JoinTree) -> dict:
@@ -145,9 +137,8 @@ def semijoin_reduce(tree: JoinTree) -> dict:
     solution (the *global consistency* property of acyclic instances).
     """
     relations = dict(tree.relations)
-    owned: set = set()
-    _upward_pass(tree, relations, owned)
-    _downward_pass(tree, relations, owned, tree.topological_order())
+    _upward_pass(tree, relations)
+    _downward_pass(tree, relations, tree.topological_order())
     return relations
 
 
@@ -157,7 +148,7 @@ def yannakakis_boolean(tree: JoinTree) -> bool:
     node it empties."""
     if any(len(r) == 0 for r in tree.relations.values()):
         return False
-    return _upward_pass(tree, dict(tree.relations), set())
+    return _upward_pass(tree, dict(tree.relations))
 
 
 def pruned_tree(tree: JoinTree, output_columns) -> list[Node]:
@@ -202,12 +193,11 @@ def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = 
     if missing:
         raise ValueError(f"output columns {missing!r} do not occur in the join tree")
     relations = dict(tree.relations)
-    owned: set = set()
-    _upward_pass(tree, relations, owned)
+    _upward_pass(tree, relations)
     nodes = pruned_tree(tree, output)
     if len(nodes) == 1:
         return relations[tree.root].project(output)
-    _downward_pass(tree, relations, owned, nodes)
+    _downward_pass(tree, relations, nodes)
     # Bottom-up joins over T_F, children before parents.  On a join tree a
     # subtree shares with the rest of T_F only its root's columns in common
     # with the parent, so those and the output columns are all a partial

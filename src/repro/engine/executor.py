@@ -33,7 +33,9 @@ class EvalResult:
     """The uniform result of one engine call.
 
     Exactly one of ``rows`` / ``satisfiable`` / ``count`` is populated,
-    matching ``task``; :attr:`value` returns it.  ``rows`` is a ``set``,
+    matching ``task``; :attr:`value` returns it.  ``plan`` is the plan that
+    ran, as it is: the caller's ``plan=`` or the session's cached plan
+    object, which every call it serves shares.  ``rows`` is a ``set``,
     except on :meth:`~repro.engine.incremental.IncrementalView.refresh`
     results, where it is a read-only
     :class:`~repro.engine.incremental.AnswerSnapshot` of the view's
@@ -97,9 +99,10 @@ class EvalResult:
         Filled by :meth:`EngineSession.answer` & friends when called with
         ``shards > 1``: ``mode`` (the fallback-ladder rung that ran),
         ``shard_variable``, ``shards`` (executed), ``requested_shards``,
-        ``per_shard_seconds``, ``broadcast_relations``, and — for sharded
-        counts — ``count_via`` (``"sum"`` when the shard variable is free,
-        ``"union"`` otherwise).
+        ``per_shard_seconds``, ``broadcast_relations``, ``rationale`` (why
+        the ladder landed on ``mode``, in prose naming the plan's
+        variables), and — for sharded counts — ``count_via`` (``"sum"``
+        when the shard variable is free, ``"union"`` otherwise).
         """
         return self.timings.get("sharding")
 

@@ -44,8 +44,9 @@ stops being cheaper than a fresh evaluation, so :meth:`refresh` falls back
 to one exact full recompute through the owning session.  A view's first
 refresh is that full recompute from version zero, reported as mode
 ``initial``; the view adopts the session's fresh answer set instead of
-copying it.  The decision is recorded in the returned plan's rationale and
-in ``EvalResult.timings["incremental"]``.
+copying it.  The decision is recorded in
+``EvalResult.timings["incremental"]``; every refresh result carries the
+session's cached plan of the query's canonical form as it is.
 """
 
 from __future__ import annotations
@@ -222,20 +223,13 @@ class IncrementalView:
         """One exact evaluation through the session: the first refresh
         (mode ``initial``, from version zero) or a delta past the
         threshold (mode ``full``)."""
-        if self._plan is None:
-            mode, note = MODE_INITIAL, "initial full evaluation"
-        else:
-            mode, note = MODE_FULL, (
-                f"delta fraction {fraction:.2f} > threshold "
-                f"{DEFAULT_REFRESH_THRESHOLD:.2f}, full recompute"
-            )
+        mode = MODE_INITIAL if self._plan is None else MODE_FULL
         result = self.session.answer(self.query, self.database)
         new_answers = self._absorb(result.rows)
         self.versions = current
         self._plan = result.plan
         self._record(mode)
         elapsed = time.perf_counter() - started
-        result.plan = result.plan.with_note(f"incremental view: {note}")
         result.rows = self._snapshot()
         result.timings["incremental"] = {
             "mode": mode,
@@ -262,10 +256,9 @@ class IncrementalView:
     ) -> EvalResult:
         if elapsed is None:
             elapsed = time.perf_counter() - started
-        plan = self._plan.with_note(f"incremental view: {mode} refresh")
         if mode == MODE_NOOP:
             self._record(MODE_NOOP)
-        result = EvalResult.of(TASK_ANSWER, plan, self._snapshot(), 0.0, elapsed)
+        result = EvalResult.of(TASK_ANSWER, self._plan, self._snapshot(), 0.0, elapsed)
         result.timings["incremental"] = {
             "mode": mode,
             "delta_rows": delta_rows,

@@ -36,13 +36,14 @@ STRATEGY_BACKTRACKING = "indexed-backtracking"
 DEFAULT_MAX_GHD_WIDTH = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plan:
     """An explainable execution plan for one conjunctive query.
 
     ``query`` is the query the executor will actually run — normally the
     input query, but the core when semantic planning (``use_core=True``)
-    found a strictly smaller equivalent.
+    found a strictly smaller equivalent.  A plan is immutable: the session
+    caches it and hands the same object to every call and thread it serves.
     """
 
     strategy: str
@@ -56,16 +57,6 @@ class Plan:
     #: substituted the core).  The executor uses it to reject a plan passed
     #: alongside a different query.  ``None`` for hand-built plans.
     source_query: ConjunctiveQuery | None = None
-
-    def with_note(self, note: str) -> "Plan":
-        """A copy of this plan with ``note`` appended to the rationale.
-
-        Execution-time layers (the session's sharded path) use it to record
-        decisions made *after* planning — e.g. which rung of the sharding
-        fallback ladder ran — without mutating the cached plan object, which
-        other threads may be reading concurrently.
-        """
-        return replace(self, rationale=f"{self.rationale}; {note}")
 
     def explain(self) -> str:
         """A human-readable account of the plan (strategy, witness, why)."""
@@ -129,9 +120,9 @@ class QueryPlanner:
                     f"{len(query.atoms)} atoms — equivalent, sem-ghw route)"
                 )
         plan = self._dispatch(target, semantic_note, force_strategy)
-        plan.planning_seconds = time.perf_counter() - start
-        plan.source_query = query
-        return plan
+        return replace(
+            plan, planning_seconds=time.perf_counter() - start, source_query=query
+        )
 
     def _core_of(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
         # ConjunctiveQuery.__eq__ compares free variables as a *set*, but the

@@ -10,8 +10,8 @@ sorted by relation and its variables renamed by first occurrence.  Every
 spelling of one query — any variable names, any atom order, the same
 free-variable order — therefore shares one plan-cache entry, one analysis
 and, in the database's columnar store, one set of atom views.  Answers are
-positional tuples, so they need no mapping back; the result's plan notes
-the renaming when the caller's spelling differs.
+positional tuples, so they need no mapping back.  Every result carries the
+cached plan itself; a caller's renaming is ``canonical_form(query)[1]``.
 
 On top of the single-query API the session exposes a **batch API** —
 :meth:`EngineSession.answer_many` and friends.  A batch call
@@ -142,16 +142,6 @@ def _form_key(form: ConjunctiveQuery) -> tuple:
     return ("exact" if form.has_self_joins() else "iso", form, form.free_variables)
 
 
-def _as_called(plan: Plan, renaming: dict | None) -> Plan:
-    """``plan`` as the caller sees it: a copy whose rationale names the
-    ``renaming`` from the caller's variables onto the plan's, or the plan
-    itself when the caller spelled the query as the plan does."""
-    if renaming is None:
-        return plan
-    pairs = ", ".join(f"{caller} -> {planned}" for caller, planned in renaming.items())
-    return plan.with_note(f"planned for a renamed spelling: {pairs}")
-
-
 def _check_arities(query: ConjunctiveQuery, database: Database) -> None:
     """Refuse an atom of ``query`` whose term count differs from its stored
     relation's arity, naming the caller's atom: a call that runs another
@@ -175,13 +165,13 @@ class EngineSession:
     The single-query API accepts ``shards=N``: the query is evaluated per
     hash-shard of the database and the per-shard results are combined
     exactly (see :mod:`repro.engine.sharding` for the co-partitioned /
-    broadcast / single-shard fallback ladder, which is recorded in the
-    returned plan's rationale and in ``EvalResult.timings["sharding"]``).
+    broadcast / single-shard fallback ladder, whose rung and reason are
+    recorded in ``EvalResult.timings["sharding"]``).
     ``runtime=`` selects *where* the fan-out work runs: an
     :class:`~repro.engine.runtime.ExecutionRuntime` instance or a
     registered name (``"inline"``, the default, or ``"process"``).  The
-    runtime decision and per-task worker timings land in the plan rationale
-    and ``EvalResult.timings["runtime"]``.  The runtime only governs
+    runtime's name and per-task worker timings land in
+    ``EvalResult.timings["runtime"]``.  The runtime only governs
     fan-out calls (``shards``/``shard_variable``/batch, or an explicit
     ``runtime=`` on a single call); the plain single-query fast path never
     pays for dispatch.
@@ -413,16 +403,13 @@ class EngineSession:
 
         Without a plan, the cached plan of ``query``'s canonical form;
         with one, the caller's plan after checking that it was built for a
-        spelling of ``query``.  ``renaming`` carries the caller's variables
-        onto the plan's spelling, and is ``None`` when the two are the
-        same; otherwise the returned plan is a copy noting the renaming
-        (the cached plan is never mutated)."""
+        spelling of ``query``.  Either way the plan is returned as it is.
+        ``renaming`` carries the caller's variables onto the plan's
+        spelling, and is ``None`` when the two are the same."""
         if plan is None:
             form, renaming = canonical_form(query)
             plan, planning = self._plan_form(query, form, use_core, database)
-            if form is query:
-                renaming = None
-            return _as_called(plan, renaming), planning, renaming
+            return plan, planning, None if form is query else renaming
         if use_core:
             raise ValueError(
                 "use_core applies at planning time; pass it to plan() "
@@ -449,7 +436,7 @@ class EngineSession:
         # The caller's variables onto the plan's, through the shared form.
         spelled = {canonical: variable for variable, canonical in source_renaming.items()}
         renaming = {variable: spelled[canonical] for variable, canonical in renaming.items()}
-        return _as_called(plan, renaming), 0.0, renaming
+        return plan, 0.0, renaming
 
     def _plan_form(self, query, form, use_core, database) -> tuple:
         """``(plan, planning seconds)``: the cached plan of ``form``, the
@@ -647,13 +634,7 @@ class EngineSession:
             value = sum(values)
         else:
             value = len(set().union(*values))
-        result = EvalResult.of(
-            task,
-            plan.with_note(f"sharding: {spec.rationale}; runtime: {resolved.name}"),
-            value,
-            planning,
-            time.perf_counter() - start,
-        )
+        result = EvalResult.of(task, plan, value, planning, time.perf_counter() - start)
         per_shard_seconds = [outcome.seconds for outcome in outcomes]
         caller_names = {spelt: name for name, spelt in (renaming or {}).items()}
         sharding_record = {
@@ -663,6 +644,7 @@ class EngineSession:
             "requested_shards": shards,
             "per_shard_seconds": per_shard_seconds,
             "broadcast_relations": list(spec.broadcast_relations),
+            "rationale": spec.rationale,
         }
         if task == TASK_COUNT and spec.is_sharded:
             sharding_record["count_via"] = "sum" if count_via_sum else "union"
@@ -738,14 +720,12 @@ class EngineSession:
         always a **distinct object per query**, even within an isomorphism
         class.  Each class is still evaluated exactly once (the point of the
         dedup pass); the duplicates receive copies that share the class's
-        plan (noting their own renaming when their spelling differs from
-        the representative's) but carry their own answer payload and their
-        own ``timings``,
-        with a ``dedup_of`` marker naming the batch index of the
-        representative that actually executed.  (Results used to be aliased
-        across a class, so mutating one query's ``rows`` silently corrupted
-        its siblings, and every duplicate re-reported the representative's
-        ``execution_seconds`` as its own.)
+        cached plan but carry their own answer payload and their own
+        ``timings``, with a ``dedup_of`` marker naming the batch index of
+        the representative that actually executed.  (Results used to be
+        aliased across a class, so mutating one query's ``rows`` silently
+        corrupted its siblings, and every duplicate re-reported the
+        representative's ``execution_seconds`` as its own.)
         """
         if parallel < 1:
             raise ValueError("parallel must be >= 1")
@@ -777,17 +757,10 @@ class EngineSession:
         resolved, outcomes = self._fan_out(
             jobs, use_core, runtime, cancel, parallel=parallel
         )
-
-        def as_called(index: int) -> Plan:
-            form, renaming = forms[index]
-            plan = planned[keys[index]][0]
-            return _as_called(plan, None if form is queries[index] else renaming)
-
         results: dict = {}
-        for (key, index), outcome in zip(first_index.items(), outcomes):
-            result = EvalResult.of(
-                task, as_called(index), outcome.value, planned[key][1], outcome.seconds
-            )
+        for key, outcome in zip(first_index, outcomes):
+            plan, planning = planned[key]
+            result = EvalResult.of(task, plan, outcome.value, planning, outcome.seconds)
             result.timings["runtime"] = {
                 "name": resolved.name,
                 "worker": outcome.worker,
@@ -798,27 +771,22 @@ class EngineSession:
             first = first_index[key]
             if index == first:
                 copies.append(results[key])
-                continue
-            # A duplicate spelled like its representative shares its plan.
-            same = forms[index][1] == forms[first][1]
-            plan = results[key].plan if same else as_called(index)
-            copies.append(self._dedup_copy(results[key], first, plan))
+            else:
+                copies.append(self._dedup_copy(results[key], first))
         return copies
 
     @staticmethod
-    def _dedup_copy(
-        representative: EvalResult, representative_index: int, plan: Plan
-    ) -> EvalResult:
-        """A duplicate's result: the representative's payload in a fresh
-        object, with the duplicate's own ``plan``.  The answer set is copied
-        (a frozen scalar payload is shared) so a caller mutating one
-        result's ``rows`` cannot corrupt the class siblings, and the timings
-        say what this query actually cost — nothing was executed for it —
-        plus where its payload came from."""
+    def _dedup_copy(representative: EvalResult, representative_index: int) -> EvalResult:
+        """A duplicate's result: the representative's payload and plan in a
+        fresh object.  The answer set is copied (a frozen scalar payload is
+        shared) so a caller mutating one result's ``rows`` cannot corrupt
+        the class siblings, and the timings say what this query actually
+        cost — nothing was executed for it — plus where its payload came
+        from."""
         value = representative.value
         if representative.task == TASK_ANSWER:
             value = set(value)
-        result = EvalResult.of(representative.task, plan, value, 0.0, 0.0)
+        result = EvalResult.of(representative.task, representative.plan, value, 0.0, 0.0)
         result.timings["dedup_of"] = representative_index
         return result
 

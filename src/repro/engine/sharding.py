@@ -24,9 +24,9 @@ When no relation can be partitioned consistently, the ladder bottoms out at
 **single-shard** execution — the unsharded plan, recorded as such.
 
 The decision ladder is computed once per (query, shard variable, shard
-count) as a :class:`ShardingSpec` and surfaced in the plan rationale and
-``EvalResult.timings["sharding"]``, so a caller can always ask which mode
-ran and why.  The executing layer lives on
+count) as a :class:`ShardingSpec` and surfaced in
+``EvalResult.timings["sharding"]`` (its ``mode`` and ``rationale``), so a
+caller can always ask which mode ran and why.  The executing layer lives on
 :class:`~repro.engine.session.EngineSession` (``answer(..., shards=N)``);
 this module is the pure decision + partitioning logic.
 """
@@ -72,8 +72,7 @@ class ShardingSpec:
     shared by every atom over it where the shard variable occurs;
     ``broadcast_relations`` are replicated to every shard.  ``mode`` is the
     rung of the fallback ladder the decision landed on, and ``rationale``
-    says why in prose (it is appended to the plan rationale by the
-    session).
+    says why in prose (the session's sharding record carries both).
     """
 
     shard_variable: object

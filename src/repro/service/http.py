@@ -109,19 +109,30 @@ class Response:
         return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off the stream.  A line past :data:`_MAX_LINE_BYTES` is a
+    400, and so is one past the reader's own limit (64 KiB by default),
+    where ``readline`` raises ``ValueError``."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise HttpError(400, f"{what} too long") from None
+    if len(line) > _MAX_LINE_BYTES:
+        raise HttpError(400, f"{what} too long")
+    return line
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body_bytes: int
 ) -> Request | None:
     """Parse one request off the stream; ``None`` on clean EOF between
     requests (the client closed a keep-alive connection)."""
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _read_line(reader, "request line")
+    except ConnectionError:
         return None
     if not line:
         return None
-    if len(line) > _MAX_LINE_BYTES:
-        raise HttpError(400, "request line too long")
     try:
         method, target, version = line.decode("ascii").split()
     except ValueError:
@@ -130,9 +141,7 @@ async def read_request(
         raise HttpError(400, f"unsupported protocol {version}")
     headers: dict = {}
     while True:
-        line = await reader.readline()
-        if len(line) > _MAX_LINE_BYTES:
-            raise HttpError(400, "header line too long")
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         if len(headers) >= _MAX_HEADER_COUNT:

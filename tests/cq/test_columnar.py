@@ -156,16 +156,6 @@ class TestOperationsAgreeWithSetComprehensions:
         superset = columnar("y", [(1,), (2,), (3,)], self.interner)
         assert self.left.semijoin(superset) is self.left
 
-    def test_semijoin_inplace_rebinds_and_invalidates(self):
-        relation = columnar("xy", [(1, 2), (2, 3), (4, 1)], self.interner)
-        base = len(self.interner)
-        relation._buckets(("x", "y"), base)  # warm a memo that must not go stale
-        relation.semijoin_inplace(self.right)
-        assert relation.to_named() == named("xy", [(1, 2), (2, 3)])
-        assert relation._buckets(("x", "y"), base).value.keys() == {
-            key for key in relation._keys(("x", "y"), base)
-        }
-
     def test_project_with_dedup(self):
         assert self.left.project(("y",)).to_named() == named("y", [(1,), (2,), (3,)])
         assert self.left.project(("y", "x")).to_named() == named(

@@ -2,7 +2,7 @@
 the cap, hit/miss/eviction counters, where those process totals are
 reported (``memo_counters()``, not ``EngineSession.stats()``), and the dict
 path's hash buckets: memoized per key column set, reused by every join
-that builds on them, and dropped only when an in-place semijoin filters."""
+that builds on them, and kept by a semijoin that filters nothing."""
 
 import itertools
 
@@ -144,16 +144,19 @@ def test_a_join_builds_and_reuses_the_other_sides_buckets():
     assert not left._bucket_cache, "the probe side builds no buckets"
 
 
-def test_semijoin_inplace_drops_the_memos_only_when_it_filters():
+def test_semijoin_returns_self_with_its_memos_only_when_nothing_is_filtered():
     interner = ValueInterner()
     left = _relation(("x", "y"), {(1, 2), (1, 3), (2, 3)}, interner)
     right = _relation(("y", "z"), {(2, 5), (3, 6)}, interner)
     base = len(interner)
-    stale = left._buckets(("x",), base)
-    assert left.semijoin_inplace(right) is left
-    assert left.decode_rows() == {(1, 2), (1, 3), (2, 3)}  # nothing filtered...
-    assert left._buckets(("x",), base) is stale  # ...so the memo survives
-    assert left.semijoin_inplace(_relation(("y",), {(2,)}, interner)) is left
-    assert left.decode_rows() == {(1, 2)}
-    assert left._buckets(("x",), base) is not stale  # filtering dropped it
-    assert _decoded_buckets(left, ("x",), base) == {1: {(1, 2)}}
+    memo = left._buckets(("x",), base)
+    assert left.semijoin(right) is left  # nothing filtered...
+    assert left._buckets(("x",), base) is memo  # ...so the memo serves on
+    filtered = left.semijoin(_relation(("y",), {(2,)}, interner))
+    assert filtered is not left
+    assert filtered.decode_rows() == {(1, 2)}
+    assert not filtered._bucket_cache, "a filtered relation starts without memos"
+    assert _decoded_buckets(filtered, ("x",), base) == {1: {(1, 2)}}
+    # The input keeps its rows and its memo.
+    assert left.decode_rows() == {(1, 2), (1, 3), (2, 3)}
+    assert left._buckets(("x",), base) is memo

@@ -1,5 +1,7 @@
 """Tests for conjunctive query representation."""
 
+import pickle
+
 import pytest
 
 from repro.cq import Atom, ConjunctiveQuery
@@ -20,6 +22,21 @@ class TestAtom:
 
     def test_variable_set(self):
         assert Atom("R", ["x", "y"]).variable_set() == frozenset({"x", "y"})
+
+    def test_variables_are_computed_once(self):
+        atom = Atom("R", ["x", Constant(1), "y", "x"])
+        assert atom.variable_set() is atom.variable_set()
+        assert atom.variables() is atom.variables()
+
+    def test_a_pickled_atom_keeps_its_equality_and_hash(self):
+        atom = Atom("R", ["x", Constant(1), "y", "x"])
+        copy = pickle.loads(pickle.dumps(atom))
+        assert copy == atom and hash(copy) == hash(atom)
+        assert copy.variables() == ("x", "y")
+        assert copy.variable_set() is copy.variable_set()
+        # Equality and hash read the relation and the terms only.
+        assert {atom: 1}[copy] == 1
+        assert atom != Atom("R", ["x", Constant(1), "y", "y"])
 
 
 class TestConjunctiveQuery:

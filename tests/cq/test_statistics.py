@@ -31,7 +31,7 @@ def _columnar(columns, rows, interner):
     return ColumnarRelation.from_named(NamedRelation(columns, set(rows)), interner)
 
 
-def test_degrees_are_exact_and_follow_in_place_filtering():
+def test_degrees_are_exact_and_follow_semijoin_filtering():
     interner = ValueInterner()
     # Large enough for the NumPy path's operators.
     relation = _columnar(("x", "y"), [(i % 37, i) for i in range(700)], interner)
@@ -39,12 +39,13 @@ def test_degrees_are_exact_and_follow_in_place_filtering():
     counts = Counter(row[0] for row in relation.id_rows())
     assert degrees.tolist() == [counts[k] for k in range(len(degrees))]
     assert relation.degrees("x") is degrees, "degree vectors are memoized"
-    # Filtering in place drops the memo: the next read counts the survivors.
-    relation.semijoin_inplace(_columnar(("x",), [(k,) for k in range(10)], interner))
-    survivors = Counter(row[0] for row in relation.id_rows())
-    assert relation.degrees("x").tolist() == [
-        survivors[k] for k in range(len(relation.degrees("x")))
+    # A semijoin's result counts its survivors; the input keeps its own.
+    filtered = relation.semijoin(_columnar(("x",), [(k,) for k in range(10)], interner))
+    survivors = Counter(row[0] for row in filtered.id_rows())
+    assert filtered.degrees("x").tolist() == [
+        survivors[k] for k in range(len(filtered.degrees("x")))
     ]
+    assert relation.degrees("x") is degrees
 
 
 def test_view_degrees_are_exact_at_each_pinned_version():

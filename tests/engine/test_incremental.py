@@ -67,7 +67,8 @@ class TestIncrementalView:
 
     def test_small_append_refreshes_incrementally_and_exactly(self):
         query, database, rng = _chain_instance()
-        view = EngineSession().incremental_view(query, database)
+        session = EngineSession()
+        view = session.incremental_view(query, database)
         view.refresh()
         for _ in range(5):
             database.add_fact("E", (rng.randrange(40), rng.randrange(40)))
@@ -75,7 +76,9 @@ class TestIncrementalView:
         result = view.refresh()
         assert result.incremental["mode"] == MODE_INCREMENTAL
         assert result.rows == _fresh_answer(query, database)
-        assert "incremental" in result.plan.rationale
+        assert 0 < result.incremental["delta_rows"] <= 6
+        assert 0 < result.incremental["delta_fraction"] <= DEFAULT_REFRESH_THRESHOLD
+        assert result.plan is session.plan(query)
 
     def test_large_append_falls_back_to_full_recompute(self):
         query, database, rng = _chain_instance(edges=100)

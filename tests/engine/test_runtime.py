@@ -22,6 +22,7 @@ from repro.engine import (
     RUNTIME_INLINE,
     RUNTIME_PROCESS,
     RuntimeTask,
+    canonical_form,
     registered_runtimes,
     runtime_for,
 )
@@ -148,12 +149,13 @@ class TestSessionIntegration:
             count = session.count(query, database, shards=shards, runtime="inline")
             assert count.count == naive_count_answers(query, database)
 
-    def test_runtime_recorded_in_rationale_and_timings(self, wheel_instance):
+    def test_runtime_recorded_in_timings_beside_the_cached_plan(self, wheel_instance):
         query, database = wheel_instance
         session = EngineSession()
         result = session.answer(query, database, shards=4, runtime="inline")
-        assert "runtime: inline" in result.plan.rationale
+        assert result.plan is session.plan(canonical_form(query)[0])
         record = result.runtime
+        assert record["name"] == "inline"
         assert record["tasks"] == 4
         assert len(record["per_task_seconds"]) == 4
         assert record["workers"] == ["inline"]

@@ -2,6 +2,7 @@
 execution (sequential and parallel), and the default session behind the
 module-level API."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -15,6 +16,10 @@ from repro.cq import workloads
 from repro.cq.homomorphism import naive_count_answers, naive_enumerate_answers
 from repro.cq.statistics import ORDERING_COST, ORDERING_STATIC, forced_join_ordering
 from repro.engine import (
+    MODE_FULL,
+    MODE_INCREMENTAL,
+    MODE_INITIAL,
+    MODE_NOOP,
     EngineSession,
     ProcessRuntime,
     answer_many,
@@ -147,11 +152,13 @@ class TestCanonicalIdentity:
         assert stats["analysis_cache"]["misses"] == 1
         views = database.columnar_cache.info()
         assert (views["size"], views["misses"]) == (len(query.atoms),) * 2
-        # The shared plan explains itself in the second caller's variables,
-        # and the cached plan itself carries no caller's names.
-        for variable in second.variables:
-            assert f"{variable} -> " in result.plan.rationale
-        assert "_b" not in session.plan(canonical_form(second)[0]).rationale
+        # The second caller gets the cached plan itself; its renaming onto
+        # the plan's spelling is its own canonical form's.
+        form, renaming = canonical_form(second)
+        assert result.plan is session.plan(form)
+        assert result.plan.source_query == form
+        assert set(renaming) == set(second.variables)
+        assert set(renaming.values()) == set(result.plan.query.variables)
 
     def test_a_variant_shards_on_its_own_variable_name(self, session):
         query = cqgen.cycle_query(5)
@@ -176,12 +183,13 @@ class TestCanonicalIdentity:
         variant = respelled(query)
         result = session.answer(variant, database, plan=plan)
         assert result.rows == naive_enumerate_answers(query, database)
-        assert "x0_r -> x0" in result.plan.rationale
+        assert result.plan is plan
         sharded = session.count(
             variant, database, plan=plan, shards=2, shard_variable="x1_r"
         )
         assert sharded.count == len(result.rows)
         assert sharded.sharding["shard_variable"] == "x1_r"
+        assert sharded.plan is plan
 
     def test_one_query_object_builds_its_form_once(self, session, monkeypatch):
         built = []
@@ -207,6 +215,51 @@ class TestCanonicalIdentity:
         # A caller cannot change the memo through the renaming it gets.
         canonical_form(query)[1]["x0_r"] = "tampered"
         assert canonical_form(query)[1]["x0_r"] == "v0"
+
+
+class TestPlanIdentity:
+    """Every result carries the session's cached plan object itself —
+    whatever the spelling, and on the plain, batch, sharded and standing-view
+    paths alike — and a plan cannot change once made."""
+
+    def test_every_path_returns_the_cached_plan_of_the_form(self, session):
+        query = respelled(cqgen.cycle_query(5).project(["x3", "x0"]))
+        database = cqgen.random_database(query, 6, 40, seed=2)
+        form = canonical_form(query)[0]
+        assert form is not query
+        expected = naive_enumerate_answers(query, database)
+        plain = session.answer(query, database)
+        assert plain.rows == expected
+        plan = session.plan(form)
+        assert plain.plan is plan
+        batch = session.answer_many([query, renamed(query, "_s")], database)
+        assert batch[1].timings["dedup_of"] == 0
+        assert all(result.plan is plan for result in batch)
+        sharded = session.count(query, database, shards=2)
+        assert sharded.count == len(expected)
+        assert sharded.sharding["shards"] == 2
+        assert sharded.plan is plan
+        view = session.incremental_view(query, database)
+        results = [view.refresh()]
+        database.add_fact("R0", (100, 101))
+        results.append(view.refresh())
+        results.append(view.refresh())
+        for value in range(60):
+            database.add_fact("R1", (200 + value, 300 + value))
+        results.append(view.refresh())
+        assert [result.incremental["mode"] for result in results] == [
+            MODE_INITIAL, MODE_INCREMENTAL, MODE_NOOP, MODE_FULL,
+        ]
+        assert all(result.plan is plan for result in results)
+        assert results[-1].rows == naive_enumerate_answers(query, database)
+
+    def test_a_plan_cannot_be_changed(self, session):
+        plan = session.plan(cqgen.cycle_query(4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.rationale = "a per-call note"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.source_query = None
+        assert session.plan(cqgen.cycle_query(4)) is plan
 
 
 class TestPlanCache:
@@ -510,9 +563,11 @@ class TestShardedExecution:
         assert record["shards"] == 4
         assert len(record["per_shard_seconds"]) == 4
         assert record["broadcast_relations"] == []
-        assert "sharding:" in result.plan.rationale
-        # The session's cached plan must NOT accumulate sharding notes.
-        assert "sharding:" not in session.plan(query).rationale
+        assert record["rationale"].startswith("every atom contains")
+        # The result carries the cached plan as it is, with no sharding note.
+        plan = session.plan(canonical_form(query)[0])
+        assert result.plan is plan
+        assert "every atom contains" not in plan.rationale
 
     def test_broadcast_fallback_records_replicated_relations(self, session):
         query = cqgen.cycle_query(5)

@@ -208,6 +208,34 @@ class TestEndpoints:
         assert "request body is not valid JSON" in str(info.value)
         assert database.version == version
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_a_line_past_the_stream_limit_answers_400(
+        self, server, request_bytes, caplog
+    ):
+        # Past the stream reader's 64 KiB limit readline raises ValueError,
+        # not LimitOverrunError; it must answer like a line past the
+        # parser's own 16 KiB cap.
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(request_bytes)
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"line too long" in reply
+        with _client(server) as client:
+            assert client.healthz()["status"] == "ok"
+        assert not [
+            record for record in caplog.records
+            if "Unhandled exception" in record.getMessage()
+        ]
+
     def test_stats_shape(self, server, workload):
         queries, _ = workload
         with _client(server) as client:

@@ -45,6 +45,16 @@ the largest size the table runs at every density, up to the 4 cells per
 row the density test admits; past it the count's int64 weights (8 bytes
 a cell) cost memory.
 
+A seventh table sizes the semijoin's one-byte mask: two relations of n
+rows (1k, 10k and 100k) whose one key column draws from c cells per
+operand row (c · 2n ids, both sides' rows count), median µs per call of
+the mask (``_DENSE_FACTOR`` out of reach), the probe into the build
+side's sorted keys with the sort cold (fresh relations every call) and
+memoised (the same build relation every call; ``_DENSE_FACTOR`` at 0
+for both), and ``np.isin``.  It skips any mask over 64 MB and prints, per
+row count, the smallest c at which another column beats the mask.  The
+kernel masks up to 16 · ``_DENSE_FACTOR`` = 64 cells per row.
+
 Prints the median microseconds per call and the fastest path.  The
 kernel's threshold is the smallest size from which the NumPy path wins
 every row of the tables.  Run with::
@@ -88,6 +98,11 @@ MERGE_APPENDS = (1, 60, 600)
 BAG_DOMAINS = (16, 32, 48, 64, 96, 128)
 BAG_CELLS_PER_ROW = (1, 2, 4)
 BAG_MAX_ROWS = 1_100_000
+#: Rows per side and cells per operand row of the semijoin table, and the
+#: largest mask (bytes, one per cell) it builds.
+MASK_ROWS = (1000, 10000, 100000)
+MASK_CELLS_PER_ROW = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
+MASK_MAX_BYTES = 64 << 20
 REPEATS = 15
 #: The kernel's dense factor, and the settings at which every keyed
 #: NumPy operator sorts, or none does.
@@ -297,6 +312,73 @@ def _bag_forms() -> None:
             )
 
 
+def _semijoin_masks() -> None:
+    print(
+        "semijoin, one key column over c cells per operand row: mask / "
+        "probe, cold sort / probe, memoised sort / np.isin (us)"
+    )
+    columns = ("mask", "probe_cold", "probe_warm", "np.isin")
+    header = " ".join(f"{column:>10}" for column in columns)
+    print(f"{'rows':>6} {'c':>5} {header}  fastest")
+    stops = {}
+    for rows in MASK_ROWS:
+        for per_row in MASK_CELLS_PER_ROW:
+            cells = per_row * 2 * rows
+            rng = np.random.default_rng(cells)
+            left, right = (
+                ColumnarRelation._trusted(
+                    ("k", column),
+                    None,
+                    (
+                        rng.integers(0, cells, rows, dtype=np.int64),
+                        np.arange(rows, dtype=np.int64),
+                    ),
+                    rows,
+                )
+                for column in ("x", "y")
+            )
+
+            def fresh(relation):  # same arrays, empty memos
+                return ColumnarRelation._trusted(
+                    relation.columns, None, relation._data, rows
+                )
+
+            def survivors(build):
+                return lambda: fresh(left)._vector_survivors(build(), ["k"], 0)
+
+            calls = {
+                "mask": (DENSE, survivors(lambda: fresh(right))),
+                "probe_cold": (SORTED, survivors(lambda: fresh(right))),
+                "probe_warm": (SORTED, survivors(lambda: right)),
+                "np.isin": (FACTOR, lambda: np.flatnonzero(
+                    np.isin(left._data[0], right._data[0])
+                )),
+            }
+            if cells > MASK_MAX_BYTES:
+                del calls["mask"]
+            timings = {}
+            for name, (factor, call) in calls.items():
+                columnar._DENSE_FACTOR = factor
+                call()
+                timings[name] = _median_us(call)
+            columnar._DENSE_FACTOR = FACTOR
+            fastest = min(timings, key=timings.get)
+            if "mask" in timings and fastest != "mask":
+                stops.setdefault(rows, per_row)
+            cells_us = " ".join(
+                f"{timings[column]:>10.0f}" if column in timings else f"{'-':>10}"
+                for column in columns
+            )
+            print(f"{rows:>6} {per_row:>5} {cells_us}  {fastest}")
+    for rows in MASK_ROWS:
+        where = (
+            f"stops winning at {stops[rows]} cells per row"
+            if rows in stops
+            else "wins at every c measured"
+        )
+        print(f"{rows:>6} rows: the mask {where}")
+
+
 def main() -> None:
     threshold = columnar._VECTOR_MIN_ROWS
     try:
@@ -325,6 +407,7 @@ def main() -> None:
         _dense_sweep()
         _order_maintenance()
         _bag_forms()
+        _semijoin_masks()
     finally:
         columnar._VECTOR_MIN_ROWS = threshold
         columnar._DENSE_FACTOR = FACTOR

@@ -19,20 +19,24 @@ set.  This module removes that price structurally:
   side holds at least :data:`_VECTOR_MIN_ROWS` rows (for a cross product:
   whose two sides make that many pairs) runs on NumPy int64
   arrays: keys pack with whole-array arithmetic.  Interned ids are dense,
-  so when a table indexed by key (sized from the largest key held) has
-  at most :data:`_DENSE_FACTOR` slots per operand row, a semijoin reads a
-  boolean mask of the build keys, a join takes its run lengths from a
-  ``bincount`` of the build keys and expands the probe rows in order, and
-  a count-DP edge sums child weights into the table with ``np.add.at``.
-  Sparser domains sort: ``np.isin``, a join matching sorted key vectors
-  with ``searchsorted``, sorted segment sums.  Joins expand matches by
-  ``repeat``/``cumsum`` offsets and gather each column with one fancy
-  index; dedup projection keeps the first row of each run of equal sorted
-  keys.  Smaller operators keep the dict/list code: packed
-  keys probe ``dict``/``set`` objects keyed by plain ints, and columns
-  gather with one list comprehension each.  That path is faster on small
-  relations (per-call NumPy overhead dominates there) and is the exact
-  fallback whenever a packed key or a count weight could leave int64;
+  so an operator can address its key domain with a table indexed by key,
+  sized from the largest key held.  While that table has at most
+  :data:`_DENSE_FACTOR` slots per operand row, a join takes its run
+  lengths from a ``bincount`` of the build keys and expands the probe rows
+  in order, and a count-DP edge sums child weights into the table with
+  ``np.add.at``.  A semijoin's table is a one-byte mask of the build keys,
+  read at each probe key, so it may hold 16 times as many slots: the bytes
+  of the join's two int64 tables.  Sparser domains sort: a join matches
+  sorted key vectors with ``searchsorted``, a semijoin probes the build
+  side's sorted keys with it, and a count-DP edge sums sorted segments.
+  Joins expand matches by ``repeat``/``cumsum`` offsets and gather each
+  column with one fancy index; dedup projection keeps the first row of
+  each run of equal sorted keys.  Smaller operators keep the dict/list
+  code: packed keys probe ``dict``/``set`` objects keyed by plain ints,
+  and columns gather with one list comprehension each.  That path is
+  faster on small relations (per-call NumPy overhead dominates there) and
+  is the exact fallback whenever a packed key or a count weight could
+  leave int64;
 * **column representations** — results of the NumPy path and resident
   atom views with at least :data:`_VECTOR_MIN_ROWS` rows keep int64
   ``ndarray`` columns; smaller results and dict-path results hold
@@ -129,12 +133,14 @@ _MEMO_CAP = 16
 #: pair count with the same bound; NumPy wins those from 80 pairs up.
 _VECTOR_MIN_ROWS = 512
 
-#: A NumPy-path join, semijoin or count-DP edge addresses its key domain
-#: directly (a table indexed by packed key) when that table, sized from the
-#: largest key it holds, has at most this many slots per operand row;
-#: sparser domains sort.  The measured sweep (docs/PERFORMANCE.md): at 1k
-#: and 20k rows every dense operator wins up to 4 slots per row, and the
-#: join stops winning at 8.
+#: A NumPy-path join or count-DP edge addresses its key domain directly (a
+#: table indexed by packed key) when that table, sized from the largest key
+#: it holds, has at most this many slots per operand row; sparser domains
+#: sort.  The measured sweep (docs/PERFORMANCE.md): at 1k and 20k rows
+#: every dense operator wins up to 4 slots per row, and the join stops
+#: winning at 8.  A semijoin's one-byte mask takes 16 times as many slots
+#: for the bytes of the join's two int64 tables (64 bytes a row), and wins
+#: there at 1k to 100k rows.
 _DENSE_FACTOR = 4
 
 #: A bag tree is held as boolean arrays (:class:`BagArray`) only while each
@@ -288,13 +294,13 @@ def _packs(base: int, width: int) -> bool:
     return base ** width <= _INT64_MAX + 1
 
 
-def _dense_size(*keys: np.ndarray) -> int | None:
+def _dense_size(*keys: np.ndarray, scale: int = 1) -> int | None:
     """The size of a direct-address table over the packed key vectors
-    ``keys`` (their largest key + 1), or ``None`` when it exceeds
-    :data:`_DENSE_FACTOR` slots per key.  Sized from the keys, never from
+    ``keys`` (their largest key + 1), or ``None`` when it exceeds ``scale``
+    × :data:`_DENSE_FACTOR` slots per key.  Sized from the keys, never from
     the dictionary, which other threads can grow mid-operator."""
     top = max((int(vector.max()) for vector in keys if len(vector)), default=-1)
-    return top + 1 if top < _DENSE_FACTOR * sum(map(len, keys)) else None
+    return top + 1 if top < scale * _DENSE_FACTOR * sum(map(len, keys)) else None
 
 
 def _argsort(keys: np.ndarray) -> np.ndarray:
@@ -483,13 +489,22 @@ class ColumnarRelation:
         return keys
 
     def _range_keys(self, positions: tuple, base: int, start: int):
-        """The packed Python-int keys of rows ``[start, len(self))``."""
+        """The packed Python-int keys of rows ``[start, len(self))``: packed
+        in NumPy when every key column is an int64 array and the keys fit
+        int64, row by row in Python otherwise."""
         if not positions:
             return [0] * (self._length - start)
         vectors = [
-            _ints(self._data[p][start:] if start else self._data[p])
-            for p in positions
+            self._data[p][start:] if start else self._data[p] for p in positions
         ]
+        if _packs(base, len(vectors)) and all(
+            isinstance(vector, np.ndarray) for vector in vectors
+        ):
+            keys = vectors[0]
+            for vector in vectors[1:]:
+                keys = keys * base + vector
+            return keys.tolist()
+        vectors = [_ints(vector) for vector in vectors]
         keys = vectors[0]
         for vector in vectors[1:]:
             keys = [k * base + i for k, i in zip(keys, vector)]
@@ -683,9 +698,8 @@ class ColumnarRelation:
         bag-materialisation pool projects the same resident atom views with
         the same column sets on every call, and a cached projection keeps
         not just its arrays but its own key indexes and degree vectors warm
-        across calls.  Derived projections are never mutated — the semijoin
-        pass only filters relations it created itself — and each snapshot
-        of a resident view keeps its own."""
+        across calls.  No relation is ever changed, so a cached projection
+        is safe to share; each snapshot of a resident view keeps its own."""
         columns = tuple(columns)
         if columns == self.columns:
             return self
@@ -852,19 +866,30 @@ class ColumnarRelation:
 
     def _vector_survivors(self, other, shared, base) -> np.ndarray | None:
         """Indexes of the rows whose packed key occurs in ``other``, or
-        ``None`` when the keys do not pack into int64.  Over a dense key
-        domain a boolean mask marks ``other``'s keys and is read at each
-        row's key; otherwise ``np.isin``."""
+        ``None`` when the keys do not pack into int64.
+
+        The table is sized by its bytes.  A one-byte mask over the key
+        range marks ``other``'s keys and is read at each row's key while it
+        has at most 16 × :data:`_DENSE_FACTOR` slots per operand row: 64
+        bytes a row, what a dense join's ``bincount`` runs and their
+        ``cumsum`` (two int64 tables) take at :data:`_DENSE_FACTOR`.  Past
+        that, ``searchsorted`` probes ``other``'s sorted keys, memoised
+        (:meth:`_sorted_keys`, shared and merged across the snapshots of a
+        resident view), and a probe key survives where its slot holds it."""
         keys = self._vector_keys(shared, base)
         build = other._vector_keys(shared, base)
         if keys is None or build is None:
             return None
-        size = _dense_size(keys, build)
-        if size is None:
-            return np.flatnonzero(np.isin(keys, build))
-        present = np.zeros(size, dtype=bool)
-        present[build] = True
-        return np.flatnonzero(present[keys])
+        size = _dense_size(keys, build, scale=16)
+        if size is not None:
+            present = np.zeros(size, dtype=bool)
+            present[build] = True
+            return np.flatnonzero(present[keys])
+        _, sorted_keys = other._sorted_keys(shared, base)
+        if not len(sorted_keys):
+            return np.empty(0, dtype=np.int64)
+        slots = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        return np.flatnonzero(sorted_keys[slots] == keys)
 
     def semijoin(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Grouped semijoin filtering: keep rows whose packed key occurs in

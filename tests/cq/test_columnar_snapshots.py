@@ -10,6 +10,8 @@ tables (:class:`repro.cq.columnar.ColumnarStore`).
   order a snapshot merges from its predecessor's equals a fresh sort, also
   when an older snapshot reads the newer entry, and operators over
   snapshots equal set comprehensions over the rows on both NumPy branches;
+  a semijoin that probes an older snapshot's sorted keys reads the merged
+  order trimmed to that snapshot's rows;
 * **a bounded threaded guard** — readers run two-column joins and
   semijoins over resident views, on the dict and NumPy paths, while a
   writer appends; every result equals a set comprehension over the rows
@@ -173,6 +175,40 @@ def test_merged_orders_equal_a_fresh_sort(monkeypatch, dense_factor):
         assert view.project(("y",)).to_named() == NamedRelation(
             ("y",), {(y,) for _, y in reference}
         )
+
+
+def test_a_probing_semijoin_trims_a_merged_order_to_its_snapshot(monkeypatch):
+    """With ``_DENSE_FACTOR`` at 0 every NumPy semijoin probes its build
+    side's sorted keys.  A newer snapshot merges the appended rows into the
+    order its predecessor sorted, and the older snapshot's probe then reads
+    the merged order without them and leaves it in place (the race of the
+    next test, replayed in a fixed order)."""
+    monkeypatch.setattr(columnar, "_DENSE_FACTOR", 0)
+    database = _database(seed=5)
+    atom = Atom("E", ["x", "y"])
+    probe = ColumnarRelation.from_named(
+        NamedRelation(("y",), {(y,) for y in range(-60, 600)}),
+        database.columnar_store().interner,
+    )
+    rows = database.relation("E").rows_at
+
+    def expected(view) -> NamedRelation:
+        reference = NamedRelation(("x", "y"), set(rows(len(view))))
+        return semijoin(probe.to_named(), reference)
+
+    older = database.columnar_view(atom)
+    before = expected(older)
+    assert probe.semijoin(older).to_named() == before
+    for y in range(-60, 0):
+        database.add_fact("E", ("fresh", y))
+    newer = database.columnar_view(atom)
+    key = ((1,), 0)
+    assert newer._order_cache is older._order_cache
+    assert older._order_cache[key].rows == len(older)
+    assert probe.semijoin(newer).to_named() == expected(newer) != before
+    assert older._order_cache[key].rows == len(newer)
+    assert probe.semijoin(older).to_named() == before
+    assert older._order_cache[key].rows == len(newer)
 
 
 @pytest.mark.parametrize("dense_factor", [columnar._DENSE_FACTOR, 0])

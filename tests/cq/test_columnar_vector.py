@@ -2,19 +2,22 @@
 
 Operators whose probe side holds at least ``_VECTOR_MIN_ROWS`` rows run on
 int64 arrays; smaller ones keep the dict/list code.  On the NumPy path a
-join, semijoin or count-DP edge addresses a dense key domain directly and
-sorts a sparse one (``_DENSE_FACTOR``).  These tests build relations on
-both sides of the row threshold and pin every vectorised operator —
-``natural_join``, ``semijoin``, ``project`` and the counting DP — on both
-NumPy branches to set comprehensions over the decoded rows, then check the
-engine against the backtracking solver on databases large enough that each
-vectorised operator and each branch fires.  The last group covers the
-exactness guards: int64 would wrap silently where Python ints grow, so
-each test below fails if the guard it names is removed.
+join or count-DP edge addresses a dense key domain directly and sorts a
+sparse one (``_DENSE_FACTOR``); a semijoin reads a one-byte mask up to 16
+times that many slots per row and probes the build side's sorted keys
+past it.  These tests build relations on both sides of the row threshold
+and pin every vectorised operator — ``natural_join``, ``semijoin``,
+``project`` and the counting DP — on both NumPy branches to set
+comprehensions over the decoded rows, then check the engine against the
+backtracking solver on databases large enough that each vectorised
+operator and each branch fires.  The last group covers the exactness
+guards: int64 would wrap silently where Python ints grow, so each test
+below fails if the guard it names is removed.
 """
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -114,7 +117,7 @@ def relation_pairs(draw):
 def test_vectorised_operators_match_set_comprehensions(pair):
     """Each draw runs twice: as is (its narrow domains mostly take the
     dense branch), and with ``_DENSE_FACTOR`` at 0, where every keyed
-    NumPy operator sorts."""
+    NumPy operator sorts and the semijoin probes."""
     for factor in (columnar._DENSE_FACTOR, 0):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(columnar, "_DENSE_FACTOR", factor)
@@ -171,33 +174,53 @@ def test_cross_products_match_set_comprehensions(left_rows, right_rows):
     assert columnar_count_join_tree(tree) == left_rows * right_rows
 
 
+#: Each operator's names for its two NumPy branches: a table over the key
+#: domain, or sorted keys.
+BRANCHES = {
+    "_vector_matches": ("dense", "sort"),
+    "_vector_child_sums": ("dense", "sort"),
+    "_vector_survivors": ("mask", "probe"),
+}
+
+
 @pytest.fixture
-def dense_sizes(monkeypatch):
-    """Records what ``_dense_size`` returns: a table size for each dense
-    operator, ``None`` for each sorted one."""
-    sizes = []
+def branches(monkeypatch):
+    """Records each ``_dense_size`` call as ``(operator, branch)``: the
+    operator that asked, and the branch its answer selects."""
+    taken = []
     real = columnar._dense_size
 
-    def recorded(*keys):
-        sizes.append(real(*keys))
-        return sizes[-1]
+    def recorded(*keys, **options):
+        size = real(*keys, **options)
+        operator = sys._getframe(1).f_code.co_name
+        taken.append((operator, BRANCHES[operator][size is None]))
+        return size
 
     monkeypatch.setattr(columnar, "_dense_size", recorded)
-    return sizes
+    return taken
 
 
-@pytest.mark.parametrize("key_width", [1, 2])
-def test_sparse_key_domains_take_the_sort_path(key_width, dense_sizes):
+@pytest.mark.parametrize(
+    "key_width, spread, semijoin_branch",
+    [(1, 40 * N, "mask"), (2, 200, "probe"), (1, 400 * N, "probe")],
+    ids=["1", "2", "1-past-the-mask"],
+)
+def test_sparse_key_domains_take_the_sort_path(
+    key_width, spread, semijoin_branch, branches
+):
     """Keys spread over ten or more slots per operand row, past
-    ``_DENSE_FACTOR``: one-column keys draw from 40·N interned values for
-    2·N rows a side, two-column keys pack under that base.  The join, the
-    semijoin and the count DP sort, and match the reference."""
+    ``_DENSE_FACTOR``, for 2·N rows a side: one-column keys draw from 40·N
+    or 400·N interned values (10 or 100 slots per row), two-column keys
+    from 200 values a column packed under a base of 400·N (about 20,000
+    slots per row).  The join and the count DP sort.  The semijoin's
+    one-byte mask covers up to 64 slots per row, so it masks the first
+    draw and probes the sorted build keys in the others.  Each matches the
+    reference."""
     interner = ValueInterner()
-    for value in range(40 * N):
+    for value in range(400 * N):
         interner.intern(value)
-    rng = random.Random(key_width)
+    rng = random.Random(spread)
     key = ("a", "b")[:key_width]
-    spread = 40 * N if key_width == 1 else 200
 
     def draw(columns):
         width = len(columns)
@@ -218,7 +241,80 @@ def test_sparse_key_domains_take_the_sort_path(key_width, dense_sizes):
     assert cleft.semijoin(cright).to_named() == semijoin(left, right)
     tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
     assert columnar_count_join_tree(tree) == len(expected)
-    assert dense_sizes == [None] * 3
+    assert branches == [
+        ("_vector_matches", "sort"),
+        ("_vector_survivors", semijoin_branch),
+        ("_vector_child_sums", "sort"),
+    ]
+
+
+#: The base two-column keys pack under in the mask-bound tests.
+PACK_BASE = 257
+
+
+@pytest.mark.parametrize("holder", ["probe", "build"])
+@pytest.mark.parametrize(
+    "past, branch", [(0, "mask"), (1, "probe")], ids=["at-the-bound", "one-past"]
+)
+@pytest.mark.parametrize("key_width", [1, 2])
+def test_semijoin_masks_up_to_64_slots_per_operand_row(
+    key_width, past, branch, holder, branches
+):
+    """N rows a side give 2·N operand rows, so the mask may hold 16 ·
+    ``_DENSE_FACTOR`` · 2·N slots.  One row, on the probe or the build
+    side, holds the largest key: one below that bound (a mask of exactly
+    the bound's slots) or the bound itself (one slot past it, where the
+    semijoin probes).  Two-column keys pack under a base of 257, so the
+    row of packed key ``k`` is ``divmod(k, 257)``.  The sides share N/2
+    keys, so half the probe rows survive."""
+    bound = 16 * columnar._DENSE_FACTOR * 2 * N
+    top = bound - 1 + past
+    interner = ValueInterner()
+    for value in range(PACK_BASE if key_width == 2 else top + 1):
+        interner.intern(value)
+    rng = random.Random(top * key_width)
+    key = ("a", "b")[:key_width]
+
+    def relation(column, packed_keys):
+        rows = {
+            (divmod(k, PACK_BASE) if key_width == 2 else (k,)) + (0,)
+            for k in packed_keys
+        }
+        return NamedRelation(key + (column,), rows)
+
+    keys = rng.sample(range(top), 2 * N)
+    shared = keys[: N // 2]
+    probe_keys = shared + keys[N // 2 : N - 1]
+    build_keys = shared + keys[N : 2 * N - N // 2 - 1]
+    (probe_keys if holder == "probe" else build_keys).append(top)
+    (build_keys if holder == "probe" else probe_keys).append(keys[-1])
+    left, right = relation("x", probe_keys), relation("y", build_keys)
+    assert len(left) == len(right) == N
+    cleft = ColumnarRelation.from_named(left, interner)
+    cright = ColumnarRelation.from_named(right, interner)
+    filtered = cleft.semijoin(cright)
+    assert filtered.to_named() == semijoin(left, right)
+    assert len(filtered) == N // 2
+    assert branches == [("_vector_survivors", branch)]
+
+
+@pytest.mark.parametrize("spread, branch", [(N, "mask"), (400 * N, "probe")])
+def test_a_semijoin_against_an_empty_build_side_keeps_no_row(
+    spread, branch, branches
+):
+    """An empty build side holds no key: the mask marks nothing, and the
+    probe finds no sorted key to read.  Only the probe side's N rows size
+    the table, so N keys over N or 400·N values take each branch."""
+    interner = ValueInterner()
+    for value in range(spread):
+        interner.intern(value)
+    rng = random.Random(spread)
+    left = NamedRelation(("k", "x"), {(k, 0) for k in rng.sample(range(spread), N)})
+    cleft = ColumnarRelation.from_named(left, interner)
+    empty = ColumnarRelation.from_named(NamedRelation(("k",), set()), interner)
+    filtered = cleft.semijoin(empty)
+    assert len(filtered) == 0 and filtered.columns == ("k", "x")
+    assert branches == [("_vector_survivors", branch)]
 
 
 # ----------------------------------------------------------------------
@@ -249,19 +345,23 @@ def vector_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "query, domain, tuples, branches",
-    # Across the three queries both NumPy branches fire.
+    "query, domain, tuples, fired_branches",
+    # Across the four queries every NumPy branch fires.
     [
         # Two-column keys over 200 values: the bags' (x0, x2) keys are
-        # sparse, their one-column join keys dense.
-        (cqgen.cycle_query(4), 200, 1200, {"dense", "sort"}),
-        (cqgen.hub_cycle_query(3), 14, 1200, {"dense"}),
-        (cqgen.star_query(3), 30, 800, {"dense"}),
+        # sparse, their one-column join keys dense, and the semijoins
+        # mask at up to five slots per row.
+        (cqgen.cycle_query(4), 200, 1200, {"dense", "sort", "mask"}),
+        # Over 600 values the two-column semijoin keys span 80 to 150
+        # slots per row, past the mask.
+        (cqgen.cycle_query(4), 600, 1200, {"dense", "sort", "mask", "probe"}),
+        (cqgen.hub_cycle_query(3), 14, 1200, {"dense", "mask"}),
+        (cqgen.star_query(3), 30, 800, {"dense", "mask"}),
     ],
-    ids=["cycle", "wheel", "star"],
+    ids=["cycle", "sparse-cycle", "wheel", "star"],
 )
 def test_engine_answers_and_counts_on_the_vector_path(
-    query, domain, tuples, branches, vector_calls, dense_sizes, monkeypatch
+    query, domain, tuples, fired_branches, vector_calls, branches, monkeypatch
 ):
     # Bag trees in row form: the wheel's and the star's ids are dense
     # enough for bag arrays (tests/cq/test_bag_arrays.py), which would skip
@@ -279,8 +379,7 @@ def test_engine_answers_and_counts_on_the_vector_path(
         projected, database
     )
     assert all(count > 0 for count in vector_calls.values()), vector_calls
-    fired = {"sort" if size is None else "dense" for size in dense_sizes}
-    assert fired == branches
+    assert {branch for _operator, branch in branches} == fired_branches
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +470,9 @@ def test_four_column_keys_stay_exact_when_packing_cannot_fit():
     also exceeds ``2**64``, so the dictionary is padded to 70,000 values
     and ``left`` holds one row whose wrapped key equals that of a
     ``right`` row it does not match: without the guard the vector path
-    would join them."""
+    would join them.  The relations run again with int64 array columns,
+    whose dict-path keys would wrap the same way if they packed in
+    NumPy."""
     base = 70_000
     interner = ValueInterner()
     for value in range(base):
@@ -397,15 +498,25 @@ def test_four_column_keys_stay_exact_when_packing_cannot_fit():
     cright = ColumnarRelation.from_named(right, interner)
     assert len(interner) == base
 
+    def as_arrays(relation):
+        """The same rows in int64 array columns, as resident views and
+        NumPy results hold them: the dict path's keys over array columns
+        pack in NumPy only where they fit."""
+        data = tuple(np.array(vector, dtype=np.int64) for vector in relation._data)
+        return ColumnarRelation._trusted(
+            relation.columns, interner, data, len(relation)
+        )
+
     expected = join(left, right)
-    assert cleft.natural_join(cright).to_named() == expected
-    assert cleft.semijoin(cright).to_named() == semijoin(left, right)
+    for cleft, cright in ((cleft, cright), (as_arrays(cleft), as_arrays(cright))):
+        assert cleft.natural_join(cright).to_named() == expected
+        assert cleft.semijoin(cright).to_named() == semijoin(left, right)
+        tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
+        assert columnar_count_join_tree(tree) == len(expected)
     both = NamedRelation(columns, left_rows | right_rows)
     assert ColumnarRelation.from_named(both, interner).project(
         columns[::-1]
     ).to_named() == project(both, columns[::-1])
-    tree = JoinTree({0: cleft, 1: cright}, {0: None, 1: 0})
-    assert columnar_count_join_tree(tree) == len(expected)
 
 
 def test_resident_view_sees_appends_after_a_vectorised_operation():
